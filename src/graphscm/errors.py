@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: input/validation problems exit 2,
 numeric failures (non-finite values mid-run) exit 3.
 """
 
+import json
+
 
 class GraphScmError(Exception):
     """Base class for all package errors."""
@@ -27,3 +29,13 @@ class ContractError(GraphScmError, ValueError):
 
 class ConfigError(GraphScmError, ValueError):
     """A run configuration is invalid (empty split, bad parameter, ...)."""
+
+
+def read_json(path: str):
+    """Parse a JSON file; malformed text raises LoadError naming file, line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc

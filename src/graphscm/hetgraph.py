@@ -10,18 +10,24 @@ A dataset lives in a directory of UTF-8 text files:
     splits.json          optional {"train": [...], "val": [...], "test": [...]}
 
 If an inverse relation has no edge file on disk, its edges are synthesized
-by reversing the forward relation's.
+by reversing the forward relation's; when both files exist, each must be
+the other's reversal. Feature values must be finite. In memory each
+relation is also held as CSR (``HeteroGraph.csr``), which the metapath
+operator ``metapath_reach`` walks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, LoadError
+from .errors import ContractError, LoadError, read_json
 
 UNLABELED = -1
 
@@ -142,6 +148,14 @@ def enumerate_metapaths(schema: Schema, target_type: str, max_len: int, forward_
     return out
 
 
+class Csr(NamedTuple):
+    """One relation in compressed sparse rows: source ``s`` links to
+    ``indices[indptr[s]:indptr[s + 1]]``, in edge-file order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
 @dataclass
 class HeteroGraph:
     """Immutable-after-load typed graph with per-type dense features."""
@@ -150,7 +164,7 @@ class HeteroGraph:
     features: dict[str, np.ndarray]            # type -> (n_type, D_type) float64
     edges: dict[str, np.ndarray]               # relation -> (m, 2) int64
     labels: np.ndarray                         # over target type; UNLABELED sentinel
-    adjacency: dict[str, list[list[int]]] = field(default_factory=dict, repr=False)
+    csr: dict[str, Csr] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for t in self.schema.node_types:
@@ -174,12 +188,12 @@ class HeteroGraph:
         )
         if not valid.all():
             raise LoadError("label values must lie in [0, num_classes) or be unlabeled")
-        if not self.adjacency:
-            for r in self.schema.relations:
-                rows: list[list[int]] = [[] for _ in range(self.num_nodes(r.src))]
-                for s, d in self.edges[r.name]:
-                    rows[int(s)].append(int(d))
-                self.adjacency[r.name] = rows
+        self.csr = {}
+        for r in self.schema.relations:
+            e = np.asarray(self.edges[r.name], dtype=np.int64).reshape(-1, 2)
+            indptr = np.zeros(self.num_nodes(r.src) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(e[:, 0], minlength=self.num_nodes(r.src)), out=indptr[1:])
+            self.csr[r.name] = Csr(indptr, e[np.argsort(e[:, 0], kind="stable"), 1])
 
     def num_nodes(self, node_type: str) -> int:
         return self.features[node_type].shape[0]
@@ -199,38 +213,106 @@ class HeteroGraph:
         return np.flatnonzero(self.labels != UNLABELED)
 
     def degree(self, relation: str, node: int) -> int:
-        return len(self.adjacency[relation][node])
+        indptr = self.csr[relation].indptr
+        return int(indptr[node + 1] - indptr[node])
 
 
-def neighbor_set(graph: HeteroGraph, node: int, metapath: MetaPath, exclude_self: bool = False) -> set[int]:
-    """Terminal-type nodes reachable from ``node`` along the metapath.
+# Work bound of one metapath hop: (row, node) pairs expanded or dense cells
+# held at once. Query rows are split into groups that stay under it.
+REACH_BLOCK = 1 << 19
 
-    Set semantics: each reachable node appears once however many paths lead
-    to it. The origin node is kept when reachable, unless ``exclude_self``.
+
+def metapath_reach(graph: HeteroGraph, nodes, metapath: MetaPath, exclude_self: bool = False):
+    """Path counts from each query node to the terminal nodes of a metapath.
+
+    Yields blocks ``(lo, hi, rows, indices, counts)`` that cover the query
+    rows ``lo:hi`` of ``nodes`` in order. Query row ``lo + rows[k]`` reaches
+    terminal node ``indices[k]`` along ``counts[k]`` distinct paths; pairs are
+    sorted by row, then by index. Set semantics reads ``indices`` alone.
+    ``exclude_self`` drops the terminal index equal to the query node's id,
+    whatever the terminal type.
+
+    Each hop expands the frontier through the relation's CSR and merges
+    repeated (row, node) pairs: into a dense count block when the rows at
+    hand times the destination type's size fit in REACH_BLOCK cells (the
+    40 terms of APT, say), by sorting otherwise. Counts travel as float64
+    through the dense merge, so they are exact below 2**53.
     """
-    frontier = {int(node)}
-    for rel in metapath.relations:
-        adj = graph.adjacency[rel]
-        frontier = {d for s in frontier for d in adj[s]}
-        if not frontier:
-            break
-    if exclude_self:
-        frontier.discard(int(node))
-    return frontier
+    nodes = np.asarray(nodes, dtype=np.int64)
+    hops = [
+        (graph.csr[rel], graph.num_nodes(graph.schema.relation(rel).dst))
+        for rel in metapath.relations
+    ]
+    n = nodes.shape[0]
+    start = (np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64))
+    for lo, hi, rows, indices, counts in _walk(hops, 0, n, *start):
+        if exclude_self:
+            keep = indices != nodes[lo + rows]
+            rows, indices, counts = rows[keep], indices[keep], counts[keep]
+        yield lo, hi, rows, indices, counts
 
 
-def _path_counts(graph: HeteroGraph, node: int, metapath: MetaPath) -> dict[int, int]:
-    counts = {int(node): 1}
-    for rel in metapath.relations:
-        adj = graph.adjacency[rel]
-        nxt: dict[int, int] = {}
-        for s, c in counts.items():
-            for d in adj[s]:
-                nxt[d] = nxt.get(d, 0) + c
-        counts = nxt
-        if not counts:
-            break
-    return counts
+def _walk(hops, lo, hi, rows, cols, counts):
+    if not hops:
+        yield lo, hi, rows, cols, counts
+        return
+    (indptr, indices), n_dst = hops[0]
+    starts = indptr[cols]
+    deg = indptr[cols + 1] - starts
+    cum = np.cumsum(np.bincount(rows, weights=deg, minlength=hi - lo))
+    bounds = [0]
+    while bounds[-1] < hi - lo:
+        done = cum[bounds[-1] - 1] if bounds[-1] else 0.0
+        nxt = int(np.searchsorted(cum, done + REACH_BLOCK, side="right"))
+        bounds.append(max(nxt, bounds[-1] + 1))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        i, j = np.searchsorted(rows, [a, b])
+        d = deg[i:j]
+        first = np.cumsum(d) - d
+        pos = np.arange(int(d.sum()), dtype=np.int64) - np.repeat(first - starts[i:j], d)
+        key = np.repeat(rows[i:j] - a, d) * n_dst + indices[pos]
+        paths = np.repeat(counts[i:j], d)
+        if (b - a) * n_dst <= REACH_BLOCK:
+            acc = np.bincount(key, weights=paths, minlength=(b - a) * n_dst)
+            key = np.flatnonzero(acc)
+            paths = acc[key].astype(np.int64)
+        elif key.size:
+            order = np.argsort(key)
+            key, paths = key[order], paths[order]
+            head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            key, paths = key[head], np.add.reduceat(paths, head)
+        yield from _walk(hops[1:], lo + a, lo + b, key // n_dst, key % n_dst, paths)
+
+
+def _set_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Mean of ``padded[idx]`` over each row's index set, zero for empty sets.
+
+    ``padded`` is the feature matrix plus one trailing zero row. The result
+    is bit-identical to ``feats[idx].mean(axis=0)``: numpy sums along a
+    non-contiguous axis one row after another, so each set is laid out along
+    axis 0 of a (steps, rows, D) gather, in ascending index order, and
+    padded at the end with the zero row, which leaves the sums unchanged.
+    Rows go longest set first, in tiles whose sets are longer than half the
+    tile's longest, so padding at most doubles the work; a tile gathers at
+    most REACH_BLOCK values unless one set alone is larger.
+    """
+    zero = padded.shape[0] - 1
+    lens = np.diff(indptr)
+    out = np.zeros((lens.shape[0], padded.shape[1]))
+    order = np.argsort(-lens, kind="stable")
+    neg_sorted = -lens[order]
+    i, nonempty = 0, int(np.count_nonzero(lens))
+    while i < nonempty:
+        top = int(-neg_sorted[i])
+        j = int(np.searchsorted(neg_sorted, -(top // 2), side="left"))
+        j = min(j, i + max(1, REACH_BLOCK // (top * padded.shape[1])))
+        rows = order[i:j]
+        steps = np.arange(top)[:, None]
+        pos = np.minimum(indptr[rows] + steps, indices.shape[0] - 1)
+        idx = np.where(steps < lens[rows], indices[pos], zero)
+        out[rows] = padded[idx].sum(axis=0) / lens[rows][:, None]
+        i = j
+    return out
 
 
 def pooled_neighbor_features(
@@ -247,20 +329,16 @@ def pooled_neighbor_features(
     """
     feats = graph.features[metapath.terminal_type]
     out = np.zeros((len(nodes), feats.shape[1]))
-    for i, node in enumerate(nodes):
-        if multiset:
-            counts = _path_counts(graph, int(node), metapath)
-            if exclude_self:
-                counts.pop(int(node), None)
-            if counts:
-                idx = sorted(counts)
-                w = np.array([counts[j] for j in idx], dtype=np.float64)
-                out[i] = (w @ feats[idx]) / w.sum()
-        else:
-            pool = neighbor_set(graph, int(node), metapath, exclude_self=exclude_self)
-            if pool:
-                idx = sorted(pool)
-                out[i] = feats[idx].mean(axis=0)
+    padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
+    for lo, hi, rows, indices, counts in metapath_reach(graph, nodes, metapath, exclude_self):
+        indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
+        if not multiset:
+            out[lo:hi] = _set_means(padded, indptr, indices)
+            continue
+        for i in np.flatnonzero(np.diff(indptr)):
+            a, b = indptr[i], indptr[i + 1]
+            w = counts[a:b].astype(np.float64)
+            out[lo + i] = (w @ feats[indices[a:b]]) / w.sum()
     return out
 
 
@@ -276,13 +354,133 @@ def _read_tsv_rows(path: str):
             yield lineno, line.split("\t")
 
 
+# Fast readers parse a whole file with numpy and return None on anything
+# they cannot vouch for; the line-by-line readers then run and name the
+# offending ``file:line``. numpy's integer parser accepts a subset of what
+# ``int()`` accepts, and its float parser rounds decimal strings as
+# ``float()`` does, so the fast path accepts no input that the line-by-line
+# path rejects and yields the same values (the parser parity tests pin this).
+
+def _loadtxt(path: str, dtype, ndmin: int) -> np.ndarray | None:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(
+                path, dtype=dtype, delimiter="\t", comments=None, ndmin=ndmin, encoding="utf-8"
+            )
+    except ValueError:
+        return None
+
+
+def _fast_pairs(path: str) -> np.ndarray | None:
+    """(m, 2) int64 rows of a two-column integer file, or None."""
+    arr = _loadtxt(path, np.int64, ndmin=2)
+    if arr is None:
+        return None
+    if arr.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    return arr if arr.shape[1] == 2 else None
+
+
+def _fast_features(path: str) -> np.ndarray | None:
+    """Feature matrix of a node file with dense ids and finite values, or None."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = next((line.rstrip("\n") for line in fh if line.rstrip("\n")), "")
+    except ValueError:
+        return None
+    width = first.count("\t")
+    if width == 0:
+        return None
+    arr = _loadtxt(path, np.dtype([("id", np.int64), ("x", np.float64, (width,))]), ndmin=1)
+    if arr is None or arr.size == 0:
+        return None
+    order = np.argsort(arr["id"], kind="stable")
+    if not np.array_equal(arr["id"][order], np.arange(arr.shape[0])):
+        return None
+    mat = arr["x"][order]
+    return mat if np.isfinite(mat).all() else None
+
+
+def _read_features_lines(path: str) -> np.ndarray:
+    rows: list[tuple[int, list[float]]] = []
+    seen = set()
+    width = None
+    for lineno, cells in _read_tsv_rows(path):
+        try:
+            node_id = int(cells[0])
+            values = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise LoadError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise LoadError(f"{path}:{lineno}: non-finite feature value")
+        if node_id in seen:
+            raise LoadError(f"{path}:{lineno}: duplicate node id {node_id}")
+        seen.add(node_id)
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise LoadError(
+                f"{path}:{lineno}: feature width {len(values)} differs from {width}"
+            )
+        rows.append((node_id, values))
+    if not rows:
+        raise LoadError(f"{path}: node file is empty")
+    n = len(rows)
+    if seen != set(range(n)):
+        raise LoadError(f"{path}: node ids must be dense 0..{n - 1}")
+    mat = np.zeros((n, width if width else 0))
+    for node_id, values in rows:
+        mat[node_id] = values
+    return mat
+
+
+def _read_edges_lines(path: str) -> np.ndarray:
+    pairs = []
+    for lineno, cells in _read_tsv_rows(path):
+        if len(cells) != 2:
+            raise LoadError(f"{path}:{lineno}: expected 'src<TAB>dst'")
+        try:
+            pairs.append((int(cells[0]), int(cells[1])))
+        except ValueError as exc:
+            raise LoadError(f"{path}:{lineno}: {exc}") from exc
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
+    labels = np.full(n, UNLABELED, dtype=np.int64)
+    pairs = _fast_pairs(path)
+    if pairs is not None:
+        ids, cls = pairs[:, 0], pairs[:, 1]
+        in_range = ids.size == 0 or (
+            ids.min() >= 0 and ids.max() < n and cls.min() >= 0 and cls.max() < num_classes
+        )
+        # which of several labels for one id fancy assignment keeps is unspecified;
+        # the line loop below keeps the last
+        if in_range and np.unique(ids).size == ids.size:
+            labels[ids] = cls
+            return labels
+    for lineno, cells in _read_tsv_rows(path):
+        if len(cells) != 2:
+            raise LoadError(f"{path}:{lineno}: expected 'node_id<TAB>class'")
+        try:
+            node_id, c = int(cells[0]), int(cells[1])
+        except ValueError as exc:
+            raise LoadError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= node_id < n:
+            raise LoadError(f"{path}:{lineno}: node id {node_id} out of range")
+        if not 0 <= c < num_classes:
+            raise LoadError(f"{path}:{lineno}: class {c} out of range")
+        labels[node_id] = c
+    return labels
+
+
 def load_graph(dataset_dir: str) -> HeteroGraph:
     """Load and validate a dataset directory."""
     schema_path = os.path.join(dataset_dir, "schema.json")
     if not os.path.isfile(schema_path):
         raise LoadError(f"missing schema file: {schema_path}")
-    with open(schema_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(schema_path)
     try:
         relations = [Relation(r["name"], r["src"], r["dst"], r["inverse"]) for r in raw["relations"]]
         schema = Schema(
@@ -299,49 +497,17 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
         path = os.path.join(dataset_dir, f"nodes-{t}.tsv")
         if not os.path.isfile(path):
             raise LoadError(f"missing node file: {path}")
-        rows: list[tuple[int, list[float]]] = []
-        seen = set()
-        width = None
-        for lineno, cells in _read_tsv_rows(path):
-            try:
-                node_id = int(cells[0])
-                values = [float(c) for c in cells[1:]]
-            except ValueError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from exc
-            if node_id in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate node id {node_id}")
-            seen.add(node_id)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise LoadError(
-                    f"{path}:{lineno}: feature width {len(values)} differs from {width}"
-                )
-            rows.append((node_id, values))
-        if not rows:
-            raise LoadError(f"{path}: node file is empty")
-        n = len(rows)
-        if seen != set(range(n)):
-            raise LoadError(f"{path}: node ids must be dense 0..{n - 1}")
-        mat = np.zeros((n, width if width else 0))
-        for node_id, values in rows:
-            mat[node_id] = values
-        features[t] = mat
+        mat = _fast_features(path)
+        features[t] = mat if mat is not None else _read_features_lines(path)
 
     edges: dict[str, np.ndarray] = {}
     for r in schema.relations:
         path = os.path.join(dataset_dir, f"edges-{r.name}.tsv")
         if not os.path.isfile(path):
             continue
-        pairs = []
-        for lineno, cells in _read_tsv_rows(path):
-            if len(cells) != 2:
-                raise LoadError(f"{path}:{lineno}: expected 'src<TAB>dst'")
-            try:
-                pairs.append((int(cells[0]), int(cells[1])))
-            except ValueError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from exc
-        edges[r.name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = _fast_pairs(path)
+        edges[r.name] = pairs if pairs is not None else _read_edges_lines(path)
+    on_disk = set(edges)
     for r in schema.relations:
         if r.name not in edges:
             if r.inverse not in edges:
@@ -353,21 +519,22 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
     labels_path = os.path.join(dataset_dir, "labels.tsv")
     if not os.path.isfile(labels_path):
         raise LoadError(f"missing labels file: {labels_path}")
-    labels = np.full(features[schema.target_type].shape[0], UNLABELED, dtype=np.int64)
-    for lineno, cells in _read_tsv_rows(labels_path):
-        if len(cells) != 2:
-            raise LoadError(f"{labels_path}:{lineno}: expected 'node_id<TAB>class'")
-        try:
-            node_id, cls = int(cells[0]), int(cells[1])
-        except ValueError as exc:
-            raise LoadError(f"{labels_path}:{lineno}: {exc}") from exc
-        if not 0 <= node_id < labels.shape[0]:
-            raise LoadError(f"{labels_path}:{lineno}: node id {node_id} out of range")
-        if not 0 <= cls < schema.num_classes:
-            raise LoadError(f"{labels_path}:{lineno}: class {cls} out of range")
-        labels[node_id] = cls
+    labels = _read_labels(
+        labels_path, features[schema.target_type].shape[0], schema.num_classes
+    )
 
-    return HeteroGraph(schema=schema, features=features, edges=edges, labels=labels)
+    graph = HeteroGraph(schema=schema, features=features, edges=edges, labels=labels)
+    for r in schema.relations:
+        # each pair once; a self-inverse relation has no second file to compare
+        if r.name < r.inverse and r.name in on_disk and r.inverse in on_disk:
+            n_dst = graph.num_nodes(r.dst)
+            pairs = (edges[r.name], edges[r.inverse][:, ::-1])
+            if not np.array_equal(*(np.sort(e[:, 0] * n_dst + e[:, 1]) for e in pairs)):
+                raise LoadError(
+                    f"edges-{r.name}.tsv and edges-{r.inverse}.tsv on disk are not "
+                    "reversals of each other"
+                )
+    return graph
 
 
 def _format_float(x: float) -> str:

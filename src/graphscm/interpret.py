@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, LoadError
+from .errors import ContractError, DimensionError, LoadError, read_json
 from .numcore import Tensor
 
 
@@ -145,8 +145,7 @@ def diagram_to_json(diagram: CausalDiagram, path: str) -> None:
 
 
 def diagram_from_json(path: str) -> CausalDiagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     try:
         diagram = CausalDiagram(
             names=list(raw["variables"]),

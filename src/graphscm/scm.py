@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .encoders import VariableBatch, init_encoders
-from .errors import ContractError, DimensionError, LoadError
+from .errors import ContractError, DimensionError, LoadError, read_json
 from .numcore import Linear, Mlp, Tensor, activate, add, index_scalar, mul, softmax
 from .rng import substream
 
@@ -268,9 +268,8 @@ def save_checkpoint(model: ScmModel, path: str) -> None:
 def load_checkpoint(path: str) -> ScmModel:
     if not os.path.isfile(path):
         raise LoadError(f"missing checkpoint file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    payload = read_json(path)
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise LoadError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise LoadError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
@@ -293,4 +292,6 @@ def load_checkpoint(path: str) -> ScmModel:
                 f"{path}: tensor {name!r} has shape {shape}, expected {p.data.shape}"
             )
         p.data = np.array(entry["data"], dtype=np.float64).reshape(shape)
+        if not np.isfinite(p.data).all():
+            raise LoadError(f"{path}: tensor {name!r} has non-finite values")
     return model

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .hetgraph import UNLABELED, HeteroGraph, MetaPath, enumerate_metapaths, neighbor_set
+from .errors import ConfigError, ContractError, read_json
+from .hetgraph import UNLABELED, HeteroGraph, MetaPath, enumerate_metapaths, metapath_reach
 from .rng import substream
 
 IID_TRAIN_FRACTION = 0.24
@@ -66,8 +66,7 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "SplitSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         try:
             return cls(
                 train=[int(i) for i in raw["train"]],
@@ -140,27 +139,24 @@ def homophily_features(graph: HeteroGraph, max_len: int = 2) -> BiasFeatureTable
     metapaths = roundtrip_metapaths(graph, max_len)
     if not metapaths:
         raise ContractError("schema admits no round-trip metapath for homophily")
-    nodes = [int(i) for i in graph.labeled_nodes()]
+    nodes = graph.labeled_nodes()
     labels = graph.labels
     values = np.zeros((len(nodes), len(metapaths)))
     for j, mp in enumerate(metapaths):
-        missing = []
-        for row, node in enumerate(nodes):
-            pool = [
-                v
-                for v in neighbor_set(graph, node, mp, exclude_self=True)
-                if labels[v] != UNLABELED
-            ]
-            if pool:
-                agree = sum(1 for v in pool if labels[v] == labels[node])
-                values[row, j] = agree / len(pool)
-            else:
-                missing.append(row)
-        present = np.setdiff1d(np.arange(len(nodes)), missing)
-        fill = float(values[present, j].mean()) if present.size else 0.0
-        for row in missing:
-            values[row, j] = fill
-    return BiasFeatureTable(nodes=nodes, columns=[mp.name for mp in metapaths], values=values)
+        known = np.zeros(len(nodes), dtype=np.int64)
+        agree = np.zeros(len(nodes), dtype=np.int64)
+        for lo, hi, rows, indices, _ in metapath_reach(graph, nodes, mp, exclude_self=True):
+            lab = labels[indices]
+            has = lab != UNLABELED
+            known[lo:hi] = np.bincount(rows[has], minlength=hi - lo)
+            same = has & (lab == labels[nodes[lo + rows]])
+            agree[lo:hi] = np.bincount(rows[same], minlength=hi - lo)
+        present = known > 0
+        values[present, j] = agree[present] / known[present]
+        values[~present, j] = float(values[present, j].mean()) if present.any() else 0.0
+    return BiasFeatureTable(
+        nodes=[int(i) for i in nodes], columns=[mp.name for mp in metapaths], values=values
+    )
 
 
 def degree_features(graph: HeteroGraph, log_transform: bool = True) -> BiasFeatureTable:
@@ -173,10 +169,8 @@ def degree_features(graph: HeteroGraph, log_transform: bool = True) -> BiasFeatu
     nodes = [int(i) for i in graph.labeled_nodes()]
     values = np.zeros((len(nodes), len(metapaths)))
     for j, mp in enumerate(metapaths):
-        rel = mp.relations[0]
-        for row, node in enumerate(nodes):
-            d = graph.degree(rel, node)
-            values[row, j] = math.log1p(d) if log_transform else float(d)
+        degrees = np.diff(graph.csr[mp.relations[0]].indptr)[nodes]
+        values[:, j] = [math.log1p(d) for d in degrees] if log_transform else degrees
     return BiasFeatureTable(nodes=nodes, columns=[mp.name for mp in metapaths], values=values)
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .hetgraph import HeteroGraph, Relation, Schema
 from .rng import substream
 from .splits import OOD_TRAIN_FRACTION, SplitSpec
@@ -126,8 +126,7 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, path: str) -> "GroundTruth":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         return cls(
             spec=SynthSpec(**raw["spec"]),
             records=[AuthorRecord(**r) for r in raw["records"]],
@@ -377,7 +376,7 @@ def venue_majority_rule(graph: HeteroGraph) -> np.ndarray:
     Reads only the graph: venue classes are recovered from the one-hot venue
     features; the venue pool is deduplicated; ties break to the lowest class.
     """
-    from .hetgraph import enumerate_metapaths, neighbor_set
+    from .hetgraph import enumerate_metapaths, metapath_reach
 
     apv = next(
         mp
@@ -386,14 +385,11 @@ def venue_majority_rule(graph: HeteroGraph) -> np.ndarray:
     )
     venue_class = graph.features["venue"].argmax(axis=1)
     n_classes = graph.schema.num_classes
-    out = np.zeros(graph.num_nodes("author"), dtype=np.int64)
-    for a in range(out.shape[0]):
-        pool = neighbor_set(graph, a, apv)
-        counts = np.zeros(n_classes)
-        for v in pool:
-            counts[venue_class[v]] += 1
-        out[a] = int(np.argmax(counts))  # argmax takes the lowest index on ties
-    return out
+    counts = np.zeros((graph.num_nodes("author"), n_classes), dtype=np.int64)
+    for lo, hi, rows, indices, _ in metapath_reach(graph, np.arange(counts.shape[0]), apv):
+        keys = rows * n_classes + venue_class[indices]
+        counts[lo:hi] = np.bincount(keys, minlength=(hi - lo) * n_classes).reshape(-1, n_classes)
+    return counts.argmax(axis=1)  # argmax takes the lowest index on ties
 
 
 def rule_accuracy(graph: HeteroGraph) -> float:

@@ -6,6 +6,8 @@ series) and shares no code with the implementations under test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -97,3 +99,96 @@ def confusion_matrix_loops(truth: np.ndarray, pred: np.ndarray, n_classes: int) 
     for t, p in zip(truth, pred):
         out[int(t), int(p)] += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-node metapath walks: the loop implementations that the CSR operator
+# ``hetgraph.metapath_reach`` replaced, kept verbatim over adjacency lists
+
+def adjacency_lists(graph) -> dict[str, list[list[int]]]:
+    """Relation -> per-source-node destination lists, in edge-file order."""
+    out = {}
+    for r in graph.schema.relations:
+        rows: list[list[int]] = [[] for _ in range(graph.num_nodes(r.src))]
+        for s, d in graph.edges[r.name]:
+            rows[int(s)].append(int(d))
+        out[r.name] = rows
+    return out
+
+
+def neighbor_set(adj, node: int, metapath, exclude_self: bool = False) -> set[int]:
+    """Terminal nodes reachable from ``node``; the origin id is dropped with ``exclude_self``."""
+    frontier = {int(node)}
+    for rel in metapath.relations:
+        rows = adj[rel]
+        frontier = {d for s in frontier for d in rows[s]}
+        if not frontier:
+            break
+    if exclude_self:
+        frontier.discard(int(node))
+    return frontier
+
+
+def path_counts(adj, node: int, metapath) -> dict[int, int]:
+    """Terminal node -> number of distinct paths from ``node``."""
+    counts = {int(node): 1}
+    for rel in metapath.relations:
+        rows = adj[rel]
+        nxt: dict[int, int] = {}
+        for s, c in counts.items():
+            for d in rows[s]:
+                nxt[d] = nxt.get(d, 0) + c
+        counts = nxt
+        if not counts:
+            break
+    return counts
+
+
+def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False) -> np.ndarray:
+    feats = graph.features[metapath.terminal_type]
+    out = np.zeros((len(nodes), feats.shape[1]))
+    for i, node in enumerate(nodes):
+        if multiset:
+            counts = path_counts(adj, int(node), metapath)
+            if exclude_self:
+                counts.pop(int(node), None)
+            if counts:
+                idx = sorted(counts)
+                w = np.array([counts[j] for j in idx], dtype=np.float64)
+                out[i] = (w @ feats[idx]) / w.sum()
+        else:
+            pool = neighbor_set(adj, int(node), metapath, exclude_self=exclude_self)
+            if pool:
+                idx = sorted(pool)
+                out[i] = feats[idx].mean(axis=0)
+    return out
+
+
+def homophily_table(graph, adj, metapaths) -> np.ndarray:
+    nodes = [int(i) for i in graph.labeled_nodes()]
+    labels = graph.labels
+    values = np.zeros((len(nodes), len(metapaths)))
+    for j, mp in enumerate(metapaths):
+        missing = []
+        for row, node in enumerate(nodes):
+            pool = [v for v in neighbor_set(adj, node, mp, exclude_self=True) if labels[v] != -1]
+            if pool:
+                agree = sum(1 for v in pool if labels[v] == labels[node])
+                values[row, j] = agree / len(pool)
+            else:
+                missing.append(row)
+        present = np.setdiff1d(np.arange(len(nodes)), missing)
+        fill = float(values[present, j].mean()) if present.size else 0.0
+        for row in missing:
+            values[row, j] = fill
+    return values
+
+
+def degree_table(graph, adj, relations, log_transform=True) -> np.ndarray:
+    nodes = [int(i) for i in graph.labeled_nodes()]
+    values = np.zeros((len(nodes), len(relations)))
+    for j, rel in enumerate(relations):
+        for row, node in enumerate(nodes):
+            d = len(adj[rel][node])
+            values[row, j] = math.log1p(d) if log_transform else float(d)
+    return values

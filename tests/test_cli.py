@@ -193,3 +193,15 @@ def test_nan_aborts_with_exit_3(synth_dir, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "epoch" in err
+
+
+def test_stats_malformed_schema_exits_2(toy_dir, tmp_path, capsys):
+    import shutil
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    with open(os.path.join(bad, "schema.json"), "w", encoding="utf-8") as fh:
+        fh.write("{ not json")
+    assert run_cli("stats", bad) == 2
+    err = capsys.readouterr().err
+    assert "schema.json:1:3" in err and "Traceback" not in err

@@ -8,16 +8,28 @@ import pytest
 from graphscm.errors import LoadError
 from graphscm.hetgraph import (
     HeteroGraph,
+    _fast_features,
+    _fast_pairs,
+    _read_edges_lines,
+    _read_features_lines,
     Relation,
     Schema,
     enumerate_metapaths,
     load_graph,
-    neighbor_set,
+    metapath_reach,
     pooled_neighbor_features,
     write_dataset,
 )
 
 from oracles import metapath_neighbors_dfs
+
+
+def _reach_sets(graph, nodes, mp, exclude_self=False):
+    sets = [set() for _ in nodes]
+    for lo, _, rows, indices, _ in metapath_reach(graph, nodes, mp, exclude_self):
+        for r, v in zip(rows, indices):
+            sets[lo + int(r)].add(int(v))
+    return sets
 
 
 def _metapath(schema, target, max_len, name):
@@ -139,13 +151,13 @@ def test_forward_only_restricts_to_declared_direction(dblp_schema):
 
 def test_apa_neighbors_include_self_and_coauthors(toy_graph):
     apa = _metapath(toy_graph.schema, "author", 2, "APA")
-    assert neighbor_set(toy_graph, 0, apa) == {0, 1, 2}
-    assert neighbor_set(toy_graph, 0, apa, exclude_self=True) == {1, 2}
+    assert _reach_sets(toy_graph, [0], apa) == [{0, 1, 2}]
+    assert _reach_sets(toy_graph, [0], apa, exclude_self=True) == [{1, 2}]
 
 
 def test_single_edge_chain(toy_graph):
     ap = _metapath(toy_graph.schema, "author", 1, "AP")
-    assert neighbor_set(toy_graph, 2, ap) == {1, 3}
+    assert _reach_sets(toy_graph, [2], ap) == [{1, 3}]
 
 
 def test_isolated_node_empty_set():
@@ -165,7 +177,7 @@ def test_isolated_node_empty_set():
         labels=np.array([0, 1]),
     )
     mp = enumerate_metapaths(schema, "a", 1)[0]
-    assert neighbor_set(graph, 1, mp) == set()
+    assert _reach_sets(graph, [1], mp) == [set()]
     pooled = pooled_neighbor_features(graph, [1], mp)
     assert np.array_equal(pooled, np.zeros((1, 1)))
 
@@ -216,9 +228,10 @@ def test_pooling_matches_bruteforce_on_random_graphs():
                 name: [tuple(p) for p in pairs] for name, pairs in graph.edges.items()
             }
             pooled = pooled_neighbor_features(graph, list(range(10)), mp)
+            reached = _reach_sets(graph, list(range(10)), mp)
             for node in range(10):
                 expected_set = metapath_neighbors_dfs(edges_by_rel, list(mp.relations), node)
-                assert neighbor_set(graph, node, mp) == expected_set
+                assert reached[node] == expected_set
                 feats = graph.features[mp.terminal_type]
                 expected = (
                     feats[sorted(expected_set)].mean(axis=0)
@@ -268,3 +281,143 @@ def test_multiset_pooling_weights_by_path_count(toy_graph):
 def test_degree_helper(toy_graph):
     assert toy_graph.degree("write", 0) == 2
     assert math.log(1 + toy_graph.degree("write", 0)) == pytest.approx(math.log(3))
+
+
+# ---------------------------------------------------------------------------
+# fast parse parity: the numpy reader either returns exactly what the
+# line-by-line reader returns, or declines and leaves the file to it
+
+EDGE_CASES = {
+    "blank_lines": ("0\t1\n\n2\t3\n\n", True),
+    "crlf": ("0\t1\r\n2\t3\r\n", True),
+    "leading_hash": ("#src\tdst\n0\t1\n", False),
+    "trailing_tab": ("0\t1\t\n", False),
+    "underscore_digits": ("1_0\t1\n", False),
+    "leading_space": (" 3\t1\n", True),
+    "float_id": ("3.0\t1\n", False),
+    "single_line": ("0\t1", True),
+    "empty": ("", True),
+}
+
+NODE_CASES = {
+    "blank_lines": ("0\t0.5\n\n1\t1.5\n", True),
+    "crlf": ("0\t0.5\r\n1\t1.5\r\n", True),
+    "leading_hash": ("# id\tx\n0\t0.5\n", False),
+    "trailing_tab": ("0\t0.5\t\n", False),
+    "underscore_digits": ("0\t1_0\n1\t2\n", False),
+    "leading_space": (" 1\t0.5\n0\t-0.0\n", True),
+    "float_id": ("0.0\t0.5\n", False),
+    "single_line": ("0\t0.25\t1e-3", True),
+    "nan": ("0\t0.5\n1\tnan\n", False),
+    "inf": ("0\tinf\n", False),
+    "overflow_to_inf": ("0\t1e400\n", False),
+}
+
+
+def _lines_result(reader, path):
+    try:
+        return reader(path)
+    except LoadError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_fast_edge_parse_matches_line_parser(case, tmp_path):
+    text, fast_expected = EDGE_CASES[case]
+    path = tmp_path / "edges-r.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _fast_pairs(str(path))
+    slow = _lines_result(_read_edges_lines, str(path))
+    assert (fast is not None) == fast_expected
+    if fast is not None:
+        assert isinstance(slow, np.ndarray)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
+    if case == "empty":
+        assert fast.shape == (0, 2)
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CASES))
+def test_fast_node_parse_matches_line_parser(case, tmp_path):
+    text, fast_expected = NODE_CASES[case]
+    path = tmp_path / "nodes-t.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _fast_features(str(path))
+    slow = _lines_result(_read_features_lines, str(path))
+    assert (fast is not None) == fast_expected
+    if fast is not None:
+        assert isinstance(slow, np.ndarray)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+    if case in ("nan", "inf", "overflow_to_inf"):
+        assert "non-finite" in slow and slow.startswith(f"{path}:")
+
+
+def test_loader_takes_the_fast_path_on_synth_output(tmp_path):
+    from graphscm.synth import SynthSpec, generate
+
+    graph, _ = generate(SynthSpec(authors=60, seed=2))
+    write_dataset(graph, str(tmp_path))
+    for t in graph.schema.node_types:
+        fast = _fast_features(str(tmp_path / f"nodes-{t}.tsv"))
+        assert fast is not None and fast.tobytes() == graph.features[t].tobytes()
+    for r in graph.schema.relations:
+        assert np.array_equal(_fast_pairs(str(tmp_path / f"edges-{r.name}.tsv")), graph.edges[r.name])
+
+
+def test_non_finite_feature_rejected_with_file_and_line(toy_dir, tmp_path):
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    with open(os.path.join(bad, "nodes-author.tsv"), "a", encoding="utf-8") as fh:
+        fh.write("3\tnan\t0.0\n")
+    with pytest.raises(LoadError) as exc:
+        load_graph(bad)
+    assert "nodes-author.tsv:4" in str(exc.value) and "non-finite" in str(exc.value)
+
+
+def test_label_out_of_range_names_file_and_line(toy_dir, tmp_path):
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    with open(os.path.join(bad, "labels.tsv"), "a", encoding="utf-8") as fh:
+        fh.write("1\t7\n")
+    with pytest.raises(LoadError) as exc:
+        load_graph(bad)
+    assert "labels.tsv:4: class 7 out of range" in str(exc.value)
+
+
+def test_inverse_edge_files_must_agree(toy_dir, tmp_path):
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    with open(os.path.join(bad, "edges-rev_write.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("0\t2\n")
+    with pytest.raises(LoadError) as exc:
+        load_graph(bad)
+    assert "edges-rev_write.tsv and edges-write.tsv" in str(exc.value)
+
+
+def test_inverse_edge_files_that_agree_load(toy_graph, tmp_path):
+    out = str(tmp_path / "both")
+    write_dataset(toy_graph, out)  # writes every relation, inverses included
+    with open(os.path.join(out, "edges-rev_write.tsv"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(os.path.join(out, "edges-rev_write.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(reversed(lines)) + "\n")  # same multiset, other order
+    again = load_graph(out)
+    assert again.total_edges == toy_graph.total_edges
+
+
+def test_malformed_schema_json_names_line_and_column(toy_dir, tmp_path):
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    with open(os.path.join(bad, "schema.json"), "w", encoding="utf-8") as fh:
+        fh.write('{\n  "node_types": ["author",\n')
+    with pytest.raises(LoadError) as exc:
+        load_graph(bad)
+    assert "schema.json:3:1: malformed JSON" in str(exc.value)
+
+
+def test_csr_rows_keep_file_order(toy_graph):
+    for name, e in toy_graph.edges.items():
+        indptr, indices = toy_graph.csr[name]
+        for s in range(indptr.shape[0] - 1):
+            assert list(indices[indptr[s]:indptr[s + 1]]) == [int(d) for a, d in e if a == s]

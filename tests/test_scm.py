@@ -270,3 +270,32 @@ def test_checkpoint_missing_tensor_fails(toy_graph, tmp_path):
         json.dump(payload, fh)
     with pytest.raises(LoadError):
         load_checkpoint(path)
+
+
+def test_checkpoint_malformed_json_fails(toy_graph, tmp_path):
+    model, _ = _toy_model(toy_graph)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text[: len(text) // 2])
+    with pytest.raises(LoadError) as exc:
+        load_checkpoint(path)
+    assert f"{path}:1:" in str(exc.value)
+
+
+def test_checkpoint_non_finite_tensor_fails(toy_graph, tmp_path):
+    import json
+
+    model, _ = _toy_model(toy_graph)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["tensors"]["dag.A"]["data"][1] = float("nan")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(LoadError) as exc:
+        load_checkpoint(path)
+    assert "dag.A" in str(exc.value) and "non-finite" in str(exc.value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphscm.errors import ConfigError
+from graphscm.errors import ConfigError, LoadError
 from graphscm.hetgraph import HeteroGraph, Relation, Schema
 from graphscm.splits import (
     BiasFeatureTable,
@@ -283,6 +283,14 @@ def test_split_spec_json_roundtrip(tmp_path):
     again = SplitSpec.from_json(path)
     assert (again.train, again.val, again.test) == (spec.train, spec.val, spec.test)
     assert again.provenance == "degree" and again.seed == 9
+
+
+def test_split_spec_malformed_json_names_line_and_column(tmp_path):
+    path = tmp_path / "splits.json"
+    path.write_text('{"train": [0, 1],\n "val": [2,, 3]}\n', encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        SplitSpec.from_json(str(path))
+    assert f"{path}:2:12: malformed JSON" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from graphscm.synth import (
     rule_accuracy,
 )
 
+from oracles import adjacency_lists, neighbor_set
+
 
 def _small_spec(**overrides):
     # two classes keep the hand arithmetic in these tests simple
@@ -84,12 +86,12 @@ def test_labels_reproducible_from_records():
 
 
 def _apv_pool(graph, author):
-    from graphscm.hetgraph import enumerate_metapaths, neighbor_set
+    from graphscm.hetgraph import enumerate_metapaths
 
     apv = next(
         mp for mp in enumerate_metapaths(graph.schema, "author", 2) if mp.name == "APV"
     )
-    return neighbor_set(graph, author, apv)
+    return neighbor_set(adjacency_lists(graph), author, apv)
 
 
 def test_same_seed_byte_identical_datasets(tmp_path):
