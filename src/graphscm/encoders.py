@@ -127,12 +127,11 @@ class VariableBatch:
     def dims(self) -> list[int]:
         return [v.shape[1] for v in self.variables]
 
-    def stacked(self) -> np.ndarray:
-        """(B, q+2, D) view for inspection; requires a common width."""
-        widths = set(self.dims)
-        if len(widths) != 1:
-            raise DimensionError(f"variables have mixed widths {sorted(widths)}")
-        return np.stack([v.data for v in self.variables], axis=1)
+    def rows(self, index: slice) -> "VariableBatch":
+        """The samples ``index`` of every variable, as constant views."""
+        return VariableBatch(
+            [Tensor(v.data[index]) for v in self.variables], self.names, self.label_known[index]
+        )
 
 
 class VariableBuilder:
@@ -198,19 +197,3 @@ class VariableBuilder:
             names=self.variable_names,
             label_known=label_known,
         )
-
-
-def build_variables(
-    graph: HeteroGraph,
-    node_batch,
-    params: EncoderParameters,
-    metapaths: Sequence[MetaPath],
-    with_labels: bool,
-    multiset_neighbors: bool = False,
-    exclude_self: bool = False,
-) -> VariableBatch:
-    """One-shot convenience wrapper around VariableBuilder."""
-    builder = VariableBuilder(
-        graph, metapaths, multiset_neighbors=multiset_neighbors, exclude_self=exclude_self
-    )
-    return builder.build(node_batch, params, with_labels)

@@ -31,10 +31,26 @@ class ConfigError(GraphScmError, ValueError):
     """A run configuration is invalid (empty split, bad parameter, ...)."""
 
 
+def not_utf8(path: str) -> LoadError:
+    """A LoadError naming the line of the first byte of ``path`` that is not
+    UTF-8, counting lines by their newline bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return LoadError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
+    return LoadError(f"{path}: not UTF-8 text")
+
+
 def read_json(path: str):
     """Parse a JSON file; malformed text raises LoadError naming file, line and column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

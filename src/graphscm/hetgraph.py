@@ -27,9 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, LoadError, read_json
+from .errors import ContractError, LoadError, not_utf8, read_json
 
 UNLABELED = -1
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,9 @@ def metapath_reach(graph: HeteroGraph, nodes, metapath: MetaPath, exclude_self: 
     rows ``lo:hi`` of ``nodes`` in order. Query row ``lo + rows[k]`` reaches
     terminal node ``indices[k]`` along ``counts[k]`` distinct paths; pairs are
     sorted by row, then by index. Set semantics reads ``indices`` alone.
-    ``exclude_self`` drops the terminal index equal to the query node's id,
-    whatever the terminal type.
+    ``exclude_self`` drops the query node itself from the terminals of a
+    metapath that ends at its own type (APA, say); a terminal of another type
+    is never the query node, whatever its id.
 
     Each hop expands the frontier through the relation's CSR and merges
     repeated (row, node) pairs: into a dense count block when the rows at
@@ -246,7 +248,7 @@ def metapath_reach(graph: HeteroGraph, nodes, metapath: MetaPath, exclude_self: 
     n = nodes.shape[0]
     start = (np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64))
     for lo, hi, rows, indices, counts in _walk(hops, 0, n, *start):
-        if exclude_self:
+        if exclude_self and metapath.terminal_type == metapath.source_type:
             keep = indices != nodes[lo + rows]
             rows, indices, counts = rows[keep], indices[keep], counts[keep]
         yield lo, hi, rows, indices, counts
@@ -346,12 +348,15 @@ def pooled_neighbor_features(
 # disk format
 
 def _read_tsv_rows(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            yield lineno, line.split("\t")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                yield lineno, line.split("\t")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
 
 
 # Fast readers parse a whole file with numpy and return None on anything
@@ -441,9 +446,12 @@ def _read_edges_lines(path: str) -> np.ndarray:
         if len(cells) != 2:
             raise LoadError(f"{path}:{lineno}: expected 'src<TAB>dst'")
         try:
-            pairs.append((int(cells[0]), int(cells[1])))
+            pair = (int(cells[0]), int(cells[1]))
         except ValueError as exc:
             raise LoadError(f"{path}:{lineno}: {exc}") from exc
+        if not all(INT64_MIN <= v <= INT64_MAX for v in pair):
+            raise LoadError(f"{path}:{lineno}: node id out of the 64-bit integer range")
+        pairs.append(pair)
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 

@@ -44,36 +44,57 @@ class Linear:
         return [self.weight, self.bias]
 
 
-class Mlp:
-    """A stack of Linear layers with an activation between consecutive layers.
+class StackedMlp:
+    """Independent perceptrons of one layout, one per slice of a leading axis.
 
-    ``n_layers`` counts weight layers: 2 means weight-activation-weight,
-    3 means weight-activation-weight-activation-weight.
+    Network j maps width ``io_dims[j]`` to itself through ``n_layers`` weight
+    layers with ``hidden_dim`` hidden units and the activation between
+    consecutive layers. Layer l of every network lives in one stacked weight
+    ``{name}.{l}.W`` of shape (count, in, out) and bias ``{name}.{l}.b``;
+    narrower networks are zero-padded to the widest one's inputs and outputs,
+    and the padding stays zero in training because it receives zero gradient. Initial
+    weights are drawn network by network, layer by layer.
     """
 
     def __init__(
         self,
-        in_dim: int,
+        io_dims: list[int],
         hidden_dim: int,
-        out_dim: int,
         n_layers: int,
         activation: str,
         rng: np.random.Generator,
         name: str,
     ):
         if n_layers < 1:
-            raise ConfigError("Mlp needs at least one layer")
-        dims = [in_dim] + [hidden_dim] * (n_layers - 1) + [out_dim]
-        self.layers = [
-            Linear(dims[i], dims[i + 1], rng, f"{name}.{i}") for i in range(n_layers)
+            raise ConfigError("StackedMlp needs at least one layer")
+        width = max(io_dims)
+        padded = [width] + [hidden_dim] * (n_layers - 1) + [width]
+        count = len(io_dims)
+        self.weights = [
+            Tensor(np.zeros((count, padded[l], padded[l + 1])), requires_grad=True, name=f"{name}.{l}.W")
+            for l in range(n_layers)
         ]
+        self.biases = [
+            Tensor(np.zeros((count, padded[l + 1])), requires_grad=True, name=f"{name}.{l}.b")
+            for l in range(n_layers)
+        ]
+        for j, d in enumerate(io_dims):
+            dims = [d] + [hidden_dim] * (n_layers - 1) + [d]
+            for l, w in enumerate(self.weights):
+                w.data[j, : dims[l], : dims[l + 1]] = kaiming_uniform(rng, dims[l], dims[l + 1])
         self.activation = activation
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = self.layers[0](x)
-        for layer in self.layers[1:]:
-            out = layer(activate(out, self.activation))
+    def __call__(self, x: Tensor, rows: slice | None = None) -> Tensor:
+        """Run stacked inputs (networks, B, width) through the networks
+        ``rows`` (a slice; None for all)."""
+        out = x
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if l:
+                out = activate(out, self.activation)
+            if rows is not None:
+                w, b = T.take(w, rows), T.take(b, rows)
+            out = T.bmm(out, w, b)
         return out
 
     def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for wb in zip(self.weights, self.biases) for p in wb]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -10,8 +10,9 @@ from ..errors import DimensionError
 from .tensor import Tensor
 
 
-class AdamWState:
-    """Per-parameter moment estimates plus the shared step counter."""
+class AdamW:
+    """Per-parameter moment estimates and a shared step counter, reading
+    gradients straight off the parameters. A missing gradient counts as zero."""
 
     def __init__(
         self,
@@ -23,57 +24,36 @@ class AdamWState:
         weight_decay: float = 0.0,
         no_decay: Sequence[str] = (),
     ):
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros(p.shape) for p in params]
-        self.v = [np.zeros(p.shape) for p in params]
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
         no_decay = set(no_decay)
-        self.decay = [0.0 if p.name in no_decay else weight_decay for p in params]
-
-
-def adamw_step(
-    params: Sequence[Tensor],
-    grads: Sequence[Optional[np.ndarray]],
-    state: AdamWState,
-) -> None:
-    """One in-place update. ``grads[i]`` may be None (treated as zero)."""
-    if len(params) != len(state.m):
-        raise DimensionError("parameter list does not match optimizer state")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for i, p in enumerate(params):
-        g = grads[i]
-        if g is None:
-            g = np.zeros(p.shape)
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
-            )
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data = p.data - state.lr * (
-            m_hat / (np.sqrt(v_hat) + state.eps) + state.decay[i] * p.data
-        )
-
-
-class AdamW:
-    """Thin stateful wrapper reading gradients straight off the parameters."""
-
-    def __init__(self, params: Sequence[Tensor], **kwargs):
-        self.params = list(params)
-        self.state = AdamWState(self.params, **kwargs)
+        self.decay = [0.0 if p.name in no_decay else weight_decay for p in self.params]
 
     def step(self) -> None:
-        adamw_step(self.params, [p.grad for p in self.params], self.state)
+        """One in-place update of every parameter."""
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for i, p in enumerate(self.params):
+            g = np.zeros(p.shape) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
+            if g.shape != p.data.shape:
+                raise DimensionError(
+                    f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
+                )
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p.data = p.data - self.lr * (
+                m_hat / (np.sqrt(v_hat) + self.eps) + self.decay[i] * p.data
+            )
 
     def zero_grad(self) -> None:
         for p in self.params:

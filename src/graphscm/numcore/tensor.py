@@ -11,12 +11,18 @@ Broadcasting is deliberately restricted: apart from same-shape operands,
 only a 1-D row vector against a 2-D matrix (per-row bias) and a 0-d scalar
 against anything are supported. This keeps every gradient rule small enough
 to audit by hand.
+
+Stacked tensors carry independent slices along a leading axis (one per
+variable or per network). Their ops (``bmm``, ``stack``, ``take``,
+``unstack``, ``pair_mix``) run every slice through the same numpy
+call the unstacked 2-D op makes on it, so a stacked network computes the same
+bits as its per-slice counterpart while recording one tape entry in total.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional, Sequence, Union
+import functools
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -94,7 +100,7 @@ class Tape:
     _active: Optional["Tape"] = None
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[Tensor | _Pieces, Callable]] = []
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -108,7 +114,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
+    def record(self, out: Tensor | _Pieces, backward_fn: Callable) -> None:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -123,6 +129,22 @@ class Tape:
                 fn(out.grad)
 
 
+class _Pieces:
+    """Several outputs of one op, recorded as a single tape entry. Its
+    ``grad`` is the list of the outputs' gradients (None entries included),
+    or None while no output has a gradient."""
+
+    __slots__ = ("tensors",)
+
+    def __init__(self, tensors: list[Tensor]):
+        self.tensors = tensors
+
+    @property
+    def grad(self) -> Optional[list]:
+        grads = [t.grad for t in self.tensors]
+        return None if all(g is None for g in grads) else grads
+
+
 def _active_tape() -> Optional[Tape]:
     return Tape._active
 
@@ -132,6 +154,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad = t.grad + g
+
+
+def _accumulate_fresh(t: Tensor, g: np.ndarray) -> None:
+    """``_accumulate`` for an array the caller just made and keeps no other
+    reference to, which can become the gradient without a copy."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -314,24 +342,6 @@ def softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def row_mean(x: Tensor) -> Tensor:
-    """Mean over rows of a 2-D tensor (axis 0), giving a 1-D vector.
-
-    Columns are summed with math.fsum, so the result is bit-identical
-    under any permutation of the input rows.
-    """
-    if x.ndim != 2:
-        raise DimensionError(f"row_mean needs a 2-D tensor, got {x.shape}")
-    n = x.shape[0]
-    out = Tensor(np.array([math.fsum(col) for col in x.data.T]) / n)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g / n, x.shape))
-
-    return _record(out, (x,), backward)
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
 
@@ -366,3 +376,200 @@ def index_scalar(x: Tensor, i: int, j: int) -> Tensor:
             _accumulate(x, contrib)
 
     return _record(out, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# stacked ops: independent 2-D slices along a leading axis
+
+def bmm(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Slice-wise matmul, (m, B, p) @ (m, p, q) -> (m, B, q), plus one bias
+    row per slice (m, q) when ``b`` is given. The bias is added in place to
+    the fresh product, which computes the same bits as a separate add
+    without a second (m, B, q) array."""
+    if x.ndim != 3 or w.ndim != 3:
+        raise DimensionError(f"bmm needs 3-D operands, got {x.shape} and {w.shape}")
+    if x.shape[0] != w.shape[0] or x.shape[2] != w.shape[1]:
+        raise DimensionError(f"bmm: stacked shapes disagree, {x.shape} x {w.shape}")
+    if b is not None and b.shape != (w.shape[0], w.shape[2]):
+        raise DimensionError(f"bmm: bias {b.shape} does not fit weight {w.shape}")
+    out = np.matmul(x.data, w.data)
+    if b is not None:
+        out += b.data[:, None, :]
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate_fresh(x, np.matmul(g, w.data.transpose(0, 2, 1)))
+        if w.requires_grad:
+            _accumulate_fresh(w, np.matmul(x.data.transpose(0, 2, 1), g))
+        if b is not None and b.requires_grad:
+            _accumulate_fresh(b, g.sum(axis=1))
+
+    return _record(Tensor(out), (x, w) if b is None else (x, w, b), backward)
+
+
+def stack(xs: Sequence[Tensor], width: int) -> Tensor:
+    """Stack 2-D tensors of equal height along a new leading axis, each
+    zero-padded on the right to ``width`` columns."""
+    if not xs or any(x.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs):
+        raise DimensionError(f"stack needs 2-D tensors of one height, got {[x.shape for x in xs]}")
+    cols = [x.shape[1] for x in xs]
+    if max(cols) > width:
+        raise DimensionError(f"stack: a tensor is wider than {width} columns")
+    out = Tensor(np.empty((len(xs), xs[0].shape[0], width)))
+    for i, x in enumerate(xs):
+        out.data[i, :, : cols[i]] = x.data
+        out.data[i, :, cols[i] :] = 0.0
+
+    def backward(g: np.ndarray) -> None:
+        for i, x in enumerate(xs):
+            if x.requires_grad:
+                _accumulate(x, g[i, :, : cols[i]])
+
+    return _record(out, xs, backward)
+
+
+def take(x: Tensor, rows: slice) -> Tensor:
+    """A run of rows of the leading axis, as a view of ``x``."""
+    out = Tensor(x.data[rows])
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            full = np.zeros(x.shape)
+            full[rows] = g
+            _accumulate_fresh(x, full)
+
+    return _record(out, (x,), backward)
+
+
+def unstack(x: Tensor, widths: Sequence[int]) -> list[Tensor]:
+    """Split a (m, B, q) tensor into m tensors of shape (B, widths[i]),
+    recorded as one tape entry."""
+    if x.ndim != 3:
+        raise DimensionError(f"unstack needs a 3-D tensor, got {x.shape}")
+    widths = list(widths)
+    if len(widths) != x.shape[0] or max(widths) > x.shape[2]:
+        raise DimensionError(f"unstack: widths {widths} do not fit shape {x.shape}")
+    outs = [Tensor(x.data[i, :, :w]) for i, w in enumerate(widths)]
+
+    def backward(grads: list) -> None:
+        if x.requires_grad:
+            full = np.zeros(x.shape)
+            for i, g in enumerate(grads):
+                if g is not None:
+                    full[i, :, : widths[i]] = g
+            _accumulate_fresh(x, full)
+
+    tape = _active_tape()
+    if tape is not None and x.requires_grad:
+        for t in outs:
+            t.requires_grad = True
+        tape.record(_Pieces(outs), backward)
+    return outs
+
+
+class _PairGrid(NamedTuple):
+    """The (cause, pair) cells of one ``pair_mix`` call, laid out as a grid:
+    row r is cause ``rows[r]``, and its cells are its pair maps into the
+    targets ``targets[r]``, ascending."""
+
+    rows: np.ndarray     # (c,) cause indices
+    causes: object       # the same rows as an index into the effects; a slice when it can
+    targets: np.ndarray  # (c, m) target variable of each cell
+    cells: tuple         # index of the cells into weight and bias; slices (a view) when it can
+    feeds: tuple         # per output row, its cells in ascending cause order
+
+
+def _rows(idx: np.ndarray) -> Union[slice, np.ndarray]:
+    """A slice for a contiguous ascending run of indices (numpy then returns
+    a view), else the indices."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_grid(n: int, causes: int, targets: tuple[int, ...]) -> _PairGrid:
+    if targets == tuple(range(n)) and causes == n:
+        rows = np.arange(n)
+        slots = np.tile(np.arange(n - 1), (n, 1))
+        tgt = slots + (slots >= rows[:, None])
+        out = tgt  # output row q is variable q
+    elif len(targets) == 1:
+        k = targets[0]
+        rows = np.array([i for i in range(causes) if i != k])
+        tgt = np.full((rows.size, 1), k)
+        slots = tgt - (tgt > rows[:, None])
+        out = np.zeros_like(tgt)
+    else:
+        raise DimensionError(f"pair_mix targets every variable or one, got {list(targets)}")
+    r, s = _rows(rows), _rows(slots[0])
+    uniform = isinstance(r, slice) and isinstance(s, slice) and (slots == slots[0]).all()
+    cells = (r, s) if uniform else (rows[:, None], slots)
+    feeds = tuple(tuple(zip(*np.nonzero(out == q))) for q in range(len(targets)))
+    return _PairGrid(rows, r, tgt, cells, feeds)
+
+
+def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets) -> Tensor:
+    """Weighted sums of pairwise affine maps, one per target variable:
+
+        out[q] = sum_{i != k} (E_i W[i, s(i, k)] + b[i, s(i, k)]) * A[i, k],  k = targets[q]
+
+    over the causes i = 0 .. len(effects) - 1 in ascending order, where
+    s(i, k) = k - (k > i) is the slot of the pair map (i -> k). ``effects``
+    is (c, B, D), ``weight`` (n, n - 1, D, D), ``bias`` (n, n - 1, D) and
+    ``dag`` (n, n). ``targets`` is every variable (then c = n) or one.
+
+    Each pair term is the same matmul, bias add and scale as an unstacked
+    affine map times a scalar, and the sums run in the same order, so the
+    result matches the unstacked chain bit for bit; so do the gradients,
+    which accumulate into each E_i in descending target order, the order a
+    tape replays that chain. When the weights a call reads are a contiguous
+    block (every target, or the last variable from the ones before it) they
+    are read in place, not copied.
+    """
+    n = dag.shape[0]
+    c = effects.shape[0]
+    if weight.shape[:2] != (n, n - 1) or bias.shape != weight.shape[:3]:
+        raise DimensionError(f"pair_mix: weight {weight.shape} and bias {bias.shape} do not fit {n} variables")
+    if effects.ndim != 3 or c > n or effects.shape[2] != weight.shape[2]:
+        raise DimensionError(f"pair_mix: effects {effects.shape} do not fit weight {weight.shape}")
+    targets = tuple(int(k) for k in targets)
+    if any(not 0 <= k < n for k in targets):
+        raise DimensionError(f"pair_mix: targets {list(targets)} out of range [0, {n})")
+    grid = _pair_grid(n, c, targets)
+    E = effects.data[grid.causes]
+    W, b = weight.data[grid.cells], bias.data[grid.cells]
+    a = dag.data[grid.rows[:, None], grid.targets]
+    pre = np.matmul(E[:, None], W)
+    pre += b[:, :, None, :]
+    out = np.empty((len(targets),) + pre.shape[2:])
+    for q, cells in enumerate(grid.feeds):
+        out[q] = pre[cells[0]] * a[cells[0]]
+        for cell in cells[1:]:
+            out[q] += pre[cell] * a[cell]
+
+    def backward(g: np.ndarray) -> None:
+        # cell by cell, so that each product stays in cache
+        dp, da = np.empty(pre.shape), np.empty(a.shape)
+        for q, cells in enumerate(grid.feeds):
+            for cell in cells:
+                np.multiply(g[q], a[cell], out=dp[cell])
+                da[cell] = (g[q] * pre[cell]).sum()
+        back = np.matmul(dp, W.transpose(0, 1, 3, 2))
+        dE = back[:, -1].copy()
+        for j in range(back.shape[1] - 2, -1, -1):
+            dE += back[:, j]
+        grads = (
+            (effects, grid.causes, dE),
+            (weight, grid.cells, np.matmul(E.transpose(0, 2, 1)[:, None], dp)),
+            (bias, grid.cells, dp.sum(axis=2)),
+            (dag, (grid.rows[:, None], grid.targets), da),
+        )
+        for t, index, d in grads:
+            if t.requires_grad:
+                if d.shape != t.shape:  # the cells cover part of t
+                    d, part = np.zeros(t.shape), d
+                    d[index] = part
+                _accumulate_fresh(t, d)
+
+    return _record(Tensor(out), (effects, weight, bias, dag), backward)

@@ -9,7 +9,9 @@ Each variable k is reconstructed from the others as
 where Effect_i is a two-layer perceptron shared across every target of i,
 Pair_ik is an independent affine map per ordered pair, and Decoder_k is a
 three-layer perceptron. The diagonal of A is pinned to zero (a variable is
-never its own cause) and the i = k term is skipped structurally.
+never its own cause) and the i = k term is skipped structurally. The n
+effect networks, the n(n - 1) pair maps and the n decoders are each stacked
+along a leading axis and run by the stacked ops of ``numcore``.
 
 Label prediction reconstructs only the label variable and maps it back to
 class space through a two-layer shortcut network approximating the inverse
@@ -26,7 +28,18 @@ import numpy as np
 
 from .encoders import VariableBatch, init_encoders
 from .errors import ContractError, DimensionError, LoadError, read_json
-from .numcore import Linear, Mlp, Tensor, activate, add, index_scalar, mul, softmax
+from .numcore import (
+    Linear,
+    StackedMlp,
+    Tensor,
+    activate,
+    add,
+    kaiming_uniform,
+    pair_mix,
+    softmax,
+    stack,
+    unstack,
+)
 from .rng import substream
 
 DAG_INIT_MAGNITUDE = 0.4
@@ -61,7 +74,14 @@ def zero_diagonal(a: Tensor) -> Tensor:
 
 
 class ScmParameters:
-    """DAG matrix plus all assignment networks for ``n_vars`` variables."""
+    """DAG matrix plus all assignment networks for ``n_vars`` variables.
+
+    Each kind of network is stacked along a leading axis: ``effect`` slice i
+    is Effect_i, ``decoder`` slice k is Decoder_k, and ``pair_weight`` /
+    ``pair_bias`` of shape (n, n - 1, D, D) / (n, n - 1, D) hold cause i's
+    n - 1 pair maps in slot s, the map into target k = s + (s >= i). With
+    native widths every slice is zero-padded to D = max(var_dims).
+    """
 
     def __init__(
         self,
@@ -76,23 +96,22 @@ class ScmParameters:
             raise ContractError("an SCM needs at least two variables")
         self.var_dims = list(var_dims)
         self.activation = activation
-        hidden = mlp_hidden if mlp_hidden is not None else max(var_dims)
+        width = max(var_dims)
+        self.width = width
+        hidden = mlp_hidden if mlp_hidden is not None else width
         self.mlp_hidden = hidden
+        # initial weights are drawn network by network: effects, pair maps
+        # (cause-major, targets ascending), decoders, the label shortcut
         self.dag = init_dag(n, rng)
-        self.effect = [
-            Mlp(d, hidden, d, 2, activation, rng, f"scm.effect.{i}")
-            for i, d in enumerate(var_dims)
-        ]
-        self.pair = {
-            (i, k): Linear(var_dims[i], var_dims[k], rng, f"scm.pair.{i}.{k}")
-            for i in range(n)
-            for k in range(n)
-            if i != k
-        }
-        self.decoder = [
-            Mlp(d, hidden, d, 3, activation, rng, f"scm.decoder.{k}")
-            for k, d in enumerate(var_dims)
-        ]
+        self.effect = StackedMlp(var_dims, hidden, 2, activation, rng, "scm.effect")
+        pair = np.zeros((n, n - 1, width, width))
+        for i in range(n):
+            for s in range(n - 1):
+                k = s + (s >= i)
+                pair[i, s, : var_dims[i], : var_dims[k]] = kaiming_uniform(rng, var_dims[i], var_dims[k])
+        self.pair_weight = Tensor(pair, requires_grad=True, name="scm.pair.W")
+        self.pair_bias = Tensor(np.zeros((n, n - 1, width)), requires_grad=True, name="scm.pair.b")
+        self.decoder = StackedMlp(var_dims, hidden, 3, activation, rng, "scm.decoder")
         label_dim = var_dims[-1]
         self.inv1 = Linear(label_dim, label_dim, rng, "scm.inv1")
         self.inv2 = Linear(label_dim, num_classes, rng, "scm.inv2")
@@ -103,49 +122,47 @@ class ScmParameters:
         return len(self.var_dims)
 
     def parameters(self) -> list[Tensor]:
-        out = [self.dag]
-        for mlp in self.effect:
-            out += mlp.parameters()
-        for key in sorted(self.pair):
-            out += self.pair[key].parameters()
-        for mlp in self.decoder:
-            out += mlp.parameters()
-        out += self.inv1.parameters() + self.inv2.parameters()
-        return out
+        return (
+            [self.dag]
+            + self.effect.parameters()
+            + [self.pair_weight, self.pair_bias]
+            + self.decoder.parameters()
+            + self.inv1.parameters()
+            + self.inv2.parameters()
+        )
 
 
-def _cause_effects(vars: VariableBatch, params: ScmParameters, needed: set[int]):
-    return {i: params.effect[i](vars.variables[i]) for i in sorted(needed)}
+def reconstruct(vars: VariableBatch, params: ScmParameters, targets) -> list[Tensor]:
+    """Structural assignments of the variables ``targets`` (every variable,
+    in order, or a single one), each from every other variable weighted by
+    A[:, k].
 
-
-def structural_assignment(
-    k: int, vars: VariableBatch, params: ScmParameters, _effects=None
-) -> Tensor:
-    """Reconstruct variable k from every other variable, weighted by A[:, k]."""
+    The tape records the same number of entries whatever the number of
+    variables or targets.
+    """
     n = params.n_vars
-    if not 0 <= k < n:
-        raise ContractError(f"variable index {k} out of range [0, {n})")
+    targets = [int(k) for k in targets]
+    if any(not 0 <= k < n for k in targets):
+        raise ContractError(f"variable indices {targets} out of range [0, {n})")
+    if len(targets) != 1 and targets != list(range(n)):
+        raise ContractError(f"targets must be every variable or one, got {targets}")
     if vars.num_variables != n:
         raise DimensionError(f"batch has {vars.num_variables} variables, model expects {n}")
-    if _effects is None:
-        _effects = _cause_effects(vars, params, set(range(n)) - {k})
-    acc = None
-    for i in range(n):
-        if i == k:
-            continue
-        weighted = mul(params.pair[(i, k)](_effects[i]), index_scalar(params.dag, i, k))
-        acc = weighted if acc is None else add(acc, weighted)
-    params.decoder_calls += 1
-    return params.decoder[k](acc)
+    # the label is the last variable, so its causes alone are a leading run
+    causes = n - 1 if targets == [n - 1] else n
+    x = stack(vars.variables[:causes], params.width)
+    effects = params.effect(x, None if causes == n else slice(0, causes))
+    mixed = pair_mix(effects, params.pair_weight, params.pair_bias, params.dag, targets)
+    params.decoder_calls += len(targets)
+    decoded = params.decoder(mixed, None if len(targets) == n else slice(targets[0], targets[0] + 1))
+    return unstack(decoded, [params.var_dims[k] for k in targets])
 
 
 def reconstruct_all(vars: VariableBatch, params: ScmParameters) -> list[Tensor]:
-    """Training-time stack of structural assignments for every variable."""
+    """Training-time structural assignments of every variable."""
     if not np.all(vars.label_known):
         raise ContractError("reconstruct_all needs a batch built with labels")
-    n = params.n_vars
-    effects = _cause_effects(vars, params, set(range(n)))
-    return [structural_assignment(k, vars, params, _effects=effects) for k in range(n)]
+    return reconstruct(vars, params, range(params.n_vars))
 
 
 def label_probabilities_from(h_y_hat: Tensor, params: ScmParameters) -> Tensor:
@@ -163,7 +180,7 @@ def predict_labels(vars: VariableBatch, params: ScmParameters) -> Tensor:
     the batch is never read because the diagonal of A is zero and the i = k
     term is skipped.
     """
-    h_y = structural_assignment(params.n_vars - 1, vars, params)
+    (h_y,) = reconstruct(vars, params, [params.n_vars - 1])
     return label_probabilities_from(h_y, params)
 
 
@@ -246,7 +263,7 @@ def variable_dims(
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: ScmModel, path: str) -> None:

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive (loops, enumeration, truncated
-series) and shares no code with the implementations under test.
+series) and shares no code with the implementations under test, except
+that the per-pair structural assignment is built from numcore's 2-D tape
+ops (matmul, add, mul, index_scalar) rather than the stacked ones it checks.
 """
 
 from __future__ import annotations
@@ -117,14 +119,15 @@ def adjacency_lists(graph) -> dict[str, list[list[int]]]:
 
 
 def neighbor_set(adj, node: int, metapath, exclude_self: bool = False) -> set[int]:
-    """Terminal nodes reachable from ``node``; the origin id is dropped with ``exclude_self``."""
+    """Terminal nodes reachable from ``node``; with ``exclude_self`` the origin
+    is dropped when the metapath ends at its own type."""
     frontier = {int(node)}
     for rel in metapath.relations:
         rows = adj[rel]
         frontier = {d for s in frontier for d in rows[s]}
         if not frontier:
             break
-    if exclude_self:
+    if exclude_self and metapath.terminal_type == metapath.source_type:
         frontier.discard(int(node))
     return frontier
 
@@ -150,7 +153,7 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False
     for i, node in enumerate(nodes):
         if multiset:
             counts = path_counts(adj, int(node), metapath)
-            if exclude_self:
+            if exclude_self and metapath.terminal_type == metapath.source_type:
                 counts.pop(int(node), None)
             if counts:
                 idx = sorted(counts)
@@ -192,3 +195,124 @@ def degree_table(graph, adj, relations, log_transform=True) -> np.ndarray:
             d = len(adj[rel][node])
             values[row, j] = math.log1p(d) if log_transform else float(d)
     return values
+
+
+# ---------------------------------------------------------------------------
+# per-pair structural assignment: the layout the stacked SCM replaced, one
+# tensor per network layer and per ordered pair, run through 2-D tape ops
+
+class PairwiseScm:
+    """Per-network copies of a stacked ``ScmParameters``' weights.
+
+    Every layer and pair map is its own tensor, cut from a slice of the
+    stacked weights (narrow variables unpadded); the DAG matrix is copied and
+    the label shortcut is shared.
+    """
+
+    def __init__(self, params):
+        from graphscm.numcore import Tensor
+
+        def leaf(a, name):
+            return Tensor(np.array(a, copy=True), requires_grad=True, name=name)
+
+        def cut(stacked, j, d, name):
+            n_layers = len(stacked.weights)
+            dims = [d] + [params.mlp_hidden] * (n_layers - 1) + [d]
+            return [
+                (
+                    leaf(w.data[j, : dims[l], : dims[l + 1]], f"{name}.{j}.{l}.W"),
+                    leaf(b.data[j, : dims[l + 1]], f"{name}.{j}.{l}.b"),
+                )
+                for l, (w, b) in enumerate(zip(stacked.weights, stacked.biases))
+            ]
+
+        dims = params.var_dims
+        n = len(dims)
+        self.var_dims = list(dims)
+        self.activation = params.activation
+        self.dag = leaf(params.dag.data, "dag.A")
+        self.effect = [cut(params.effect, i, d, "effect") for i, d in enumerate(dims)]
+        self.pair = {}
+        for i in range(n):
+            for k in range(n):
+                if i != k:
+                    s = k - (k > i)
+                    self.pair[(i, k)] = (
+                        leaf(params.pair_weight.data[i, s, : dims[i], : dims[k]], f"pair.{i}.{k}.W"),
+                        leaf(params.pair_bias.data[i, s, : dims[k]], f"pair.{i}.{k}.b"),
+                    )
+        self.decoder = [cut(params.decoder, k, d, "decoder") for k, d in enumerate(dims)]
+        self.decoder_calls = 0
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.var_dims)
+
+    def stacked_grads(self, params) -> dict[str, np.ndarray]:
+        """The gradients of the per-network tensors laid out like the stacked
+        parameters of ``params`` (a missing gradient reads as zero)."""
+
+        def grad(t):
+            return np.zeros(t.shape) if t.grad is None else t.grad
+
+        out = {"dag.A": grad(self.dag)}
+        for stacked, nets in ((params.effect, self.effect), (params.decoder, self.decoder)):
+            for l, (w, b) in enumerate(zip(stacked.weights, stacked.biases)):
+                gw, gb = np.zeros(w.shape), np.zeros(b.shape)
+                for j, layers in enumerate(nets):
+                    lw, lb = layers[l]
+                    gw[j, : lw.shape[0], : lw.shape[1]] = grad(lw)
+                    gb[j, : lb.shape[0]] = grad(lb)
+                out[w.name], out[b.name] = gw, gb
+        gw, gb = np.zeros(params.pair_weight.shape), np.zeros(params.pair_bias.shape)
+        for (i, k), (w, b) in self.pair.items():
+            s = k - (k > i)
+            gw[i, s, : w.shape[0], : w.shape[1]] = grad(w)
+            gb[i, s, : b.shape[0]] = grad(b)
+        out["scm.pair.W"], out["scm.pair.b"] = gw, gb
+        return out
+
+
+def _mlp_forward(layers, x, activation):
+    from graphscm.numcore import activate, add, matmul
+
+    w, b = layers[0]
+    out = add(matmul(x, w), b)
+    for w, b in layers[1:]:
+        out = add(matmul(activate(out, activation), w), b)
+    return out
+
+
+def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None):
+    """Reconstruct variable k from every other variable, weighted by A[:, k],
+    one affine map and one scalar product per cause."""
+    from graphscm.numcore import add, index_scalar, matmul, mul
+
+    n = params.n_vars
+    if _effects is None:
+        _effects = {
+            i: _mlp_forward(params.effect[i], variables[i], params.activation)
+            for i in range(n)
+            if i != k
+        }
+    acc = None
+    for i in range(n):
+        if i == k:
+            continue
+        w, b = params.pair[(i, k)]
+        weighted = mul(add(matmul(_effects[i], w), b), index_scalar(params.dag, i, k))
+        acc = weighted if acc is None else add(acc, weighted)
+    params.decoder_calls += 1
+    return _mlp_forward(params.decoder[k], acc, params.activation)
+
+
+def reconstruct_all(variables, params: PairwiseScm):
+    """Every structural assignment, sharing one effect pass per variable."""
+    effects = {
+        i: _mlp_forward(params.effect[i], variables[i], params.activation)
+        for i in range(params.n_vars)
+    }
+    return [
+        structural_assignment(k, variables, params, _effects=effects)
+        for k in range(params.n_vars)
+    ]

@@ -205,3 +205,30 @@ def test_stats_malformed_schema_exits_2(toy_dir, tmp_path, capsys):
     assert run_cli("stats", bad) == 2
     err = capsys.readouterr().err
     assert "schema.json:1:3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, tail, line",
+    [
+        # an id beyond int64 used to escape as OverflowError
+        ("edges-publish.tsv", b"0\t99999999999999999999\n", "edges-publish.tsv:{n}"),
+        # a byte that is not UTF-8 used to escape as UnicodeDecodeError
+        ("edges-publish.tsv", b"\xff\t0\n", "edges-publish.tsv:{n}"),
+        ("nodes-paper.tsv", b"\xff\n", "nodes-paper.tsv:{n}"),
+        ("labels.tsv", b"0\t\xff\n", "labels.tsv:{n}"),
+        ("schema.json", b"\xff", "schema.json:{n}"),
+    ],
+)
+def test_stats_unloadable_bytes_exit_2_naming_the_line(toy_dir, tmp_path, capsys, name, tail, line):
+    import shutil
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    path = os.path.join(bad, name)
+    with open(path, "rb") as fh:
+        n = fh.read().count(b"\n") + 1
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    assert run_cli("stats", bad) == 2
+    err = capsys.readouterr().err
+    assert line.format(n=n) in err and "Traceback" not in err, err

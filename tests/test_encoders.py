@@ -4,7 +4,6 @@ import pytest
 from graphscm.encoders import (
     EncoderParameters,
     VariableBuilder,
-    build_variables,
     encode_ego,
     encode_label,
     encode_neighbor_variables,
@@ -130,7 +129,7 @@ def test_build_variables_shape_and_names(toy_graph):
     batch = builder.build([0], params, with_labels=True)
     assert batch.num_variables == len(metapaths) + 2
     assert batch.names == ["EGO", "AP", "APA", "APV", "Y"]
-    assert batch.stacked().shape == (1, 5, 5)
+    assert batch.dims == [5] * 5 and batch.batch_size == 1
 
 
 def test_build_variables_masked_label_slice_is_zero(toy_graph):
@@ -186,13 +185,3 @@ def test_with_labels_requires_labeled_nodes(toy_graph):
     params = _fresh_encoders(hidden=5, dims=tuple(builder.terminal_dims()))
     with pytest.raises(ContractError):
         builder.build([0, 1], params, with_labels=True)
-
-
-def test_build_variables_convenience_matches_builder(toy_graph):
-    metapaths = enumerate_metapaths(toy_graph.schema, "author", 2)
-    params = _fresh_encoders(hidden=5, dims=(2, 2, 2))
-    a = build_variables(toy_graph, [0, 2], params, metapaths, with_labels=True)
-    builder = VariableBuilder(toy_graph, metapaths)
-    b = builder.build([0, 2], params, with_labels=True)
-    for x, y in zip(a.variables, b.variables):
-        assert np.array_equal(x.data, y.data)

@@ -5,6 +5,7 @@ from graphscm.errors import NumericError
 from graphscm.numcore import (
     Tensor,
     add,
+    bmm,
     clamp_min,
     expm_trace,
     finite_diff_check,
@@ -12,14 +13,17 @@ from graphscm.numcore import (
     log,
     matmul,
     mul,
+    pair_mix,
     relu,
-    row_mean,
     scale,
     sigmoid,
     softmax,
     square,
+    stack,
     sub,
     sum_all,
+    take,
+    unstack,
     finite_diff_check as fdc,
 )
 
@@ -59,7 +63,6 @@ def test_all_ops_pass_at_100_random_points():
         ("relu", (5, 4), lambda x: frobenius_sq(relu(x))),
         ("sigmoid", (5, 4), lambda x: frobenius_sq(sigmoid(x))),
         ("softmax", (5, 4), lambda x: frobenius_sq(softmax(x))),
-        ("row_mean", (6, 4), lambda x: frobenius_sq(row_mean(x))),
         ("square", (5, 4), lambda x: sum_all(square(x))),
         ("clamp", (5, 4), lambda x: sum_all(square(clamp_min(x, 0.3)))),
         ("log", (5, 4), lambda x: sum_all(log(add(sigmoid(x), Tensor(np.full((5, 4), 0.5)))))),
@@ -74,3 +77,53 @@ def test_all_ops_pass_at_100_random_points():
             assert err <= 1e-4, f"{name} gradient error {err}"
             checked += 1
     assert checked >= 100
+
+
+def test_stacked_ops_match_finite_differences():
+    """bmm (with and without bias), stack, take, unstack and pair_mix, each
+    with respect to every differentiable input."""
+    rng = np.random.default_rng(29)
+
+    def const(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    w, x, b = const(3, 2, 5), const(3, 4, 2), const(3, 5)
+    narrow, rows = const(4, 3), const(2, 3, 2)
+    n, d = 4, 3
+    effects, weight, bias = const(n, 2, d), const(n, n - 1, d, d), const(n, n - 1, d)
+    dag = const(n, n)
+
+    def mix(targets, **override):
+        args = dict(effects=effects, weight=weight, bias=bias, dag=dag)
+
+        def f(t):
+            args.update({k: t for k in override})
+            return frobenius_sq(pair_mix(args["effects"], args["weight"], args["bias"], args["dag"], targets))
+
+        return f
+
+    def pieces(t):
+        first, _, third = unstack(t, [5, 5, 2])
+        return add(frobenius_sq(first), scale(frobenius_sq(third), 2.0))
+
+    cases = [
+        ("bmm x", (3, 4, 2), lambda t: frobenius_sq(bmm(t, w))),
+        ("bmm w", (3, 2, 5), lambda t: frobenius_sq(bmm(x, t))),
+        ("bmm bias x", (3, 4, 2), lambda t: frobenius_sq(bmm(t, w, b))),
+        ("bmm bias w", (3, 2, 5), lambda t: frobenius_sq(bmm(x, t, b))),
+        ("bmm bias b", (3, 5), lambda t: frobenius_sq(bmm(x, w, t))),
+        ("stack", (4, 5), lambda t: frobenius_sq(scale(stack([narrow, t, narrow], width=5), 1.5))),
+        ("take", (4, 3, 2), lambda t: frobenius_sq(mul(take(t, slice(1, 3)), rows))),
+        ("unstack", (3, 4, 5), pieces),
+        ("pair_mix effects", (n, 2, d), mix(range(n), effects=1)),
+        ("pair_mix weight", (n, n - 1, d, d), mix(range(n), weight=1)),
+        ("pair_mix bias", (n, n - 1, d), mix(range(n), bias=1)),
+        ("pair_mix dag", (n, n), mix(range(n), dag=1)),
+        ("pair_mix one target", (n, 2, d), mix([1], effects=1)),
+        ("pair_mix label", (n - 1, 2, d), mix([n - 1], effects=1)),
+        ("pair_mix label weight", (n, n - 1, d, d), lambda t: frobenius_sq(
+            pair_mix(take(effects, slice(0, n - 1)), t, bias, dag, [n - 1]))),
+    ]
+    for name, shape, f in cases:
+        err = fdc(f, Tensor(rng.normal(size=shape)), eps=1e-5)
+        assert err <= 1e-6, f"{name} gradient error {err}"

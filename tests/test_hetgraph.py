@@ -155,6 +155,12 @@ def test_apa_neighbors_include_self_and_coauthors(toy_graph):
     assert _reach_sets(toy_graph, [0], apa, exclude_self=True) == [{1, 2}]
 
 
+def test_exclude_self_keeps_terminals_of_another_type(toy_graph):
+    # paper 0 shares author 0's id but is not author 0
+    ap = _metapath(toy_graph.schema, "author", 1, "AP")
+    assert _reach_sets(toy_graph, [0], ap, exclude_self=True) == [{0, 1}]
+
+
 def test_single_edge_chain(toy_graph):
     ap = _metapath(toy_graph.schema, "author", 1, "AP")
     assert _reach_sets(toy_graph, [2], ap) == [{1, 3}]

@@ -12,9 +12,9 @@ from graphscm.scm import (
     ScmParameters,
     load_checkpoint,
     predict_labels,
+    reconstruct,
     reconstruct_all,
     save_checkpoint,
-    structural_assignment,
     variable_dims,
     zero_diagonal,
 )
@@ -24,10 +24,15 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _mlp_oracle(mlp, x):
-    out = x @ mlp.layers[0].weight.data + mlp.layers[0].bias.data
-    for layer in mlp.layers[1:]:
-        out = _relu(out) @ layer.weight.data + layer.bias.data
+def _mlp_oracle(stacked, j, x):
+    out = x @ stacked.weights[0].data[j] + stacked.biases[0].data[j]
+    for w, b in zip(stacked.weights[1:], stacked.biases[1:]):
+        out = _relu(out) @ w.data[j] + b.data[j]
+    return out
+
+
+def structural_assignment(k, batch, params):
+    (out,) = reconstruct(batch, params, [k])
     return out
 
 
@@ -41,10 +46,11 @@ def sa_oracle(params: ScmParameters, vars_data, k):
         for i in range(n):
             if i == k:
                 continue
-            e = _mlp_oracle(params.effect[i], vars_data[i][b])
-            p = e @ params.pair[(i, k)].weight.data + params.pair[(i, k)].bias.data
+            e = _mlp_oracle(params.effect, i, vars_data[i][b])
+            s = k - (k > i)
+            p = e @ params.pair_weight.data[i, s] + params.pair_bias.data[i, s]
             total = total + params.dag.data[i, k] * p
-        rows.append(_mlp_oracle(params.decoder[k], total))
+        rows.append(_mlp_oracle(params.decoder, k, total))
     return np.stack(rows)
 
 
@@ -104,6 +110,16 @@ def test_assignment_index_range_checked():
     batch = _batch(2, 1, [2, 2])
     with pytest.raises(ContractError):
         structural_assignment(2, batch, params)
+
+
+def test_reconstruct_takes_every_variable_or_one():
+    params = _params([3, 3, 3, 3])
+    batch = _batch(4, 2, [3, 3, 3, 3])
+    assert len(reconstruct(batch, params, [2])) == 1
+    assert len(reconstruct(batch, params, range(4))) == 4
+    for targets in ([0, 2], [1, 0], []):
+        with pytest.raises(ContractError):
+            reconstruct(batch, params, targets)
 
 
 def test_reconstruct_all_consistent_with_single_assignments():

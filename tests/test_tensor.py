@@ -11,7 +11,6 @@ from graphscm.numcore import (
     matmul,
     mul,
     relu,
-    row_mean,
     softmax,
     sub,
 )
@@ -66,16 +65,6 @@ def test_frobenius_sq_identical_inputs():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     y = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert frobenius_sq(sub(x, y)).item() == 0.0
-
-
-def test_row_mean_permutation_invariant():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(9, 4))
-    base = row_mean(Tensor(x)).data
-    for seed in range(5):
-        perm = np.random.default_rng(seed).permutation(9)
-        shuffled = row_mean(Tensor(x[perm])).data
-        assert np.array_equal(base, shuffled)
 
 
 def test_broadcast_restricted_to_row_vector():

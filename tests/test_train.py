@@ -233,3 +233,20 @@ def test_history_csv_roundtrip(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == result.epochs_run
     assert float(rows[0]["l_inv"]) == pytest.approx(result.history[0].l_inv)
+
+
+def test_prediction_does_not_depend_on_chunk_sizes(monkeypatch):
+    import graphscm.train as train_mod
+    from graphscm.scm import ScmModel
+
+    graph, _ = _tiny_task(authors=60)
+    builder, meta = train_mod.build_pipeline(graph, _fast_config())
+    model = ScmModel(meta, seed=3)
+    nodes = graph.labeled_nodes()[:44]  # no chunk below is a lone row
+    whole = train_mod._predict_probabilities(model, builder, nodes)
+    monkeypatch.setattr(train_mod, "BUILD_BATCH", 16)
+    monkeypatch.setattr(train_mod, "EVAL_BATCH", 8)
+    model.scm.decoder_calls = 0
+    chunked = train_mod._predict_probabilities(model, builder, nodes)
+    assert np.array_equal(whole, chunked)
+    assert model.scm.decoder_calls == 6  # one per EVAL_BATCH rows
