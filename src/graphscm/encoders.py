@@ -1,9 +1,12 @@
 """Variable construction: ego, label, and metapath neighbor variables.
 
 For a batch of target nodes this produces q+2 variable representations,
-index 0 the ego node, indices 1..q the metapath neighbor pools, index q+1
-the label. Each variable has its own affine encoder with no parameter
-sharing, so that no encoder can absorb cross-variable correlations.
+stacked along a leading axis: slot 0 the ego node, slots 1..q the metapath
+neighbor pools, slot q+1 the label. Each variable has its own affine
+encoder with no parameter sharing, so that no encoder can absorb
+cross-variable correlations. The encoders share one weight tensor, their
+weights one under another, and run as one ``block_affine`` on the raw
+inputs.
 """
 
 from __future__ import annotations
@@ -15,48 +18,69 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, pooled_neighbor_features
-from .numcore import Linear, Tensor
+from .numcore import Tensor, block_affine, kaiming_uniform, mul, stack, take
 
 EGO_NAME = "EGO"
 LABEL_NAME = "Y"
 
 
-@dataclass
-class EncoderParameters:
-    """Independent encoders: one for the ego, one for the label, one per metapath.
+class Encoders:
+    """Independent affine encoders, stacked: ``enc.W`` (sum of in_dims, H)
+    and ``enc.b`` (slots, H), where slot j maps its ``in_dims[j]`` input
+    columns to H through the rows ``rows(j)`` of ``enc.W``.
 
-    ``neighbor`` is None when pooled features are used at their native
-    widths (no projection into the common space).
+    The slots are the ego, every metapath pool and the label. With native
+    widths only the ego and the label are encoded (slots 0 and 1), and the
+    pooled features pass through unchanged, zero-padded to the widest
+    variable. Initial weights are drawn ego, label, then the metapaths.
     """
 
-    ego: Linear
-    label: Linear
-    neighbor: Optional[list[Linear]]
+    def __init__(
+        self,
+        target_dim: int,
+        num_classes: int,
+        terminal_dims: Sequence[int],
+        hidden_dim: int,
+        rng: np.random.Generator,
+        native_dims: bool = False,
+    ):
+        self.in_dims = [target_dim, *([] if native_dims else terminal_dims), num_classes]
+        self.hidden_dim = hidden_dim
+        self.native_dims = native_dims
+        n = len(self.in_dims)
+        weight = np.empty((sum(self.in_dims), hidden_dim))
+        for j in [0, n - 1] + list(range(1, n - 1)):
+            weight[self.rows(j)] = kaiming_uniform(rng, self.in_dims[j], hidden_dim)
+        self.weight = Tensor(weight, requires_grad=True, name="enc.W")
+        self.bias = Tensor(np.zeros((n, hidden_dim)), requires_grad=True, name="enc.b")
+        # zeroes the label slot's bias, so that an unknown label encodes to zero
+        self._unknown_label = np.ones((n, hidden_dim))
+        self._unknown_label[-1] = 0.0
+
+    def rows(self, j: int) -> slice:
+        """The rows of ``enc.W`` that hold slot j's weights."""
+        start = sum(self.in_dims[:j])
+        return slice(start, start + self.in_dims[j])
 
     def parameters(self) -> list[Tensor]:
-        out = self.ego.parameters() + self.label.parameters()
-        if self.neighbor is not None:
-            for lin in self.neighbor:
-                out += lin.parameters()
-        return out
+        return [self.weight, self.bias]
 
-
-def init_encoders(
-    target_dim: int,
-    num_classes: int,
-    terminal_dims: Sequence[int],
-    hidden_dim: int,
-    rng: np.random.Generator,
-    native_dims: bool = False,
-) -> EncoderParameters:
-    ego = Linear(target_dim, hidden_dim, rng, "enc.ego")
-    label = Linear(num_classes, hidden_dim, rng, "enc.label")
-    neighbor = None
-    if not native_dims:
-        neighbor = [
-            Linear(d, hidden_dim, rng, f"enc.neighbor.{j}") for j, d in enumerate(terminal_dims)
-        ]
-    return EncoderParameters(ego=ego, label=label, neighbor=neighbor)
+    def __call__(self, ego: np.ndarray, pooled: Sequence[np.ndarray], labels: Optional[np.ndarray]) -> Tensor:
+        """The (q + 2, B, D) variables of a batch from its raw inputs: ego
+        features, one pooled matrix per metapath, and class indices (None
+        when the labels are unknown; the label slot is then zero)."""
+        num_classes = self.in_dims[-1]
+        label = np.zeros((ego.shape[0], num_classes)) if labels is None else one_hot(labels, num_classes)
+        inputs = [ego, label] if self.native_dims else [ego, *pooled, label]
+        widths = [x.shape[1] for x in inputs]
+        if widths != self.in_dims:
+            raise DimensionError(f"encoder inputs have widths {widths}, encoders expect {self.in_dims}")
+        bias = self.bias if labels is not None else mul(self.bias, Tensor(self._unknown_label))
+        encoded = block_affine(inputs, self.weight, bias)
+        if not self.native_dims:
+            return encoded
+        width = max([self.hidden_dim] + [p.shape[1] for p in pooled])
+        return stack([take(encoded, 0), *(Tensor(p) for p in pooled), take(encoded, 1)], width)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -68,70 +92,17 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def encode_ego(features, params: EncoderParameters) -> Tensor:
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    if x.shape[1] != params.ego.in_dim:
-        raise DimensionError(
-            f"ego features have width {x.shape[1]}, encoder expects {params.ego.in_dim}"
-        )
-    return params.ego(x)
-
-
-def encode_label(onehot, params: EncoderParameters, label_known=None) -> Tensor:
-    y = onehot if isinstance(onehot, Tensor) else Tensor(onehot)
-    if label_known is not None and not np.all(label_known):
-        raise ContractError("encode_label called on a sample whose label is not known")
-    data = y.data
-    is_binary = np.all((data == 0.0) | (data == 1.0))
-    if not is_binary or not np.allclose(data.sum(axis=1), 1.0):
-        raise ContractError("label rows must be one-hot")
-    if y.shape[1] != params.label.in_dim:
-        raise DimensionError(
-            f"label width {y.shape[1]} does not match encoder input {params.label.in_dim}"
-        )
-    return params.label(y)
-
-
-def encode_neighbor_variables(pooled: Sequence, params: EncoderParameters) -> list[Tensor]:
-    """Project each metapath's pooled matrix through its own encoder.
-
-    In native-dims mode the pooled features pass through unchanged.
-    """
-    tensors = [p if isinstance(p, Tensor) else Tensor(p) for p in pooled]
-    if params.neighbor is None:
-        return tensors
-    if len(tensors) != len(params.neighbor):
-        raise DimensionError(
-            f"{len(tensors)} pooled matrices for {len(params.neighbor)} neighbor encoders"
-        )
-    return [params.neighbor[j](t) for j, t in enumerate(tensors)]
-
-
 @dataclass
 class VariableBatch:
-    """The q+2 per-sample variable representations, in fixed order."""
+    """The q+2 per-sample variable representations, stacked in fixed order."""
 
-    variables: list[Tensor]     # each (B, D_var)
+    values: Tensor              # (q + 2, B, D), narrower variables zero-padded to D
     names: list[str]            # ["EGO", metapath names..., "Y"]
     label_known: np.ndarray     # bool per sample
 
-    @property
-    def num_variables(self) -> int:
-        return len(self.variables)
-
-    @property
-    def batch_size(self) -> int:
-        return self.variables[0].shape[0]
-
-    @property
-    def dims(self) -> list[int]:
-        return [v.shape[1] for v in self.variables]
-
     def rows(self, index: slice) -> "VariableBatch":
-        """The samples ``index`` of every variable, as constant views."""
-        return VariableBatch(
-            [Tensor(v.data[index]) for v in self.variables], self.names, self.label_known[index]
-        )
+        """The samples ``index`` of every variable, as a constant view."""
+        return VariableBatch(Tensor(self.values.data[:, index]), self.names, self.label_known[index])
 
 
 class VariableBuilder:
@@ -169,31 +140,21 @@ class VariableBuilder:
     def terminal_dims(self) -> list[int]:
         return [self.graph.feature_dim(mp.terminal_type) for mp in self.metapaths]
 
-    def build(self, node_batch, params: EncoderParameters, with_labels: bool) -> VariableBatch:
+    def build(self, node_batch, params: Encoders, with_labels: bool) -> VariableBatch:
         nodes = np.asarray(node_batch, dtype=np.int64)
         target = self.graph.schema.target_type
         n_target = self.graph.num_nodes(target)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= n_target):
             raise ContractError("node batch contains an index outside the target type")
 
-        ego = encode_ego(self.graph.features[target][nodes], params)
-        pooled = [self.tables[mp.name][nodes] for mp in self.metapaths]
-        neigh = encode_neighbor_variables(pooled, params)
-
+        labels = None
         if with_labels:
             labels = self.graph.labels[nodes]
             if np.any(labels == UNLABELED):
                 raise ContractError("with_labels batch contains an unlabeled node")
-            label_known = np.ones(nodes.shape[0], dtype=bool)
-            label_var = encode_label(
-                one_hot(labels, self.graph.schema.num_classes), params, label_known
-            )
-        else:
-            label_known = np.zeros(nodes.shape[0], dtype=bool)
-            label_var = Tensor(np.zeros((nodes.shape[0], params.label.out_dim)))
-
-        return VariableBatch(
-            variables=[ego] + neigh + [label_var],
-            names=self.variable_names,
-            label_known=label_known,
+        values = params(
+            self.graph.features[target][nodes],
+            [self.tables[mp.name][nodes] for mp in self.metapaths],
+            labels,
         )
+        return VariableBatch(values, self.variable_names, np.full(nodes.shape[0], with_labels))

@@ -16,7 +16,8 @@ class DimensionError(GraphScmError, ValueError):
 
 
 class NumericError(GraphScmError, ArithmeticError):
-    """A computation produced or encountered a non-finite value."""
+    """A computation produced or encountered a non-finite value, or rounding
+    broke a guarantee of its algorithm."""
 
 
 class LoadError(GraphScmError, ValueError):

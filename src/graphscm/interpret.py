@@ -86,7 +86,7 @@ def trim_to_dag(a, names: list[str]) -> CausalDiagram:
             {"src": names[i], "dst": names[j], "abs_weight": float(magnitude), "step": step}
         )
     if not _is_acyclic(support):
-        raise AssertionError("edge removal exhausted without reaching acyclicity")
+        raise ContractError("edge removal exhausted without reaching acyclicity")
 
     edges = [
         Edge(src=names[i], dst=names[j], weight=float(matrix[i, j]))

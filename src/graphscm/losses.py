@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DimensionError
 from .numcore import (
@@ -31,19 +30,13 @@ class LossWeights:
     alpha: float = 1.0
 
 
-def loss_rec(h: Sequence[Tensor], h_hat: Sequence[Tensor]) -> Tensor:
-    """Mean squared reconstruction error, averaged over samples and variables."""
-    if len(h) != len(h_hat):
-        raise DimensionError(f"{len(h)} variables against {len(h_hat)} reconstructions")
-    n_vars = len(h)
-    batch = h[0].shape[0]
-    acc = None
-    for a, b in zip(h, h_hat):
-        if a.shape != b.shape:
-            raise DimensionError(f"variable shape {a.shape} != reconstruction {b.shape}")
-        term = frobenius_sq(sub(a, b))
-        acc = term if acc is None else add(acc, term)
-    return scale(acc, 1.0 / (batch * n_vars))
+def loss_rec(h: Tensor, h_hat: Tensor) -> Tensor:
+    """Mean squared reconstruction error of stacked (variables, B, width)
+    variables, averaged over samples and variables."""
+    if h.ndim != 3 or h.shape != h_hat.shape:
+        raise DimensionError(f"variables {h.shape} against reconstructions {h_hat.shape}")
+    n_vars, batch = h.shape[:2]
+    return scale(frobenius_sq(sub(h, h_hat)), 1.0 / (batch * n_vars))
 
 
 def loss_acy(a: Tensor) -> Tensor:

@@ -13,10 +13,14 @@ against anything are supported. This keeps every gradient rule small enough
 to audit by hand.
 
 Stacked tensors carry independent slices along a leading axis (one per
-variable or per network). Their ops (``bmm``, ``stack``, ``take``,
-``unstack``, ``pair_mix``) run every slice through the same numpy
-call the unstacked 2-D op makes on it, so a stacked network computes the same
-bits as its per-slice counterpart while recording one tape entry in total.
+variable or per network). Their ops (``bmm``, ``block_affine``, ``stack``,
+``take``, ``pair_mix``, and ``frobenius_sq`` on 3-D input) run every slice
+through the same numpy call the unstacked 2-D op makes on it, so a stacked
+network computes the same bits as its per-slice counterpart while recording
+one tape entry in total.
+
+A gradient closure hands ``_accumulate`` an array that no other tensor holds:
+ops that pass their incoming gradient on (or a view of it) copy it first.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class Tape:
     _active: Optional["Tape"] = None
 
     def __init__(self):
-        self._records: list[tuple[Tensor | _Pieces, Callable]] = []
+        self._records: list[tuple[Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -114,7 +118,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor | _Pieces, backward_fn: Callable) -> None:
+    def record(self, out: Tensor, backward_fn: Callable) -> None:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -129,36 +133,12 @@ class Tape:
                 fn(out.grad)
 
 
-class _Pieces:
-    """Several outputs of one op, recorded as a single tape entry. Its
-    ``grad`` is the list of the outputs' gradients (None entries included),
-    or None while no output has a gradient."""
-
-    __slots__ = ("tensors",)
-
-    def __init__(self, tensors: list[Tensor]):
-        self.tensors = tensors
-
-    @property
-    def grad(self) -> Optional[list]:
-        grads = [t.grad for t in self.tensors]
-        return None if all(g is None for g in grads) else grads
-
-
 def _active_tape() -> Optional[Tape]:
     return Tape._active
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        t.grad = t.grad + g
-
-
-def _accumulate_fresh(t: Tensor, g: np.ndarray) -> None:
-    """``_accumulate`` for an array the caller just made and keeps no other
-    reference to, which can become the gradient without a copy."""
+    """Add ``g`` into ``t.grad``; a first gradient is stored as given."""
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -203,9 +183,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g))
+            _accumulate(a, _reduce_to(a.shape, g).copy())
         if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, g))
+            _accumulate(b, _reduce_to(b.shape, g).copy())
 
     return _record(out, (a, b), backward)
 
@@ -216,7 +196,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g))
+            _accumulate(a, _reduce_to(a.shape, g).copy())
         if b.requires_grad:
             _accumulate(b, _reduce_to(b.shape, -g))
 
@@ -347,14 +327,24 @@ def sum_all(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.shape))
+            _accumulate(x, np.broadcast_to(g, x.shape).copy())
 
     return _record(out, (x,), backward)
 
 
 def frobenius_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius norm), as a 0-d tensor."""
-    out = Tensor((x.data * x.data).sum())
+    """Sum of squared entries (squared Frobenius norm), as a 0-d tensor. A
+    stacked (3-D) tensor is summed slice by slice and the slice sums are
+    added in order, as a chain of per-slice ``frobenius_sq`` and ``add``
+    would."""
+    squares = x.data * x.data
+    if x.ndim == 3:
+        total = squares[0].sum()
+        for part in squares[1:]:
+            total = total + part.sum()
+    else:
+        total = squares.sum()
+    out = Tensor(total)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -398,13 +388,45 @@ def bmm(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accumulate_fresh(x, np.matmul(g, w.data.transpose(0, 2, 1)))
+            _accumulate(x, np.matmul(g, w.data.transpose(0, 2, 1)))
         if w.requires_grad:
-            _accumulate_fresh(w, np.matmul(x.data.transpose(0, 2, 1), g))
+            _accumulate(w, np.matmul(x.data.transpose(0, 2, 1), g))
         if b is not None and b.requires_grad:
-            _accumulate_fresh(b, g.sum(axis=1))
+            _accumulate(b, g.sum(axis=1))
 
     return _record(Tensor(out), (x, w) if b is None else (x, w, b), backward)
+
+
+def block_affine(xs: Sequence[np.ndarray], w: Tensor, b: Tensor) -> Tensor:
+    """Independent affine maps of constant 2-D arrays of one height, stacked:
+    out[j] = xs[j] @ w[o_j : o_j + d_j] + b[j], where d_j is the width of
+    ``xs[j]`` and o_j the sum of the earlier widths. ``w`` (sum of d_j, q)
+    holds the maps' weights one under another, so inputs of any widths need
+    no padding, and each slot computes the bits of its own ``matmul`` and
+    ``add``."""
+    cols = [x.shape[1] if x.ndim == 2 else -1 for x in xs]
+    if not xs or min(cols) < 0 or any(x.shape[0] != xs[0].shape[0] for x in xs):
+        raise DimensionError(f"block_affine needs 2-D inputs of one height, got {[x.shape for x in xs]}")
+    if w.ndim != 2 or w.shape[0] != sum(cols) or b.shape != (len(xs), w.shape[1]):
+        raise DimensionError(f"block_affine: widths {cols} do not fit weight {w.shape} and bias {b.shape}")
+    offsets = np.concatenate([[0], np.cumsum(cols)])
+    blocks = [slice(offsets[j], offsets[j + 1]) for j in range(len(xs))]
+    out = np.empty((len(xs), xs[0].shape[0], w.shape[1]))
+    for j, x in enumerate(xs):
+        out[j] = x @ w.data[blocks[j]]
+    out += b.data[:, None, :]
+
+    def backward(g: np.ndarray) -> None:
+        g = np.ascontiguousarray(g)
+        if w.requires_grad:
+            gw = np.empty(w.shape)
+            for j, x in enumerate(xs):
+                gw[blocks[j]] = x.T @ g[j]
+            _accumulate(w, gw)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=1))
+
+    return _record(Tensor(out), (w, b), backward)
 
 
 def stack(xs: Sequence[Tensor], width: int) -> Tensor:
@@ -423,48 +445,22 @@ def stack(xs: Sequence[Tensor], width: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         for i, x in enumerate(xs):
             if x.requires_grad:
-                _accumulate(x, g[i, :, : cols[i]])
+                _accumulate(x, g[i, :, : cols[i]].copy())
 
     return _record(out, xs, backward)
 
 
-def take(x: Tensor, rows: slice) -> Tensor:
-    """A run of rows of the leading axis, as a view of ``x``."""
-    out = Tensor(x.data[rows])
+def take(x: Tensor, index) -> Tensor:
+    """``x[index]`` for a basic index (ints and slices), as a view of ``x``."""
+    out = Tensor(x.data[index])
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             full = np.zeros(x.shape)
-            full[rows] = g
-            _accumulate_fresh(x, full)
+            full[index] = g
+            _accumulate(x, full)
 
     return _record(out, (x,), backward)
-
-
-def unstack(x: Tensor, widths: Sequence[int]) -> list[Tensor]:
-    """Split a (m, B, q) tensor into m tensors of shape (B, widths[i]),
-    recorded as one tape entry."""
-    if x.ndim != 3:
-        raise DimensionError(f"unstack needs a 3-D tensor, got {x.shape}")
-    widths = list(widths)
-    if len(widths) != x.shape[0] or max(widths) > x.shape[2]:
-        raise DimensionError(f"unstack: widths {widths} do not fit shape {x.shape}")
-    outs = [Tensor(x.data[i, :, :w]) for i, w in enumerate(widths)]
-
-    def backward(grads: list) -> None:
-        if x.requires_grad:
-            full = np.zeros(x.shape)
-            for i, g in enumerate(grads):
-                if g is not None:
-                    full[i, :, : widths[i]] = g
-            _accumulate_fresh(x, full)
-
-    tape = _active_tape()
-    if tape is not None and x.requires_grad:
-        for t in outs:
-            t.requires_grad = True
-        tape.record(_Pieces(outs), backward)
-    return outs
 
 
 class _PairGrid(NamedTuple):
@@ -570,6 +566,6 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
                 if d.shape != t.shape:  # the cells cover part of t
                     d, part = np.zeros(t.shape), d
                     d[index] = part
-                _accumulate_fresh(t, d)
+                _accumulate(t, d)
 
     return _record(Tensor(out), (effects, weight, bias, dag), backward)

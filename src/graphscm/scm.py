@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoders import VariableBatch, init_encoders
+from .encoders import Encoders, VariableBatch
 from .errors import ContractError, DimensionError, LoadError, read_json
 from .numcore import (
     Linear,
@@ -37,8 +37,7 @@ from .numcore import (
     kaiming_uniform,
     pair_mix,
     softmax,
-    stack,
-    unstack,
+    take,
 )
 from .rng import substream
 
@@ -132,10 +131,10 @@ class ScmParameters:
         )
 
 
-def reconstruct(vars: VariableBatch, params: ScmParameters, targets) -> list[Tensor]:
+def reconstruct(vars: VariableBatch, params: ScmParameters, targets) -> Tensor:
     """Structural assignments of the variables ``targets`` (every variable,
     in order, or a single one), each from every other variable weighted by
-    A[:, k].
+    A[:, k], stacked as (len(targets), B, width).
 
     The tape records the same number of entries whatever the number of
     variables or targets.
@@ -146,28 +145,32 @@ def reconstruct(vars: VariableBatch, params: ScmParameters, targets) -> list[Ten
         raise ContractError(f"variable indices {targets} out of range [0, {n})")
     if len(targets) != 1 and targets != list(range(n)):
         raise ContractError(f"targets must be every variable or one, got {targets}")
-    if vars.num_variables != n:
-        raise DimensionError(f"batch has {vars.num_variables} variables, model expects {n}")
+    n_vars, _, width = vars.values.shape
+    if (n_vars, width) != (n, params.width):
+        raise DimensionError(
+            f"batch has {n_vars} variables of width {width}, model expects {n} of width {params.width}"
+        )
     # the label is the last variable, so its causes alone are a leading run
-    causes = n - 1 if targets == [n - 1] else n
-    x = stack(vars.variables[:causes], params.width)
-    effects = params.effect(x, None if causes == n else slice(0, causes))
+    causes = slice(0, n - 1) if targets == [n - 1] else None
+    x = vars.values if causes is None else take(vars.values, causes)
+    effects = params.effect(x, causes)
     mixed = pair_mix(effects, params.pair_weight, params.pair_bias, params.dag, targets)
     params.decoder_calls += len(targets)
-    decoded = params.decoder(mixed, None if len(targets) == n else slice(targets[0], targets[0] + 1))
-    return unstack(decoded, [params.var_dims[k] for k in targets])
+    return params.decoder(mixed, None if len(targets) == n else slice(targets[0], targets[0] + 1))
 
 
-def reconstruct_all(vars: VariableBatch, params: ScmParameters) -> list[Tensor]:
-    """Training-time structural assignments of every variable."""
+def reconstruct_all(vars: VariableBatch, params: ScmParameters) -> Tensor:
+    """Training-time structural assignments of every variable, stacked."""
     if not np.all(vars.label_known):
         raise ContractError("reconstruct_all needs a batch built with labels")
     return reconstruct(vars, params, range(params.n_vars))
 
 
-def label_probabilities_from(h_y_hat: Tensor, params: ScmParameters) -> Tensor:
-    """Map a reconstructed label variable to class probabilities through the
-    shortcut network approximating the label encoder's inverse."""
+def label_probabilities_from(decoded: Tensor, params: ScmParameters) -> Tensor:
+    """Map the reconstructed label variable, the last slot of ``decoded``, to
+    class probabilities through the shortcut network approximating the label
+    encoder's inverse."""
+    h_y_hat = take(decoded, (-1, slice(None), slice(0, params.var_dims[-1])))
     shortcut = activate(params.inv1(h_y_hat), params.activation)
     logits = params.inv2(add(h_y_hat, shortcut))
     return softmax(logits)
@@ -180,8 +183,7 @@ def predict_labels(vars: VariableBatch, params: ScmParameters) -> Tensor:
     the batch is never read because the diagonal of A is zero and the i = k
     term is skipped.
     """
-    (h_y,) = reconstruct(vars, params, [params.n_vars - 1])
-    return label_probabilities_from(h_y, params)
+    return label_probabilities_from(reconstruct(vars, params, [params.n_vars - 1]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ class ScmModel:
         self.meta = meta
         if rng is None:
             rng = substream(seed, "init")
-        self.encoders = init_encoders(
+        self.encoders = Encoders(
             meta.target_dim,
             meta.num_classes,
             meta.terminal_dims,
@@ -263,7 +265,7 @@ def variable_dims(
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(model: ScmModel, path: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, read_json
+from .errors import ConfigError, ContractError, NumericError, read_json
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, enumerate_metapaths, metapath_reach
 from .rng import substream
 
@@ -265,7 +265,8 @@ def kmeans2(table: BiasFeatureTable, seed: int, max_iter: int = 300) -> tuple[np
         new_assign = np.argmin(dists, axis=1)
         new_inertia = float(dists[np.arange(n), new_assign].sum())
         if not reseeded and new_inertia > inertia + 1e-9:
-            raise AssertionError("k-means inertia increased")  # Lloyd's guarantee
+            # Lloyd's iterations never raise the inertia; rounding did
+            raise NumericError(f"k-means inertia increased from {inertia!r} to {new_inertia!r}")
         if assign is not None and np.array_equal(new_assign, assign):
             inertia = new_inertia
             break

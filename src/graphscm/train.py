@@ -37,10 +37,15 @@ from .splits import SplitSpec
 # Prediction encodes variables BUILD_BATCH rows at a time, then runs the SCM
 # on EVAL_BATCH rows of them at a time: the stacked SCM holds (variables,
 # rows, width) arrays, which stay in cache at 128 rows and do not at 4096.
+# An encoded block is one such array; at 4096 rows (12.6 MB at 6 variables
+# of width 64) freeing it raised glibc's dynamic mmap threshold, after which
+# the heap kept freed memory, and the peak RSS of a train-and-predict run on
+# 8000 authors rose by about 11 MB; at 2048 rows it stays at the training peak.
 # A row's probabilities do not depend on the chunking while every chunk but
 # the last holds a multiple of 4 rows (BLAS edge kernels round narrow outputs
-# differently) and no chunk is a single row (a matrix-vector product).
-BUILD_BATCH = 4096
+# differently) and no chunk is a single row (a matrix-vector product), so
+# EVAL_BATCH is a multiple of 4 and at least 8.
+BUILD_BATCH = 2048
 EVAL_BATCH = 128
 
 ABLATIONS = ("full", "no_rec", "no_dag", "no_both")
@@ -152,17 +157,23 @@ def compute_metrics(truth, pred, num_classes: int) -> Metrics:
 # ---------------------------------------------------------------------------
 # model construction and evaluation
 
-def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBuilder, ModelMeta]:
+def _variable_builder(graph: HeteroGraph, settings: TrainConfig | ModelMeta) -> VariableBuilder:
+    """The pooled-feature pipeline of a training config or a checkpoint's
+    meta, which name their metapath and pooling settings alike."""
     metapaths = enumerate_metapaths(
-        graph.schema, graph.schema.target_type, config.max_metapath_len,
-        forward_only=config.forward_only,
+        graph.schema, graph.schema.target_type, settings.max_metapath_len,
+        forward_only=settings.forward_only,
     )
-    builder = VariableBuilder(
+    return VariableBuilder(
         graph,
         metapaths,
-        multiset_neighbors=config.multiset_neighbors,
-        exclude_self=config.exclude_self,
+        multiset_neighbors=settings.multiset_neighbors,
+        exclude_self=settings.exclude_self,
     )
+
+
+def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBuilder, ModelMeta]:
+    builder = _variable_builder(graph, config)
     terminal = builder.terminal_dims()
     meta = ModelMeta(
         variable_names=builder.variable_names,
@@ -191,15 +202,7 @@ def builder_for_model(graph: HeteroGraph, model: ScmModel) -> VariableBuilder:
             f"checkpoint was trained for target {meta.target_type!r}, "
             f"dataset targets {graph.schema.target_type!r}"
         )
-    metapaths = enumerate_metapaths(
-        graph.schema, meta.target_type, meta.max_metapath_len, forward_only=meta.forward_only
-    )
-    builder = VariableBuilder(
-        graph,
-        metapaths,
-        multiset_neighbors=meta.multiset_neighbors,
-        exclude_self=meta.exclude_self,
-    )
+    builder = _variable_builder(graph, meta)
     if builder.variable_names != meta.variable_names:
         raise ConfigError(
             f"dataset variables {builder.variable_names} do not match "
@@ -214,13 +217,26 @@ def builder_for_model(graph: HeteroGraph, model: ScmModel) -> VariableBuilder:
     return builder
 
 
+def _chunk_bounds(rows: int) -> list[int]:
+    """Boundaries of the SCM chunks of ``rows`` prediction rows: EVAL_BATCH
+    rows each but the last; a lone last row takes 4 rows from the chunk
+    before it."""
+    bounds = list(range(0, rows, EVAL_BATCH)) + [rows]
+    if len(bounds) > 2 and rows % EVAL_BATCH == 1:
+        bounds[-2] -= 4
+    return bounds
+
+
 def _predict_probabilities(model: ScmModel, builder: VariableBuilder, indices) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
+    bounds = _chunk_bounds(indices.size)
+    per_build = max(1, BUILD_BATCH // EVAL_BATCH)
     chunks = []
-    for start in range(0, indices.size, BUILD_BATCH):
-        vars = builder.build(indices[start : start + BUILD_BATCH], model.encoders, with_labels=False)
-        for rows in range(0, vars.batch_size, EVAL_BATCH):
-            part = vars.rows(slice(rows, rows + EVAL_BATCH))
+    for first in range(0, len(bounds) - 1, per_build):
+        block = bounds[first : first + per_build + 1]
+        vars = builder.build(indices[block[0] : block[-1]], model.encoders, with_labels=False)
+        for lo, hi in zip(block, block[1:]):
+            part = vars.rows(slice(lo - block[0], hi - block[0]))
             chunks.append(predict_labels(part, model.scm).data)
     return np.vstack(chunks) if chunks else np.zeros((0, model.meta.num_classes))
 
@@ -317,9 +333,9 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
             with Tape() as tape:
                 vars = builder.build(batch, model.encoders, with_labels=True)
                 recon = reconstruct_all(vars, model.scm)
-                l_rec = loss_rec(vars.variables, recon)
+                l_rec = loss_rec(vars.values, recon)
                 l_dag = loss_dag(model.scm.dag, weights)
-                probs = label_probabilities_from(recon[-1], model.scm)
+                probs = label_probabilities_from(recon, model.scm)
                 targets = Tensor(one_hot(graph.labels[batch], meta.num_classes))
                 l_inv = loss_inv(targets, probs)
                 joint = loss_joint(l_inv, l_rec, l_dag, weights)

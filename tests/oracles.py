@@ -316,3 +316,69 @@ def reconstruct_all(variables, params: PairwiseScm):
         structural_assignment(k, variables, params, _effects=effects)
         for k in range(params.n_vars)
     ]
+
+
+# ---------------------------------------------------------------------------
+# per-variable encoders and reconstruction loss: the layout the stacked
+# ``Encoders`` and stacked ``loss_rec`` replaced
+
+class PerVariableEncoders:
+    """Per-slot copies of a stacked ``Encoders``' weights: one affine map per
+    encoded variable, cut from its rows of ``enc.W``."""
+
+    def __init__(self, enc):
+        from graphscm.numcore import Tensor
+
+        def leaf(a, name):
+            return Tensor(np.array(a, copy=True), requires_grad=True, name=name)
+
+        self.native_dims = enc.native_dims
+        self.hidden_dim = enc.hidden_dim
+        self.in_dims = list(enc.in_dims)
+        self.maps = [
+            (leaf(enc.weight.data[enc.rows(j)], f"enc.{j}.W"), leaf(enc.bias.data[j], f"enc.{j}.b"))
+            for j in range(len(self.in_dims))
+        ]
+
+    def stacked_grads(self, enc) -> dict[str, np.ndarray]:
+        gw, gb = np.zeros(enc.weight.shape), np.zeros(enc.bias.shape)
+        for j, (w, b) in enumerate(self.maps):
+            if w.grad is not None:
+                gw[enc.rows(j)] = w.grad
+            if b.grad is not None:
+                gb[j] = b.grad
+        return {"enc.W": gw, "enc.b": gb}
+
+
+def encode_variables(ego, pooled, labels, enc: PerVariableEncoders):
+    """The variables [ego, metapaths..., label] of a batch, one 2-D tensor
+    each: ego, then the metapath pools (passed through with native widths),
+    then the label (zero when ``labels`` is None)."""
+    from graphscm.encoders import one_hot
+    from graphscm.numcore import Tensor, add, matmul
+
+    def affine(j, x):
+        w, b = enc.maps[j]
+        return add(matmul(Tensor(x), w), b)
+
+    out = [affine(0, ego)]
+    if enc.native_dims:
+        out += [Tensor(p) for p in pooled]
+    else:
+        out += [affine(1 + j, p) for j, p in enumerate(pooled)]
+    if labels is None:
+        out.append(Tensor(np.zeros((ego.shape[0], enc.hidden_dim))))
+    else:
+        out.append(affine(len(enc.maps) - 1, one_hot(labels, enc.in_dims[-1])))
+    return out
+
+
+def loss_rec(h, h_hat):
+    """Mean squared reconstruction error over lists of per-variable tensors."""
+    from graphscm.numcore import add, frobenius_sq, scale, sub
+
+    acc = None
+    for a, b in zip(h, h_hat):
+        term = frobenius_sq(sub(a, b))
+        acc = term if acc is None else add(acc, term)
+    return scale(acc, 1.0 / (h[0].shape[0] * len(h)))

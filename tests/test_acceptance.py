@@ -98,10 +98,10 @@ def _tiny_model_and_batch(batch_size=4, seed=10):
     def joint_loss(_ignored=None):
         vars = builder.build(nodes, model.encoders, with_labels=True)
         recon = reconstruct_all(vars, model.scm)
-        probs = label_probabilities_from(recon[-1], model.scm)
+        probs = label_probabilities_from(recon, model.scm)
         return loss_joint(
             loss_inv(targets, probs),
-            loss_rec(vars.variables, recon),
+            loss_rec(vars.values, recon),
             loss_dag(model.scm.dag, weights),
             weights,
         )

@@ -232,3 +232,95 @@ def test_stats_unloadable_bytes_exit_2_naming_the_line(toy_dir, tmp_path, capsys
     assert run_cli("stats", bad) == 2
     err = capsys.readouterr().err
     assert line.format(n=n) in err and "Traceback" not in err, err
+
+
+def test_kmeans_inertia_increase_exits_3_without_traceback(synth_dir, tmp_path, monkeypatch, capsys):
+    import math
+    import types
+
+    import graphscm.splits as splits_mod
+
+    # k-means starts from an infinite inertia; starting below any real one
+    # makes the first iteration look like an increase
+    fake_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    fake_math.inf = -1.0
+    monkeypatch.setattr(splits_mod, "math", fake_math)
+    code = run_cli("split", synth_dir, "--kind", "homophily", "--seed", 0, "--out", str(tmp_path / "s"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "k-means inertia increased" in err and "Traceback" not in err, err
+
+
+def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeypatch, capsys):
+    import graphscm.interpret as interpret_mod
+
+    monkeypatch.setattr(interpret_mod, "_is_acyclic", lambda support: False)
+    code = run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+                   "--out", str(tmp_path / "d"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "edge removal exhausted" in err and "Traceback" not in err, err
+
+
+def test_version_2_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys):
+    with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["version"] == 3
+    payload["version"] = 2
+    old = str(tmp_path / "v2.json")
+    with open(old, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert run_cli("eval", synth_dir, "--checkpoint", old) == 2
+    err = capsys.readouterr().err
+    assert "unsupported checkpoint version 2" in err and "Traceback" not in err, err
+
+
+def test_stats_corruption_sweep_exits_2(toy_dir, tmp_path, capsys):
+    """Every file of the toy dataset truncated, garbled or deleted in turn
+    makes ``graphscm stats`` exit 2 with a message and no traceback, unless
+    a truncation leaves a well-formed file.
+
+    A truncation cuts the file mid-line, at about half its bytes. Where the
+    cut lands between two fields (``0\t0\n0\t1`` of an edge file), the
+    result is a shorter file whose last line has no newline, which loads
+    like the same rows with one; that case must print the same statistics
+    as the newline-terminated copy.
+    """
+    import shutil
+
+    def truncate(data):
+        cut = len(data) // 2
+        while cut > 1 and data[cut - 1 : cut] == b"\n":
+            cut -= 1
+        return data[:cut]
+
+    def garble(data):
+        mid = len(data) // 2
+        return data[:mid] + b"x" + data[mid + 1 :]
+
+    def stats_of(name, kind, content):
+        bad = str(tmp_path / f"{name}-{kind}")
+        shutil.copytree(toy_dir, bad)
+        path = os.path.join(bad, name)
+        if content is None:
+            os.remove(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        code = run_cli("stats", bad)
+        out, err = capsys.readouterr()
+        return code, out.replace(bad, "<dir>"), err
+
+    failures = []
+    for name in sorted(os.listdir(toy_dir)):
+        with open(os.path.join(toy_dir, name), "rb") as fh:
+            data = fh.read()
+        for kind, corrupt in (("truncate", truncate), ("garble", garble), ("delete", None)):
+            content = None if corrupt is None else corrupt(data)
+            code, out, err = stats_of(name, kind, content)
+            if code == 0 and kind == "truncate":
+                if stats_of(name, "lines", content + b"\n")[:2] != (0, out):
+                    failures.append((name, kind, code, out))
+            elif code != 2 or "error:" not in err or "Traceback" in err:
+                failures.append((name, kind, code, err))
+    assert not failures, failures

@@ -5,6 +5,7 @@ from graphscm.errors import NumericError
 from graphscm.numcore import (
     Tensor,
     add,
+    block_affine,
     bmm,
     clamp_min,
     expm_trace,
@@ -23,7 +24,6 @@ from graphscm.numcore import (
     sub,
     sum_all,
     take,
-    unstack,
     finite_diff_check as fdc,
 )
 
@@ -80,18 +80,20 @@ def test_all_ops_pass_at_100_random_points():
 
 
 def test_stacked_ops_match_finite_differences():
-    """bmm (with and without bias), stack, take, unstack and pair_mix, each
-    with respect to every differentiable input."""
+    """bmm (with and without bias), block_affine, stack, take (a leading run, and a basic
+    index of ints and slices), frobenius_sq of a stacked tensor and pair_mix,
+    each with respect to every differentiable input."""
     rng = np.random.default_rng(29)
 
     def const(*shape):
         return Tensor(rng.normal(size=shape))
 
     w, x, b = const(3, 2, 5), const(3, 4, 2), const(3, 5)
-    narrow, rows = const(4, 3), const(2, 3, 2)
+    narrow, rows, corner = const(4, 3), const(2, 3, 2), const(2, 2)
     n, d = 4, 3
     effects, weight, bias = const(n, 2, d), const(n, n - 1, d, d), const(n, n - 1, d)
     dag = const(n, n)
+    blocks, block_w, block_b = [rng.normal(size=(4, d)) for d in (2, 3, 1)], const(6, 5), const(3, 5)
 
     def mix(targets, **override):
         args = dict(effects=effects, weight=weight, bias=bias, dag=dag)
@@ -102,19 +104,18 @@ def test_stacked_ops_match_finite_differences():
 
         return f
 
-    def pieces(t):
-        first, _, third = unstack(t, [5, 5, 2])
-        return add(frobenius_sq(first), scale(frobenius_sq(third), 2.0))
-
     cases = [
         ("bmm x", (3, 4, 2), lambda t: frobenius_sq(bmm(t, w))),
         ("bmm w", (3, 2, 5), lambda t: frobenius_sq(bmm(x, t))),
         ("bmm bias x", (3, 4, 2), lambda t: frobenius_sq(bmm(t, w, b))),
         ("bmm bias w", (3, 2, 5), lambda t: frobenius_sq(bmm(x, t, b))),
         ("bmm bias b", (3, 5), lambda t: frobenius_sq(bmm(x, w, t))),
+        ("block_affine w", (6, 5), lambda t: frobenius_sq(block_affine(blocks, t, block_b))),
+        ("block_affine b", (3, 5), lambda t: frobenius_sq(block_affine(blocks, block_w, t))),
         ("stack", (4, 5), lambda t: frobenius_sq(scale(stack([narrow, t, narrow], width=5), 1.5))),
         ("take", (4, 3, 2), lambda t: frobenius_sq(mul(take(t, slice(1, 3)), rows))),
-        ("unstack", (3, 4, 5), pieces),
+        ("take index", (3, 4, 5), lambda t: frobenius_sq(mul(take(t, (-1, slice(1, 3), slice(0, 2))), corner))),
+        ("frobenius_sq stacked", (3, 4, 5), lambda t: frobenius_sq(scale(t, 0.5))),
         ("pair_mix effects", (n, 2, d), mix(range(n), effects=1)),
         ("pair_mix weight", (n, n - 1, d, d), mix(range(n), weight=1)),
         ("pair_mix bias", (n, n - 1, d), mix(range(n), bias=1)),

@@ -6,6 +6,7 @@ import pytest
 from graphscm.losses import LossWeights, loss_acy, loss_dag, loss_inv, loss_joint, loss_rec
 from graphscm.numcore import Tensor, finite_diff_check
 
+import oracles
 from oracles import has_cycle, taylor_trace_expm
 
 # frozen from the 30-term Taylor oracle on the 3x3 two-cycle
@@ -22,36 +23,42 @@ def _two_cycle():
 
 
 def test_rec_perfect_reconstruction_is_zero():
-    h = [Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))]
-    assert loss_rec(h, [t.copy() for t in h]).item() == 0.0
+    h = Tensor(np.stack([np.ones((2, 3)), np.zeros((2, 3))]))
+    assert loss_rec(h, h.copy()).item() == 0.0
 
 
 def test_rec_hand_computed_example():
     # one sample, two variables of width one: residuals 1 and 0 -> 0.5
-    h = [Tensor([[1.0]]), Tensor([[0.0]])]
-    h_hat = [Tensor([[0.0]]), Tensor([[0.0]])]
+    h = Tensor([[[1.0]], [[0.0]]])
+    h_hat = Tensor([[[0.0]], [[0.0]]])
     assert loss_rec(h, h_hat).item() == pytest.approx(0.5)
 
 
 def test_rec_quadratic_homogeneity():
     rng = np.random.default_rng(0)
-    h = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-    h_hat = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
+    h = Tensor(rng.normal(size=(3, 3, 4)))
+    h_hat = Tensor(rng.normal(size=(3, 3, 4)))
     base = loss_rec(h, h_hat).item()
-    doubled = loss_rec(
-        [Tensor(2 * a.data) for a in h], [Tensor(2 * b.data) for b in h_hat]
-    ).item()
+    doubled = loss_rec(Tensor(2 * h.data), Tensor(2 * h_hat.data)).item()
     assert doubled == pytest.approx(4.0 * base)
 
 
 def test_rec_invariant_under_variable_permutation():
     rng = np.random.default_rng(1)
-    h = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
-    h_hat = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
+    h = Tensor(rng.normal(size=(4, 2, 3)))
+    h_hat = Tensor(rng.normal(size=(4, 2, 3)))
     base = loss_rec(h, h_hat).item()
     perm = [2, 0, 3, 1]
-    shuffled = loss_rec([h[i] for i in perm], [h_hat[i] for i in perm]).item()
+    shuffled = loss_rec(Tensor(h.data[perm]), Tensor(h_hat.data[perm])).item()
     assert shuffled == pytest.approx(base, abs=1e-15)
+
+
+def test_rec_matches_per_variable_oracle_bit_for_bit():
+    rng = np.random.default_rng(2)
+    h, h_hat = rng.normal(size=(2, 5, 7, 6))
+    got = loss_rec(Tensor(h), Tensor(h_hat)).item()
+    want = oracles.loss_rec([Tensor(x) for x in h], [Tensor(x) for x in h_hat]).item()
+    assert got == want
 
 
 def test_acy_zero_matrix():
@@ -155,22 +162,12 @@ def test_losses_nonnegative_and_differentiable():
     err = finite_diff_check(lambda t: loss_dag(t, w), a, eps=1e-5)
     assert err <= 1e-4
 
-    # reconstruction loss gradient, checked through a flat parameterization
-    from graphscm.numcore import matmul, softmax
+    # reconstruction loss gradient, with respect to either stacked operand
+    from graphscm.numcore import softmax
 
-    h_const = [Tensor(rng.normal(size=(3, 2))) for _ in range(3)]
-    flat = Tensor(rng.normal(size=(3, 6)))
-
-    def rec_loss(x):
-        slices = []
-        for i in range(3):
-            sel = np.zeros((6, 2))
-            sel[2 * i, 0] = 1.0
-            sel[2 * i + 1, 1] = 1.0
-            slices.append(matmul(x, Tensor(sel)))
-        return loss_rec(h_const, slices)
-
-    assert finite_diff_check(rec_loss, flat, eps=1e-5) <= 1e-4
+    h_const = Tensor(rng.normal(size=(3, 3, 2)))
+    assert finite_diff_check(lambda x: loss_rec(h_const, x), Tensor(rng.normal(size=(3, 3, 2))), eps=1e-5) <= 1e-4
+    assert finite_diff_check(lambda x: loss_rec(x, h_const), Tensor(rng.normal(size=(3, 3, 2))), eps=1e-5) <= 1e-4
 
     y = Tensor(np.eye(3))
 

@@ -32,8 +32,7 @@ def _mlp_oracle(stacked, j, x):
 
 
 def structural_assignment(k, batch, params):
-    (out,) = reconstruct(batch, params, [k])
-    return out
+    return Tensor(reconstruct(batch, params, [k]).data[0])
 
 
 def sa_oracle(params: ScmParameters, vars_data, k):
@@ -57,7 +56,7 @@ def sa_oracle(params: ScmParameters, vars_data, k):
 def _batch(n_vars, batch, dims, seed=0, label_known=True):
     rng = np.random.default_rng(seed)
     return VariableBatch(
-        variables=[Tensor(rng.normal(size=(batch, d))) for d in dims],
+        values=Tensor(np.stack([rng.normal(size=(batch, d)) for d in dims])),
         names=[f"v{i}" for i in range(n_vars)],
         label_known=np.full(batch, label_known),
     )
@@ -87,7 +86,7 @@ def test_doubling_a_weight_doubles_contribution():
         p.data = np.ones_like(p.data) if p.name.endswith(".W") else np.zeros_like(p.data)
     params.dag.data[:] = [[0.0, 0.0, 0.3], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
     h = [np.array([[2.0]]), np.array([[3.0]]), np.array([[0.0]])]
-    batch = VariableBatch([Tensor(x) for x in h], ["a", "b", "c"], np.array([True]))
+    batch = VariableBatch(Tensor(np.stack(h)), ["a", "b", "c"], np.array([True]))
     base = structural_assignment(2, batch, params).item()
     assert base == pytest.approx(0.3 * 2.0 + 0.5 * 3.0)
     params.dag.data[0, 2] *= 2.0
@@ -99,7 +98,7 @@ def test_assignment_matches_scalar_loop_oracle():
     dims = [4, 4, 4, 4]  # q = 2 plus ego and label
     params = _params(dims, seed=7)
     batch = _batch(4, 2, dims, seed=3)
-    vars_data = [v.data for v in batch.variables]
+    vars_data = list(batch.values.data)
     for k in range(4):
         got = structural_assignment(k, batch, params)
         assert np.max(np.abs(got.data - sa_oracle(params, vars_data, k))) < 1e-10
@@ -115,8 +114,8 @@ def test_assignment_index_range_checked():
 def test_reconstruct_takes_every_variable_or_one():
     params = _params([3, 3, 3, 3])
     batch = _batch(4, 2, [3, 3, 3, 3])
-    assert len(reconstruct(batch, params, [2])) == 1
-    assert len(reconstruct(batch, params, range(4))) == 4
+    assert reconstruct(batch, params, [2]).shape == (1, 2, 3)
+    assert reconstruct(batch, params, range(4)).shape == (4, 2, 3)
     for targets in ([0, 2], [1, 0], []):
         with pytest.raises(ContractError):
             reconstruct(batch, params, targets)
@@ -127,10 +126,10 @@ def test_reconstruct_all_consistent_with_single_assignments():
     params = _params(dims, seed=1)
     batch = _batch(3, 2, dims, seed=2)
     stack = reconstruct_all(batch, params)
-    assert len(stack) == 3
+    assert stack.shape[0] == 3
     for k in range(3):
         solo = structural_assignment(k, batch, params)
-        assert np.array_equal(stack[k].data, solo.data)
+        assert np.array_equal(stack.data[k], solo.data)
 
 
 def test_reconstruct_all_zero_dag_constant_per_variable():
@@ -138,10 +137,10 @@ def test_reconstruct_all_zero_dag_constant_per_variable():
     params = _params(dims)
     params.dag.data[:] = 0.0
     batch = _batch(3, 5, dims, seed=4)
-    for k, rec in enumerate(reconstruct_all(batch, params)):
+    for rec in reconstruct_all(batch, params).data:
         assert rec.shape == (5, 3)
         for b in range(1, 5):
-            assert np.array_equal(rec.data[b], rec.data[0])
+            assert np.array_equal(rec[b], rec[0])
 
 
 def test_cause_locality_zero_weight_means_no_influence():
@@ -150,10 +149,10 @@ def test_cause_locality_zero_weight_means_no_influence():
     params.dag.data[0, 2] = 0.0
     batch = _batch(3, 2, dims, seed=6)
     base = structural_assignment(2, batch, params).data.copy()
-    batch.variables[0].data[0, 1] += 10.0  # perturb a non-cause input
+    batch.values.data[0, 0, 1] += 10.0  # perturb a non-cause input
     again = structural_assignment(2, batch, params).data
     assert np.array_equal(base, again)
-    batch.variables[1].data[0, 0] += 1.0  # a real cause must matter
+    batch.values.data[1, 0, 0] += 1.0  # a real cause must matter
     assert not np.array_equal(structural_assignment(2, batch, params).data, base)
 
 
@@ -171,7 +170,7 @@ def test_predict_ignores_label_slice():
     params = _params(dims, seed=10)
     batch = _batch(3, 4, dims, seed=11, label_known=False)
     before = predict_labels(batch, params).data.copy()
-    batch.variables[-1].data[:] = 123.0  # garbage in the label slice
+    batch.values.data[-1] = 123.0  # garbage in the label slice
     after = predict_labels(batch, params).data
     assert np.array_equal(before, after)
 

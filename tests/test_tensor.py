@@ -13,6 +13,7 @@ from graphscm.numcore import (
     relu,
     softmax,
     sub,
+    sum_all,
 )
 
 from oracles import matmul_loops
@@ -92,6 +93,24 @@ def test_backward_visits_reverse_order_and_accumulates():
         y = add(mul(x, x), x)  # x^2 + x
     tape.backward(y)
     assert float(x.grad) == pytest.approx(5.0)
+
+
+def test_passed_on_gradients_are_private_arrays():
+    # add and sub hand their incoming gradient on and sum_all broadcasts it:
+    # every input still gets an array of its own, which it may change in place
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    c = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        s = add(a, b)
+        y = sum_all(sub(s, c))
+    tape.backward(y)
+    grads = [a.grad, b.grad, c.grad, s.grad]
+    assert len({id(g) for g in grads}) == 4
+    for g in grads:
+        assert g.flags.writeable and not np.shares_memory(g, y.grad)
+    a.grad[0, 0] = 7.0
+    assert np.array_equal(b.grad, np.ones((2, 3))) and np.array_equal(s.grad, np.ones((2, 3)))
 
 
 def test_index_scalar_scatters_gradient():

@@ -242,11 +242,52 @@ def test_prediction_does_not_depend_on_chunk_sizes(monkeypatch):
     graph, _ = _tiny_task(authors=60)
     builder, meta = train_mod.build_pipeline(graph, _fast_config())
     model = ScmModel(meta, seed=3)
-    nodes = graph.labeled_nodes()[:44]  # no chunk below is a lone row
-    whole = train_mod._predict_probabilities(model, builder, nodes)
-    monkeypatch.setattr(train_mod, "BUILD_BATCH", 16)
+    # 41 rows at EVAL_BATCH 8 would leave a lone last row, and 41 at
+    # BUILD_BATCH 16 a build block that ends in one
+    for count in (44, 41):
+        nodes = graph.labeled_nodes()[:count]
+        assert nodes.size == count
+        whole = train_mod._predict_probabilities(model, builder, nodes)
+        with monkeypatch.context() as m:
+            m.setattr(train_mod, "BUILD_BATCH", 16)
+            m.setattr(train_mod, "EVAL_BATCH", 8)
+            model.scm.decoder_calls = 0
+            chunked = train_mod._predict_probabilities(model, builder, nodes)
+            assert model.scm.decoder_calls == 6  # ceil(count / EVAL_BATCH)
+        assert np.array_equal(whole, chunked), count
+
+
+def test_chunks_hold_no_lone_row(monkeypatch):
+    import graphscm.train as train_mod
+
     monkeypatch.setattr(train_mod, "EVAL_BATCH", 8)
-    model.scm.decoder_calls = 0
-    chunked = train_mod._predict_probabilities(model, builder, nodes)
-    assert np.array_equal(whole, chunked)
-    assert model.scm.decoder_calls == 6  # one per EVAL_BATCH rows
+    assert train_mod._chunk_bounds(41) == [0, 8, 16, 24, 32, 36, 41]
+    assert train_mod._chunk_bounds(40) == [0, 8, 16, 24, 32, 40]
+    assert train_mod._chunk_bounds(9) == [0, 4, 9]
+    assert train_mod._chunk_bounds(1) == [0, 1]
+    assert train_mod._chunk_bounds(0) == [0]
+
+
+def test_training_step_tape_and_tensors_do_not_grow_with_variables(monkeypatch):
+    """One training step records the same tape entries over the same
+    parameter tensors at 3, 6 and 9 variables (metapaths up to length 1, 2
+    and 3)."""
+    import graphscm.train as train_mod
+
+    graph, truth = _tiny_task(authors=40)
+    splits = regime_split(truth)
+    counts = {}
+    for max_len in (1, 2, 3):
+        records = []
+
+        class CountingTape(train_mod.Tape):
+            def backward(self, loss):
+                records.append(len(self))
+                super().backward(loss)
+
+        monkeypatch.setattr(train_mod, "Tape", CountingTape)
+        config = _fast_config(max_epochs=1, patience=1, max_metapath_len=max_len)
+        result = train(graph, splits, config)
+        n = len(result.model.meta.variable_names)
+        counts[n] = (sorted(set(records)), len(result.model.parameters()))
+    assert counts == {3: ([37], 19), 6: ([37], 19), 9: ([37], 19)}, counts
