@@ -14,7 +14,9 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import sys
+import time
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from . import __version__
 from .errors import ConfigError, ContractError, DimensionError, LoadError, NumericError
 from .hetgraph import HeteroGraph, load_graph, write_dataset
 from .interpret import diagram_to_json, export_dot, trim_to_dag
+from .numcore import Tensor, expm_trace
 from .scm import load_checkpoint, save_checkpoint
 from .splits import (
     BIAS_KINDS,
@@ -193,7 +196,33 @@ def _load_splits(graph: HeteroGraph, dataset: str, splits_arg: str | None) -> Sp
     return spec
 
 
+_THREAD_ENV_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+
+def _blas_name() -> str:
+    try:  # the mode argument needs numpy 1.26 or later
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+def _run_environment(wall_s: float) -> dict:
+    """What produced a run: interpreter, numpy and its BLAS, the thread
+    settings BLAS reads, the core count and the run's wall time."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas_name(),
+        "thread_env": {name: os.environ.get(name) for name in _THREAD_ENV_VARS},
+        "cpu_count": os.cpu_count(),
+        "wall_s": wall_s,
+    }
+
+
 def cmd_train(args) -> int:
+    started = time.perf_counter()
     graph = load_graph(args.dataset)
     splits = _load_splits(graph, args.dataset, args.splits)
     config = resolve_train_config(args)
@@ -228,6 +257,7 @@ def cmd_train(args) -> int:
             "metrics": os.path.abspath(metrics_path),
             "manifest": os.path.abspath(manifest_path),
         },
+        "environment": _run_environment(time.perf_counter() - started),
     }
     _write_json(manifest, manifest_path)
     print(
@@ -256,7 +286,10 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    diagram = trim_to_dag(model.scm.dag, model.meta.variable_names)
+    a = model.scm.dag.data
+    residual = float(expm_trace(Tensor(a)).data) - a.shape[0]
+    diagram = trim_to_dag(a, model.meta.variable_names)
+    removed_mass = sum(entry["abs_weight"] for entry in diagram.removal_log)
     os.makedirs(args.out, exist_ok=True)
     dot_path = os.path.join(args.out, "diagram.dot")
     json_path = os.path.join(args.out, "diagram.json")
@@ -265,7 +298,10 @@ def cmd_explain(args) -> int:
         fh.write(text)
     diagram_to_json(diagram, json_path)
     sys.stdout.write(text)
-    print(f"removed {len(diagram.removal_log)} edges; diagram in {args.out}")
+    print(
+        f"removed {len(diagram.removal_log)} edges of total |weight| {removed_mass:.6g}; "
+        f"h(A) before trimming {residual:.6g}; diagram in {args.out}"
+    )
     return EXIT_OK
 
 

@@ -20,7 +20,10 @@ of the label encoder.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -265,7 +268,18 @@ def variable_dims(
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+TENSOR_DTYPE = "<f8"  # every tensor's data: base64 of its row-major little-endian float64 bytes
+
+
+def _encode_tensor(array: np.ndarray) -> dict:
+    """The checkpoint entry of one tensor: its shape, dtype and base64 bytes."""
+    raw = np.ascontiguousarray(array, dtype=TENSOR_DTYPE).tobytes()
+    return {
+        "shape": list(array.shape),
+        "dtype": TENSOR_DTYPE,
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
 
 
 def save_checkpoint(model: ScmModel, path: str) -> None:
@@ -274,14 +288,45 @@ def save_checkpoint(model: ScmModel, path: str) -> None:
         "version": CHECKPOINT_VERSION,
         "meta": asdict(model.meta),
         "tensors": {
-            name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
-            for name, p in sorted(model.named_parameters().items())
+            name: _encode_tensor(p.data) for name, p in sorted(model.named_parameters().items())
         },
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # one dumps call runs the C encoder; json.dump to a file handle does not
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
+
+
+def _decode_tensor(path: str, name: str, entry, shape: tuple) -> np.ndarray:
+    """The owned, writable float64 array of checkpoint tensor ``name``; any
+    mismatch with ``shape`` or with the encoding raises LoadError."""
+    try:
+        stored = tuple(entry["shape"])
+        dtype, data = entry["dtype"], entry["data"]
+    except (KeyError, TypeError) as exc:
+        raise LoadError(f"{path}: malformed tensor {name!r}: {exc!r}") from exc
+    if stored != shape:
+        raise LoadError(f"{path}: tensor {name!r} has shape {stored}, expected {shape}")
+    if dtype != TENSOR_DTYPE:
+        raise LoadError(f"{path}: tensor {name!r} has dtype {dtype!r}, expected {TENSOR_DTYPE!r}")
+    if not isinstance(data, str):
+        raise LoadError(f"{path}: tensor {name!r} data is not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise LoadError(f"{path}: tensor {name!r} data is not valid base64: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise LoadError(
+            f"{path}: tensor {name!r} holds {len(raw)} bytes, expected {expected} for shape {shape}"
+        )
+    # astype copies the read-only view of ``raw`` into an owned C-order array
+    array = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape).astype(np.float64)
+    if not np.isfinite(array).all():
+        raise LoadError(f"{path}: tensor {name!r} has non-finite values")
+    return array
 
 
 def load_checkpoint(path: str) -> ScmModel:
@@ -304,13 +349,5 @@ def load_checkpoint(path: str) -> ScmModel:
     if missing or extra:
         raise LoadError(f"{path}: tensor names do not match (missing {missing}, extra {extra})")
     for name, p in params.items():
-        entry = tensors[name]
-        shape = tuple(entry["shape"])
-        if shape != p.data.shape:
-            raise LoadError(
-                f"{path}: tensor {name!r} has shape {shape}, expected {p.data.shape}"
-            )
-        p.data = np.array(entry["data"], dtype=np.float64).reshape(shape)
-        if not np.isfinite(p.data).all():
-            raise LoadError(f"{path}: tensor {name!r} has non-finite values")
+        p.data = _decode_tensor(path, name, tensors[name], p.data.shape)
     return model

@@ -344,18 +344,21 @@ def regime_split(truth: GroundTruth, seed: int | None = None) -> SplitSpec:
 # measurement helpers (read the generated graph, not the records)
 
 def coauthor_pairs(graph: HeteroGraph) -> list[tuple[int, int]]:
-    """All unordered author pairs sharing at least one paper."""
-    writers: dict[int, list[int]] = {}
-    for a, p in graph.edges["write"]:
-        writers.setdefault(int(p), []).append(int(a))
-    pairs = set()
-    for authors in writers.values():
-        for i in range(len(authors)):
-            for j in range(i + 1, len(authors)):
-                x, y = sorted((authors[i], authors[j]))
-                if x != y:
-                    pairs.add((x, y))
-    return sorted(pairs)
+    """All unordered author pairs sharing at least one paper, as sorted
+    ``(x, y)`` tuples with x < y."""
+    indptr, papers = graph.csr["write"]
+    n_authors = indptr.shape[0] - 1
+    authors = np.repeat(np.arange(n_authors), np.diff(indptr))
+    order = np.argsort(papers, kind="stable")
+    authors, papers = authors[order], papers[order]
+    # pair each (author, paper) entry with every later entry of its paper
+    later = np.searchsorted(papers, papers, side="right") - np.arange(papers.shape[0]) - 1
+    first = np.repeat(np.arange(papers.shape[0]), later)
+    second = first + 1 + np.arange(first.shape[0]) - np.repeat(np.cumsum(later) - later, later)
+    a, b = authors[first], authors[second]
+    keep = a != b
+    keys = np.unique(np.minimum(a, b)[keep] * n_authors + np.maximum(a, b)[keep])
+    return list(zip((keys // n_authors).tolist(), (keys % n_authors).tolist()))
 
 
 def coauthor_agreement(graph: HeteroGraph, authors: set[int], rng=None, sample: int = 1000) -> float:

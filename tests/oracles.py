@@ -382,3 +382,19 @@ def loss_rec(h, h_hat):
         term = frobenius_sq(sub(a, b))
         acc = term if acc is None else add(acc, term)
     return scale(acc, 1.0 / (h[0].shape[0] * len(h)))
+
+
+def coauthor_pairs(graph) -> list[tuple[int, int]]:
+    """All unordered author pairs sharing a paper, by a per-paper pair loop
+    over the ``write`` edge list."""
+    writers: dict[int, list[int]] = {}
+    for a, p in graph.edges["write"]:
+        writers.setdefault(int(p), []).append(int(a))
+    pairs = set()
+    for authors in writers.values():
+        for i in range(len(authors)):
+            for j in range(i + 1, len(authors)):
+                x, y = sorted((authors[i], authors[j]))
+                if x != y:
+                    pairs.add((x, y))
+    return sorted(pairs)

@@ -1,7 +1,9 @@
+import base64
 import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from graphscm.cli import main
@@ -141,6 +143,47 @@ def test_explain_outputs_diagram(trained_dir, tmp_path, capsys):
     assert filecmp.cmp(os.path.join(out, "diagram.dot"), os.path.join(out2, "diagram.dot"), shallow=False)
 
 
+def test_manifest_records_environment(trained_dir):
+    import platform
+
+    manifest = json.load(open(os.path.join(trained_dir, "manifest.json")))
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "blas", "thread_env", "cpu_count", "wall_s"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["blas"], str) and env["blas"]
+    assert set(env["thread_env"]) == {
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+    }
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["wall_s"] > 0.0
+
+
+def test_explain_reports_residual_and_removed_weight(trained_dir, tmp_path, capsys):
+    import re
+
+    from graphscm.scm import load_checkpoint
+    from oracles import taylor_trace_expm
+
+    checkpoint = os.path.join(trained_dir, "checkpoint.json")
+    out = str(tmp_path / "diagram")
+    assert run_cli("explain", "--checkpoint", checkpoint, "--out", out) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(
+        r"removed (\d+) edges of total \|weight\| (\S+); h\(A\) before trimming (\S+); diagram in .+",
+        last,
+    )
+    assert match, last
+    removals = json.load(open(os.path.join(out, "diagram.json")))["removals"]
+    assert int(match.group(1)) == len(removals)
+    mass = sum(r["abs_weight"] for r in removals)
+    assert float(match.group(2)) == pytest.approx(mass, rel=1e-5)
+    a = load_checkpoint(checkpoint).scm.dag.data
+    residual = taylor_trace_expm(a * a) - a.shape[0]
+    assert residual > 0.0
+    assert float(match.group(3)) == pytest.approx(residual, rel=1e-5)
+
+
 def test_train_rerun_byte_identical(synth_dir, tmp_path):
     outs = [str(tmp_path / f"r{i}") for i in (1, 2)]
     for out in outs:
@@ -262,17 +305,23 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     assert "edge removal exhausted" in err and "Traceback" not in err, err
 
 
-def test_version_2_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize("version", [2, 3])
+def test_version_2_and_3_checkpoints_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
+    """Checkpoints before version 4 stored tensor data as float lists; they
+    exit 2 with no traceback."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    assert payload["version"] == 3
-    payload["version"] = 2
-    old = str(tmp_path / "v2.json")
+    assert payload["version"] == 4
+    payload["version"] = version
+    for entry in payload["tensors"].values():
+        del entry["dtype"]
+        entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").tolist()
+    old = str(tmp_path / f"v{version}.json")
     with open(old, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     assert run_cli("eval", synth_dir, "--checkpoint", old) == 2
     err = capsys.readouterr().err
-    assert "unsupported checkpoint version 2" in err and "Traceback" not in err, err
+    assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err, err
 
 
 def test_stats_corruption_sweep_exits_2(toy_dir, tmp_path, capsys):

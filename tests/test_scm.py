@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -256,25 +259,36 @@ def test_checkpoint_roundtrip(toy_graph, tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
-def test_checkpoint_shape_mismatch_fails_loudly(toy_graph, tmp_path):
-    import json
+def _encode(values) -> dict:
+    """A checkpoint tensor entry encoded as ``save_checkpoint`` writes it:
+    base64 of the row-major little-endian float64 bytes."""
+    array = np.asarray(values, dtype=np.float64)
+    return {
+        "shape": list(array.shape),
+        "dtype": "<f8",
+        "data": base64.b64encode(array.astype("<f8").tobytes()).decode("ascii"),
+    }
 
+
+def _rewrite_tensor(path, name, **fields):
+    """Replace fields of tensor ``name`` in the checkpoint at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["tensors"][name].update(fields)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def test_checkpoint_shape_mismatch_fails_loudly(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
     path = str(tmp_path / "model.json")
     save_checkpoint(model, path)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload["tensors"]["dag.A"]["shape"] = [2, 2]
-    payload["tensors"]["dag.A"]["data"] = [0.0, 0.0, 0.0, 0.0]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    _rewrite_tensor(path, "dag.A", **_encode(np.zeros((2, 2))))
     with pytest.raises(LoadError):
         load_checkpoint(path)
 
 
 def test_checkpoint_missing_tensor_fails(toy_graph, tmp_path):
-    import json
-
     model, _ = _toy_model(toy_graph)
     path = str(tmp_path / "model.json")
     save_checkpoint(model, path)
@@ -301,16 +315,92 @@ def test_checkpoint_malformed_json_fails(toy_graph, tmp_path):
 
 
 def test_checkpoint_non_finite_tensor_fails(toy_graph, tmp_path):
-    import json
+    model, _ = _toy_model(toy_graph)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    values = model.scm.dag.data.copy()
+    values.flat[1] = float("nan")
+    _rewrite_tensor(path, "dag.A", **_encode(values))
+    with pytest.raises(LoadError) as exc:
+        load_checkpoint(path)
+    assert "dag.A" in str(exc.value) and "non-finite" in str(exc.value)
 
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_non_finite_payload_names_tensor(toy_graph, tmp_path, bad):
+    model, _ = _toy_model(toy_graph)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    values = model.scm.inv2.weight.data.copy()
+    values.flat[-1] = bad
+    _rewrite_tensor(path, "scm.inv2.W", **_encode(values))
+    with pytest.raises(LoadError) as exc:
+        load_checkpoint(path)
+    assert "'scm.inv2.W'" in str(exc.value) and "non-finite" in str(exc.value)
+
+
+def test_checkpoint_roundtrip_keeps_extreme_values_bit_for_bit(toy_graph, tmp_path):
+    model, _ = _toy_model(toy_graph)
+    extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    w = model.scm.inv2.weight.data
+    w.flat[: len(extremes)] = extremes
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    again = load_checkpoint(path).scm.inv2.weight.data
+    assert again.tobytes() == w.tobytes()
+    assert np.signbit(again.flat[0]) and again.flat[0] == 0.0
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["tensors"]["scm.inv2.W"] == _encode(w)
+
+
+def test_checkpoint_rerun_writes_identical_bytes(toy_graph, tmp_path):
+    model, _ = _toy_model(toy_graph, seed=4)
+    first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_checkpoint(model, first)
+    save_checkpoint(load_checkpoint(first), second)
+    with open(first, "rb") as fa, open(second, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"data": "not base64!"}, "not valid base64"),
+        ({"data": base64.b64encode(bytes(16)).decode("ascii")}, "holds 16 bytes, expected"),
+        ({"data": [0.0] * 9}, "not a base64 string"),
+        ({"data": None}, "not a base64 string"),
+        ({"dtype": "<f4"}, "has dtype '<f4'"),
+        ({"dtype": ">f8"}, "has dtype '>f8'"),
+    ],
+)
+def test_checkpoint_bad_encoding_names_tensor(toy_graph, tmp_path, fields, message):
+    model, _ = _toy_model(toy_graph)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    _rewrite_tensor(path, "dag.A", **fields)
+    with pytest.raises(LoadError) as exc:
+        load_checkpoint(path)
+    assert "'dag.A'" in str(exc.value) and message in str(exc.value), str(exc.value)
+
+
+def test_checkpoint_entry_without_data_names_tensor(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
     path = str(tmp_path / "model.json")
     save_checkpoint(model, path)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload["tensors"]["dag.A"]["data"][1] = float("nan")
+    del payload["tensors"]["enc.b"]["data"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     with pytest.raises(LoadError) as exc:
         load_checkpoint(path)
-    assert "dag.A" in str(exc.value) and "non-finite" in str(exc.value)
+    assert "'enc.b'" in str(exc.value)
+
+
+def test_loaded_tensors_are_owned_writable_float64(toy_graph, tmp_path):
+    model, _ = _toy_model(toy_graph)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+    for name, p in load_checkpoint(path).named_parameters().items():
+        assert p.data.dtype == np.float64, name
+        assert p.data.flags.owndata and p.data.flags.writeable and p.data.flags.c_contiguous, name

@@ -11,12 +11,14 @@ from graphscm.synth import (
     GroundTruth,
     SynthSpec,
     coauthor_agreement,
+    coauthor_pairs,
     generate,
     regime_split,
     rule_accuracy,
 )
 
 from oracles import adjacency_lists, neighbor_set
+from oracles import coauthor_pairs as coauthor_pairs_loop
 
 
 def _small_spec(**overrides):
@@ -174,3 +176,19 @@ def test_planted_homophily_gap_measured_on_graph():
     test_mean = np.mean([table.values[idx[a], col] for a in truth.regime_indices("test")])
     planted = truth.planted_homophily_gap()
     assert train_mean - test_mean >= 0.8 * planted
+
+
+def test_coauthor_pairs_match_per_paper_loop(toy_graph):
+    from graphscm.hetgraph import HeteroGraph
+
+    synth_graph, _ = generate(_small_spec())
+    # the toy graph with one edge repeated and every edge again in reverse order
+    write = toy_graph.edges["write"]
+    doubled = dict(toy_graph.edges, write=np.concatenate([write, write[:1], write[::-1]]))
+    repeated = HeteroGraph(toy_graph.schema, toy_graph.features, doubled, toy_graph.labels)
+    for graph in (toy_graph, synth_graph, repeated):
+        expected = coauthor_pairs_loop(graph)
+        got = coauthor_pairs(graph)
+        assert got == expected
+        assert all(type(x) is int and type(y) is int for x, y in got)
+    assert len(coauthor_pairs_loop(synth_graph)) > 100
