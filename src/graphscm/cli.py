@@ -236,7 +236,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(result.model, checkpoint_path)
     write_history_csv(result.history, history_path)
-    test_metrics = evaluate(graph, result.model, splits.test)
+    test_metrics = evaluate(graph, result.model, splits.test, builder=result.builder)
     _write_json(test_metrics.to_dict(), metrics_path)
 
     manifest = {

@@ -32,7 +32,8 @@ class Encoders:
     The slots are the ego, every metapath pool and the label. With native
     widths only the ego and the label are encoded (slots 0 and 1), and the
     pooled features pass through unchanged, zero-padded to the widest
-    variable. Initial weights are drawn ego, label, then the metapaths.
+    variable. Initial weights are drawn ego, label, then the metapaths;
+    with no ``rng`` they stay zero.
     """
 
     def __init__(
@@ -41,15 +42,16 @@ class Encoders:
         num_classes: int,
         terminal_dims: Sequence[int],
         hidden_dim: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         native_dims: bool = False,
     ):
         self.in_dims = [target_dim, *([] if native_dims else terminal_dims), num_classes]
         self.hidden_dim = hidden_dim
         self.native_dims = native_dims
         n = len(self.in_dims)
-        weight = np.empty((sum(self.in_dims), hidden_dim))
-        for j in [0, n - 1] + list(range(1, n - 1)):
+        weight = np.zeros((sum(self.in_dims), hidden_dim))
+        draw_order = [0, n - 1] + list(range(1, n - 1)) if rng is not None else []
+        for j in draw_order:
             weight[self.rows(j)] = kaiming_uniform(rng, self.in_dims[j], hidden_dim)
         self.weight = Tensor(weight, requires_grad=True, name="enc.W")
         self.bias = Tensor(np.zeros((n, hidden_dim)), requires_grad=True, name="enc.b")

@@ -219,7 +219,8 @@ class HeteroGraph:
 
 
 # Work bound of one metapath hop: (row, node) pairs expanded or dense cells
-# held at once. Query rows are split into groups that stay under it.
+# held at once. Query rows are split into groups that stay under it. It also
+# bounds the dense pooling route's frontier and each of its product tiles.
 REACH_BLOCK = 1 << 19
 
 
@@ -241,17 +242,18 @@ def metapath_reach(graph: HeteroGraph, nodes, metapath: MetaPath, exclude_self: 
     through the dense merge, so they are exact below 2**53.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    hops = [
-        (graph.csr[rel], graph.num_nodes(graph.schema.relation(rel).dst))
-        for rel in metapath.relations
-    ]
-    n = nodes.shape[0]
-    start = (np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64))
-    for lo, hi, rows, indices, counts in _walk(hops, 0, n, *start):
+    for lo, hi, rows, indices, counts in _reach_blocks(graph, nodes, metapath.relations):
         if exclude_self and metapath.terminal_type == metapath.source_type:
             keep = indices != nodes[lo + rows]
             rows, indices, counts = rows[keep], indices[keep], counts[keep]
         yield lo, hi, rows, indices, counts
+
+
+def _reach_blocks(graph: HeteroGraph, nodes: np.ndarray, relations):
+    """``metapath_reach``'s blocks over the relation sequence ``relations``."""
+    hops = [(graph.csr[rel], graph.num_nodes(graph.schema.relation(rel).dst)) for rel in relations]
+    n = nodes.shape[0]
+    return _walk(hops, 0, n, np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64))
 
 
 def _walk(hops, lo, hi, rows, cols, counts):
@@ -317,6 +319,61 @@ def _set_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> n
     return out
 
 
+def _dense_frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray | None:
+    """The (rows, |src|) path counts from the query nodes over every hop of
+    ``metapath`` but the last, src being the last hop's source type, when
+    the dense route pools the metapath (see ``pooled_neighbor_features``);
+    None when the sparse route does."""
+    src = graph.schema.relation(metapath.relations[-1]).src
+    cells = nodes.shape[0] * graph.num_nodes(src)
+    if not 0 < cells <= REACH_BLOCK:
+        return None
+    frontier = np.zeros((nodes.shape[0], graph.num_nodes(src)))
+    for lo, _, rows, cols, counts in _reach_blocks(graph, nodes, metapath.relations[:-1]):
+        frontier[lo + rows, cols] = counts
+    return frontier if 2 * np.count_nonzero(frontier) >= cells else None
+
+
+def _dense_pool(
+    graph: HeteroGraph,
+    nodes: np.ndarray,
+    metapath: MetaPath,
+    frontier: np.ndarray,
+    multiset: bool,
+    exclude_self: bool,
+) -> np.ndarray:
+    """Pooled features from the frontier of ``_dense_frontier``: the path
+    counts to the terminal nodes are ``frontier @ incidence`` of the last
+    relation, formed in column tiles of at most REACH_BLOCK cells (and an
+    incidence tile as large), then weighted by their counts (multiset) or by
+    one per reached node (set) in a product with the terminal features."""
+    rel = graph.schema.relation(metapath.relations[-1])
+    feats = graph.features[rel.dst]
+    n, n_src = frontier.shape
+    indptr, dst = graph.csr[rel.name]
+    order = np.argsort(dst, kind="stable")
+    dst = dst[order]
+    src = np.repeat(np.arange(n_src), np.diff(indptr))[order]
+    own = nodes if exclude_self and metapath.terminal_type == metapath.source_type else None
+    # a trailing column of ones sums each row's weights beside its features
+    weighted = np.hstack([feats, np.ones((feats.shape[0], 1))])
+    sums = np.zeros((n, weighted.shape[1]))
+    width = REACH_BLOCK // max(n, n_src)
+    for c0 in range(0, feats.shape[0], width):
+        c1 = min(c0 + width, feats.shape[0])
+        a, b = np.searchsorted(dst, [c0, c1])
+        incidence = np.bincount(src[a:b] * (c1 - c0) + dst[a:b] - c0, minlength=n_src * (c1 - c0))
+        counts = frontier @ incidence.reshape(n_src, c1 - c0).astype(np.float64)
+        if own is not None:
+            hit = np.flatnonzero((own >= c0) & (own < c1))
+            counts[hit, own[hit] - c0] = 0.0
+        if not multiset:
+            np.minimum(counts, 1.0, out=counts)  # whole counts: 1 per reached node
+        sums += counts @ weighted[c0:c1]
+    sizes = sums[:, -1:]
+    return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
+
+
 def pooled_neighbor_features(
     graph: HeteroGraph,
     nodes,
@@ -328,7 +385,27 @@ def pooled_neighbor_features(
 
     With ``multiset`` the mean is weighted by the number of distinct paths
     reaching each terminal node instead of treating the pool as a set.
+
+    Two routes compute it, chosen once per call from the input alone. Take
+    the path counts over every hop but the last as a (rows, |src|) frontier,
+    src being the last hop's source type. When that frontier fits in
+    REACH_BLOCK cells and at least half of its cells are nonzero (APTP,
+    whose authors reach most of the 40 terms, say), the dense route
+    multiplies it by the last relation's incidence in float64, as metapath
+    neighbours are formed from adjacency products in HAN (Wang et al.
+    2019): set means are ``(counts > 0) @ F / |set|``, multiset means
+    ``counts @ F / counts.sum()``. Path counts are exact integers there
+    (below 2**53), but BLAS sums the features in its own order, so dense
+    means agree with the per-node mean to within 1e-12 * max(1, max|F|),
+    not bit for bit. Every other metapath takes the sparse route through
+    ``metapath_reach``, whose means are bit-identical to
+    ``feats[sorted pool].mean(axis=0)`` (set) and
+    ``(w @ feats[sorted pool]) / w.sum()`` (multiset).
     """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    frontier = _dense_frontier(graph, nodes, metapath)
+    if frontier is not None:
+        return _dense_pool(graph, nodes, metapath, frontier, multiset, exclude_self)
     feats = graph.features[metapath.terminal_type]
     out = np.zeros((len(nodes), feats.shape[1]))
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
@@ -545,12 +622,22 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
     return graph
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _pair_lines(first: np.ndarray, second: np.ndarray) -> str:
+    return "".join(map("{}\t{}\n".format, first.tolist(), second.tolist()))
 
 
 def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
-    """Write a graph back to the on-disk dataset format (byte-stable)."""
+    """Write a graph back to the on-disk dataset format (byte-stable).
+
+    Feature values are written as ``repr`` of the float, the shortest
+    decimal that parses back to the same value; each file is formatted as
+    one string and written at once.
+    """
     os.makedirs(out_dir, exist_ok=True)
     schema = graph.schema
     payload = {
@@ -566,14 +653,12 @@ def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for t in schema.node_types:
-        with open(os.path.join(out_dir, f"nodes-{t}.tsv"), "w", encoding="utf-8") as fh:
-            for i, row in enumerate(graph.features[t]):
-                fh.write("\t".join([str(i)] + [_format_float(v) for v in row]) + "\n")
+        feats = np.asarray(graph.features[t], dtype=np.float64)
+        sep = "\t" if feats.shape[1] else ""
+        lines = [str(i) + sep + "\t".join(map(repr, row)) + "\n" for i, row in enumerate(feats.tolist())]
+        _write_text(os.path.join(out_dir, f"nodes-{t}.tsv"), "".join(lines))
     for r in schema.relations:
-        with open(os.path.join(out_dir, f"edges-{r.name}.tsv"), "w", encoding="utf-8") as fh:
-            for s, d in graph.edges[r.name]:
-                fh.write(f"{int(s)}\t{int(d)}\n")
-    with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
-        for i, y in enumerate(graph.labels):
-            if y != UNLABELED:
-                fh.write(f"{i}\t{int(y)}\n")
+        edges = np.asarray(graph.edges[r.name], dtype=np.int64).reshape(-1, 2)
+        _write_text(os.path.join(out_dir, f"edges-{r.name}.tsv"), _pair_lines(edges[:, 0], edges[:, 1]))
+    labeled = graph.labeled_nodes()
+    _write_text(os.path.join(out_dir, "labels.tsv"), _pair_lines(labeled, graph.labels[labeled].astype(np.int64)))

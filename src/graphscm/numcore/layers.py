@@ -23,10 +23,12 @@ def activate(x: Tensor, activation: str) -> Tensor:
 
 
 class Linear:
-    """y = x @ W + b with weight shape (in_dim, out_dim)."""
+    """y = x @ W + b with weight shape (in_dim, out_dim); with no ``rng`` the
+    weight starts at zero instead of a Kaiming draw."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str):
-        self.weight = Tensor(kaiming_uniform(rng, in_dim, out_dim), requires_grad=True, name=f"{name}.W")
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, name: str):
+        weight = np.zeros((in_dim, out_dim)) if rng is None else kaiming_uniform(rng, in_dim, out_dim)
+        self.weight = Tensor(weight, requires_grad=True, name=f"{name}.W")
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.b")
 
     @property
@@ -53,7 +55,8 @@ class StackedMlp:
     ``{name}.{l}.W`` of shape (count, in, out) and bias ``{name}.{l}.b``;
     narrower networks are zero-padded to the widest one's inputs and outputs,
     and the padding stays zero in training because it receives zero gradient. Initial
-    weights are drawn network by network, layer by layer.
+    weights are drawn network by network, layer by layer; with no ``rng``
+    every weight stays zero.
     """
 
     def __init__(
@@ -62,7 +65,7 @@ class StackedMlp:
         hidden_dim: int,
         n_layers: int,
         activation: str,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         name: str,
     ):
         if n_layers < 1:
@@ -78,7 +81,7 @@ class StackedMlp:
             Tensor(np.zeros((count, padded[l + 1])), requires_grad=True, name=f"{name}.{l}.b")
             for l in range(n_layers)
         ]
-        for j, d in enumerate(io_dims):
+        for j, d in enumerate(io_dims) if rng is not None else []:
             dims = [d] + [hidden_dim] * (n_layers - 1) + [d]
             for l, w in enumerate(self.weights):
                 w.data[j, : dims[l], : dims[l + 1]] = kaiming_uniform(rng, dims[l], dims[l + 1])

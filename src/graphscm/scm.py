@@ -82,7 +82,8 @@ class ScmParameters:
     is Effect_i, ``decoder`` slice k is Decoder_k, and ``pair_weight`` /
     ``pair_bias`` of shape (n, n - 1, D, D) / (n, n - 1, D) hold cause i's
     n - 1 pair maps in slot s, the map into target k = s + (s >= i). With
-    native widths every slice is zero-padded to D = max(var_dims).
+    native widths every slice is zero-padded to D = max(var_dims). With no
+    ``rng`` nothing is drawn and every tensor starts at zero.
     """
 
     def __init__(
@@ -90,7 +91,7 @@ class ScmParameters:
         var_dims: list[int],
         num_classes: int,
         activation: str,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         mlp_hidden: int | None = None,
     ):
         n = len(var_dims)
@@ -104,10 +105,13 @@ class ScmParameters:
         self.mlp_hidden = hidden
         # initial weights are drawn network by network: effects, pair maps
         # (cause-major, targets ascending), decoders, the label shortcut
-        self.dag = init_dag(n, rng)
+        if rng is None:
+            self.dag = Tensor(np.zeros((n, n)), requires_grad=True, name="dag.A")
+        else:
+            self.dag = init_dag(n, rng)
         self.effect = StackedMlp(var_dims, hidden, 2, activation, rng, "scm.effect")
         pair = np.zeros((n, n - 1, width, width))
-        for i in range(n):
+        for i in range(n) if rng is not None else []:
             for s in range(n - 1):
                 k = s + (s >= i)
                 pair[i, s, : var_dims[i], : var_dims[k]] = kaiming_uniform(rng, var_dims[i], var_dims[k])
@@ -216,9 +220,18 @@ class ScmModel:
     """Encoders plus SCM parameters, addressable as one named-tensor set."""
 
     def __init__(self, meta: ModelMeta, seed: int = 0, rng: np.random.Generator | None = None):
+        self._build(meta, substream(seed, "init") if rng is None else rng)
+
+    @classmethod
+    def _skeleton(cls, meta: ModelMeta) -> "ScmModel":
+        """A model of ``meta``'s layout with every tensor zero, drawing
+        nothing: the frame a checkpoint's tensors are loaded into."""
+        model = cls.__new__(cls)
+        model._build(meta, None)
+        return model
+
+    def _build(self, meta: ModelMeta, rng: np.random.Generator | None) -> None:
         self.meta = meta
-        if rng is None:
-            rng = substream(seed, "init")
         self.encoders = Encoders(
             meta.target_dim,
             meta.num_classes,
@@ -342,7 +355,7 @@ def load_checkpoint(path: str) -> ScmModel:
         tensors = payload["tensors"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed checkpoint: {exc}") from exc
-    model = ScmModel(meta)
+    model = ScmModel._skeleton(meta)
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))

@@ -128,9 +128,10 @@ def compute_metrics(truth, pred, num_classes: int) -> Metrics:
     pred = np.asarray(pred, dtype=np.int64)
     if truth.shape != pred.shape:
         raise ConfigError("truth and prediction lengths differ")
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(truth, pred):
-        confusion[t, p] += 1
+    if truth.size and (min(truth.min(), pred.min()) < 0 or max(truth.max(), pred.max()) >= num_classes):
+        raise ConfigError(f"class indices must lie in [0, {num_classes})")
+    cells = np.bincount(truth * num_classes + pred, minlength=num_classes * num_classes)
+    confusion = cells.reshape(num_classes, num_classes)
     per_class = []
     f1s = []
     for c in range(num_classes):
@@ -287,6 +288,7 @@ class EpochStats:
 @dataclass
 class TrainResult:
     model: ScmModel
+    builder: VariableBuilder    # the pooled tables training used, for scoring without re-pooling
     history: list[EpochStats]
     best_epoch: int
     best_val_macro_f1: float
@@ -378,7 +380,8 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
 
     model.load_snapshot(best_snapshot)
     return TrainResult(
-        model=model, history=history, best_epoch=best_epoch, best_val_macro_f1=best_macro
+        model=model, builder=builder, history=history, best_epoch=best_epoch,
+        best_val_macro_f1=best_macro,
     )
 
 

@@ -8,7 +8,9 @@ ops (matmul, add, mul, index_scalar) rather than the stacked ones it checks.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 
@@ -165,6 +167,37 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False
                 idx = sorted(pool)
                 out[i] = feats[idx].mean(axis=0)
     return out
+
+
+def write_dataset_lines(graph, out_dir: str) -> None:
+    """``hetgraph.write_dataset`` as it was: one formatted value and one
+    written line at a time."""
+    os.makedirs(out_dir, exist_ok=True)
+    schema = graph.schema
+    payload = {
+        "node_types": schema.node_types,
+        "relations": [
+            {"name": r.name, "src": r.src, "dst": r.dst, "inverse": r.inverse}
+            for r in schema.relations
+        ],
+        "target_type": schema.target_type,
+        "num_classes": schema.num_classes,
+    }
+    with open(os.path.join(out_dir, "schema.json"), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for t in schema.node_types:
+        with open(os.path.join(out_dir, f"nodes-{t}.tsv"), "w", encoding="utf-8") as fh:
+            for i, row in enumerate(graph.features[t]):
+                fh.write("\t".join([str(i)] + [repr(float(v)) for v in row]) + "\n")
+    for r in schema.relations:
+        with open(os.path.join(out_dir, f"edges-{r.name}.tsv"), "w", encoding="utf-8") as fh:
+            for s, d in graph.edges[r.name]:
+                fh.write(f"{int(s)}\t{int(d)}\n")
+    with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
+        for i, y in enumerate(graph.labels):
+            if y != -1:
+                fh.write(f"{i}\t{int(y)}\n")
 
 
 def homophily_table(graph, adj, metapaths) -> np.ndarray:

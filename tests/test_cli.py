@@ -184,6 +184,33 @@ def test_explain_reports_residual_and_removed_weight(trained_dir, tmp_path, caps
     assert float(match.group(3)) == pytest.approx(residual, rel=1e-5)
 
 
+def test_train_pools_each_metapath_once(synth_dir, tmp_path, monkeypatch):
+    import graphscm.encoders as encoders
+    from graphscm.hetgraph import load_graph
+    from graphscm.scm import load_checkpoint
+    from graphscm.splits import SplitSpec
+    from graphscm.train import evaluate
+
+    pooled = []
+    pool = encoders.pooled_neighbor_features
+
+    def counting(graph, nodes, metapath, *args, **kwargs):
+        pooled.append(metapath.name)
+        return pool(graph, nodes, metapath, *args, **kwargs)
+
+    monkeypatch.setattr(encoders, "pooled_neighbor_features", counting)
+    out = str(tmp_path / "run")
+    assert run_cli("train", synth_dir, "--out", out, "--hidden", 8, "--max-epochs", 2,
+                   "--batch-size", 32, "--seed", 1) == 0
+    assert pooled == ["AP", "APA", "APV", "APT"]
+    # the test metrics scored with training's tables equal a fresh evaluation
+    graph = load_graph(synth_dir)
+    spec = SplitSpec.from_json(os.path.join(synth_dir, "splits.json"))
+    metrics = evaluate(graph, load_checkpoint(os.path.join(out, "checkpoint.json")), spec.test)
+    with open(os.path.join(out, "metrics.json"), encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def test_train_rerun_byte_identical(synth_dir, tmp_path):
     outs = [str(tmp_path / f"r{i}") for i in (1, 2)]
     for out in outs:

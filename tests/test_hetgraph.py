@@ -7,6 +7,7 @@ import pytest
 
 from graphscm.errors import LoadError
 from graphscm.hetgraph import (
+    UNLABELED,
     HeteroGraph,
     _fast_features,
     _fast_pairs,
@@ -21,7 +22,7 @@ from graphscm.hetgraph import (
     write_dataset,
 )
 
-from oracles import metapath_neighbors_dfs
+from oracles import metapath_neighbors_dfs, write_dataset_lines
 
 
 def _reach_sets(graph, nodes, mp, exclude_self=False):
@@ -62,6 +63,36 @@ def test_roundtrip_write_then_load(toy_graph, tmp_path):
     for t in toy_graph.schema.node_types:
         assert np.array_equal(again.features[t], toy_graph.features[t])
     assert np.array_equal(again.labels, toy_graph.labels)
+
+
+def _synth_with_unlabeled_nodes():
+    from graphscm.synth import SynthSpec, generate
+
+    graph, _ = generate(SynthSpec(authors=120, seed=4))
+    labels = graph.labels.copy()
+    labels[::7] = UNLABELED
+    return HeteroGraph(graph.schema, graph.features, graph.edges, labels)
+
+
+@pytest.mark.parametrize("which", ["toy", "synth"])
+def test_write_dataset_bytes_equal_line_writer(which, toy_graph, tmp_path):
+    graph = toy_graph if which == "toy" else _synth_with_unlabeled_nodes()
+    assert which == "toy" or (graph.labels == UNLABELED).any()
+    write_dataset(graph, str(tmp_path / "fast"))
+    write_dataset_lines(graph, str(tmp_path / "lines"))
+    names = sorted(os.listdir(tmp_path / "lines"))
+    assert sorted(os.listdir(tmp_path / "fast")) == names
+    for name in names:
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "lines" / name).read_bytes(), name
+
+
+def test_write_dataset_zero_width_features(toy_graph, tmp_path):
+    features = dict(toy_graph.features, venue=np.zeros((1, 0)))
+    graph = HeteroGraph(toy_graph.schema, features, toy_graph.edges, toy_graph.labels)
+    write_dataset(graph, str(tmp_path / "fast"))
+    write_dataset_lines(graph, str(tmp_path / "lines"))
+    assert (tmp_path / "fast" / "nodes-venue.tsv").read_bytes() == b"0\n"
+    assert (tmp_path / "lines" / "nodes-venue.tsv").read_bytes() == b"0\n"
 
 
 def test_dangling_edge_index_rejected(toy_dir, tmp_path):

@@ -1,14 +1,22 @@
 """Differential tests of the CSR metapath operator against the per-node walks.
 
-Every table must be byte-equal to the loop implementations in ``oracles``:
-the vectorised code only re-lays-out the computation.
+Every table from the sparse route must be byte-equal to the loop
+implementations in ``oracles``: the vectorised code only re-lays-out the
+computation. The dense pooling route sums features in BLAS order, so its
+tables are held to 1e-12 * max(1, max|F|) of the oracle instead.
 """
 
 import numpy as np
 import pytest
 
 import graphscm.hetgraph as hetgraph
-from graphscm.hetgraph import enumerate_metapaths, metapath_reach, pooled_neighbor_features
+from graphscm.hetgraph import (
+    UNLABELED,
+    HeteroGraph,
+    enumerate_metapaths,
+    metapath_reach,
+    pooled_neighbor_features,
+)
 from graphscm.splits import degree_features, homophily_features, roundtrip_metapaths
 from graphscm.synth import SynthSpec, generate
 
@@ -34,18 +42,111 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _within_tolerance(got: np.ndarray, want: np.ndarray, feats: np.ndarray) -> bool:
+    """The dense route's contract: |dense - oracle| <= 1e-12 * max(1, max|F|)."""
+    bound = 1e-12 * max(1.0, float(np.abs(feats).max(initial=0.0)))
+    return got.shape == want.shape and got.dtype == want.dtype and bool(np.all(np.abs(got - want) <= bound))
+
+
+def _dense_route(graph, nodes, mp) -> bool:
+    return hetgraph._dense_frontier(graph, np.asarray(nodes, dtype=np.int64), mp) is not None
+
+
+@pytest.fixture()
+def dense_calls(monkeypatch):
+    """The names of the metapaths that the dense route pools, call by call."""
+    calls = []
+    dense_pool = hetgraph._dense_pool
+
+    def spy(graph, nodes, metapath, *args):
+        calls.append(metapath.name)
+        return dense_pool(graph, nodes, metapath, *args)
+
+    monkeypatch.setattr(hetgraph, "_dense_pool", spy)
+    return calls
+
+
+# which metapaths of length <= 3 the dense route takes; any move between
+# routes must show up here
+DENSE_PATHS = {
+    ("toy", "default"): {"APA", "APV", "APAP", "APVP"},
+    ("toy", "tiny"): {"APVP"},
+    ("synth", "default"): {"APTP"},
+    ("synth", "tiny"): set(),
+}
+
+
 @pytest.mark.parametrize("which", ["toy", "synth"])
-def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_block):
+def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_block, dense_calls):
     graph = toy_graph if which == "toy" else synth_graph
     target = graph.schema.target_type
     adj = adjacency_lists(graph)
     nodes = list(range(graph.num_nodes(target)))
     for mp in enumerate_metapaths(graph.schema, target, 3):
+        feats = graph.features[mp.terminal_type]
         for multiset in (False, True):
             for exclude_self in (False, True):
+                dense_calls.clear()
                 got = pooled_neighbor_features(graph, nodes, mp, multiset, exclude_self)
                 want = pooled_table(graph, adj, nodes, mp, multiset, exclude_self)
-                assert _same_bytes(got, want), (mp.name, multiset, exclude_self)
+                case = (mp.name, multiset, exclude_self)
+                assert (mp.name in DENSE_PATHS[which, reach_block]) == bool(dense_calls), case
+                if dense_calls:
+                    assert _within_tolerance(got, want, feats), case
+                else:
+                    assert _same_bytes(got, want), case
+
+
+def test_dense_route_takes_aptp_and_no_short_path(synth_graph):
+    nodes = list(range(synth_graph.num_nodes("author")))
+    paths = enumerate_metapaths(synth_graph.schema, "author", 3)
+    dense = {mp.name for mp in paths if _dense_route(synth_graph, nodes, mp)}
+    assert "APTP" in dense
+    assert not dense & {mp.name for mp in paths if len(mp) <= 2}
+
+
+def test_dense_route_in_row_blocks_and_column_tiles_matches_oracle(synth_graph, monkeypatch, dense_calls):
+    # APTPA over every other author: the frontier (60 authors x 1320 papers)
+    # fills the block exactly, the earlier hops' walk splits into row
+    # blocks, and the (1320 papers x 120 authors) incidence into column tiles
+    mp = next(m for m in enumerate_metapaths(synth_graph.schema, "author", 4) if m.name == "APTPA")
+    nodes = np.arange(0, synth_graph.num_nodes("author"), 2)
+    papers = synth_graph.num_nodes("paper")
+    monkeypatch.setattr(hetgraph, "REACH_BLOCK", nodes.size * papers)
+    assert len(list(hetgraph._reach_blocks(synth_graph, nodes, mp.relations[:-1]))) > 1
+    assert hetgraph.REACH_BLOCK < papers * synth_graph.num_nodes("author")
+    adj = adjacency_lists(synth_graph)
+    for multiset in (False, True):
+        for exclude_self in (False, True):
+            dense_calls.clear()
+            got = pooled_neighbor_features(synth_graph, nodes, mp, multiset, exclude_self)
+            want = pooled_table(synth_graph, adj, nodes, mp, multiset, exclude_self)
+            assert dense_calls == ["APTPA"]
+            assert _within_tolerance(got, want, synth_graph.features["author"]), (multiset, exclude_self)
+
+
+def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls):
+    # a fourth author with no papers reaches nothing
+    features = dict(toy_graph.features, author=np.vstack([toy_graph.features["author"], [[0.5, 0.5]]]))
+    graph = HeteroGraph(toy_graph.schema, features, toy_graph.edges, np.append(toy_graph.labels, UNLABELED))
+    adj = adjacency_lists(graph)
+    paths = {mp.name: mp for mp in enumerate_metapaths(graph.schema, "author", 3)}
+    for name, nodes in (("APVP", [3, 0, 2]), ("APA", [2, 0])):
+        mp = paths[name]
+        feats = graph.features[mp.terminal_type]
+        for multiset in (False, True):
+            tables = []
+            for exclude_self in (False, True):
+                dense_calls.clear()
+                got = pooled_neighbor_features(graph, nodes, mp, multiset, exclude_self)
+                assert dense_calls == [name]
+                assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, multiset, exclude_self), feats)
+                if 3 in nodes:
+                    assert not got[nodes.index(3)].any()
+                tables.append(got)
+            if name == "APA":
+                # each query author is in its own APA pool, so dropping it moves every mean
+                assert np.all(np.any(tables[0] != tables[1], axis=1))
 
 
 def test_reach_counts_match_path_counts(synth_graph, reach_block):

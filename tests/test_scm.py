@@ -362,6 +362,30 @@ def test_checkpoint_rerun_writes_identical_bytes(toy_graph, tmp_path):
         assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("native", [False, True])
+def test_load_checkpoint_draws_no_initial_weights(toy_graph, tmp_path, monkeypatch, native):
+    import graphscm.encoders
+    import graphscm.numcore.layers
+    import graphscm.scm
+
+    model, _ = _toy_model(toy_graph, seed=2, native=native)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(model, path)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an initial weight")
+
+    for module in (graphscm.encoders, graphscm.numcore.layers, graphscm.scm):
+        monkeypatch.setattr(module, "kaiming_uniform", draw)
+    monkeypatch.setattr(graphscm.scm, "init_dag", draw)
+    again = load_checkpoint(path).named_parameters()
+    assert list(again) == list(model.named_parameters())
+    for name, p in model.named_parameters().items():
+        loaded = again[name].data
+        assert loaded.dtype == p.data.dtype and loaded.tobytes() == p.data.tobytes(), name
+        assert loaded.flags.writeable and loaded.flags.c_contiguous and loaded.flags.owndata
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

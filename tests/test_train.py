@@ -82,6 +82,37 @@ def test_metrics_agree_with_bruteforce_oracle():
     assert m.accuracy == pytest.approx(np.trace(oracle) / 1000)
 
 
+@pytest.mark.parametrize(
+    "truth, pred, classes",
+    [
+        ([], [], 3),
+        ([0, 0, 2, 2], [2, 2, 0, 0], 3),  # class 1 absent from both
+        ([0, 1, 1, 3], [0, 0, 0, 0], 4),  # classes 1-3 never predicted
+        ([1, 1, 1], [0, 2, 1], 3),  # classes 0 and 2 absent from truth
+    ],
+)
+def test_confusion_matrix_matches_loop_oracle(truth, pred, classes):
+    m = compute_metrics(truth, pred, classes)
+    assert np.array_equal(np.array(m.confusion).reshape(classes, classes), confusion_matrix_loops(truth, pred, classes))
+    assert all(type(v) is int for row in m.confusion for v in row)
+
+
+def test_confusion_matrix_random_inputs_match_loop_oracle():
+    rng = np.random.default_rng(1)
+    for classes in (2, 3, 7):
+        for size in (1, 5, 257):
+            truth = rng.integers(0, classes, size=size)
+            pred = rng.integers(0, classes, size=size)
+            got = compute_metrics(truth, pred, classes).confusion
+            assert np.array_equal(got, confusion_matrix_loops(truth, pred, classes))
+
+
+@pytest.mark.parametrize("truth, pred", [([0, 3], [0, 1]), ([0, 1], [0, 3]), ([0, -1], [0, 1]), ([0, 1], [-1, 1])])
+def test_metrics_reject_class_outside_range(truth, pred):
+    with pytest.raises(ConfigError):
+        compute_metrics(truth, pred, 3)
+
+
 def test_ablation_presets():
     assert ablation_presets("no_both", 0.3, 5.0) == (0.0, 0.0)
     assert ablation_presets("no_rec", 0.3, 5.0) == (0.0, 5.0)
