@@ -86,25 +86,25 @@ def _parse_config_file(path: str) -> dict:
             key, value = [part.strip() for part in line.split("=", 1)]
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value
+            try:
+                out[key] = _coerce(key, value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
     return out
 
 
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        current = getattr(TrainConfig(), key)
-        if isinstance(current, bool):
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(f"config key {key!r} expects a boolean, got {value!r}")
-        if isinstance(current, int):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-        if current is None:  # mlp_hidden
-            return int(value)
+def _coerce(key: str, value: str):
+    current = getattr(TrainConfig(), key)
+    if isinstance(current, bool):
+        if value.lower() in ("1", "true", "yes", "on"):
+            return True
+        if value.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expects a boolean, got {value!r}")
+    if isinstance(current, int) or current is None:  # None: mlp_hidden
+        return int(value)
+    if isinstance(current, float):
+        return float(value)
     return value
 
 
@@ -112,7 +112,7 @@ def resolve_train_config(args) -> TrainConfig:
     config = TrainConfig()
     if getattr(args, "config", None):
         for key, value in _parse_config_file(args.config).items():
-            setattr(config, key, _coerce(key, value))
+            setattr(config, key, value)
     flag_map = {
         "hidden": "hidden_dim",
         "batch_size": "batch_size",

@@ -288,14 +288,15 @@ def _walk(hops, lo, hi, rows, cols, counts):
         yield from _walk(hops[1:], lo + a, lo + b, key // n_dst, key % n_dst, paths)
 
 
-def _set_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Mean of ``padded[idx]`` over each row's index set, zero for empty sets.
+def _pool_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, counts=None) -> np.ndarray:
+    """Mean of ``padded[idx]`` over each row's index set (weighted by ``counts``), zero if empty.
 
-    ``padded`` is the feature matrix plus one trailing zero row. The result
-    is bit-identical to ``feats[idx].mean(axis=0)``: numpy sums along a
-    non-contiguous axis one row after another, so each set is laid out along
-    axis 0 of a (steps, rows, D) gather, in ascending index order, and
-    padded at the end with the zero row, which leaves the sums unchanged.
+    ``padded`` is the feature matrix plus one trailing zero row. Each set is
+    laid out along axis 0 of a (steps, rows, D) gather in ascending index
+    order, padded at the end with the zero row, and numpy sums along that
+    axis one row after another, so set means are bit-identical to
+    ``feats[idx].mean(axis=0)``. Counts (0 on padding) scale the gather in
+    place, and the weighted sums are divided by ``sum(w)``, exact below 2**53.
     Rows go longest set first, in tiles whose sets are longer than half the
     tile's longest, so padding at most doubles the work; a tile gathers at
     most REACH_BLOCK values unless one set alone is larger.
@@ -313,8 +314,14 @@ def _set_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> n
         rows = order[i:j]
         steps = np.arange(top)[:, None]
         pos = np.minimum(indptr[rows] + steps, indices.shape[0] - 1)
-        idx = np.where(steps < lens[rows], indices[pos], zero)
-        out[rows] = padded[idx].sum(axis=0) / lens[rows][:, None]
+        valid = steps < lens[rows]
+        gathered, sizes = padded[np.where(valid, indices[pos], zero)], lens[rows]
+        if counts is not None:
+            w = np.where(valid, counts[pos], 0.0)
+            gathered *= w[:, :, None]
+            sizes = w.sum(axis=0)
+        out[rows] = gathered.sum(axis=0) / sizes[:, None]
+        del gathered  # one tile's gather alive at a time
         i = j
     return out
 
@@ -397,10 +404,9 @@ def pooled_neighbor_features(
     ``counts @ F / counts.sum()``. Path counts are exact integers there
     (below 2**53), but BLAS sums the features in its own order, so dense
     means agree with the per-node mean to within 1e-12 * max(1, max|F|),
-    not bit for bit. Every other metapath takes the sparse route through
-    ``metapath_reach``, whose means are bit-identical to
-    ``feats[sorted pool].mean(axis=0)`` (set) and
-    ``(w @ feats[sorted pool]) / w.sum()`` (multiset).
+    not bit for bit. Every other metapath takes the sparse route (``_pool_means`` per
+    ``metapath_reach`` block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
+    multiset means ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in ascending terminal id order.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     frontier = _dense_frontier(graph, nodes, metapath)
@@ -411,13 +417,7 @@ def pooled_neighbor_features(
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
     for lo, hi, rows, indices, counts in metapath_reach(graph, nodes, metapath, exclude_self):
         indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
-        if not multiset:
-            out[lo:hi] = _set_means(padded, indptr, indices)
-            continue
-        for i in np.flatnonzero(np.diff(indptr)):
-            a, b = indptr[i], indptr[i + 1]
-            w = counts[a:b].astype(np.float64)
-            out[lo + i] = (w @ feats[indices[a:b]]) / w.sum()
+        out[lo:hi] = _pool_means(padded, indptr, indices, counts if multiset else None)
     return out
 
 

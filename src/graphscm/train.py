@@ -13,6 +13,7 @@ run instead of freezing on the first F1 plateau.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ class TrainConfig:
     mlp_hidden: int | None = None
 
     def validate(self) -> None:
+        for name in ("learning_rate", "weight_decay", "beta", "gamma", "rho", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("hidden_dim", "batch_size", "learning_rate", "max_epochs", "max_metapath_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -80,8 +84,12 @@ class TrainConfig:
             raise ConfigError("patience must be nonnegative")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be nonnegative")
-        if self.beta < 0 or self.gamma < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        if min(self.beta, self.gamma, self.rho, self.alpha) < 0:
+            raise ConfigError("loss weights beta, gamma, rho and alpha must be nonnegative")
+        if self.mlp_hidden is not None and self.mlp_hidden <= 0:
+            raise ConfigError("mlp_hidden must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.activation not in ("relu", "sigmoid"):
             raise ConfigError(f"unknown activation {self.activation!r}")
 

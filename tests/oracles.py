@@ -149,7 +149,11 @@ def path_counts(adj, node: int, metapath) -> dict[int, int]:
     return counts
 
 
-def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False) -> np.ndarray:
+def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False, ordered=False) -> np.ndarray:
+    """Per-node pooled means. Multiset means are the previous implementation's
+    ``(w @ feats[idx]) / w.sum()``, summed in BLAS order, or with ``ordered``
+    the sparse route's contract: ``fl(w_k * F_k)`` added one terminal after
+    another in ascending id order, over ``sum(w)``."""
     feats = graph.features[metapath.terminal_type]
     out = np.zeros((len(nodes), feats.shape[1]))
     for i, node in enumerate(nodes):
@@ -160,7 +164,13 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False
             if counts:
                 idx = sorted(counts)
                 w = np.array([counts[j] for j in idx], dtype=np.float64)
-                out[i] = (w @ feats[idx]) / w.sum()
+                if ordered:
+                    acc = w[0] * feats[idx[0]]
+                    for k in range(1, len(idx)):
+                        acc = acc + w[k] * feats[idx[k]]
+                    out[i] = acc / w.sum()
+                else:
+                    out[i] = (w @ feats[idx]) / w.sum()
         else:
             pool = neighbor_set(adj, int(node), metapath, exclude_self=exclude_self)
             if pool:

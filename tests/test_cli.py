@@ -2,10 +2,13 @@ import base64
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphscm
 from graphscm.cli import main
 
 
@@ -254,6 +257,55 @@ def test_unknown_config_key_rejected(synth_dir, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("warp_speed = 9\n")
     assert run_cli("train", synth_dir, "--out", str(tmp_path / "x"), "--config", str(config)) == 2
+
+
+@pytest.mark.parametrize("key, value, line", [("hidden_dim", "abc", 2), ("learning_rate", "x", 3)])
+def test_unparsable_config_value_names_file_and_line(synth_dir, tmp_path, capsys, key, value, line):
+    config = tmp_path / "c.cfg"
+    lines = ["max_epochs = 2", "hidden_dim = 8", "learning_rate = 0.01"]
+    lines[line - 1] = f"{key} = {value}"
+    config.write_text("\n".join(lines) + "\n")
+    assert run_cli("train", synth_dir, "--out", str(tmp_path / "x"), "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert f"c.cfg:{line}" in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, cfg, name",
+    [
+        (["--lr", "nan"], None, "learning_rate"),
+        (["--beta", "nan"], None, "beta"),
+        (["--gamma", "inf"], None, "gamma"),
+        ([], "rho = nan", "rho"),
+        ([], "alpha = nan", "alpha"),
+        ([], "weight_decay = inf", "weight_decay"),
+        ([], "rho = -5", "rho"),
+        ([], "alpha = -1", "alpha"),
+        (["--mlp-hidden", "0"], None, "mlp_hidden"),
+        (["--mlp-hidden", "-3"], None, "mlp_hidden"),
+        (["--seed", "-1"], None, "seed"),
+    ],
+    ids=lambda v: (" ".join(v) or "cfg") if isinstance(v, list) else None,
+)
+def test_out_of_range_config_rejected_before_training(synth_dir, tmp_path, capsys, flags, cfg, name):
+    out = tmp_path / "x"
+    if cfg is not None:
+        config = tmp_path / "c.cfg"
+        config.write_text(cfg + "\n")
+        flags = [*flags, "--config", str(config)]
+    assert run_cli("train", synth_dir, "--out", str(out), "--max-epochs", 2, *flags) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any artifact is written
+
+
+def test_python_dash_m_runs_the_cli():
+    # the child imports the same graphscm as this process
+    src = os.path.dirname(os.path.dirname(graphscm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "graphscm", "--version"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("graphscm ")
 
 
 def test_nan_aborts_with_exit_3(synth_dir, tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 Every table from the sparse route must be byte-equal to the loop
 implementations in ``oracles``: the vectorised code only re-lays-out the
-computation. The dense pooling route sums features in BLAS order, so its
-tables are held to 1e-12 * max(1, max|F|) of the oracle instead.
+computation. Sparse multiset means are byte-equal to the ascending-order
+weighted oracle and held to 1e-12 * max(1, max|F|) of the previous
+implementation's BLAS ``w @ F``. The dense pooling route sums features in
+BLAS order, so its tables are held to that tolerance of the oracle instead.
 """
 
 import numpy as np
@@ -93,6 +95,10 @@ def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach
                 assert (mp.name in DENSE_PATHS[which, reach_block]) == bool(dense_calls), case
                 if dense_calls:
                     assert _within_tolerance(got, want, feats), case
+                elif multiset:
+                    ordered = pooled_table(graph, adj, nodes, mp, multiset, exclude_self, ordered=True)
+                    assert _same_bytes(got, ordered), case
+                    assert _within_tolerance(got, want, feats), case
                 else:
                     assert _same_bytes(got, want), case
 
@@ -147,6 +153,33 @@ def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls
             if name == "APA":
                 # each query author is in its own APA pool, so dropping it moves every mean
                 assert np.all(np.any(tables[0] != tables[1], axis=1))
+
+
+@pytest.mark.parametrize("block", [None, 128])
+def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block, monkeypatch, dense_calls):
+    # an extra author with no papers reaches nothing; the query rows are an
+    # unordered, non-contiguous subset of the authors; a 128-cell block cuts
+    # the walk into row groups and each group's gather into several row tiles
+    if block is not None:
+        monkeypatch.setattr(hetgraph, "REACH_BLOCK", block)
+    extra = np.full((1, synth_graph.feature_dim("author")), 0.5)
+    features = dict(synth_graph.features, author=np.vstack([synth_graph.features["author"], extra]))
+    graph = HeteroGraph(synth_graph.schema, features, synth_graph.edges, np.append(synth_graph.labels, UNLABELED))
+    adj = adjacency_lists(graph)
+    nodes = [120, *range(118, 0, -3), 120, 7]
+    empty = [i for i, node in enumerate(nodes) if node == 120]
+    for mp in enumerate_metapaths(graph.schema, "author", 2):
+        tables = []
+        for exclude_self in (False, True):
+            got = pooled_neighbor_features(graph, nodes, mp, True, exclude_self)
+            assert _same_bytes(got, pooled_table(graph, adj, nodes, mp, True, exclude_self, ordered=True))
+            assert not got[empty].any()
+            tables.append(got)
+        if mp.name == "APA":
+            # each query author with papers is in its own APA pool, so dropping it moves every mean
+            moved = np.any(tables[0] != tables[1], axis=1)
+            assert np.all(moved == [node != 120 for node in nodes])
+    assert dense_calls == []
 
 
 def test_reach_counts_match_path_counts(synth_graph, reach_block):
