@@ -166,6 +166,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_split(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
     graph = load_graph(args.dataset)
     labeled = [int(i) for i in graph.labeled_nodes()]
     if args.kind == "iid":

@@ -299,7 +299,10 @@ def _pool_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, cou
     place, and the weighted sums are divided by ``sum(w)``, exact below 2**53.
     Rows go longest set first, in tiles whose sets are longer than half the
     tile's longest, so padding at most doubles the work; a tile gathers at
-    most REACH_BLOCK values unless one set alone is larger.
+    most REACH_BLOCK values unless one set alone is larger. A row's mean
+    does not depend on the rows that share its tile: they only add zero
+    padding after its last term. Gathers use ``np.take``, which copies the
+    same bytes as fancy indexing several times faster.
     """
     zero = padded.shape[0] - 1
     lens = np.diff(indptr)
@@ -315,9 +318,10 @@ def _pool_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, cou
         steps = np.arange(top)[:, None]
         pos = np.minimum(indptr[rows] + steps, indices.shape[0] - 1)
         valid = steps < lens[rows]
-        gathered, sizes = padded[np.where(valid, indices[pos], zero)], lens[rows]
+        gathered = np.take(padded, np.where(valid, np.take(indices, pos), zero), axis=0)
+        sizes = lens[rows]
         if counts is not None:
-            w = np.where(valid, counts[pos], 0.0)
+            w = np.where(valid, np.take(counts, pos), 0.0)
             gathered *= w[:, :, None]
             sizes = w.sum(axis=0)
         out[rows] = gathered.sum(axis=0) / sizes[:, None]
@@ -326,11 +330,10 @@ def _pool_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, cou
     return out
 
 
-def _dense_frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray | None:
+def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray | None:
     """The (rows, |src|) path counts from the query nodes over every hop of
-    ``metapath`` but the last, src being the last hop's source type, when
-    the dense route pools the metapath (see ``pooled_neighbor_features``);
-    None when the sparse route does."""
+    ``metapath`` but the last, src being the last hop's source type, or None
+    when it is empty or does not fit in REACH_BLOCK cells."""
     src = graph.schema.relation(metapath.relations[-1]).src
     cells = nodes.shape[0] * graph.num_nodes(src)
     if not 0 < cells <= REACH_BLOCK:
@@ -338,7 +341,16 @@ def _dense_frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -
     frontier = np.zeros((nodes.shape[0], graph.num_nodes(src)))
     for lo, _, rows, cols, counts in _reach_blocks(graph, nodes, metapath.relations[:-1]):
         frontier[lo + rows, cols] = counts
-    return frontier if 2 * np.count_nonzero(frontier) >= cells else None
+    return frontier
+
+
+def _last_hop(graph: HeteroGraph, frontier: np.ndarray, metapath: MetaPath):
+    """``metapath_reach``'s blocks for the rows of ``frontier``, walked from
+    its nonzeros through the last hop of ``metapath``."""
+    rel = graph.schema.relation(metapath.relations[-1])
+    rows, cols = np.nonzero(frontier)
+    hop = (graph.csr[rel.name], graph.num_nodes(rel.dst))
+    return _walk([hop], 0, frontier.shape[0], rows, cols, frontier[rows, cols].astype(np.int64))
 
 
 def _dense_pool(
@@ -349,7 +361,7 @@ def _dense_pool(
     multiset: bool,
     exclude_self: bool,
 ) -> np.ndarray:
-    """Pooled features from the frontier of ``_dense_frontier``: the path
+    """Pooled features from the frontier of ``_frontier``: the path
     counts to the terminal nodes are ``frontier @ incidence`` of the last
     relation, formed in column tiles of at most REACH_BLOCK cells (and an
     incidence tile as large), then weighted by their counts (multiset) or by
@@ -407,18 +419,36 @@ def pooled_neighbor_features(
     not bit for bit. Every other metapath takes the sparse route (``_pool_means`` per
     ``metapath_reach`` block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
     multiset means ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in ascending terminal id order.
+
+    Query rows with equal frontier rows (equal counts for a multiset, equal
+    support for a set) have equal pools, so when the frontier fits, the
+    sparse route pools each distinct frontier row once, walking the last
+    hop from its nonzeros, and copies the means to the rows that share it
+    (APVP, whose authors reach one of a few venue subsets, say). A mean
+    depends only on its own pool, so the bits are the same as pooling
+    every row. ``exclude_self`` on a metapath back to the source type makes
+    the query node part of the pool, and such calls pool every row.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    frontier = _dense_frontier(graph, nodes, metapath)
-    if frontier is not None:
+    frontier = _frontier(graph, nodes, metapath)
+    if frontier is not None and 2 * np.count_nonzero(frontier) >= frontier.size:
         return _dense_pool(graph, nodes, metapath, frontier, multiset, exclude_self)
     feats = graph.features[metapath.terminal_type]
-    out = np.zeros((len(nodes), feats.shape[1]))
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
-    for lo, hi, rows, indices, counts in metapath_reach(graph, nodes, metapath, exclude_self):
+    inverse = None
+    if frontier is None or (exclude_self and metapath.terminal_type == metapath.source_type):
+        blocks, n = metapath_reach(graph, nodes, metapath, exclude_self), nodes.shape[0]
+    else:
+        key = frontier if multiset else frontier > 0
+        # each row as one opaque value: unique rows sort by memcmp, not field by field
+        as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
+        blocks, n = _last_hop(graph, key[first], metapath), first.shape[0]
+    out = np.zeros((n, feats.shape[1]))
+    for lo, hi, rows, indices, counts in blocks:
         indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
         out[lo:hi] = _pool_means(padded, indptr, indices, counts if multiset else None)
-    return out
+    return out if inverse is None else out[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +657,29 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _put_digits(buf: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
+    """Write the decimal digits of the non-negative ``values`` into ``buf``,
+    each value's last digit just before its entry of ``ends``."""
+    while values.size:
+        buf[ends - 1] = values % 10 + ord("0")
+        more = values >= 10
+        values, ends = values[more] // 10, ends[more] - 1
+
+
 def _pair_lines(first: np.ndarray, second: np.ndarray) -> str:
-    return "".join(map("{}\t{}\n".format, first.tolist(), second.tolist()))
+    """One ``first<TAB>second`` line per pair of non-negative int64s, the
+    bytes ``str.format`` gives, with the digits laid out by numpy in one buffer."""
+    w1, w2 = (1 + np.searchsorted(_POWERS_OF_TEN, v, side="right") for v in (first, second))
+    ends = np.cumsum(w1 + w2 + 2)
+    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    tabs = ends - w2 - 2
+    buf[tabs], buf[ends - 1] = ord("\t"), ord("\n")
+    _put_digits(buf, tabs, first)
+    _put_digits(buf, ends - 1, second)
+    return buf.tobytes().decode("ascii")
 
 
 def write_dataset(graph: HeteroGraph, out_dir: str) -> None:

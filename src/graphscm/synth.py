@@ -57,6 +57,10 @@ class SynthSpec:
             raise ConfigError("causal and spurious metapaths must differ")
         if not 0.0 <= self.spurious_strength <= 1.0:
             raise ConfigError("spurious_strength must lie in [0, 1]")
+        if not 0.0 <= self.noise <= 1.0:  # a flip probability; nan fails too
+            raise ConfigError("noise must be a finite number in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.authors < self.num_classes:
             raise ConfigError("need at least one author per class")
         if self.venues_per_class < 2:

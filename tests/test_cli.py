@@ -84,6 +84,30 @@ def test_split_command_iid_and_rerun_identical(synth_dir, tmp_path):
     assert os.path.isfile(os.path.join(out1, "split-report.csv"))
 
 
+@pytest.mark.parametrize("kind", ["iid", "homophily"])
+def test_split_negative_seed_exits_2(synth_dir, tmp_path, capsys, kind):
+    out = tmp_path / "s"
+    assert run_cli("split", synth_dir, "--kind", kind, "--seed", -1, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--seed", "-1"], "seed"),
+    (["--noise", "nan"], "noise"),
+    (["--noise", "inf"], "noise"),
+    (["--noise", "-1"], "noise"),
+    (["--noise", "1.5"], "noise"),
+], ids=" ".join)
+def test_synth_out_of_range_spec_exits_2(tmp_path, capsys, flags, name):
+    out = tmp_path / "d"
+    assert run_cli("synth", "--out", str(out), "--authors", 20, *flags) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_split_command_homophily(synth_dir, tmp_path):
     out = str(tmp_path / "homo")
     assert run_cli("split", synth_dir, "--kind", "homophily", "--seed", 0, "--out", out) == 0

@@ -11,6 +11,7 @@ from graphscm.hetgraph import (
     HeteroGraph,
     _fast_features,
     _fast_pairs,
+    _pair_lines,
     _read_edges_lines,
     _read_features_lines,
     Relation,
@@ -93,6 +94,38 @@ def test_write_dataset_zero_width_features(toy_graph, tmp_path):
     write_dataset_lines(graph, str(tmp_path / "lines"))
     assert (tmp_path / "fast" / "nodes-venue.tsv").read_bytes() == b"0\n"
     assert (tmp_path / "lines" / "nodes-venue.tsv").read_bytes() == b"0\n"
+
+
+def test_write_dataset_empty_relation_and_digit_boundaries(dblp_schema, tmp_path):
+    # paper ids cross every digit count up to 100000; nothing uses a term
+    sizes = {"author": 11, "paper": 100001, "venue": 2, "term": 1}
+    features = {t: np.zeros((n, 0)) for t, n in sizes.items()}
+    ids = np.array([0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000])
+    forward = {
+        "write": np.column_stack([np.arange(11), ids]),
+        "publish": np.column_stack([ids % 2, ids[::-1]]),
+        "use": np.zeros((0, 2), dtype=np.int64),
+    }
+    edges = dict(forward, **{"rev_" + name: e[:, ::-1].copy() for name, e in forward.items()})
+    labels = np.array([UNLABELED, 1, 2, 3, 0, UNLABELED, 1, 2, 3, 0, 1])
+    graph = HeteroGraph(dblp_schema, features, edges, labels)
+    write_dataset(graph, str(tmp_path / "fast"))
+    write_dataset_lines(graph, str(tmp_path / "lines"))
+    names = sorted(os.listdir(tmp_path / "lines"))
+    assert sorted(os.listdir(tmp_path / "fast")) == names
+    for name in names:
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "lines" / name).read_bytes(), name
+    assert (tmp_path / "fast" / "edges-use.tsv").read_bytes() == b""
+    assert (tmp_path / "fast" / "edges-write.tsv").read_bytes().endswith(b"\n8\t10000\n9\t99999\n10\t100000\n")
+
+
+def test_pair_lines_match_str_format_at_every_digit_count():
+    values = np.array([0, 1, 9, 10, 99, 100, 99999, 100000, 10**18 - 1, 10**18, 2**63 - 1], dtype=np.int64)
+    first, second = (v.ravel() for v in np.meshgrid(values, values))
+    want = "".join(f"{a}\t{b}\n" for a, b in zip(first.tolist(), second.tolist()))
+    assert _pair_lines(first, second) == want
+    empty = np.zeros(0, dtype=np.int64)
+    assert _pair_lines(empty, empty) == ""
 
 
 def test_dangling_edge_index_rejected(toy_dir, tmp_path):

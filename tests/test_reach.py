@@ -51,7 +51,8 @@ def _within_tolerance(got: np.ndarray, want: np.ndarray, feats: np.ndarray) -> b
 
 
 def _dense_route(graph, nodes, mp) -> bool:
-    return hetgraph._dense_frontier(graph, np.asarray(nodes, dtype=np.int64), mp) is not None
+    frontier = hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp)
+    return frontier is not None and 2 * np.count_nonzero(frontier) >= frontier.size
 
 
 @pytest.fixture()
@@ -217,3 +218,85 @@ def test_empty_query_and_empty_reach(toy_graph):
     ap = enumerate_metapaths(toy_graph.schema, "author", 1)[0]
     assert list(metapath_reach(toy_graph, [], ap)) == []
     assert pooled_neighbor_features(toy_graph, [], ap).shape == (0, 2)
+
+
+@pytest.fixture()
+def pooled_rows(monkeypatch):
+    """The number of rows that ``_pool_means`` averages, call by call."""
+    calls = []
+    pool_means = hetgraph._pool_means
+
+    def spy(padded, indptr, *args):
+        calls.append(indptr.shape[0] - 1)
+        return pool_means(padded, indptr, *args)
+
+    monkeypatch.setattr(hetgraph, "_pool_means", spy)
+    return calls
+
+
+def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, pooled_rows, dense_calls):
+    # authors 0 and 3 reach venues (0, 1) along 2 and 1 papers, author 1
+    # along 1 and 1, author 2 reaches venue 0 alone; venues 2-5 keep the
+    # (author x venue) frontier under half nonzero, so APVP is pooled sparse
+    rng = np.random.default_rng(0)
+    sizes = {"author": 4, "paper": 6, "venue": 6, "term": 1}
+    features = {t: rng.normal(size=(n, 3)) for t, n in sizes.items()}
+    forward = {
+        "write": [(0, 0), (0, 1), (0, 3), (1, 2), (1, 4), (2, 0), (3, 1), (3, 2), (3, 4)],
+        "publish": [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 5)],
+        "use": [],
+    }
+    edges = {}
+    for name, pairs in forward.items():
+        edges[name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        edges["rev_" + name] = edges[name][:, ::-1].copy()
+    graph = HeteroGraph(dblp_schema, features, edges, np.full(4, UNLABELED))
+    apvp = next(mp for mp in enumerate_metapaths(dblp_schema, "author", 3) if mp.name == "APVP")
+    adj = adjacency_lists(graph)
+    nodes = [0, 1, 2, 3]
+    pooled_rows.clear()
+    sets = pooled_neighbor_features(graph, nodes, apvp)
+    assert pooled_rows == [2]
+    assert _same_bytes(sets, pooled_table(graph, adj, nodes, apvp))
+    assert _same_bytes(sets[0], sets[1]) and _same_bytes(sets[0], sets[3])
+    pooled_rows.clear()
+    multisets = pooled_neighbor_features(graph, nodes, apvp, multiset=True)
+    assert pooled_rows == [3]
+    assert _same_bytes(multisets, pooled_table(graph, adj, nodes, apvp, multiset=True, ordered=True))
+    assert np.any(multisets[0] != multisets[1]) and _same_bytes(multisets[0], multisets[3])
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize("multiset", [False, True])
+def test_apvp_pools_each_distinct_frontier_row_once(synth_graph, multiset, pooled_rows, dense_calls):
+    paths = {mp.name: mp for mp in enumerate_metapaths(synth_graph.schema, "author", 3)}
+    apvp, apv = paths["APVP"], paths["APV"]
+    assert apv.relations == apvp.relations[:-1]
+    adj = adjacency_lists(synth_graph)
+    nodes = list(range(synth_graph.num_nodes("author")))
+    frontiers = [path_counts(adj, node, apv) for node in nodes]
+    distinct = {frozenset(f.items() if multiset else f) for f in frontiers}
+    assert len(distinct) < len(nodes) // 10
+    got = pooled_neighbor_features(synth_graph, nodes, apvp, multiset)
+    assert sum(pooled_rows) == len(distinct)
+    assert dense_calls == []
+    assert _same_bytes(got, pooled_table(synth_graph, adj, nodes, apvp, multiset, ordered=multiset))
+
+
+@pytest.mark.parametrize("multiset", [False, True])
+def test_exclude_self_back_to_the_source_pools_every_row(synth_graph, multiset, pooled_rows, dense_calls):
+    # APVPA's frontier (author x paper) fits the block; authors that share
+    # it differ once each drops itself from its pool
+    apvpa = next(mp for mp in enumerate_metapaths(synth_graph.schema, "author", 4) if mp.name == "APVPA")
+    adj = adjacency_lists(synth_graph)
+    nodes = list(range(synth_graph.num_nodes("author")))
+    frontier = hetgraph._frontier(synth_graph, np.asarray(nodes), apvpa)
+    assert frontier is not None
+    _, groups = np.unique(frontier if multiset else frontier > 0, axis=0, return_inverse=True)
+    got = pooled_neighbor_features(synth_graph, nodes, apvpa, multiset, exclude_self=True)
+    assert sum(pooled_rows) == len(nodes)
+    assert dense_calls == []
+    assert _same_bytes(got, pooled_table(synth_graph, adj, nodes, apvpa, multiset, True, ordered=multiset))
+    # some authors with equal frontier rows get different means
+    pairs = np.column_stack([groups.ravel(), got])
+    assert np.unique(pairs, axis=0).shape[0] > groups.max() + 1
