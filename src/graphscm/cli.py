@@ -130,7 +130,7 @@ def resolve_train_config(args) -> TrainConfig:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(config, key, value)
-    for flag in ("multiset_neighbors", "exclude_self", "forward_only", "native_dims"):
+    for flag in ("multiset_neighbors", "exclude_self", "forward_only"):
         if getattr(args, flag, False):
             setattr(config, flag, True)
     ablation = getattr(args, "ablation", None) or "full"
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiset-neighbors", action="store_true", dest="multiset_neighbors")
     p.add_argument("--exclude-self", action="store_true", dest="exclude_self")
     p.add_argument("--forward-only", action="store_true", dest="forward_only")
-    p.add_argument("--native-dims", action="store_true", dest="native_dims")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, pooled_neighbor_features
-from .numcore import Tensor, block_affine, kaiming_uniform, mul, stack, take
+from .numcore import Tensor, block_affine, kaiming_uniform, mul
 
 EGO_NAME = "EGO"
 LABEL_NAME = "Y"
@@ -29,11 +29,9 @@ class Encoders:
     and ``enc.b`` (slots, H), where slot j maps its ``in_dims[j]`` input
     columns to H through the rows ``rows(j)`` of ``enc.W``.
 
-    The slots are the ego, every metapath pool and the label. With native
-    widths only the ego and the label are encoded (slots 0 and 1), and the
-    pooled features pass through unchanged, zero-padded to the widest
-    variable. Initial weights are drawn ego, label, then the metapaths;
-    with no ``rng`` they stay zero.
+    The slots are the ego, every metapath pool and the label. Initial
+    weights are drawn ego, label, then the metapaths; with no ``rng`` they
+    stay zero.
     """
 
     def __init__(
@@ -43,11 +41,9 @@ class Encoders:
         terminal_dims: Sequence[int],
         hidden_dim: int,
         rng: np.random.Generator | None,
-        native_dims: bool = False,
     ):
-        self.in_dims = [target_dim, *([] if native_dims else terminal_dims), num_classes]
+        self.in_dims = [target_dim, *terminal_dims, num_classes]
         self.hidden_dim = hidden_dim
-        self.native_dims = native_dims
         n = len(self.in_dims)
         weight = np.zeros((sum(self.in_dims), hidden_dim))
         draw_order = [0, n - 1] + list(range(1, n - 1)) if rng is not None else []
@@ -68,21 +64,17 @@ class Encoders:
         return [self.weight, self.bias]
 
     def __call__(self, ego: np.ndarray, pooled: Sequence[np.ndarray], labels: Optional[np.ndarray]) -> Tensor:
-        """The (q + 2, B, D) variables of a batch from its raw inputs: ego
+        """The (q + 2, B, H) variables of a batch from its raw inputs: ego
         features, one pooled matrix per metapath, and class indices (None
         when the labels are unknown; the label slot is then zero)."""
         num_classes = self.in_dims[-1]
         label = np.zeros((ego.shape[0], num_classes)) if labels is None else one_hot(labels, num_classes)
-        inputs = [ego, label] if self.native_dims else [ego, *pooled, label]
+        inputs = [ego, *pooled, label]
         widths = [x.shape[1] for x in inputs]
         if widths != self.in_dims:
             raise DimensionError(f"encoder inputs have widths {widths}, encoders expect {self.in_dims}")
         bias = self.bias if labels is not None else mul(self.bias, Tensor(self._unknown_label))
-        encoded = block_affine(inputs, self.weight, bias)
-        if not self.native_dims:
-            return encoded
-        width = max([self.hidden_dim] + [p.shape[1] for p in pooled])
-        return stack([take(encoded, 0), *(Tensor(p) for p in pooled), take(encoded, 1)], width)
+        return block_affine(inputs, self.weight, bias)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -98,7 +90,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 class VariableBatch:
     """The q+2 per-sample variable representations, stacked in fixed order."""
 
-    values: Tensor              # (q + 2, B, D), narrower variables zero-padded to D
+    values: Tensor              # (q + 2, B, H)
     names: list[str]            # ["EGO", metapath names..., "Y"]
     label_known: np.ndarray     # bool per sample
 

@@ -49,19 +49,18 @@ class Linear:
 class StackedMlp:
     """Independent perceptrons of one layout, one per slice of a leading axis.
 
-    Network j maps width ``io_dims[j]`` to itself through ``n_layers`` weight
-    layers with ``hidden_dim`` hidden units and the activation between
-    consecutive layers. Layer l of every network lives in one stacked weight
-    ``{name}.{l}.W`` of shape (count, in, out) and bias ``{name}.{l}.b``;
-    narrower networks are zero-padded to the widest one's inputs and outputs,
-    and the padding stays zero in training because it receives zero gradient. Initial
-    weights are drawn network by network, layer by layer; with no ``rng``
-    every weight stays zero.
+    Each of the ``count`` networks maps ``width`` columns to ``width``
+    through ``n_layers`` weight layers with ``hidden_dim`` hidden units and
+    the activation between consecutive layers. Layer l of every network
+    lives in one stacked weight ``{name}.{l}.W`` of shape (count, in, out)
+    and bias ``{name}.{l}.b``. Initial weights are drawn network by network,
+    layer by layer; with no ``rng`` every weight stays zero.
     """
 
     def __init__(
         self,
-        io_dims: list[int],
+        count: int,
+        width: int,
         hidden_dim: int,
         n_layers: int,
         activation: str,
@@ -70,21 +69,18 @@ class StackedMlp:
     ):
         if n_layers < 1:
             raise ConfigError("StackedMlp needs at least one layer")
-        width = max(io_dims)
-        padded = [width] + [hidden_dim] * (n_layers - 1) + [width]
-        count = len(io_dims)
+        dims = [width] + [hidden_dim] * (n_layers - 1) + [width]
         self.weights = [
-            Tensor(np.zeros((count, padded[l], padded[l + 1])), requires_grad=True, name=f"{name}.{l}.W")
+            Tensor(np.zeros((count, dims[l], dims[l + 1])), requires_grad=True, name=f"{name}.{l}.W")
             for l in range(n_layers)
         ]
         self.biases = [
-            Tensor(np.zeros((count, padded[l + 1])), requires_grad=True, name=f"{name}.{l}.b")
+            Tensor(np.zeros((count, dims[l + 1])), requires_grad=True, name=f"{name}.{l}.b")
             for l in range(n_layers)
         ]
-        for j, d in enumerate(io_dims) if rng is not None else []:
-            dims = [d] + [hidden_dim] * (n_layers - 1) + [d]
+        for j in range(count) if rng is not None else []:
             for l, w in enumerate(self.weights):
-                w.data[j, : dims[l], : dims[l + 1]] = kaiming_uniform(rng, dims[l], dims[l + 1])
+                w.data[j] = kaiming_uniform(rng, dims[l], dims[l + 1])
         self.activation = activation
 
     def __call__(self, x: Tensor, rows: slice | None = None) -> Tensor:

@@ -13,11 +13,11 @@ against anything are supported. This keeps every gradient rule small enough
 to audit by hand.
 
 Stacked tensors carry independent slices along a leading axis (one per
-variable or per network). Their ops (``bmm``, ``block_affine``, ``stack``,
-``take``, ``pair_mix``, and ``frobenius_sq`` on 3-D input) run every slice
-through the same numpy call the unstacked 2-D op makes on it, so a stacked
-network computes the same bits as its per-slice counterpart while recording
-one tape entry in total.
+variable or per network). Their ops (``bmm``, ``block_affine``, ``take``,
+``pair_mix``, and ``frobenius_sq`` on 3-D input) run every slice through
+the same numpy call the unstacked 2-D op makes on it, so a stacked network
+computes the same bits as its per-slice counterpart while recording one
+tape entry in total.
 
 A gradient closure hands ``_accumulate`` an array that no other tensor holds:
 ops that pass their incoming gradient on (or a view of it) copy it first.
@@ -427,27 +427,6 @@ def block_affine(xs: Sequence[np.ndarray], w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=1))
 
     return _record(Tensor(out), (w, b), backward)
-
-
-def stack(xs: Sequence[Tensor], width: int) -> Tensor:
-    """Stack 2-D tensors of equal height along a new leading axis, each
-    zero-padded on the right to ``width`` columns."""
-    if not xs or any(x.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs):
-        raise DimensionError(f"stack needs 2-D tensors of one height, got {[x.shape for x in xs]}")
-    cols = [x.shape[1] for x in xs]
-    if max(cols) > width:
-        raise DimensionError(f"stack: a tensor is wider than {width} columns")
-    out = Tensor(np.empty((len(xs), xs[0].shape[0], width)))
-    for i, x in enumerate(xs):
-        out.data[i, :, : cols[i]] = x.data
-        out.data[i, :, cols[i] :] = 0.0
-
-    def backward(g: np.ndarray) -> None:
-        for i, x in enumerate(xs):
-            if x.requires_grad:
-                _accumulate(x, g[i, :, : cols[i]].copy())
-
-    return _record(out, xs, backward)
 
 
 def take(x: Tensor, index) -> Tensor:

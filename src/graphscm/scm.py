@@ -81,25 +81,24 @@ class ScmParameters:
     Each kind of network is stacked along a leading axis: ``effect`` slice i
     is Effect_i, ``decoder`` slice k is Decoder_k, and ``pair_weight`` /
     ``pair_bias`` of shape (n, n - 1, D, D) / (n, n - 1, D) hold cause i's
-    n - 1 pair maps in slot s, the map into target k = s + (s >= i). With
-    native widths every slice is zero-padded to D = max(var_dims). With no
-    ``rng`` nothing is drawn and every tensor starts at zero.
+    n - 1 pair maps in slot s, the map into target k = s + (s >= i), where D
+    is the common ``width`` of every variable. With no ``rng`` nothing is
+    drawn and every tensor starts at zero.
     """
 
     def __init__(
         self,
-        var_dims: list[int],
+        n_vars: int,
+        width: int,
         num_classes: int,
         activation: str,
         rng: np.random.Generator | None,
         mlp_hidden: int | None = None,
     ):
-        n = len(var_dims)
-        if n < 2:
+        if n_vars < 2:
             raise ContractError("an SCM needs at least two variables")
-        self.var_dims = list(var_dims)
+        n = self.n_vars = n_vars
         self.activation = activation
-        width = max(var_dims)
         self.width = width
         hidden = mlp_hidden if mlp_hidden is not None else width
         self.mlp_hidden = hidden
@@ -109,23 +108,16 @@ class ScmParameters:
             self.dag = Tensor(np.zeros((n, n)), requires_grad=True, name="dag.A")
         else:
             self.dag = init_dag(n, rng)
-        self.effect = StackedMlp(var_dims, hidden, 2, activation, rng, "scm.effect")
+        self.effect = StackedMlp(n, width, hidden, 2, activation, rng, "scm.effect")
         pair = np.zeros((n, n - 1, width, width))
-        for i in range(n) if rng is not None else []:
-            for s in range(n - 1):
-                k = s + (s >= i)
-                pair[i, s, : var_dims[i], : var_dims[k]] = kaiming_uniform(rng, var_dims[i], var_dims[k])
+        for i, s in np.ndindex(n, n - 1) if rng is not None else []:
+            pair[i, s] = kaiming_uniform(rng, width, width)
         self.pair_weight = Tensor(pair, requires_grad=True, name="scm.pair.W")
         self.pair_bias = Tensor(np.zeros((n, n - 1, width)), requires_grad=True, name="scm.pair.b")
-        self.decoder = StackedMlp(var_dims, hidden, 3, activation, rng, "scm.decoder")
-        label_dim = var_dims[-1]
-        self.inv1 = Linear(label_dim, label_dim, rng, "scm.inv1")
-        self.inv2 = Linear(label_dim, num_classes, rng, "scm.inv2")
+        self.decoder = StackedMlp(n, width, hidden, 3, activation, rng, "scm.decoder")
+        self.inv1 = Linear(width, width, rng, "scm.inv1")
+        self.inv2 = Linear(width, num_classes, rng, "scm.inv2")
         self.decoder_calls = 0  # instrumentation: one bump per decoded variable per batch
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_dims)
 
     def parameters(self) -> list[Tensor]:
         return (
@@ -177,7 +169,7 @@ def label_probabilities_from(decoded: Tensor, params: ScmParameters) -> Tensor:
     """Map the reconstructed label variable, the last slot of ``decoded``, to
     class probabilities through the shortcut network approximating the label
     encoder's inverse."""
-    h_y_hat = take(decoded, (-1, slice(None), slice(0, params.var_dims[-1])))
+    h_y_hat = take(decoded, -1)
     shortcut = activate(params.inv1(h_y_hat), params.activation)
     logits = params.inv2(add(h_y_hat, shortcut))
     return softmax(logits)
@@ -201,19 +193,43 @@ class ModelMeta:
     """Everything needed to rebuild the model skeleton and its data pipeline."""
 
     variable_names: list[str]
-    var_dims: list[int]
     num_classes: int
     hidden_dim: int
     activation: str
     mlp_hidden: int
     max_metapath_len: int
-    native_dims: bool
     multiset_neighbors: bool
     exclude_self: bool
     forward_only: bool
     target_type: str
     target_dim: int
     terminal_dims: list[int]
+
+    def validate(self, path: str) -> None:
+        """Raise LoadError naming ``path`` and the first malformed field."""
+
+        def bad(name: str, expected: str) -> LoadError:
+            return LoadError(f"{path}: meta field {name!r} must be {expected}, got {getattr(self, name)!r}")
+
+        def is_int(value, least: int) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+        for name in ("num_classes", "hidden_dim", "mlp_hidden", "max_metapath_len"):
+            if not is_int(getattr(self, name), 1):
+                raise bad(name, "a positive integer")
+        if not is_int(self.target_dim, 0):
+            raise bad("target_dim", "a nonnegative integer")
+        if not isinstance(self.terminal_dims, list) or not all(is_int(d, 0) for d in self.terminal_dims):
+            raise bad("terminal_dims", "a list of nonnegative integers")
+        n = len(self.terminal_dims) + 2
+        names = self.variable_names
+        if not isinstance(names, list) or len(names) != n or not all(isinstance(v, str) for v in names):
+            raise bad("variable_names", f"a list of {n} strings")
+        if self.activation not in ("relu", "sigmoid"):
+            raise bad("activation", "'relu' or 'sigmoid'")
+        for name in ("multiset_neighbors", "exclude_self", "forward_only"):
+            if not isinstance(getattr(self, name), bool):
+                raise bad(name, "a boolean")
 
 
 class ScmModel:
@@ -238,10 +254,10 @@ class ScmModel:
             meta.terminal_dims,
             meta.hidden_dim,
             rng,
-            native_dims=meta.native_dims,
         )
         self.scm = ScmParameters(
-            meta.var_dims,
+            len(meta.variable_names),
+            meta.hidden_dim,
             meta.num_classes,
             meta.activation,
             rng,
@@ -272,16 +288,8 @@ class ScmModel:
             p.grad = None
 
 
-def variable_dims(
-    hidden_dim: int, terminal_dims: list[int], native_dims: bool
-) -> list[int]:
-    if native_dims:
-        return [hidden_dim] + list(terminal_dims) + [hidden_dim]
-    return [hidden_dim] * (len(terminal_dims) + 2)
-
-
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 TENSOR_DTYPE = "<f8"  # every tensor's data: base64 of its row-major little-endian float64 bytes
 
 
@@ -355,6 +363,7 @@ def load_checkpoint(path: str) -> ScmModel:
         tensors = payload["tensors"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed checkpoint: {exc}") from exc
+    meta.validate(path)
     model = ScmModel._skeleton(meta)
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))

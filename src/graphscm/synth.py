@@ -67,6 +67,8 @@ class SynthSpec:
             raise ConfigError("need at least 2 venues per class")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
+        if self.terms < max(self.num_classes, self.terms_per_paper):
+            raise ConfigError("terms must be at least num_classes and terms_per_paper")
         if self.author_dim < self.num_classes or self.paper_dim < self.num_classes:
             raise ConfigError("author/paper feature dims must fit the class leak block")
         if not 0.0 < self.test_regime_fraction < 1.0:

@@ -30,7 +30,6 @@ from .scm import (
     label_probabilities_from,
     predict_labels,
     reconstruct_all,
-    variable_dims,
     zero_diagonal,
 )
 from .splits import SplitSpec
@@ -70,7 +69,6 @@ class TrainConfig:
     multiset_neighbors: bool = False
     exclude_self: bool = False
     forward_only: bool = False
-    native_dims: bool = False
     mlp_hidden: int | None = None
 
     def validate(self) -> None:
@@ -183,22 +181,19 @@ def _variable_builder(graph: HeteroGraph, settings: TrainConfig | ModelMeta) -> 
 
 def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBuilder, ModelMeta]:
     builder = _variable_builder(graph, config)
-    terminal = builder.terminal_dims()
     meta = ModelMeta(
         variable_names=builder.variable_names,
-        var_dims=variable_dims(config.hidden_dim, terminal, config.native_dims),
         num_classes=graph.schema.num_classes,
         hidden_dim=config.hidden_dim,
         activation=config.activation,
         mlp_hidden=config.mlp_hidden if config.mlp_hidden is not None else config.hidden_dim,
         max_metapath_len=config.max_metapath_len,
-        native_dims=config.native_dims,
         multiset_neighbors=config.multiset_neighbors,
         exclude_self=config.exclude_self,
         forward_only=config.forward_only,
         target_type=graph.schema.target_type,
         target_dim=graph.feature_dim(graph.schema.target_type),
-        terminal_dims=terminal,
+        terminal_dims=builder.terminal_dims(),
     )
     return builder, meta
 

@@ -248,8 +248,8 @@ class PairwiseScm:
     """Per-network copies of a stacked ``ScmParameters``' weights.
 
     Every layer and pair map is its own tensor, cut from a slice of the
-    stacked weights (narrow variables unpadded); the DAG matrix is copied and
-    the label shortcut is shared.
+    stacked weights; the DAG matrix is copied and the label shortcut is
+    shared.
     """
 
     def __init__(self, params):
@@ -258,38 +258,27 @@ class PairwiseScm:
         def leaf(a, name):
             return Tensor(np.array(a, copy=True), requires_grad=True, name=name)
 
-        def cut(stacked, j, d, name):
-            n_layers = len(stacked.weights)
-            dims = [d] + [params.mlp_hidden] * (n_layers - 1) + [d]
+        def cut(stacked, j, name):
             return [
-                (
-                    leaf(w.data[j, : dims[l], : dims[l + 1]], f"{name}.{j}.{l}.W"),
-                    leaf(b.data[j, : dims[l + 1]], f"{name}.{j}.{l}.b"),
-                )
+                (leaf(w.data[j], f"{name}.{j}.{l}.W"), leaf(b.data[j], f"{name}.{j}.{l}.b"))
                 for l, (w, b) in enumerate(zip(stacked.weights, stacked.biases))
             ]
 
-        dims = params.var_dims
-        n = len(dims)
-        self.var_dims = list(dims)
+        n = self.n_vars = params.n_vars
         self.activation = params.activation
         self.dag = leaf(params.dag.data, "dag.A")
-        self.effect = [cut(params.effect, i, d, "effect") for i, d in enumerate(dims)]
+        self.effect = [cut(params.effect, i, "effect") for i in range(n)]
         self.pair = {}
         for i in range(n):
             for k in range(n):
                 if i != k:
                     s = k - (k > i)
                     self.pair[(i, k)] = (
-                        leaf(params.pair_weight.data[i, s, : dims[i], : dims[k]], f"pair.{i}.{k}.W"),
-                        leaf(params.pair_bias.data[i, s, : dims[k]], f"pair.{i}.{k}.b"),
+                        leaf(params.pair_weight.data[i, s], f"pair.{i}.{k}.W"),
+                        leaf(params.pair_bias.data[i, s], f"pair.{i}.{k}.b"),
                     )
-        self.decoder = [cut(params.decoder, k, d, "decoder") for k, d in enumerate(dims)]
+        self.decoder = [cut(params.decoder, k, "decoder") for k in range(n)]
         self.decoder_calls = 0
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_dims)
 
     def stacked_grads(self, params) -> dict[str, np.ndarray]:
         """The gradients of the per-network tensors laid out like the stacked
@@ -304,14 +293,12 @@ class PairwiseScm:
                 gw, gb = np.zeros(w.shape), np.zeros(b.shape)
                 for j, layers in enumerate(nets):
                     lw, lb = layers[l]
-                    gw[j, : lw.shape[0], : lw.shape[1]] = grad(lw)
-                    gb[j, : lb.shape[0]] = grad(lb)
+                    gw[j], gb[j] = grad(lw), grad(lb)
                 out[w.name], out[b.name] = gw, gb
         gw, gb = np.zeros(params.pair_weight.shape), np.zeros(params.pair_bias.shape)
         for (i, k), (w, b) in self.pair.items():
             s = k - (k > i)
-            gw[i, s, : w.shape[0], : w.shape[1]] = grad(w)
-            gb[i, s, : b.shape[0]] = grad(b)
+            gw[i, s], gb[i, s] = grad(w), grad(b)
         out["scm.pair.W"], out["scm.pair.b"] = gw, gb
         return out
 
@@ -375,7 +362,6 @@ class PerVariableEncoders:
         def leaf(a, name):
             return Tensor(np.array(a, copy=True), requires_grad=True, name=name)
 
-        self.native_dims = enc.native_dims
         self.hidden_dim = enc.hidden_dim
         self.in_dims = list(enc.in_dims)
         self.maps = [
@@ -395,8 +381,8 @@ class PerVariableEncoders:
 
 def encode_variables(ego, pooled, labels, enc: PerVariableEncoders):
     """The variables [ego, metapaths..., label] of a batch, one 2-D tensor
-    each: ego, then the metapath pools (passed through with native widths),
-    then the label (zero when ``labels`` is None)."""
+    each: ego, then the metapath pools, then the label (zero when ``labels``
+    is None)."""
     from graphscm.encoders import one_hot
     from graphscm.numcore import Tensor, add, matmul
 
@@ -404,11 +390,7 @@ def encode_variables(ego, pooled, labels, enc: PerVariableEncoders):
         w, b = enc.maps[j]
         return add(matmul(Tensor(x), w), b)
 
-    out = [affine(0, ego)]
-    if enc.native_dims:
-        out += [Tensor(p) for p in pooled]
-    else:
-        out += [affine(1 + j, p) for j, p in enumerate(pooled)]
+    out = [affine(0, ego)] + [affine(1 + j, p) for j, p in enumerate(pooled)]
     if labels is None:
         out.append(Tensor(np.zeros((ego.shape[0], enc.hidden_dim))))
     else:

@@ -99,6 +99,9 @@ def test_split_negative_seed_exits_2(synth_dir, tmp_path, capsys, kind):
     (["--noise", "inf"], "noise"),
     (["--noise", "-1"], "noise"),
     (["--noise", "1.5"], "noise"),
+    (["--terms", "0"], "terms"),
+    (["--terms", "1"], "terms"),
+    (["--terms", "3", "--classes", "4"], "terms"),
 ], ids=" ".join)
 def test_synth_out_of_range_spec_exits_2(tmp_path, capsys, flags, name):
     out = tmp_path / "d"
@@ -408,15 +411,18 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     assert "edge removal exhausted" in err and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("version", [2, 3])
-def test_version_2_and_3_checkpoints_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
-    """Checkpoints before version 4 stored tensor data as float lists; they
-    exit 2 with no traceback."""
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_checkpoints_before_version_5_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
+    """Checkpoints before version 5 carried ``native_dims`` and ``var_dims``
+    in their meta, and before version 4 stored tensor data as float lists;
+    they exit 2 with no traceback."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    assert payload["version"] == 4
+    assert payload["version"] == 5
     payload["version"] = version
-    for entry in payload["tensors"].values():
+    meta = payload["meta"]
+    meta["native_dims"], meta["var_dims"] = False, [meta["hidden_dim"]] * len(meta["variable_names"])
+    for entry in payload["tensors"].values() if version < 4 else []:
         del entry["dtype"]
         entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").tolist()
     old = str(tmp_path / f"v{version}.json")
@@ -425,6 +431,27 @@ def test_version_2_and_3_checkpoints_rejected(trained_dir, synth_dir, tmp_path, 
     assert run_cli("eval", synth_dir, "--checkpoint", old) == 2
     err = capsys.readouterr().err
     assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_dim", "x"),
+    ("hidden_dim", -3),
+    ("mlp_hidden", 2.5),
+    ("terminal_dims", "ab"),
+    ("max_metapath_len", "2"),
+    ("activation", "tanh"),
+])
+def test_malformed_checkpoint_meta_exits_2(trained_dir, synth_dir, tmp_path, capsys, field, value):
+    with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["meta"][field] = value
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    for args in (["eval", synth_dir], ["explain", "--out", str(tmp_path / "d")]):
+        assert run_cli(*args, "--checkpoint", bad) == 2, args
+        err = capsys.readouterr().err
+        assert "bad.json" in err and repr(field) in err and "Traceback" not in err, err
 
 
 def test_stats_corruption_sweep_exits_2(toy_dir, tmp_path, capsys):

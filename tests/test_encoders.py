@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from graphscm.encoders import Encoders, VariableBuilder, one_hot
-from graphscm.errors import ContractError
+from graphscm.errors import ContractError, DimensionError
 from graphscm.hetgraph import UNLABELED, enumerate_metapaths
 from graphscm.rng import substream
 
 
-def _fresh_encoders(hidden=5, seed=0, dims=(2, 2, 2), target_dim=2, classes=2, native=False):
+def _fresh_encoders(hidden=5, seed=0, dims=(2, 2, 2), target_dim=2, classes=2):
     rng = substream(seed, "init")
-    return Encoders(target_dim, classes, list(dims), hidden, rng, native_dims=native)
+    return Encoders(target_dim, classes, list(dims), hidden, rng)
 
 
 def _slot(params, j):
@@ -109,14 +109,11 @@ def test_neighbor_permutation_consistency():
         assert np.array_equal(permuted.data[1 + slot], base.data[1 + j])
 
 
-def test_native_dims_passthrough():
-    params = _fresh_encoders(native=True)
-    assert isinstance(params, Encoders) and params.weight.shape == (4, 5)
-    pooled = [np.random.default_rng(1).normal(size=(2, 3))]
-    out = _encode(params, np.zeros((2, 2)), pooled)
-    assert out.shape == (3, 2, 5)
-    assert np.array_equal(out.data[1, :, :3], pooled[0])
-    assert not out.data[1, :, 3:].any()
+def test_pooled_input_of_wrong_width_rejected():
+    params = _fresh_encoders(dims=(2, 2, 2))
+    pooled = [np.zeros((3, 2)), np.zeros((3, 4)), np.zeros((3, 2))]
+    with pytest.raises(DimensionError, match=r"widths \[2, 2, 4, 2, 2\], encoders expect \[2, 2, 2, 2, 2\]"):
+        _encode(params, np.zeros((3, 2)), pooled)
 
 
 # ---------------------------------------------------------------------------

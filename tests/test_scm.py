@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphscm.encoders import VariableBatch, VariableBuilder
-from graphscm.errors import ContractError, LoadError
+from graphscm.errors import ContractError, DimensionError, LoadError
 from graphscm.hetgraph import enumerate_metapaths
 from graphscm.numcore import Tensor
 from graphscm.rng import substream
@@ -18,7 +18,6 @@ from graphscm.scm import (
     reconstruct,
     reconstruct_all,
     save_checkpoint,
-    variable_dims,
     zero_diagonal,
 )
 
@@ -44,7 +43,7 @@ def sa_oracle(params: ScmParameters, vars_data, k):
     batch = vars_data[0].shape[0]
     rows = []
     for b in range(batch):
-        total = np.zeros(params.var_dims[k])
+        total = np.zeros(params.width)
         for i in range(n):
             if i == k:
                 continue
@@ -66,7 +65,9 @@ def _batch(n_vars, batch, dims, seed=0, label_known=True):
 
 
 def _params(dims, classes=2, seed=0, activation="relu", mlp_hidden=None):
-    return ScmParameters(list(dims), classes, activation, substream(seed, "init"), mlp_hidden=mlp_hidden)
+    """An SCM over len(dims) variables of the one width in ``dims``."""
+    (width,) = set(dims)
+    return ScmParameters(len(dims), width, classes, activation, substream(seed, "init"), mlp_hidden=mlp_hidden)
 
 
 def test_no_causes_gives_constant_reconstruction():
@@ -122,6 +123,14 @@ def test_reconstruct_takes_every_variable_or_one():
     for targets in ([0, 2], [1, 0], []):
         with pytest.raises(ContractError):
             reconstruct(batch, params, targets)
+
+
+@pytest.mark.parametrize("n_vars, width", [(4, 3), (3, 4)])
+def test_reconstruct_rejects_batch_of_wrong_layout(n_vars, width):
+    params = _params([3, 3, 3])
+    batch = _batch(n_vars, 2, [width] * n_vars)
+    with pytest.raises(DimensionError, match=f"batch has {n_vars} variables of width {width}"):
+        reconstruct(batch, params, [0])
 
 
 def test_reconstruct_all_consistent_with_single_assignments():
@@ -214,25 +223,22 @@ def test_sigmoid_activation_supported():
 # ---------------------------------------------------------------------------
 # model container and checkpoints
 
-def _toy_model(toy_graph, hidden=4, seed=0, native=False):
+def _toy_model(toy_graph, hidden=4, seed=0):
     metapaths = enumerate_metapaths(toy_graph.schema, "author", 2)
     builder = VariableBuilder(toy_graph, metapaths)
-    terminal = builder.terminal_dims()
     meta = ModelMeta(
         variable_names=builder.variable_names,
-        var_dims=variable_dims(hidden, terminal, native),
         num_classes=toy_graph.schema.num_classes,
         hidden_dim=hidden,
         activation="relu",
         mlp_hidden=hidden,
         max_metapath_len=2,
-        native_dims=native,
         multiset_neighbors=False,
         exclude_self=False,
         forward_only=False,
         target_type="author",
         target_dim=toy_graph.feature_dim("author"),
-        terminal_dims=terminal,
+        terminal_dims=builder.terminal_dims(),
     )
     return ScmModel(meta, seed=seed), builder
 
@@ -362,13 +368,12 @@ def test_checkpoint_rerun_writes_identical_bytes(toy_graph, tmp_path):
         assert fa.read() == fb.read()
 
 
-@pytest.mark.parametrize("native", [False, True])
-def test_load_checkpoint_draws_no_initial_weights(toy_graph, tmp_path, monkeypatch, native):
+def test_load_checkpoint_draws_no_initial_weights(toy_graph, tmp_path, monkeypatch):
     import graphscm.encoders
     import graphscm.numcore.layers
     import graphscm.scm
 
-    model, _ = _toy_model(toy_graph, seed=2, native=native)
+    model, _ = _toy_model(toy_graph, seed=2)
     path = str(tmp_path / "model.json")
     save_checkpoint(model, path)
 

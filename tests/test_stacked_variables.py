@@ -6,9 +6,7 @@ reconstruction loss and the label cross-entropy) runs twice: through the
 stacked ``Encoders``, ``reconstruct_all`` and ``loss_rec``, and through
 per-variable affine encoders, the per-pair SCM and a per-variable loss loop
 cut from the same weights. The loss, the reconstructions and every
-parameter gradient must be bit-identical at common widths, one-row
-batches included. Native widths agree to rounding: the SCM zero-pads every
-variable to the widest.
+parameter gradient must be bit-identical, one-row batches included.
 """
 
 import numpy as np
@@ -19,28 +17,21 @@ from graphscm.encoders import Encoders, VariableBatch
 from graphscm.losses import loss_inv, loss_rec
 from graphscm.numcore import Tape, Tensor, activate, add, softmax
 from graphscm.rng import substream
-from graphscm.scm import ScmParameters, label_probabilities_from, reconstruct_all, variable_dims
+from graphscm.scm import ScmParameters, label_probabilities_from, reconstruct_all
 
 TARGET_DIM, CLASSES, HIDDEN = 4, 3, 6
 TERMINAL_DIMS = [3, 5, 2, 4, 3, 6, 2]  # the first n - 2 feed the metapath slots
 
 
-def _model(n, activation, native, seed):
-    terminal = TERMINAL_DIMS[: n - 2]
+def _model(n, activation, seed):
     rng = substream(seed, "init")
-    enc = Encoders(TARGET_DIM, CLASSES, terminal, HIDDEN, rng, native_dims=native)
-    scm = ScmParameters(variable_dims(HIDDEN, terminal, native), CLASSES, activation, rng)
+    enc = Encoders(TARGET_DIM, CLASSES, TERMINAL_DIMS[: n - 2], HIDDEN, rng)
+    scm = ScmParameters(n, HIDDEN, CLASSES, activation, rng)
     # nonzero biases, so that a misplaced bias would show
     noise = np.random.default_rng(seed + 1)
     for p in enc.parameters() + scm.parameters():
         if p.name.endswith(".b"):
             p.data = noise.normal(scale=0.1, size=p.shape)
-    dims = scm.var_dims  # with native widths, the padding of every output stays zero
-    for i, d in enumerate(dims):
-        scm.effect.biases[-1].data[i, d:] = 0.0
-        scm.decoder.biases[-1].data[i, d:] = 0.0
-        for s in range(n - 1):
-            scm.pair_bias.data[i, s, dims[s + (s >= i)]:] = 0.0
     return enc, scm
 
 
@@ -70,7 +61,7 @@ def _run_stacked(enc, scm, ego, pooled, labels):
         recon = reconstruct_all(VariableBatch(values, [], np.ones(ego.shape[0], bool)), scm)
         loss = add(loss_rec(values, recon), loss_inv(targets, label_probabilities_from(recon, scm)))
     tape.backward(loss)
-    outputs = [t.data[k, :, :d] for t in (recon, values) for k, d in enumerate(scm.var_dims)]
+    outputs = [slot for t in (recon, values) for slot in t.data]
     return loss.item(), outputs, _grads(enc.parameters() + scm.parameters())
 
 
@@ -94,8 +85,8 @@ def _run_oracle(enc, scm, ego, pooled, labels):
     return loss.item(), [t.data for t in recon + variables], grads
 
 
-def _compare(n, batch, activation, native, same):
-    enc, scm = _model(n, activation, native, seed=n)
+def _compare(n, batch, activation, same):
+    enc, scm = _model(n, activation, seed=n)
     inputs = _inputs(n, batch, seed=batch)
     got_loss, got, got_grads = _run_stacked(enc, scm, *inputs)
     want_loss, want, want_grads = _run_oracle(enc, scm, *inputs)
@@ -112,19 +103,11 @@ def _compare(n, batch, activation, native, same):
 @pytest.mark.parametrize("batch", [1, 2, 7, 128])
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
 def test_stacked_encode_and_loss_match_per_variable_oracle_bit_for_bit(n, batch, activation):
-    _compare(n, batch, activation, False, np.array_equal)
-
-
-@pytest.mark.parametrize("batch", [1, 9])
-def test_native_dims_match_oracle_to_rounding(batch):
-    def close(a, b):
-        return a.shape == b.shape and np.allclose(a, b, rtol=0.0, atol=1e-10)
-
-    _compare(6, batch, "relu", True, close)
+    _compare(n, batch, activation, np.array_equal)
 
 
 def test_unknown_labels_encode_to_zero_and_take_no_gradient():
-    enc, _ = _model(5, "relu", False, seed=1)
+    enc, _ = _model(5, "relu", seed=1)
     ego, pooled, _ = _inputs(5, 4, seed=2)
     with Tape() as tape:
         values = enc(ego, pooled, None)

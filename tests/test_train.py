@@ -228,18 +228,6 @@ def test_evaluate_flipped_labels_leave_predictions_unchanged():
     assert np.array_equal(a, b[::-1, :])
 
 
-def test_native_dims_training_runs():
-    graph, truth = _tiny_task(authors=60)
-    splits = regime_split(truth)
-    config = _fast_config(max_epochs=2, patience=2, native_dims=True)
-    result = train(graph, splits, config)
-    meta = result.model.meta
-    assert meta.var_dims[0] == config.hidden_dim
-    assert meta.var_dims[1:-1] == meta.terminal_dims
-    metrics = evaluate(graph, result.model, splits.test)
-    assert 0.0 <= metrics.accuracy <= 1.0
-
-
 def test_pooling_flags_flow_through_training():
     graph, truth = _tiny_task(authors=60)
     splits = regime_split(truth)
