@@ -14,10 +14,12 @@ to audit by hand.
 
 Stacked tensors carry independent slices along a leading axis (one per
 variable or per network). Their ops (``bmm``, ``block_affine``, ``take``,
-``pair_mix``, and ``frobenius_sq`` on 3-D input) run every slice through
-the same numpy call the unstacked 2-D op makes on it, so a stacked network
-computes the same bits as its per-slice counterpart while recording one
-tape entry in total.
+and ``frobenius_sq`` on 3-D input) run every slice through the same numpy
+call the unstacked 2-D op makes on it, so a stacked network computes the
+same bits as its per-slice counterpart while recording one tape entry in
+total. ``pair_mix`` is the exception: it records one entry too, but sums
+over causes as matrix products, within 1e-12 * max(1, max|x|) of the
+per-pair chain it replaces rather than bit for bit.
 
 A gradient closure hands ``_accumulate`` an array that no other tensor holds:
 ops that pass their incoming gradient on (or a view of it) copy it first.
@@ -445,13 +447,14 @@ def take(x: Tensor, index) -> Tensor:
 class _PairGrid(NamedTuple):
     """The (cause, pair) cells of one ``pair_mix`` call, laid out as a grid:
     row r is cause ``rows[r]``, and its cells are its pair maps into the
-    targets ``targets[r]``, ascending."""
+    targets ``targets[r]``, ascending. Flattened row-major, cell j feeds
+    output row ``out[1][j]``."""
 
     rows: np.ndarray     # (c,) cause indices
     causes: object       # the same rows as an index into the effects; a slice when it can
     targets: np.ndarray  # (c, m) target variable of each cell
     cells: tuple         # index of the cells into weight and bias; slices (a view) when it can
-    feeds: tuple         # per output row, its cells in ascending cause order
+    out: tuple           # (cell, output row) of every cell, an index into a (cells, outputs) array
 
 
 def _rows(idx: np.ndarray) -> Union[slice, np.ndarray]:
@@ -480,8 +483,7 @@ def _pair_grid(n: int, causes: int, targets: tuple[int, ...]) -> _PairGrid:
     r, s = _rows(rows), _rows(slots[0])
     uniform = isinstance(r, slice) and isinstance(s, slice) and (slots == slots[0]).all()
     cells = (r, s) if uniform else (rows[:, None], slots)
-    feeds = tuple(tuple(zip(*np.nonzero(out == q))) for q in range(len(targets)))
-    return _PairGrid(rows, r, tgt, cells, feeds)
+    return _PairGrid(rows, r, tgt, cells, (np.arange(out.size), out.reshape(-1)))
 
 
 def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets) -> Tensor:
@@ -489,18 +491,21 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
 
         out[q] = sum_{i != k} (E_i W[i, s(i, k)] + b[i, s(i, k)]) * A[i, k],  k = targets[q]
 
-    over the causes i = 0 .. len(effects) - 1 in ascending order, where
-    s(i, k) = k - (k > i) is the slot of the pair map (i -> k). ``effects``
-    is (c, B, D), ``weight`` (n, n - 1, D, D), ``bias`` (n, n - 1, D) and
-    ``dag`` (n, n). ``targets`` is every variable (then c = n) or one.
+    over the causes i = 0 .. len(effects) - 1, where s(i, k) = k - (k > i)
+    is the slot of the pair map (i -> k). ``effects`` is (c, B, D),
+    ``weight`` (n, n - 1, D, D), ``bias`` (n, n - 1, D) and ``dag`` (n, n).
+    ``targets`` is every variable (then c = n) or one.
 
-    Each pair term is the same matmul, bias add and scale as an unstacked
-    affine map times a scalar, and the sums run in the same order, so the
-    result matches the unstacked chain bit for bit; so do the gradients,
-    which accumulate into each E_i in descending target order, the order a
-    tape replays that chain. When the weights a call reads are a contiguous
-    block (every target, or the last variable from the ones before it) they
-    are read in place, not copied.
+    The products E_i W run as one stacked matmul. The sums over causes are
+    small matrix products with ``mix`` (cells x outputs), which holds
+    A[i, k] in the output column of cell (i, k) and zero elsewhere; the
+    biases are summed apart from the products. So the output and the
+    gradients of ``effects``, ``bias`` and ``dag`` round differently from a
+    chain of per-pair affine maps, within 1e-12 of it relative to the
+    largest entry; the weight gradient keeps that chain's bits, because each
+    row of ``mix`` has one nonzero, so ``mix @ g`` is A[i, k] g_k exactly. When the weights a call reads are a contiguous block
+    (every target, or the last variable from the ones before it) they are
+    read in place, not copied.
     """
     n = dag.shape[0]
     c = effects.shape[0]
@@ -515,30 +520,27 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
     E = effects.data[grid.causes]
     W, b = weight.data[grid.cells], bias.data[grid.cells]
     a = dag.data[grid.rows[:, None], grid.targets]
+    mix = np.zeros((a.size, len(targets)))
+    mix[grid.out] = a.reshape(-1)
     pre = np.matmul(E[:, None], W)
-    pre += b[:, :, None, :]
-    out = np.empty((len(targets),) + pre.shape[2:])
-    for q, cells in enumerate(grid.feeds):
-        out[q] = pre[cells[0]] * a[cells[0]]
-        for cell in cells[1:]:
-            out[q] += pre[cell] * a[cell]
+    flat, flat_b = pre.reshape(a.size, -1), b.reshape(a.size, -1)
+    out = (mix.T @ flat).reshape((len(targets),) + pre.shape[2:])
+    out += (mix.T @ flat_b)[:, None, :]
 
     def backward(g: np.ndarray) -> None:
-        # cell by cell, so that each product stays in cache
-        dp, da = np.empty(pre.shape), np.empty(a.shape)
-        for q, cells in enumerate(grid.feeds):
-            for cell in cells:
-                np.multiply(g[q], a[cell], out=dp[cell])
-                da[cell] = (g[q] * pre[cell]).sum()
-        back = np.matmul(dp, W.transpose(0, 1, 3, 2))
-        dE = back[:, -1].copy()
-        for j in range(back.shape[1] - 2, -1, -1):
-            dE += back[:, j]
+        rows, gsum = g.reshape(len(targets), -1), g.sum(axis=1)
+        dE, dW = np.empty(E.shape), np.empty(W.shape)
+        by_cause = mix.reshape(len(E), W.shape[1], -1)
+        for r in range(len(E)):  # cause by cause, so that one cause's cells stay in cache
+            dp = (by_cause[r] @ rows).reshape(pre.shape[1:])
+            np.matmul(dp, W[r].transpose(0, 2, 1)).sum(axis=0, out=dE[r])
+            np.matmul(E[r].T, dp, out=dW[r])
         grads = (
             (effects, grid.causes, dE),
-            (weight, grid.cells, np.matmul(E.transpose(0, 2, 1)[:, None], dp)),
-            (bias, grid.cells, dp.sum(axis=2)),
-            (dag, (grid.rows[:, None], grid.targets), da),
+            (weight, grid.cells, dW),
+            (bias, grid.cells, (mix @ gsum).reshape(b.shape)),
+            (dag, (grid.rows[:, None], grid.targets),
+             (flat @ rows.T + flat_b @ gsum.T)[grid.out].reshape(a.shape)),
         )
         for t, index, d in grads:
             if t.requires_grad:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (loops, enumeration, truncated
 series) and shares no code with the implementations under test, except
 that the per-pair structural assignment is built from numcore's 2-D tape
-ops (matmul, add, mul, index_scalar) rather than the stacked ones it checks.
+ops (matmul, add, mul, index_scalar) rather than the stacked ones it checks,
+and the cell-by-cell ``pair_mix`` records on numcore's tape.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ import math
 import os
 
 import numpy as np
+
+
+def close(got, want, rel: float = 1e-12) -> bool:
+    """Same shape, and every entry within rel * max(1, max|want|) of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return False
+    if not want.size:
+        return True
+    return float(np.abs(got - want).max()) <= rel * max(1.0, float(np.abs(want).max()))
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,6 +357,94 @@ def reconstruct_all(variables, params: PairwiseScm):
         structural_assignment(k, variables, params, _effects=effects)
         for k in range(params.n_vars)
     ]
+
+
+# ---------------------------------------------------------------------------
+# ``pair_mix`` cell by cell: the op before its sums over causes became
+# products with a mixing matrix. Same signature and tape contract; every
+# output row is a Python-ordered sum of its cells, bit-identical to a chain
+# of per-pair ``matmul``/``add``/``mul`` records.
+
+def _cell_grid(n: int, causes: int, targets: tuple):
+    """(rows, causes, targets, cells, feeds) of a ``pair_mix`` call: row r is
+    cause ``rows[r]`` with its cells into ``targets[r]``; ``feeds[q]`` lists
+    output row q's cells in ascending cause order."""
+    if targets == tuple(range(n)) and causes == n:
+        rows = np.arange(n)
+        slots = np.tile(np.arange(n - 1), (n, 1))
+        tgt = slots + (slots >= rows[:, None])
+        out = tgt
+    else:
+        (k,) = targets
+        rows = np.array([i for i in range(causes) if i != k])
+        tgt = np.full((rows.size, 1), k)
+        slots = tgt - (tgt > rows[:, None])
+        out = np.zeros_like(tgt)
+    feeds = tuple(tuple(zip(*np.nonzero(out == q))) for q in range(len(targets)))
+    return rows, tgt, (rows[:, None], slots), feeds
+
+
+def pair_mix_cells(effects, weight, bias, dag, targets):
+    """``numcore.pair_mix`` as per-cell scaled adds, recorded as one tape entry."""
+    from graphscm.numcore.tensor import Tensor, _accumulate, _record
+
+    n, c = dag.shape[0], effects.shape[0]
+    targets = tuple(int(k) for k in targets)
+    rows, tgt, cells, feeds = _cell_grid(n, c, targets)
+    E = effects.data[rows]
+    W, b = weight.data[cells], bias.data[cells]
+    a = dag.data[rows[:, None], tgt]
+    pre = np.matmul(E[:, None], W)
+    pre += b[:, :, None, :]
+    out = np.empty((len(targets),) + pre.shape[2:])
+    for q, feed in enumerate(feeds):
+        out[q] = pre[feed[0]] * a[feed[0]]
+        for cell in feed[1:]:
+            out[q] += pre[cell] * a[cell]
+
+    def backward(g):
+        dp, da = np.empty(pre.shape), np.empty(a.shape)
+        for q, feed in enumerate(feeds):
+            for cell in feed:
+                np.multiply(g[q], a[cell], out=dp[cell])
+                da[cell] = (g[q] * pre[cell]).sum()
+        back = np.matmul(dp, W.transpose(0, 1, 3, 2))
+        dE = back[:, -1].copy()
+        for j in range(back.shape[1] - 2, -1, -1):
+            dE += back[:, j]
+        grads = (
+            (effects, rows, dE),
+            (weight, cells, np.matmul(E.transpose(0, 2, 1)[:, None], dp)),
+            (bias, cells, dp.sum(axis=2)),
+            (dag, (rows[:, None], tgt), da),
+        )
+        for t, index, d in grads:
+            if t.requires_grad:
+                full = np.zeros(t.shape)
+                full[index] = d
+                _accumulate(t, full)
+
+    return _record(Tensor(out), (effects, weight, bias, dag), backward)
+
+
+# ---------------------------------------------------------------------------
+# AdamW over whole arrays: the update before it ran in cache-sized chunks
+
+def adamw_step_whole(opt) -> None:
+    """One step of ``opt`` (a ``numcore.AdamW``), each parameter updated by
+    whole-array expressions in the order the chunked step keeps."""
+    opt.step_count += 1
+    t = opt.step_count
+    bc1 = 1.0 - opt.beta1 ** t
+    bc2 = 1.0 - opt.beta2 ** t
+    for i, p in enumerate(opt.params):
+        g = np.zeros(p.shape) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
+        assert g.shape == p.data.shape
+        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
+        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * (g * g)
+        m_hat = opt.m[i] / bc1
+        v_hat = opt.v[i] / bc2
+        p.data = p.data - opt.lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.decay[i] * p.data)
 
 
 # ---------------------------------------------------------------------------

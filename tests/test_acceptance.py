@@ -156,6 +156,7 @@ def _recovery_run(seed, ablation):
     return metrics.accuracy, recovered, ranked
 
 
+@pytest.mark.slow
 def test_criterion_4_synthetic_causal_recovery():
     start = time.time()
     full_acc, full_hits = [], 0
@@ -278,6 +279,7 @@ def test_criterion_8_cmd_train_determinism(tmp_path):
 DBLP_DIR = os.environ.get("GRAPHSCM_DBLP_DIR", os.path.join("data", "dblp"))
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     not os.path.isdir(DBLP_DIR),
     reason="optional stretch: converted DBLP dataset not present (set GRAPHSCM_DBLP_DIR)",

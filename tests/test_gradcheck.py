@@ -81,7 +81,8 @@ def test_all_ops_pass_at_100_random_points():
 def test_stacked_ops_match_finite_differences():
     """bmm (with and without bias), block_affine, take (a column run, a leading run,
     and a basic index of ints and slices), frobenius_sq of a stacked tensor and pair_mix,
-    each with respect to every differentiable input."""
+    each with respect to every differentiable input; pair_mix also at n = 2 and
+    with a nonzero DAG diagonal."""
     rng = np.random.default_rng(29)
 
     def const(*shape):
@@ -127,3 +128,25 @@ def test_stacked_ops_match_finite_differences():
     for name, shape, f in cases:
         err = fdc(f, Tensor(rng.normal(size=shape)), eps=1e-5)
         assert err <= 1e-6, f"{name} gradient error {err}"
+
+    # pair_mix at n = 2 (every target) and n = 5 (an inner target), on a DAG
+    # whose diagonal is nonzero but must not be read, drawn from a generator
+    # of their own so that the cases above keep their inputs. The squared sum
+    # is quadratic in each input, so central differences carry no truncation
+    # error and the wider step only shrinks their rounding (at 1e-5 the n = 5
+    # weight case reads about 1e-6 on an element whose gradient is 1e-4).
+    own = np.random.default_rng(31)
+    for n, targets in ((2, [0, 1]), (5, [2])):
+        args = [own.normal(size=s) for s in ((n, 2, d), (n, n - 1, d, d), (n, n - 1, d), (n, n))]
+        np.fill_diagonal(args[3], 1.5)
+        hollow = args[:3] + [args[3] * (1.0 - np.eye(n))]
+        assert np.array_equal(pair_mix(*map(Tensor, args), targets).data,
+                              pair_mix(*map(Tensor, hollow), targets).data)
+        for slot, name in enumerate(("effects", "weight", "bias", "dag")):
+            def f(t, slot=slot, args=args, targets=targets):
+                parts = [Tensor(a) for a in args]
+                parts[slot] = t
+                return frobenius_sq(pair_mix(*parts, targets))
+
+            err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-3)
+            assert err <= 1e-6, f"pair_mix n={n} {name} gradient error {err}"

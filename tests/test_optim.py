@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from graphscm.errors import DimensionError
 from graphscm.numcore import AdamW, Tape, Tensor, frobenius_sq
+from graphscm.numcore.optim import _CHUNK
+from graphscm.scm import ScmModel
+from graphscm.train import TrainConfig, build_pipeline
 
 
 def test_zero_gradient_zero_decay_leaves_parameter():
@@ -62,3 +66,51 @@ def test_step_counter_strictly_increases():
         p.grad = np.asarray(1.0)
         opt.step()
         assert opt.step_count == expected
+
+
+def _oracle_params():
+    rng = np.random.default_rng(11)
+    shapes = [(_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 5,), (), (3, 4), (7,)]
+    return [Tensor(rng.normal(size=s), requires_grad=True, name=f"p{j}") for j, s in enumerate(shapes)]
+
+
+def test_chunked_step_byte_equal_to_whole_array_oracle():
+    # chunk edges on both sides, a 0-d parameter, a missing gradient
+    # (p5) and a parameter without decay (p6)
+    got, want = _oracle_params(), _oracle_params()
+    opts = [AdamW(ps, lr=0.01, weight_decay=0.1, no_decay=["p6"]) for ps in (got, want)]
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        for a, b in zip(got, want):
+            a.grad = b.grad = None if a.name == "p5" else rng.normal(size=a.shape)
+        opts[0].step()
+        oracles.adamw_step_whole(opts[1])
+        for j in range(len(got)):
+            assert got[j].data.tobytes() == want[j].data.tobytes(), got[j].name
+            assert opts[0].m[j].tobytes() == opts[1].m[j].tobytes(), got[j].name
+            assert opts[0].v[j].tobytes() == opts[1].v[j].tobytes(), got[j].name
+    assert opts[0].step_count == opts[1].step_count == 3
+
+
+def test_step_writes_no_array_it_does_not_own(toy_graph):
+    model = ScmModel(build_pipeline(toy_graph, TrainConfig(hidden_dim=4))[1], seed=0)
+    given = np.arange(6.0).reshape(2, 3)
+    extra = Tensor(given, requires_grad=True, name="extra")
+    assert extra.data is given
+    params = model.parameters() + [extra]
+    snapshot = model.state_snapshot()
+    before = {name: a.tobytes() for name, a in snapshot.items()}
+    rng = np.random.default_rng(13)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    grads = [p.grad.tobytes() for p in params]
+    opt = AdamW(params, lr=0.1, weight_decay=0.01)
+    opt.step()
+    held = opt.m + opt.v
+    moments = [a.tobytes() for a in held]
+    opt.step()
+    assert given.tobytes() == np.arange(6.0).reshape(2, 3).tobytes()
+    assert not np.array_equal(extra.data, given)
+    assert {name: a.tobytes() for name, a in snapshot.items()} == before
+    assert [p.grad.tobytes() for p in params] == grads
+    assert [a.tobytes() for a in held] == moments

@@ -6,7 +6,9 @@ reconstruction loss and the label cross-entropy) runs twice: through the
 stacked ``Encoders``, ``reconstruct_all`` and ``loss_rec``, and through
 per-variable affine encoders, the per-pair SCM and a per-variable loss loop
 cut from the same weights. The loss, the reconstructions and every
-parameter gradient must be bit-identical, one-row batches included.
+parameter gradient must agree within 1e-12 * max(1, max|oracle|), one-row
+batches included: the stacked SCM's ``pair_mix`` sums over causes as matrix
+products, which round differently from the per-pair chain.
 """
 
 import numpy as np
@@ -102,8 +104,8 @@ def _compare(n, batch, activation, same):
 @pytest.mark.parametrize("n", [3, 6, 9])
 @pytest.mark.parametrize("batch", [1, 2, 7, 128])
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-def test_stacked_encode_and_loss_match_per_variable_oracle_bit_for_bit(n, batch, activation):
-    _compare(n, batch, activation, np.array_equal)
+def test_stacked_encode_and_loss_match_per_variable_oracle(n, batch, activation):
+    _compare(n, batch, activation, oracles.close)
 
 
 def test_unknown_labels_encode_to_zero_and_take_no_gradient():

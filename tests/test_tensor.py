@@ -10,13 +10,14 @@ from graphscm.numcore import (
     index_scalar,
     matmul,
     mul,
+    pair_mix,
     relu,
     softmax,
     sub,
     sum_all,
 )
 
-from oracles import matmul_loops
+from oracles import close, matmul_loops, pair_mix_cells
 
 
 def test_matmul_identity():
@@ -143,3 +144,36 @@ def test_fixed_seed_bit_identical():
     v2, g2 = run()
     assert v1 == v2
     assert np.array_equal(g1, g2)
+
+
+def _pair_mix_run(op, inputs, targets, upstream):
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    with Tape() as tape:
+        out = op(*leaves, targets)
+        loss = sum_all(mul(out, Tensor(upstream)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+@pytest.mark.parametrize("batch", [1, 7, 128])
+@pytest.mark.parametrize("which", ["all", "label", "inner"])
+def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
+    """Output and all four gradients within 1e-12 * max(1, max|oracle|) of the
+    per-cell op; the weight gradient keeps its bits."""
+    targets = {"all": list(range(n)), "label": [n - 1], "inner": [1 if n > 2 else 0]}[which]
+    causes = n - 1 if which == "label" else n
+    d = 5
+    rng = np.random.default_rng(100 * n + batch)
+    inputs = [
+        rng.normal(size=(causes, batch, d)),
+        rng.normal(size=(n, n - 1, d, d)),
+        rng.normal(size=(n, n - 1, d)),
+        rng.normal(size=(n, n)),  # a nonzero diagonal, which neither op reads
+    ]
+    upstream = rng.normal(size=(len(targets), batch, d))
+    got = _pair_mix_run(pair_mix, inputs, targets, upstream)
+    want = _pair_mix_run(pair_mix_cells, inputs, targets, upstream)
+    for part, a, b in zip(("out", "effects", "weight", "bias", "dag"), got, want):
+        assert close(a, b), part
+    assert np.array_equal(got[2], want[2])
