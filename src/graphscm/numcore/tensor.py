@@ -502,10 +502,15 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
     biases are summed apart from the products. So the output and the
     gradients of ``effects``, ``bias`` and ``dag`` round differently from a
     chain of per-pair affine maps, within 1e-12 of it relative to the
-    largest entry; the weight gradient keeps that chain's bits, because each
-    row of ``mix`` has one nonzero, so ``mix @ g`` is A[i, k] g_k exactly. When the weights a call reads are a contiguous block
-    (every target, or the last variable from the ones before it) they are
-    read in place, not copied.
+    largest entry; the weight gradient keeps that chain's bits, because it
+    is E_i^T (A[i, k] g_k) with the same product A[i, k] g_k.
+
+    The products E_i W are dropped once the output is formed, not kept for
+    the backward: it runs cause by cause, and reads the gradient of A[i, k]
+    as the sum of E_i * (g_k W^T), from the product g_k W^T that the
+    gradient of E_i needs anyway. When the weights a call reads are a
+    contiguous block (every target, or the last variable from the ones
+    before it) they are read in place, not copied.
     """
     n = dag.shape[0]
     c = effects.shape[0]
@@ -522,25 +527,31 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
     a = dag.data[grid.rows[:, None], grid.targets]
     mix = np.zeros((a.size, len(targets)))
     mix[grid.out] = a.reshape(-1)
-    pre = np.matmul(E[:, None], W)
-    flat, flat_b = pre.reshape(a.size, -1), b.reshape(a.size, -1)
-    out = (mix.T @ flat).reshape((len(targets),) + pre.shape[2:])
+    pre = np.matmul(E[:, None], W).reshape(a.size, -1)
+    out = (mix.T @ pre).reshape((len(targets),) + E.shape[1:])
+    del pre
+    flat_b = b.reshape(a.size, -1)
     out += (mix.T @ flat_b)[:, None, :]
 
     def backward(g: np.ndarray) -> None:
-        rows, gsum = g.reshape(len(targets), -1), g.sum(axis=1)
-        dE, dW = np.empty(E.shape), np.empty(W.shape)
-        by_cause = mix.reshape(len(E), W.shape[1], -1)
+        gsum = g.sum(axis=1)
+        feeds = grid.out[1].reshape(a.shape)  # the output row each cell feeds
+        dE, dW, dA = np.empty(E.shape), np.empty(W.shape), np.empty(a.shape)
+        gr, q = np.empty((2, W.shape[1]) + g.shape[1:])  # one cause's (cells, B, D) scratch
         for r in range(len(E)):  # cause by cause, so that one cause's cells stay in cache
-            dp = (by_cause[r] @ rows).reshape(pre.shape[1:])
-            np.matmul(dp, W[r].transpose(0, 2, 1)).sum(axis=0, out=dE[r])
-            np.matmul(E[r].T, dp, out=dW[r])
+            np.take(g, feeds[r], axis=0, out=gr, mode="clip")  # in range by construction
+            np.matmul(gr, W[r].transpose(0, 2, 1), out=q)
+            flat_q = q.reshape(len(q), -1)
+            np.matmul(a[r], flat_q, out=dE[r].reshape(-1))
+            np.matmul(flat_q, E[r].reshape(-1), out=dA[r])
+            gr *= a[r][:, None, None]
+            np.matmul(E[r].T, gr, out=dW[r])
+        dA += (flat_b @ gsum.T)[grid.out].reshape(a.shape)
         grads = (
             (effects, grid.causes, dE),
             (weight, grid.cells, dW),
             (bias, grid.cells, (mix @ gsum).reshape(b.shape)),
-            (dag, (grid.rows[:, None], grid.targets),
-             (flat @ rows.T + flat_b @ gsum.T)[grid.out].reshape(a.shape)),
+            (dag, (grid.rows[:, None], grid.targets), dA),
         )
         for t, index, d in grads:
             if t.requires_grad:

@@ -157,11 +157,12 @@ def _pair_mix_run(op, inputs, targets, upstream):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 @pytest.mark.parametrize("batch", [1, 7, 128])
-@pytest.mark.parametrize("which", ["all", "label", "inner"])
+@pytest.mark.parametrize("which", ["all", "label", "inner", "zeros"])
 def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
     """Output and all four gradients within 1e-12 * max(1, max|oracle|) of the
-    per-cell op; the weight gradient keeps its bits."""
-    targets = {"all": list(range(n)), "label": [n - 1], "inner": [1 if n > 2 else 0]}[which]
+    per-cell op; the weight gradient keeps its bits. "zeros" is every target
+    on a DAG with exact zeros below the diagonal, as ``trim_to_dag`` leaves."""
+    targets = {"label": [n - 1], "inner": [1 if n > 2 else 0]}.get(which, list(range(n)))
     causes = n - 1 if which == "label" else n
     d = 5
     rng = np.random.default_rng(100 * n + batch)
@@ -171,6 +172,8 @@ def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
         rng.normal(size=(n, n - 1, d)),
         rng.normal(size=(n, n)),  # a nonzero diagonal, which neither op reads
     ]
+    if which == "zeros":
+        inputs[3][np.tril_indices(n, -1)] = 0.0
     upstream = rng.normal(size=(len(targets), batch, d))
     got = _pair_mix_run(pair_mix, inputs, targets, upstream)
     want = _pair_mix_run(pair_mix_cells, inputs, targets, upstream)
