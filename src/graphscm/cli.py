@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigError, ContractError, DimensionError, LoadError, NumericError
 from .hetgraph import HeteroGraph, load_graph, write_dataset
 from .interpret import diagram_to_json, export_dot, trim_to_dag
-from .numcore import Tensor, expm_trace
+from .numcore import ACTIVATIONS, Tensor, expm_trace
 from .scm import load_checkpoint, save_checkpoint
 from .splits import (
     BIAS_KINDS,
@@ -101,7 +101,7 @@ def _coerce(key: str, value: str):
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expects a boolean, got {value!r}")
-    if isinstance(current, int) or current is None:  # None: mlp_hidden
+    if isinstance(current, int):
         return int(value)
     if isinstance(current, float):
         return float(value)
@@ -124,15 +124,13 @@ def resolve_train_config(args) -> TrainConfig:
         "activation": "activation",
         "max_metapath_len": "max_metapath_len",
         "seed": "seed",
-        "mlp_hidden": "mlp_hidden",
     }
     for flag, key in flag_map.items():
         value = getattr(args, flag, None)
         if value is not None:
             setattr(config, key, value)
-    for flag in ("multiset_neighbors", "exclude_self", "forward_only"):
-        if getattr(args, flag, False):
-            setattr(config, flag, True)
+    if getattr(args, "multiset_neighbors", False):
+        config.multiset_neighbors = True
     ablation = getattr(args, "ablation", None) or "full"
     config.beta, config.gamma = ablation_presets(ablation, config.beta, config.gamma)
     config.validate()
@@ -194,7 +192,10 @@ def _load_splits(graph: HeteroGraph, dataset: str, splits_arg: str | None) -> Sp
     if not os.path.isfile(path):
         raise ConfigError(f"missing splits file: {path} (run `graphscm split` first)")
     spec = SplitSpec.from_json(path)
-    spec.validate_against(graph)
+    try:
+        spec.validate_against(graph)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return spec
 
 
@@ -381,15 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--hidden", type=int)
-    p.add_argument("--mlp-hidden", type=int, dest="mlp_hidden")
     p.add_argument("--max-metapath-len", type=int, dest="max_metapath_len")
-    p.add_argument("--activation", choices=("relu", "sigmoid"))
+    p.add_argument("--activation", choices=tuple(ACTIVATIONS))
     p.add_argument("--lr", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
     p.add_argument("--multiset-neighbors", action="store_true", dest="multiset_neighbors")
-    p.add_argument("--exclude-self", action="store_true", dest="exclude_self")
-    p.add_argument("--forward-only", action="store_true", dest="forward_only")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")

@@ -111,7 +111,6 @@ class VariableBuilder:
         graph: HeteroGraph,
         metapaths: Sequence[MetaPath],
         multiset_neighbors: bool = False,
-        exclude_self: bool = False,
     ):
         self.graph = graph
         self.metapaths = list(metapaths)
@@ -121,9 +120,7 @@ class VariableBuilder:
                 raise ContractError(f"metapath {mp.name} does not start at {target!r}")
         all_nodes = list(range(graph.num_nodes(target)))
         self.tables = {
-            mp.name: pooled_neighbor_features(
-                graph, all_nodes, mp, multiset=multiset_neighbors, exclude_self=exclude_self
-            )
+            mp.name: pooled_neighbor_features(graph, all_nodes, mp, multiset=multiset_neighbors)
             for mp in self.metapaths
         }
 

@@ -45,6 +45,11 @@ def not_utf8(path: str) -> LoadError:
     return LoadError(f"{path}: not UTF-8 text")
 
 
+def is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: floats, strings and booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_json(path: str):
     """Parse a JSON file; malformed text raises LoadError naming file, line and column."""
     try:

@@ -108,24 +108,17 @@ def metapath_name(schema: Schema, relations: list[Relation]) -> str:
     return "".join(parts)
 
 
-def enumerate_metapaths(schema: Schema, target_type: str, max_len: int, forward_only: bool = False) -> list[MetaPath]:
+def enumerate_metapaths(schema: Schema, target_type: str, max_len: int) -> list[MetaPath]:
     """All composable relation sequences of length 1..max_len from target_type.
 
     Breadth-first over length; within a frontier, paths are extended by
     relations in schema declaration order, which makes the output
-    deterministic. With ``forward_only`` only non-inverse relations (those
-    declared before their inverse) extend paths.
+    deterministic.
     """
     if target_type not in schema.node_types:
         raise ContractError(f"unknown target type {target_type!r}")
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
-    declared = {r.name: i for i, r in enumerate(schema.relations)}
-    def allowed(r: Relation) -> bool:
-        if not forward_only:
-            return True
-        return declared[r.name] < declared[r.inverse]
-
     out: list[MetaPath] = []
     frontier: list[list[Relation]] = [[]]
     for _ in range(max_len):
@@ -133,8 +126,6 @@ def enumerate_metapaths(schema: Schema, target_type: str, max_len: int, forward_
         for path in frontier:
             tip = path[-1].dst if path else target_type
             for r in schema.relations_from(tip):
-                if not allowed(r):
-                    continue
                 extended = path + [r]
                 out.append(
                     MetaPath(
@@ -353,14 +344,7 @@ def _last_hop(graph: HeteroGraph, frontier: np.ndarray, metapath: MetaPath):
     return _walk([hop], 0, frontier.shape[0], rows, cols, frontier[rows, cols].astype(np.int64))
 
 
-def _dense_pool(
-    graph: HeteroGraph,
-    nodes: np.ndarray,
-    metapath: MetaPath,
-    frontier: np.ndarray,
-    multiset: bool,
-    exclude_self: bool,
-) -> np.ndarray:
+def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, multiset: bool) -> np.ndarray:
     """Pooled features from the frontier of ``_frontier``: the path
     counts to the terminal nodes are ``frontier @ incidence`` of the last
     relation, formed in column tiles of at most REACH_BLOCK cells (and an
@@ -373,7 +357,6 @@ def _dense_pool(
     order = np.argsort(dst, kind="stable")
     dst = dst[order]
     src = np.repeat(np.arange(n_src), np.diff(indptr))[order]
-    own = nodes if exclude_self and metapath.terminal_type == metapath.source_type else None
     # a trailing column of ones sums each row's weights beside its features
     weighted = np.hstack([feats, np.ones((feats.shape[0], 1))])
     sums = np.zeros((n, weighted.shape[1]))
@@ -383,9 +366,6 @@ def _dense_pool(
         a, b = np.searchsorted(dst, [c0, c1])
         incidence = np.bincount(src[a:b] * (c1 - c0) + dst[a:b] - c0, minlength=n_src * (c1 - c0))
         counts = frontier @ incidence.reshape(n_src, c1 - c0).astype(np.float64)
-        if own is not None:
-            hit = np.flatnonzero((own >= c0) & (own < c1))
-            counts[hit, own[hit] - c0] = 0.0
         if not multiset:
             np.minimum(counts, 1.0, out=counts)  # whole counts: 1 per reached node
         sums += counts @ weighted[c0:c1]
@@ -393,17 +373,13 @@ def _dense_pool(
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
 
 
-def pooled_neighbor_features(
-    graph: HeteroGraph,
-    nodes,
-    metapath: MetaPath,
-    multiset: bool = False,
-    exclude_self: bool = False,
-) -> np.ndarray:
+def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, multiset: bool = False) -> np.ndarray:
     """Mean terminal-node features per query node; zero row for empty sets.
 
     With ``multiset`` the mean is weighted by the number of distinct paths
-    reaching each terminal node instead of treating the pool as a set.
+    reaching each terminal node instead of treating the pool as a set. A
+    metapath back to the source type (APA, say) keeps the query node in its
+    own pool, as HAN's metapath neighbours do.
 
     Two routes compute it, chosen once per call from the input alone. Take
     the path counts over every hop but the last as a (rows, |src|) frontier,
@@ -426,18 +402,17 @@ def pooled_neighbor_features(
     hop from its nonzeros, and copies the means to the rows that share it
     (APVP, whose authors reach one of a few venue subsets, say). A mean
     depends only on its own pool, so the bits are the same as pooling
-    every row. ``exclude_self`` on a metapath back to the source type makes
-    the query node part of the pool, and such calls pool every row.
+    every row.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     frontier = _frontier(graph, nodes, metapath)
     if frontier is not None and 2 * np.count_nonzero(frontier) >= frontier.size:
-        return _dense_pool(graph, nodes, metapath, frontier, multiset, exclude_self)
+        return _dense_pool(graph, metapath, frontier, multiset)
     feats = graph.features[metapath.terminal_type]
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
     inverse = None
-    if frontier is None or (exclude_self and metapath.terminal_type == metapath.source_type):
-        blocks, n = metapath_reach(graph, nodes, metapath, exclude_self), nodes.shape[0]
+    if frontier is None:
+        blocks, n = _reach_blocks(graph, nodes, metapath.relations), nodes.shape[0]
     else:
         key = frontier if multiset else frontier > 0
         # each row as one opaque value: unique rows sort by memcmp, not field by field

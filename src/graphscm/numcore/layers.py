@@ -14,12 +14,14 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+# activation functions by name; configs, checkpoints and the CLI accept exactly these names
+ACTIVATIONS = {"relu": T.relu, "sigmoid": T.sigmoid}
+
+
 def activate(x: Tensor, activation: str) -> Tensor:
-    if activation == "relu":
-        return T.relu(x)
-    if activation == "sigmoid":
-        return T.sigmoid(x)
-    raise ConfigError(f"unknown activation {activation!r}; expected 'relu' or 'sigmoid'")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}; expected one of {tuple(ACTIVATIONS)}")
+    return ACTIVATIONS[activation](x)
 
 
 class Linear:
@@ -50,10 +52,10 @@ class StackedMlp:
     """Independent perceptrons of one layout, one per slice of a leading axis.
 
     Each of the ``count`` networks maps ``width`` columns to ``width``
-    through ``n_layers`` weight layers with ``hidden_dim`` hidden units and
-    the activation between consecutive layers. Layer l of every network
-    lives in one stacked weight ``{name}.{l}.W`` of shape (count, in, out)
-    and bias ``{name}.{l}.b``. Initial weights are drawn network by network,
+    through ``n_layers`` weight layers, every one ``width`` wide, with the
+    activation between consecutive layers. Layer l of every network lives in
+    one stacked weight ``{name}.{l}.W`` of shape (count, width, width) and
+    bias ``{name}.{l}.b``. Initial weights are drawn network by network,
     layer by layer; with no ``rng`` every weight stays zero.
     """
 
@@ -61,7 +63,6 @@ class StackedMlp:
         self,
         count: int,
         width: int,
-        hidden_dim: int,
         n_layers: int,
         activation: str,
         rng: np.random.Generator | None,
@@ -69,18 +70,17 @@ class StackedMlp:
     ):
         if n_layers < 1:
             raise ConfigError("StackedMlp needs at least one layer")
-        dims = [width] + [hidden_dim] * (n_layers - 1) + [width]
         self.weights = [
-            Tensor(np.zeros((count, dims[l], dims[l + 1])), requires_grad=True, name=f"{name}.{l}.W")
+            Tensor(np.zeros((count, width, width)), requires_grad=True, name=f"{name}.{l}.W")
             for l in range(n_layers)
         ]
         self.biases = [
-            Tensor(np.zeros((count, dims[l + 1])), requires_grad=True, name=f"{name}.{l}.b")
+            Tensor(np.zeros((count, width)), requires_grad=True, name=f"{name}.{l}.b")
             for l in range(n_layers)
         ]
         for j in range(count) if rng is not None else []:
-            for l, w in enumerate(self.weights):
-                w.data[j] = kaiming_uniform(rng, dims[l], dims[l + 1])
+            for w in self.weights:
+                w.data[j] = kaiming_uniform(rng, width, width)
         self.activation = activation
 
     def __call__(self, x: Tensor, rows: slice | None = None) -> Tensor:

@@ -30,8 +30,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .encoders import Encoders, VariableBatch
-from .errors import ContractError, DimensionError, LoadError, read_json
+from .errors import ContractError, DimensionError, LoadError, is_json_int, read_json
 from .numcore import (
+    ACTIVATIONS,
     Linear,
     StackedMlp,
     Tensor,
@@ -82,8 +83,8 @@ class ScmParameters:
     is Effect_i, ``decoder`` slice k is Decoder_k, and ``pair_weight`` /
     ``pair_bias`` of shape (n, n - 1, D, D) / (n, n - 1, D) hold cause i's
     n - 1 pair maps in slot s, the map into target k = s + (s >= i), where D
-    is the common ``width`` of every variable. With no ``rng`` nothing is
-    drawn and every tensor starts at zero.
+    is the common ``width`` of every variable and of every hidden layer. With
+    no ``rng`` nothing is drawn and every tensor starts at zero.
     """
 
     def __init__(
@@ -93,28 +94,25 @@ class ScmParameters:
         num_classes: int,
         activation: str,
         rng: np.random.Generator | None,
-        mlp_hidden: int | None = None,
     ):
         if n_vars < 2:
             raise ContractError("an SCM needs at least two variables")
         n = self.n_vars = n_vars
         self.activation = activation
         self.width = width
-        hidden = mlp_hidden if mlp_hidden is not None else width
-        self.mlp_hidden = hidden
         # initial weights are drawn network by network: effects, pair maps
         # (cause-major, targets ascending), decoders, the label shortcut
         if rng is None:
             self.dag = Tensor(np.zeros((n, n)), requires_grad=True, name="dag.A")
         else:
             self.dag = init_dag(n, rng)
-        self.effect = StackedMlp(n, width, hidden, 2, activation, rng, "scm.effect")
+        self.effect = StackedMlp(n, width, 2, activation, rng, "scm.effect")
         pair = np.zeros((n, n - 1, width, width))
         for i, s in np.ndindex(n, n - 1) if rng is not None else []:
             pair[i, s] = kaiming_uniform(rng, width, width)
         self.pair_weight = Tensor(pair, requires_grad=True, name="scm.pair.W")
         self.pair_bias = Tensor(np.zeros((n, n - 1, width)), requires_grad=True, name="scm.pair.b")
-        self.decoder = StackedMlp(n, width, hidden, 3, activation, rng, "scm.decoder")
+        self.decoder = StackedMlp(n, width, 3, activation, rng, "scm.decoder")
         self.inv1 = Linear(width, width, rng, "scm.inv1")
         self.inv2 = Linear(width, num_classes, rng, "scm.inv2")
         self.decoder_calls = 0  # instrumentation: one bump per decoded variable per batch
@@ -196,11 +194,8 @@ class ModelMeta:
     num_classes: int
     hidden_dim: int
     activation: str
-    mlp_hidden: int
     max_metapath_len: int
     multiset_neighbors: bool
-    exclude_self: bool
-    forward_only: bool
     target_type: str
     target_dim: int
     terminal_dims: list[int]
@@ -212,9 +207,9 @@ class ModelMeta:
             return LoadError(f"{path}: meta field {name!r} must be {expected}, got {getattr(self, name)!r}")
 
         def is_int(value, least: int) -> bool:
-            return isinstance(value, int) and not isinstance(value, bool) and value >= least
+            return is_json_int(value) and value >= least
 
-        for name in ("num_classes", "hidden_dim", "mlp_hidden", "max_metapath_len"):
+        for name in ("num_classes", "hidden_dim", "max_metapath_len"):
             if not is_int(getattr(self, name), 1):
                 raise bad(name, "a positive integer")
         if not is_int(self.target_dim, 0):
@@ -225,11 +220,10 @@ class ModelMeta:
         names = self.variable_names
         if not isinstance(names, list) or len(names) != n or not all(isinstance(v, str) for v in names):
             raise bad("variable_names", f"a list of {n} strings")
-        if self.activation not in ("relu", "sigmoid"):
-            raise bad("activation", "'relu' or 'sigmoid'")
-        for name in ("multiset_neighbors", "exclude_self", "forward_only"):
-            if not isinstance(getattr(self, name), bool):
-                raise bad(name, "a boolean")
+        if self.activation not in ACTIVATIONS:
+            raise bad("activation", f"one of {tuple(ACTIVATIONS)}")
+        if not isinstance(self.multiset_neighbors, bool):
+            raise bad("multiset_neighbors", "a boolean")
 
 
 class ScmModel:
@@ -261,7 +255,6 @@ class ScmModel:
             meta.num_classes,
             meta.activation,
             rng,
-            mlp_hidden=meta.mlp_hidden,
         )
 
     def parameters(self) -> list[Tensor]:
@@ -289,7 +282,7 @@ class ScmModel:
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 TENSOR_DTYPE = "<f8"  # every tensor's data: base64 of its row-major little-endian float64 bytes
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError, read_json
+from .errors import ConfigError, ContractError, LoadError, NumericError, is_json_int, read_json
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, enumerate_metapaths, metapath_reach
 from .rng import substream
 
@@ -25,6 +25,9 @@ IID_VAL_FRACTION = 0.06
 OOD_TRAIN_FRACTION = 0.6
 
 BIAS_KINDS = ("homophily", "degree", "feature")
+OOD_PCA_COMPONENTS = 128  # the feature bias clusters on at most this many principal components
+REPORT_PCA_COMPONENTS = 5  # distribution summaries show only the top components
+KMEANS_MAX_ITER = 300  # Lloyd iterations before k-means stops, converged or not
 
 
 @dataclass
@@ -66,17 +69,25 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "SplitSpec":
+        """Read a split file; any malformed content raises LoadError naming ``path``."""
         raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise LoadError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+        parts = {}
+        for name in ("train", "val", "test"):
+            if name not in raw:
+                raise LoadError(f"{path}: missing split key {name!r}")
+            ids = raw[name]
+            if not isinstance(ids, list) or not all(is_json_int(i) for i in ids):
+                raise LoadError(f"{path}: split {name!r} must be a list of integer node ids")
+            parts[name] = ids
+        seed = raw.get("seed", 0)
+        if not is_json_int(seed):
+            raise LoadError(f"{path}: split seed must be an integer")
         try:
-            return cls(
-                train=[int(i) for i in raw["train"]],
-                val=[int(i) for i in raw["val"]],
-                test=[int(i) for i in raw["test"]],
-                provenance=raw.get("provenance", "iid"),
-                seed=int(raw.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing split key {exc}") from exc
+            return cls(**parts, provenance=raw.get("provenance", "iid"), seed=seed)
+        except ConfigError as exc:
+            raise LoadError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -208,7 +219,7 @@ def pca_components(x: np.ndarray, n_components: int) -> tuple[np.ndarray, np.nda
     return centered @ eigvecs, eigvecs, eigvals
 
 
-def feature_pca_features(graph: HeteroGraph, n_components: int = 128) -> BiasFeatureTable:
+def feature_pca_features(graph: HeteroGraph, n_components: int) -> BiasFeatureTable:
     """Principal-component scores of the labeled target nodes' raw features."""
     nodes = [int(i) for i in graph.labeled_nodes()]
     feats = graph.features[graph.schema.target_type][nodes]
@@ -217,13 +228,13 @@ def feature_pca_features(graph: HeteroGraph, n_components: int = 128) -> BiasFea
     return BiasFeatureTable(nodes=nodes, columns=columns, values=projections)
 
 
-def bias_features(graph: HeteroGraph, kind: str, max_len: int = 2, n_components: int = 128) -> BiasFeatureTable:
+def bias_features(graph: HeteroGraph, kind: str, max_len: int = 2) -> BiasFeatureTable:
     if kind == "homophily":
         return homophily_features(graph, max_len=max_len)
     if kind == "degree":
         return degree_features(graph)
     if kind == "feature":
-        return feature_pca_features(graph, n_components=n_components)
+        return feature_pca_features(graph, n_components=OOD_PCA_COMPONENTS)
     raise ConfigError(f"unknown bias kind {kind!r}; expected one of {BIAS_KINDS}")
 
 
@@ -239,7 +250,7 @@ def _standardize(values: np.ndarray) -> np.ndarray:
     return (values[:, keep] - mean[keep]) / std[keep]
 
 
-def kmeans2(table: BiasFeatureTable, seed: int, max_iter: int = 300) -> tuple[np.ndarray, float]:
+def kmeans2(table: BiasFeatureTable, seed: int) -> tuple[np.ndarray, float]:
     """Lloyd's algorithm with k-means++ seeding on standardized columns.
 
     Returns (assignment in {0,1} aligned to table.nodes, final inertia).
@@ -260,7 +271,7 @@ def kmeans2(table: BiasFeatureTable, seed: int, max_iter: int = 300) -> tuple[np
     assign: np.ndarray | None = None
     inertia = math.inf
     reseeded = False
-    for _iteration in range(max_iter):
+    for _iteration in range(KMEANS_MAX_ITER):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(dists, axis=1)
         new_inertia = float(dists[np.arange(n), new_assign].sum())
@@ -287,13 +298,13 @@ def kmeans2(table: BiasFeatureTable, seed: int, max_iter: int = 300) -> tuple[np
 # ---------------------------------------------------------------------------
 # o.o.d split
 
-def ood_split(graph: HeteroGraph, bias: str, seed: int, max_len: int = 2, n_components: int = 128) -> SplitSpec:
+def ood_split(graph: HeteroGraph, bias: str, seed: int, max_len: int = 2) -> SplitSpec:
     """Cluster labeled nodes by the bias features; the larger cluster is
     split 60/40 into train/val, the smaller becomes the test set."""
     labeled = graph.labeled_nodes()
     if labeled.size < 10:
         raise ConfigError(f"need at least 10 labeled nodes, got {labeled.size}")
-    table = bias_features(graph, bias, max_len=max_len, n_components=n_components)
+    table = bias_features(graph, bias, max_len=max_len)
     assign, _ = kmeans2(table, seed)
     nodes = np.asarray(table.nodes)
     cluster0 = nodes[assign == 0]
@@ -318,9 +329,6 @@ def ood_split(graph: HeteroGraph, bias: str, seed: int, max_len: int = 2, n_comp
 
 # ---------------------------------------------------------------------------
 # distribution report
-
-REPORT_PCA_COMPONENTS = 5  # distribution summaries show only the top components
-
 
 def split_report(graph: HeteroGraph, spec: SplitSpec, max_len: int = 2) -> list[dict]:
     """Per bias feature: mean over all labeled nodes and over each partition."""

@@ -31,6 +31,8 @@ TEST_REGIME = "test"
 LEAK_FIDELITY = 0.5  # chance a leak block shows the true class rather than a random one
 TERM_CLASS_AFFINITY = 0.7  # chance a venued paper draws a term from its venue's class pool
 FLIP_TEMPTATION = 0.15  # fraction of partnership draws keyed on the stored label instead
+CAUSAL_METAPATH = "APV"  # the venue pool, whose majority class is the label
+SPURIOUS_METAPATH = "APA"  # the co-author pool, label-correlated in the train regime only
 
 
 @dataclass
@@ -40,8 +42,6 @@ class SynthSpec:
     venues_per_class: int = 3
     terms: int = 40
     num_classes: int = 3
-    causal_metapath: str = "APV"
-    spurious_metapath: str = "APA"
     spurious_strength: float = 0.95
     partners_per_author: int = 8
     test_regime_fraction: float = 1.0 / 3.0
@@ -53,8 +53,6 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.causal_metapath == self.spurious_metapath:
-            raise ConfigError("causal and spurious metapaths must differ")
         if not 0.0 <= self.spurious_strength <= 1.0:
             raise ConfigError("spurious_strength must lie in [0, 1]")
         if not 0.0 <= self.noise <= 1.0:  # a flip probability; nan fails too
@@ -322,20 +320,20 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     truth = GroundTruth(
         spec=spec,
         records=records,
-        planted_cause=spec.causal_metapath,
-        spurious=spec.spurious_metapath,
+        planted_cause=CAUSAL_METAPATH,
+        spurious=SPURIOUS_METAPATH,
     )
     return graph, truth
 
 
-def regime_split(truth: GroundTruth, seed: int | None = None) -> SplitSpec:
-    """Train/val (60/40) from the spurious regime; test is the chance regime."""
+def regime_split(truth: GroundTruth) -> SplitSpec:
+    """Train/val (60/40) from the spurious regime, shuffled by the spec's
+    seed; test is the chance regime."""
     train_regime = truth.regime_indices(TRAIN_REGIME)
     test_regime = truth.regime_indices(TEST_REGIME)
     if not train_regime or not test_regime:
         raise ConfigError("both regimes must be nonempty")
-    if seed is None:
-        seed = truth.spec.seed
+    seed = truth.spec.seed
     rng = substream(seed, "regime-split")
     order = [train_regime[i] for i in rng.permutation(len(train_regime))]
     n_train = math.floor(OOD_TRAIN_FRACTION * len(order))
@@ -387,11 +385,7 @@ def venue_majority_rule(graph: HeteroGraph) -> np.ndarray:
     """
     from .hetgraph import enumerate_metapaths, metapath_reach
 
-    apv = next(
-        mp
-        for mp in enumerate_metapaths(graph.schema, "author", 2)
-        if mp.name == "APV"
-    )
+    apv = next(mp for mp in enumerate_metapaths(graph.schema, "author", 2) if mp.name == CAUSAL_METAPATH)
     venue_class = graph.features["venue"].argmax(axis=1)
     n_classes = graph.schema.num_classes
     counts = np.zeros((graph.num_nodes("author"), n_classes), dtype=np.int64)

@@ -22,7 +22,7 @@ from .encoders import VariableBuilder, one_hot
 from .errors import ConfigError, NumericError
 from .hetgraph import UNLABELED, HeteroGraph, enumerate_metapaths
 from .losses import LossWeights, loss_dag, loss_inv, loss_joint, loss_rec
-from .numcore import AdamW, Tape, Tensor
+from .numcore import ACTIVATIONS, AdamW, Tape, Tensor
 from .rng import substream
 from .scm import (
     ModelMeta,
@@ -67,9 +67,6 @@ class TrainConfig:
     max_metapath_len: int = 2
     seed: int = 0
     multiset_neighbors: bool = False
-    exclude_self: bool = False
-    forward_only: bool = False
-    mlp_hidden: int | None = None
 
     def validate(self) -> None:
         for name in ("learning_rate", "weight_decay", "beta", "gamma", "rho", "alpha"):
@@ -84,11 +81,9 @@ class TrainConfig:
             raise ConfigError("weight_decay must be nonnegative")
         if min(self.beta, self.gamma, self.rho, self.alpha) < 0:
             raise ConfigError("loss weights beta, gamma, rho and alpha must be nonnegative")
-        if self.mlp_hidden is not None and self.mlp_hidden <= 0:
-            raise ConfigError("mlp_hidden must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.activation not in ("relu", "sigmoid"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     def loss_weights(self) -> LossWeights:
@@ -167,16 +162,8 @@ def compute_metrics(truth, pred, num_classes: int) -> Metrics:
 def _variable_builder(graph: HeteroGraph, settings: TrainConfig | ModelMeta) -> VariableBuilder:
     """The pooled-feature pipeline of a training config or a checkpoint's
     meta, which name their metapath and pooling settings alike."""
-    metapaths = enumerate_metapaths(
-        graph.schema, graph.schema.target_type, settings.max_metapath_len,
-        forward_only=settings.forward_only,
-    )
-    return VariableBuilder(
-        graph,
-        metapaths,
-        multiset_neighbors=settings.multiset_neighbors,
-        exclude_self=settings.exclude_self,
-    )
+    metapaths = enumerate_metapaths(graph.schema, graph.schema.target_type, settings.max_metapath_len)
+    return VariableBuilder(graph, metapaths, multiset_neighbors=settings.multiset_neighbors)
 
 
 def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBuilder, ModelMeta]:
@@ -186,11 +173,8 @@ def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBui
         num_classes=graph.schema.num_classes,
         hidden_dim=config.hidden_dim,
         activation=config.activation,
-        mlp_hidden=config.mlp_hidden if config.mlp_hidden is not None else config.hidden_dim,
         max_metapath_len=config.max_metapath_len,
         multiset_neighbors=config.multiset_neighbors,
-        exclude_self=config.exclude_self,
-        forward_only=config.forward_only,
         target_type=graph.schema.target_type,
         target_dim=graph.feature_dim(graph.schema.target_type),
         terminal_dims=builder.terminal_dims(),

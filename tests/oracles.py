@@ -160,7 +160,7 @@ def path_counts(adj, node: int, metapath) -> dict[int, int]:
     return counts
 
 
-def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False, ordered=False) -> np.ndarray:
+def pooled_table(graph, adj, nodes, metapath, multiset=False, ordered=False) -> np.ndarray:
     """Per-node pooled means. Multiset means are the previous implementation's
     ``(w @ feats[idx]) / w.sum()``, summed in BLAS order, or with ``ordered``
     the sparse route's contract: ``fl(w_k * F_k)`` added one terminal after
@@ -170,8 +170,6 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False
     for i, node in enumerate(nodes):
         if multiset:
             counts = path_counts(adj, int(node), metapath)
-            if exclude_self and metapath.terminal_type == metapath.source_type:
-                counts.pop(int(node), None)
             if counts:
                 idx = sorted(counts)
                 w = np.array([counts[j] for j in idx], dtype=np.float64)
@@ -183,7 +181,7 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, exclude_self=False
                 else:
                     out[i] = (w @ feats[idx]) / w.sum()
         else:
-            pool = neighbor_set(adj, int(node), metapath, exclude_self=exclude_self)
+            pool = neighbor_set(adj, int(node), metapath)
             if pool:
                 idx = sorted(pool)
                 out[i] = feats[idx].mean(axis=0)

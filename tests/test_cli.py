@@ -286,6 +286,29 @@ def test_unknown_config_key_rejected(synth_dir, tmp_path, capsys):
     assert run_cli("train", synth_dir, "--out", str(tmp_path / "x"), "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize("flags", [["--exclude-self"], ["--forward-only"], ["--mlp-hidden", "8"]], ids=" ".join)
+def test_removed_train_flags_exit_2(synth_dir, tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", synth_dir, "--out", str(tmp_path / "x"), *flags)
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli("train", "--help")
+    usage = capsys.readouterr().out
+    assert "--multiset-neighbors" in usage and flags[0] not in usage
+
+
+@pytest.mark.parametrize("line", ["exclude_self = true", "forward_only = true", "mlp_hidden = 8"])
+def test_removed_config_keys_exit_2_naming_file_and_line(synth_dir, tmp_path, capsys, line):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"max_epochs = 2\n{line}\n")
+    out = tmp_path / "x"
+    assert run_cli("train", synth_dir, "--out", str(out), "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert "c.cfg:2" in err and repr(line.split()[0]) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, line", [("hidden_dim", "abc", 2), ("learning_rate", "x", 3)])
 def test_unparsable_config_value_names_file_and_line(synth_dir, tmp_path, capsys, key, value, line):
     config = tmp_path / "c.cfg"
@@ -308,8 +331,6 @@ def test_unparsable_config_value_names_file_and_line(synth_dir, tmp_path, capsys
         ([], "weight_decay = inf", "weight_decay"),
         ([], "rho = -5", "rho"),
         ([], "alpha = -1", "alpha"),
-        (["--mlp-hidden", "0"], None, "mlp_hidden"),
-        (["--mlp-hidden", "-3"], None, "mlp_hidden"),
         (["--seed", "-1"], None, "seed"),
     ],
     ids=lambda v: (" ".join(v) or "cfg") if isinstance(v, list) else None,
@@ -411,17 +432,20 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     assert "edge removal exhausted" in err and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
-def test_checkpoints_before_version_5_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
-    """Checkpoints before version 5 carried ``native_dims`` and ``var_dims``
-    in their meta, and before version 4 stored tensor data as float lists;
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
+def test_checkpoints_before_version_6_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
+    """Checkpoints before version 6 carried ``mlp_hidden``, ``exclude_self``
+    and ``forward_only`` in their meta, before version 5 ``native_dims`` and
+    ``var_dims`` too, and before version 4 stored tensor data as float lists;
     they exit 2 with no traceback."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    assert payload["version"] == 5
+    assert payload["version"] == 6
     payload["version"] = version
     meta = payload["meta"]
-    meta["native_dims"], meta["var_dims"] = False, [meta["hidden_dim"]] * len(meta["variable_names"])
+    meta["mlp_hidden"], meta["exclude_self"], meta["forward_only"] = meta["hidden_dim"], False, False
+    if version < 5:
+        meta["native_dims"], meta["var_dims"] = False, [meta["hidden_dim"]] * len(meta["variable_names"])
     for entry in payload["tensors"].values() if version < 4 else []:
         del entry["dtype"]
         entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").tolist()
@@ -433,10 +457,40 @@ def test_checkpoints_before_version_5_rejected(trained_dir, synth_dir, tmp_path,
     assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err, err
 
 
+def _boolean_id(spec: dict) -> dict:
+    """``spec`` with node 1 in the train split, written as ``true``."""
+    parts = {k: [i for i in spec[k] if i != 1] for k in ("train", "val", "test")}
+    parts["train"].append(True)
+    return dict(spec, **parts)
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda spec: [], id="top-level-list"),
+    pytest.param(lambda spec: dict(spec, train=None), id="null-part"),
+    pytest.param(lambda spec: dict(spec, train=["x", *spec["train"]]), id="string-id"),
+    pytest.param(lambda spec: dict(spec, train=[spec["train"][0] + 0.5, *spec["train"][1:]]), id="float-id"),
+    pytest.param(_boolean_id, id="boolean-id"),
+    pytest.param(lambda spec: dict(spec, train=[*spec["train"], 10**6]), id="unknown-id"),
+    pytest.param(lambda spec: dict(spec, seed="x"), id="string-seed"),
+])
+def test_malformed_splits_file_exits_2(trained_dir, synth_dir, tmp_path, capsys, corrupt):
+    """A split file whose ids are not JSON integers, or not labeled nodes,
+    exits 2 naming the file; a float id used to be truncated to an integer
+    and a boolean id read as 0 or 1, both silently."""
+    with open(os.path.join(synth_dir, "splits.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    bad = tmp_path / "bad-splits.json"
+    bad.write_text(json.dumps(corrupt(spec)), encoding="utf-8")
+    code = run_cli("eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+                   "--splits", str(bad))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad-splits.json" in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("field, value", [
     ("hidden_dim", "x"),
     ("hidden_dim", -3),
-    ("mlp_hidden", 2.5),
     ("terminal_dims", "ab"),
     ("max_metapath_len", "2"),
     ("activation", "tanh"),

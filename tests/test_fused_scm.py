@@ -16,8 +16,8 @@ from graphscm.rng import substream
 from graphscm.scm import ScmParameters, reconstruct, reconstruct_all
 
 
-def _params(n, width, activation="relu", mlp_hidden=None, seed=0):
-    params = ScmParameters(n, width, 3, activation, substream(seed, "init"), mlp_hidden=mlp_hidden)
+def _params(n, width, activation="relu", seed=0):
+    params = ScmParameters(n, width, 3, activation, substream(seed, "init"))
     # nonzero biases, so that a misplaced bias would show
     rng = np.random.default_rng(seed + 1)
     for p in params.parameters():

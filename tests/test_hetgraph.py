@@ -205,11 +205,6 @@ def test_enumeration_deterministic_and_composable(dblp_schema):
         assert by_name[mp.relations[-1]].dst == mp.terminal_type
 
 
-def test_forward_only_restricts_to_declared_direction(dblp_schema):
-    names = [mp.name for mp in enumerate_metapaths(dblp_schema, "author", 2, forward_only=True)]
-    assert names == ["AP", "APT"]  # only write and use compose forward
-
-
 # ---------------------------------------------------------------------------
 # neighbor sets
 

@@ -61,9 +61,9 @@ def dense_calls(monkeypatch):
     calls = []
     dense_pool = hetgraph._dense_pool
 
-    def spy(graph, nodes, metapath, *args):
+    def spy(graph, metapath, *args):
         calls.append(metapath.name)
-        return dense_pool(graph, nodes, metapath, *args)
+        return dense_pool(graph, metapath, *args)
 
     monkeypatch.setattr(hetgraph, "_dense_pool", spy)
     return calls
@@ -88,20 +88,19 @@ def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach
     for mp in enumerate_metapaths(graph.schema, target, 3):
         feats = graph.features[mp.terminal_type]
         for multiset in (False, True):
-            for exclude_self in (False, True):
-                dense_calls.clear()
-                got = pooled_neighbor_features(graph, nodes, mp, multiset, exclude_self)
-                want = pooled_table(graph, adj, nodes, mp, multiset, exclude_self)
-                case = (mp.name, multiset, exclude_self)
-                assert (mp.name in DENSE_PATHS[which, reach_block]) == bool(dense_calls), case
-                if dense_calls:
-                    assert _within_tolerance(got, want, feats), case
-                elif multiset:
-                    ordered = pooled_table(graph, adj, nodes, mp, multiset, exclude_self, ordered=True)
-                    assert _same_bytes(got, ordered), case
-                    assert _within_tolerance(got, want, feats), case
-                else:
-                    assert _same_bytes(got, want), case
+            dense_calls.clear()
+            got = pooled_neighbor_features(graph, nodes, mp, multiset)
+            want = pooled_table(graph, adj, nodes, mp, multiset)
+            case = (mp.name, multiset)
+            assert (mp.name in DENSE_PATHS[which, reach_block]) == bool(dense_calls), case
+            if dense_calls:
+                assert _within_tolerance(got, want, feats), case
+            elif multiset:
+                ordered = pooled_table(graph, adj, nodes, mp, multiset, ordered=True)
+                assert _same_bytes(got, ordered), case
+                assert _within_tolerance(got, want, feats), case
+            else:
+                assert _same_bytes(got, want), case
 
 
 def test_dense_route_takes_aptp_and_no_short_path(synth_graph):
@@ -124,12 +123,11 @@ def test_dense_route_in_row_blocks_and_column_tiles_matches_oracle(synth_graph, 
     assert hetgraph.REACH_BLOCK < papers * synth_graph.num_nodes("author")
     adj = adjacency_lists(synth_graph)
     for multiset in (False, True):
-        for exclude_self in (False, True):
-            dense_calls.clear()
-            got = pooled_neighbor_features(synth_graph, nodes, mp, multiset, exclude_self)
-            want = pooled_table(synth_graph, adj, nodes, mp, multiset, exclude_self)
-            assert dense_calls == ["APTPA"]
-            assert _within_tolerance(got, want, synth_graph.features["author"]), (multiset, exclude_self)
+        dense_calls.clear()
+        got = pooled_neighbor_features(synth_graph, nodes, mp, multiset)
+        want = pooled_table(synth_graph, adj, nodes, mp, multiset)
+        assert dense_calls == ["APTPA"]
+        assert _within_tolerance(got, want, synth_graph.features["author"]), multiset
 
 
 def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls):
@@ -142,18 +140,12 @@ def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls
         mp = paths[name]
         feats = graph.features[mp.terminal_type]
         for multiset in (False, True):
-            tables = []
-            for exclude_self in (False, True):
-                dense_calls.clear()
-                got = pooled_neighbor_features(graph, nodes, mp, multiset, exclude_self)
-                assert dense_calls == [name]
-                assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, multiset, exclude_self), feats)
-                if 3 in nodes:
-                    assert not got[nodes.index(3)].any()
-                tables.append(got)
-            if name == "APA":
-                # each query author is in its own APA pool, so dropping it moves every mean
-                assert np.all(np.any(tables[0] != tables[1], axis=1))
+            dense_calls.clear()
+            got = pooled_neighbor_features(graph, nodes, mp, multiset)
+            assert dense_calls == [name]
+            assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, multiset), feats)
+            if 3 in nodes:
+                assert not got[nodes.index(3)].any()
 
 
 @pytest.mark.parametrize("block", [None, 128])
@@ -170,16 +162,9 @@ def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block
     nodes = [120, *range(118, 0, -3), 120, 7]
     empty = [i for i, node in enumerate(nodes) if node == 120]
     for mp in enumerate_metapaths(graph.schema, "author", 2):
-        tables = []
-        for exclude_self in (False, True):
-            got = pooled_neighbor_features(graph, nodes, mp, True, exclude_self)
-            assert _same_bytes(got, pooled_table(graph, adj, nodes, mp, True, exclude_self, ordered=True))
-            assert not got[empty].any()
-            tables.append(got)
-        if mp.name == "APA":
-            # each query author with papers is in its own APA pool, so dropping it moves every mean
-            moved = np.any(tables[0] != tables[1], axis=1)
-            assert np.all(moved == [node != 120 for node in nodes])
+        got = pooled_neighbor_features(graph, nodes, mp, True)
+        assert _same_bytes(got, pooled_table(graph, adj, nodes, mp, True, ordered=True))
+        assert not got[empty].any()
     assert dense_calls == []
 
 
@@ -281,22 +266,3 @@ def test_apvp_pools_each_distinct_frontier_row_once(synth_graph, multiset, poole
     assert sum(pooled_rows) == len(distinct)
     assert dense_calls == []
     assert _same_bytes(got, pooled_table(synth_graph, adj, nodes, apvp, multiset, ordered=multiset))
-
-
-@pytest.mark.parametrize("multiset", [False, True])
-def test_exclude_self_back_to_the_source_pools_every_row(synth_graph, multiset, pooled_rows, dense_calls):
-    # APVPA's frontier (author x paper) fits the block; authors that share
-    # it differ once each drops itself from its pool
-    apvpa = next(mp for mp in enumerate_metapaths(synth_graph.schema, "author", 4) if mp.name == "APVPA")
-    adj = adjacency_lists(synth_graph)
-    nodes = list(range(synth_graph.num_nodes("author")))
-    frontier = hetgraph._frontier(synth_graph, np.asarray(nodes), apvpa)
-    assert frontier is not None
-    _, groups = np.unique(frontier if multiset else frontier > 0, axis=0, return_inverse=True)
-    got = pooled_neighbor_features(synth_graph, nodes, apvpa, multiset, exclude_self=True)
-    assert sum(pooled_rows) == len(nodes)
-    assert dense_calls == []
-    assert _same_bytes(got, pooled_table(synth_graph, adj, nodes, apvpa, multiset, True, ordered=multiset))
-    # some authors with equal frontier rows get different means
-    pairs = np.column_stack([groups.ravel(), got])
-    assert np.unique(pairs, axis=0).shape[0] > groups.max() + 1

@@ -64,10 +64,10 @@ def _batch(n_vars, batch, dims, seed=0, label_known=True):
     )
 
 
-def _params(dims, classes=2, seed=0, activation="relu", mlp_hidden=None):
+def _params(dims, classes=2, seed=0, activation="relu"):
     """An SCM over len(dims) variables of the one width in ``dims``."""
     (width,) = set(dims)
-    return ScmParameters(len(dims), width, classes, activation, substream(seed, "init"), mlp_hidden=mlp_hidden)
+    return ScmParameters(len(dims), width, classes, activation, substream(seed, "init"))
 
 
 def test_no_causes_gives_constant_reconstruction():
@@ -83,7 +83,7 @@ def test_doubling_a_weight_doubles_contribution():
     # 1-d variables with all-ones weights and zero biases turn every network
     # into a positive passthrough, so the assignment is literally
     # sum_i A[i,k] * h_i and doubling A[0,2] must double that cause's share.
-    params = _params([1, 1, 1], mlp_hidden=1)
+    params = _params([1, 1, 1])
     for p in params.parameters():
         if p.name == "dag.A":
             continue
@@ -231,11 +231,8 @@ def _toy_model(toy_graph, hidden=4, seed=0):
         num_classes=toy_graph.schema.num_classes,
         hidden_dim=hidden,
         activation="relu",
-        mlp_hidden=hidden,
         max_metapath_len=2,
         multiset_neighbors=False,
-        exclude_self=False,
-        forward_only=False,
         target_type="author",
         target_dim=toy_graph.feature_dim("author"),
         terminal_dims=builder.terminal_dims(),

@@ -30,8 +30,6 @@ def _small_spec(**overrides):
 
 def test_validation_rejects_bad_specs():
     with pytest.raises(ConfigError):
-        SynthSpec(causal_metapath="APA", spurious_metapath="APA").validate()
-    with pytest.raises(ConfigError):
         SynthSpec(spurious_strength=1.5).validate()
     with pytest.raises(ConfigError):
         SynthSpec(venues_per_class=1).validate()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphscm.errors import ConfigError
+from graphscm.hetgraph import pooled_neighbor_features
 from graphscm.synth import SynthSpec, generate, regime_split
 from graphscm.train import (
     TrainConfig,
@@ -229,15 +230,16 @@ def test_evaluate_flipped_labels_leave_predictions_unchanged():
 
 
 def test_pooling_flags_flow_through_training():
-    graph, truth = _tiny_task(authors=60)
-    splits = regime_split(truth)
-    config = _fast_config(
-        max_epochs=2, patience=2, multiset_neighbors=True, exclude_self=True, forward_only=True
-    )
-    result = train(graph, splits, config)
-    assert result.model.meta.forward_only
-    assert result.model.meta.variable_names[1] == "AP"
-    assert "APA" not in result.model.meta.variable_names  # no inverse composition
+    # the default label noise leaks into author features, so co-author
+    # pools weighted by path counts differ from plain sets
+    graph, truth = generate(SynthSpec(authors=60, terms=12, num_classes=2, term_dim=2, partners_per_author=3))
+    result = train(graph, regime_split(truth), _fast_config(max_epochs=2, patience=2, multiset_neighbors=True))
+    assert result.model.meta.multiset_neighbors
+    apa = next(mp for mp in result.builder.metapaths if mp.name == "APA")
+    nodes = range(graph.num_nodes("author"))
+    table = result.builder.tables["APA"]
+    assert np.array_equal(table, pooled_neighbor_features(graph, nodes, apa, multiset=True))
+    assert not np.array_equal(table, pooled_neighbor_features(graph, nodes, apa))
 
 
 def test_history_csv_roundtrip(tmp_path):
