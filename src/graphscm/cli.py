@@ -21,10 +21,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ContractError, DimensionError, LoadError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, LoadError, NumericError, not_utf8
 from .hetgraph import HeteroGraph, load_graph, write_dataset
 from .interpret import diagram_to_json, export_dot, trim_to_dag
-from .numcore import ACTIVATIONS, Tensor, expm_trace
+from .numcore import Tensor, expm_trace
 from .scm import load_checkpoint, save_checkpoint
 from .splits import (
     BIAS_KINDS,
@@ -69,27 +69,31 @@ def _print_json(payload) -> None:
 # ---------------------------------------------------------------------------
 # config resolution: defaults < config file < explicit CLI flags
 
-_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def _parse_config_file(path: str) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"missing config file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = [part.strip() for part in line.split("=", 1)]
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _coerce(key, value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = [part.strip() for part in line.split("=", 1)]
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
     return out
 
 
@@ -101,11 +105,7 @@ def _coerce(key: str, value: str):
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expects a boolean, got {value!r}")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    return value
+    return type(current)(value)  # int or float
 
 
 def resolve_train_config(args) -> TrainConfig:
@@ -113,24 +113,10 @@ def resolve_train_config(args) -> TrainConfig:
     if getattr(args, "config", None):
         for key, value in _parse_config_file(args.config).items():
             setattr(config, key, value)
-    flag_map = {
-        "hidden": "hidden_dim",
-        "batch_size": "batch_size",
-        "lr": "learning_rate",
-        "patience": "patience",
-        "max_epochs": "max_epochs",
-        "beta": "beta",
-        "gamma": "gamma",
-        "activation": "activation",
-        "max_metapath_len": "max_metapath_len",
-        "seed": "seed",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in _CONFIG_KEYS:  # each train flag's dest is its config key
+        value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    if getattr(args, "multiset_neighbors", False):
-        config.multiset_neighbors = True
     ablation = getattr(args, "ablation", None) or "full"
     config.beta, config.gamma = ablation_presets(ablation, config.beta, config.gamma)
     config.validate()
@@ -312,7 +298,6 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(
         authors=args.authors,
         num_classes=args.classes,
-        term_dim=args.classes,
         spurious_strength=args.spurious,
         noise=args.noise,
         seed=args.seed,
@@ -381,13 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--hidden", type=int)
+    p.add_argument("--hidden", type=int, dest="hidden_dim")
     p.add_argument("--max-metapath-len", type=int, dest="max_metapath_len")
-    p.add_argument("--activation", choices=tuple(ACTIVATIONS))
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--patience", type=int)
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--multiset-neighbors", action="store_true", dest="multiset_neighbors")
+    p.add_argument("--multiset-neighbors", action="store_true", default=None, dest="multiset_neighbors")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, LoadError, not_utf8, read_json
+from .errors import ContractError, LoadError, is_json_int, not_utf8, read_json
 
 UNLABELED = -1
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -573,14 +573,16 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
     raw = read_json(schema_path)
     try:
         relations = [Relation(r["name"], r["src"], r["dst"], r["inverse"]) for r in raw["relations"]]
-        schema = Schema(
-            node_types=list(raw["node_types"]),
-            relations=relations,
-            target_type=raw["target_type"],
-            num_classes=int(raw["num_classes"]),
-        )
+        node_types = list(raw["node_types"])
+        target_type, num_classes = raw["target_type"], raw["num_classes"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"malformed schema.json: {exc}") from exc
+    if not is_json_int(num_classes):
+        raise LoadError(f"{schema_path}: num_classes must be an integer, got {num_classes!r}")
+    for value in node_types + [v for r in relations for v in (r.name, r.src, r.dst, r.inverse)]:
+        if not isinstance(value, str):
+            raise LoadError(f"{schema_path}: node types and relation fields must be strings, got {value!r}")
+    schema = Schema(node_types, relations, target_type, num_classes)
 
     features: dict[str, np.ndarray] = {}
     for t in schema.node_types:

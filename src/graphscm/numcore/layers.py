@@ -14,16 +14,6 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-# activation functions by name; configs, checkpoints and the CLI accept exactly these names
-ACTIVATIONS = {"relu": T.relu, "sigmoid": T.sigmoid}
-
-
-def activate(x: Tensor, activation: str) -> Tensor:
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}; expected one of {tuple(ACTIVATIONS)}")
-    return ACTIVATIONS[activation](x)
-
-
 class Linear:
     """y = x @ W + b with weight shape (in_dim, out_dim); with no ``rng`` the
     weight starts at zero instead of a Kaiming draw."""
@@ -52,8 +42,8 @@ class StackedMlp:
     """Independent perceptrons of one layout, one per slice of a leading axis.
 
     Each of the ``count`` networks maps ``width`` columns to ``width``
-    through ``n_layers`` weight layers, every one ``width`` wide, with the
-    activation between consecutive layers. Layer l of every network lives in
+    through ``n_layers`` weight layers, every one ``width`` wide, with a
+    ReLU between consecutive layers. Layer l of every network lives in
     one stacked weight ``{name}.{l}.W`` of shape (count, width, width) and
     bias ``{name}.{l}.b``. Initial weights are drawn network by network,
     layer by layer; with no ``rng`` every weight stays zero.
@@ -64,7 +54,6 @@ class StackedMlp:
         count: int,
         width: int,
         n_layers: int,
-        activation: str,
         rng: np.random.Generator | None,
         name: str,
     ):
@@ -81,7 +70,6 @@ class StackedMlp:
         for j in range(count) if rng is not None else []:
             for w in self.weights:
                 w.data[j] = kaiming_uniform(rng, width, width)
-        self.activation = activation
 
     def __call__(self, x: Tensor, rows: slice | None = None) -> Tensor:
         """Run stacked inputs (networks, B, width) through the networks
@@ -89,7 +77,7 @@ class StackedMlp:
         out = x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if l:
-                out = activate(out, self.activation)
+                out = T.relu(out)
             if rows is not None:
                 w, b = T.take(w, rows), T.take(b, rows)
             out = T.bmm(out, w, b)

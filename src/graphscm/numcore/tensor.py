@@ -260,18 +260,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(y)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * y * (1.0 - y))
-
-    return _record(out, (x,), backward)
-
-
 def log(x: Tensor) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = Tensor(np.log(x.data))

@@ -6,9 +6,9 @@ Each variable k is reconstructed from the others as
 
     h_hat_k = Decoder_k( sum_{i != k} A[i, k] * Pair_ik( Effect_i(h_i) ) )
 
-where Effect_i is a two-layer perceptron shared across every target of i,
+where Effect_i is a two-layer ReLU perceptron shared across every target of i,
 Pair_ik is an independent affine map per ordered pair, and Decoder_k is a
-three-layer perceptron. The diagonal of A is pinned to zero (a variable is
+three-layer ReLU perceptron. The diagonal of A is pinned to zero (a variable is
 never its own cause) and the i = k term is skipped structurally. The n
 effect networks, the n(n - 1) pair maps and the n decoders are each stacked
 along a leading axis and run by the stacked ops of ``numcore``.
@@ -31,18 +31,7 @@ import numpy as np
 
 from .encoders import Encoders, VariableBatch
 from .errors import ContractError, DimensionError, LoadError, is_json_int, read_json
-from .numcore import (
-    ACTIVATIONS,
-    Linear,
-    StackedMlp,
-    Tensor,
-    activate,
-    add,
-    kaiming_uniform,
-    pair_mix,
-    softmax,
-    take,
-)
+from .numcore import Linear, StackedMlp, Tensor, add, kaiming_uniform, pair_mix, relu, softmax, take
 from .rng import substream
 
 DAG_INIT_MAGNITUDE = 0.4
@@ -87,18 +76,10 @@ class ScmParameters:
     no ``rng`` nothing is drawn and every tensor starts at zero.
     """
 
-    def __init__(
-        self,
-        n_vars: int,
-        width: int,
-        num_classes: int,
-        activation: str,
-        rng: np.random.Generator | None,
-    ):
+    def __init__(self, n_vars: int, width: int, num_classes: int, rng: np.random.Generator | None):
         if n_vars < 2:
             raise ContractError("an SCM needs at least two variables")
         n = self.n_vars = n_vars
-        self.activation = activation
         self.width = width
         # initial weights are drawn network by network: effects, pair maps
         # (cause-major, targets ascending), decoders, the label shortcut
@@ -106,13 +87,13 @@ class ScmParameters:
             self.dag = Tensor(np.zeros((n, n)), requires_grad=True, name="dag.A")
         else:
             self.dag = init_dag(n, rng)
-        self.effect = StackedMlp(n, width, 2, activation, rng, "scm.effect")
+        self.effect = StackedMlp(n, width, 2, rng, "scm.effect")
         pair = np.zeros((n, n - 1, width, width))
         for i, s in np.ndindex(n, n - 1) if rng is not None else []:
             pair[i, s] = kaiming_uniform(rng, width, width)
         self.pair_weight = Tensor(pair, requires_grad=True, name="scm.pair.W")
         self.pair_bias = Tensor(np.zeros((n, n - 1, width)), requires_grad=True, name="scm.pair.b")
-        self.decoder = StackedMlp(n, width, 3, activation, rng, "scm.decoder")
+        self.decoder = StackedMlp(n, width, 3, rng, "scm.decoder")
         self.inv1 = Linear(width, width, rng, "scm.inv1")
         self.inv2 = Linear(width, num_classes, rng, "scm.inv2")
         self.decoder_calls = 0  # instrumentation: one bump per decoded variable per batch
@@ -168,7 +149,7 @@ def label_probabilities_from(decoded: Tensor, params: ScmParameters) -> Tensor:
     class probabilities through the shortcut network approximating the label
     encoder's inverse."""
     h_y_hat = take(decoded, -1)
-    shortcut = activate(params.inv1(h_y_hat), params.activation)
+    shortcut = relu(params.inv1(h_y_hat))
     logits = params.inv2(add(h_y_hat, shortcut))
     return softmax(logits)
 
@@ -193,7 +174,6 @@ class ModelMeta:
     variable_names: list[str]
     num_classes: int
     hidden_dim: int
-    activation: str
     max_metapath_len: int
     multiset_neighbors: bool
     target_type: str
@@ -220,8 +200,6 @@ class ModelMeta:
         names = self.variable_names
         if not isinstance(names, list) or len(names) != n or not all(isinstance(v, str) for v in names):
             raise bad("variable_names", f"a list of {n} strings")
-        if self.activation not in ACTIVATIONS:
-            raise bad("activation", f"one of {tuple(ACTIVATIONS)}")
         if not isinstance(self.multiset_neighbors, bool):
             raise bad("multiset_neighbors", "a boolean")
 
@@ -249,13 +227,7 @@ class ScmModel:
             meta.hidden_dim,
             rng,
         )
-        self.scm = ScmParameters(
-            len(meta.variable_names),
-            meta.hidden_dim,
-            meta.num_classes,
-            meta.activation,
-            rng,
-        )
+        self.scm = ScmParameters(len(meta.variable_names), meta.hidden_dim, meta.num_classes, rng)
 
     def parameters(self) -> list[Tensor]:
         return self.encoders.parameters() + self.scm.parameters()
@@ -282,7 +254,7 @@ class ScmModel:
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 TENSOR_DTYPE = "<f8"  # every tensor's data: base64 of its row-major little-endian float64 bytes
 
 
@@ -357,6 +329,8 @@ def load_checkpoint(path: str) -> ScmModel:
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed checkpoint: {exc}") from exc
     meta.validate(path)
+    if not isinstance(tensors, dict):
+        raise LoadError(f"{path}: field 'tensors' must be an object, not {type(tensors).__name__}")
     model = ScmModel._skeleton(meta)
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))

@@ -33,22 +33,20 @@ TERM_CLASS_AFFINITY = 0.7  # chance a venued paper draws a term from its venue's
 FLIP_TEMPTATION = 0.15  # fraction of partnership draws keyed on the stored label instead
 CAUSAL_METAPATH = "APV"  # the venue pool, whose majority class is the label
 SPURIOUS_METAPATH = "APA"  # the co-author pool, label-correlated in the train regime only
+VENUES_PER_CLASS = 3
+PAPERS_PER_AUTHOR = 3  # venued papers per author, in distinct venues: at most VENUES_PER_CLASS
+TERMS_PER_PAPER = 2
+TEST_REGIME_FRACTION = 1.0 / 3.0  # share of authors whose co-authors agree at chance
+FEATURE_DIM = 4  # author and paper feature width: a class leak block, then noise columns
 
 
 @dataclass
 class SynthSpec:
     authors: int = 2000
-    papers_per_author: int = 3
-    venues_per_class: int = 3
     terms: int = 40
     num_classes: int = 3
     spurious_strength: float = 0.95
     partners_per_author: int = 8
-    test_regime_fraction: float = 1.0 / 3.0
-    author_dim: int = 4
-    paper_dim: int = 4
-    term_dim: int = 3  # terms carry a one-hot of their class at noise scale
-    terms_per_paper: int = 2
     noise: float = 0.1
     seed: int = 0
 
@@ -61,17 +59,13 @@ class SynthSpec:
             raise ConfigError("seed must be non-negative")
         if self.authors < self.num_classes:
             raise ConfigError("need at least one author per class")
-        if self.venues_per_class < 2:
-            raise ConfigError("need at least 2 venues per class")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
-        if self.terms < max(self.num_classes, self.terms_per_paper):
-            raise ConfigError("terms must be at least num_classes and terms_per_paper")
-        if self.author_dim < self.num_classes or self.paper_dim < self.num_classes:
-            raise ConfigError("author/paper feature dims must fit the class leak block")
-        if not 0.0 < self.test_regime_fraction < 1.0:
-            raise ConfigError("test_regime_fraction must lie strictly between 0 and 1")
-        if self.authors * min(self.test_regime_fraction, 1 - self.test_regime_fraction) < 4:
+        if self.terms < max(self.num_classes, TERMS_PER_PAPER):
+            raise ConfigError(f"terms must be at least num_classes and {TERMS_PER_PAPER}")
+        if self.num_classes > FEATURE_DIM:
+            raise ConfigError(f"num_classes must be at most the author/paper feature width {FEATURE_DIM}")
+        if self.authors * TEST_REGIME_FRACTION < 4:  # the test regime is the smaller one
             raise ConfigError("both regimes need at least a handful of authors")
 
 
@@ -176,10 +170,10 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     rng = substream(spec.seed, "synth")
     c = spec.num_classes
     n_authors = spec.authors
-    n_venues = spec.venues_per_class * c
-    venue_class = np.arange(n_venues) // spec.venues_per_class
+    n_venues = VENUES_PER_CLASS * c
+    venue_class = np.arange(n_venues) // VENUES_PER_CLASS
 
-    n_test = int(round(spec.test_regime_fraction * n_authors))
+    n_test = int(round(TEST_REGIME_FRACTION * n_authors))
     regime = np.array([TEST_REGIME] * n_authors, dtype=object)
     regime[rng.permutation(n_authors)[: n_authors - n_test]] = TRAIN_REGIME
 
@@ -193,14 +187,7 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     next_paper = 0
     for a in range(n_authors):
         own_venues = np.flatnonzero(venue_class == target_class[a])
-        k = spec.papers_per_author
-        if k <= own_venues.size:
-            chosen = rng.choice(own_venues, size=k, replace=False)
-        else:
-            chosen = np.concatenate(
-                [rng.permutation(own_venues) for _ in range(math.ceil(k / own_venues.size))]
-            )[:k]
-        for v in chosen:
+        for v in rng.choice(own_venues, size=PAPERS_PER_AUTHOR, replace=False):
             write_edges.append((a, next_paper))
             publish_edges.append((int(v), next_paper))
             paper_venue_class.append(int(venue_class[v]))
@@ -260,7 +247,7 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     for p in range(n_papers):
         vclass = paper_venue_class[p]
         picked: set[int] = set()
-        while len(picked) < spec.terms_per_paper:
+        while len(picked) < TERMS_PER_PAPER:
             if vclass is not None and rng.random() < TERM_CLASS_AFFINITY:
                 pool = np.flatnonzero(term_class == vclass)
             else:
@@ -278,23 +265,24 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     venue_feats = np.zeros((n_venues, c))
     venue_feats[np.arange(n_venues), venue_class] = 1.0
 
-    author_feats = np.zeros((n_authors, spec.author_dim))
+    author_feats = np.zeros((n_authors, FEATURE_DIM))
     leak_is_true = rng.random(n_authors) < LEAK_FIDELITY
     leak_class = np.where(leak_is_true, labels, rng.integers(0, c, size=n_authors))
     author_feats[np.arange(n_authors), leak_class] = spec.noise
-    author_feats[:, c:] = rng.integers(-1, 2, size=(n_authors, spec.author_dim - c)) * spec.noise
+    author_feats[:, c:] = rng.integers(-1, 2, size=(n_authors, FEATURE_DIM - c)) * spec.noise
 
-    paper_feats = np.zeros((n_papers, spec.paper_dim))
+    paper_feats = np.zeros((n_papers, FEATURE_DIM))
     paper_leak_true = rng.random(n_papers) < LEAK_FIDELITY
     paper_leak_class = rng.integers(0, c, size=n_papers)
     for p, vclass in enumerate(paper_venue_class):
         if vclass is not None:
             shown = vclass if paper_leak_true[p] else int(paper_leak_class[p])
             paper_feats[p, shown] = spec.noise
-    paper_feats[:, c:] = rng.integers(-1, 2, size=(n_papers, spec.paper_dim - c)) * spec.noise
+    paper_feats[:, c:] = rng.integers(-1, 2, size=(n_papers, FEATURE_DIM - c)) * spec.noise
 
-    term_feats = np.zeros((spec.terms, spec.term_dim))
-    term_feats[np.arange(spec.terms), term_class % spec.term_dim] = spec.noise
+    # terms carry a one-hot of their class at noise scale
+    term_feats = np.zeros((spec.terms, c))
+    term_feats[np.arange(spec.terms), term_class] = spec.noise
 
     write = np.array(write_edges, dtype=np.int64)
     publish = np.array(publish_edges, dtype=np.int64)

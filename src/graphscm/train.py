@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .encoders import VariableBuilder, one_hot
 from .errors import ConfigError, NumericError
 from .hetgraph import UNLABELED, HeteroGraph, enumerate_metapaths
 from .losses import LossWeights, loss_dag, loss_inv, loss_joint, loss_rec
-from .numcore import ACTIVATIONS, AdamW, Tape, Tensor
+from .numcore import AdamW, Tape, Tensor
 from .rng import substream
 from .scm import (
     ModelMeta,
@@ -50,26 +50,24 @@ EVAL_BATCH = 128
 
 ABLATIONS = ("full", "no_rec", "no_dag", "no_both")
 
+WEIGHT_DECAY = 0.01  # AdamW's decoupled decay rate
+
 
 @dataclass
 class TrainConfig:
     hidden_dim: int = 64
     batch_size: int = 256
     learning_rate: float = 0.001
-    weight_decay: float = 0.01
     patience: int = 50
     max_epochs: int = 500
     beta: float = 0.01
     gamma: float = 10.0
-    rho: float = 1.0
-    alpha: float = 1.0
-    activation: str = "relu"
     max_metapath_len: int = 2
     seed: int = 0
     multiset_neighbors: bool = False
 
     def validate(self) -> None:
-        for name in ("learning_rate", "weight_decay", "beta", "gamma", "rho", "alpha"):
+        for name in ("learning_rate", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("hidden_dim", "batch_size", "learning_rate", "max_epochs", "max_metapath_len"):
@@ -77,17 +75,13 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.patience < 0:
             raise ConfigError("patience must be nonnegative")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
-        if min(self.beta, self.gamma, self.rho, self.alpha) < 0:
-            raise ConfigError("loss weights beta, gamma, rho and alpha must be nonnegative")
+        if min(self.beta, self.gamma) < 0:
+            raise ConfigError("loss weights beta and gamma must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(beta=self.beta, gamma=self.gamma, rho=self.rho, alpha=self.alpha)
+        return LossWeights(beta=self.beta, gamma=self.gamma)
 
 
 def ablation_presets(name: str, beta: float, gamma: float) -> tuple[float, float]:
@@ -115,13 +109,7 @@ class Metrics:
     confusion: list[list[int]]
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 def compute_metrics(truth, pred, num_classes: int) -> Metrics:
@@ -172,7 +160,6 @@ def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBui
         variable_names=builder.variable_names,
         num_classes=graph.schema.num_classes,
         hidden_dim=config.hidden_dim,
-        activation=config.activation,
         max_metapath_len=config.max_metapath_len,
         multiset_neighbors=config.multiset_neighbors,
         target_type=graph.schema.target_type,
@@ -262,14 +249,7 @@ class EpochStats:
     val_acc: float
 
     def as_row(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "l_inv": self.l_inv,
-            "l_rec": self.l_rec,
-            "l_dag": self.l_dag,
-            "val_macro_f1": self.val_macro_f1,
-            "val_acc": self.val_acc,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -296,7 +276,7 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
     optimizer = AdamW(
         model.parameters(),
         lr=config.learning_rate,
-        weight_decay=config.weight_decay,
+        weight_decay=WEIGHT_DECAY,
         no_decay=("dag.A",),
     )
     shuffle_rng = substream(config.seed, "shuffle")
@@ -372,7 +352,7 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
     )
 
 
-HISTORY_FIELDS = ["epoch", "l_inv", "l_rec", "l_dag", "val_macro_f1", "val_acc"]
+HISTORY_FIELDS = [f.name for f in fields(EpochStats)]
 
 
 def write_history_csv(history: list[EpochStats], path: str) -> None:

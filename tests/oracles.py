@@ -274,7 +274,6 @@ class PairwiseScm:
             ]
 
         n = self.n_vars = params.n_vars
-        self.activation = params.activation
         self.dag = leaf(params.dag.data, "dag.A")
         self.effect = [cut(params.effect, i, "effect") for i in range(n)]
         self.pair = {}
@@ -312,13 +311,13 @@ class PairwiseScm:
         return out
 
 
-def _mlp_forward(layers, x, activation):
-    from graphscm.numcore import activate, add, matmul
+def _mlp_forward(layers, x):
+    from graphscm.numcore import add, matmul, relu
 
     w, b = layers[0]
     out = add(matmul(x, w), b)
     for w, b in layers[1:]:
-        out = add(matmul(activate(out, activation), w), b)
+        out = add(matmul(relu(out), w), b)
     return out
 
 
@@ -330,7 +329,7 @@ def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None)
     n = params.n_vars
     if _effects is None:
         _effects = {
-            i: _mlp_forward(params.effect[i], variables[i], params.activation)
+            i: _mlp_forward(params.effect[i], variables[i])
             for i in range(n)
             if i != k
         }
@@ -342,13 +341,13 @@ def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None)
         weighted = mul(add(matmul(_effects[i], w), b), index_scalar(params.dag, i, k))
         acc = weighted if acc is None else add(acc, weighted)
     params.decoder_calls += 1
-    return _mlp_forward(params.decoder[k], acc, params.activation)
+    return _mlp_forward(params.decoder[k], acc)
 
 
 def reconstruct_all(variables, params: PairwiseScm):
     """Every structural assignment, sharing one effect pass per variable."""
     effects = {
-        i: _mlp_forward(params.effect[i], variables[i], params.activation)
+        i: _mlp_forward(params.effect[i], variables[i])
         for i in range(params.n_vars)
     }
     return [

@@ -86,7 +86,7 @@ def test_criterion_1_acyclicity_correctness():
 def _tiny_model_and_batch(batch_size=4, seed=10):
     # seed chosen so no finite-difference probe lands on a ReLU kink
     graph, truth = generate(
-        SynthSpec(authors=30, terms=8, num_classes=2, term_dim=2, partners_per_author=2, seed=seed)
+        SynthSpec(authors=30, terms=8, num_classes=2, partners_per_author=2, seed=seed)
     )
     config = TrainConfig(hidden_dim=6, seed=seed)
     builder, meta = build_pipeline(graph, config)
@@ -232,7 +232,7 @@ def test_criterion_6_trim_correctness():
 
 def test_criterion_7_evaluation_path_property():
     graph, truth = generate(
-        SynthSpec(authors=60, terms=10, num_classes=2, term_dim=2, partners_per_author=2, seed=7)
+        SynthSpec(authors=60, terms=10, num_classes=2, partners_per_author=2, seed=7)
     )
     config = TrainConfig(hidden_dim=8, seed=7)
     builder, meta = build_pipeline(graph, config)
@@ -251,7 +251,7 @@ def test_criterion_7_evaluation_path_property():
     assert model.scm.decoder_calls == q_plus_2
 
     flipped, _ = generate(
-        SynthSpec(authors=60, terms=10, num_classes=2, term_dim=2, partners_per_author=2, seed=7)
+        SynthSpec(authors=60, terms=10, num_classes=2, partners_per_author=2, seed=7)
     )
     flipped.labels[np.asarray(nodes)] = 1 - flipped.labels[np.asarray(nodes)]
     builder2, _ = build_pipeline(flipped, config)

@@ -271,13 +271,16 @@ def test_train_ablation_flag(synth_dir, tmp_path):
 
 def test_config_file_precedence(synth_dir, tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("beta = 0.25\nhidden_dim = 8\nmax_epochs = 2\npatience = 2\n# comment\n")
+    config.write_text(
+        "beta = 0.25\nhidden_dim = 8\nmax_epochs = 2\npatience = 2\nmultiset_neighbors = true\n# comment\n"
+    )
     out = str(tmp_path / "cfg-run")
     assert run_cli("train", synth_dir, "--out", out, "--config", str(config), "--gamma", 1.5) == 0
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["config"]["beta"] == 0.25      # from file
     assert manifest["config"]["gamma"] == 1.5      # flag wins
     assert manifest["config"]["hidden_dim"] == 8
+    assert manifest["config"]["multiset_neighbors"] is True  # an absent flag keeps the file's value
 
 
 def test_unknown_config_key_rejected(synth_dir, tmp_path, capsys):
@@ -286,7 +289,11 @@ def test_unknown_config_key_rejected(synth_dir, tmp_path, capsys):
     assert run_cli("train", synth_dir, "--out", str(tmp_path / "x"), "--config", str(config)) == 2
 
 
-@pytest.mark.parametrize("flags", [["--exclude-self"], ["--forward-only"], ["--mlp-hidden", "8"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "flags",
+    [["--exclude-self"], ["--forward-only"], ["--mlp-hidden", "8"], ["--activation", "relu"]],
+    ids=" ".join,
+)
 def test_removed_train_flags_exit_2(synth_dir, tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         run_cli("train", synth_dir, "--out", str(tmp_path / "x"), *flags)
@@ -298,7 +305,10 @@ def test_removed_train_flags_exit_2(synth_dir, tmp_path, capsys, flags):
     assert "--multiset-neighbors" in usage and flags[0] not in usage
 
 
-@pytest.mark.parametrize("line", ["exclude_self = true", "forward_only = true", "mlp_hidden = 8"])
+@pytest.mark.parametrize("line", [
+    "exclude_self = true", "forward_only = true", "mlp_hidden = 8",
+    "activation = relu", "weight_decay = 0.01", "rho = 1.0", "alpha = 1.0",
+])
 def test_removed_config_keys_exit_2_naming_file_and_line(synth_dir, tmp_path, capsys, line):
     config = tmp_path / "c.cfg"
     config.write_text(f"max_epochs = 2\n{line}\n")
@@ -326,11 +336,7 @@ def test_unparsable_config_value_names_file_and_line(synth_dir, tmp_path, capsys
         (["--lr", "nan"], None, "learning_rate"),
         (["--beta", "nan"], None, "beta"),
         (["--gamma", "inf"], None, "gamma"),
-        ([], "rho = nan", "rho"),
-        ([], "alpha = nan", "alpha"),
-        ([], "weight_decay = inf", "weight_decay"),
-        ([], "rho = -5", "rho"),
-        ([], "alpha = -1", "alpha"),
+        ([], "beta = -1", "beta"),
         (["--seed", "-1"], None, "seed"),
     ],
     ids=lambda v: (" ".join(v) or "cfg") if isinstance(v, list) else None,
@@ -345,6 +351,16 @@ def test_out_of_range_config_rejected_before_training(synth_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()  # rejected before any artifact is written
+
+
+def test_config_file_not_utf8_exits_2_naming_the_line(synth_dir, tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_bytes(b"max_epochs = 2\nhidden_dim = 8\xff\n")
+    out = tmp_path / "x"
+    assert run_cli("train", synth_dir, "--out", str(out), "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert "c.cfg:2" in err and "UTF-8" in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli():
@@ -375,6 +391,32 @@ def test_stats_malformed_schema_exits_2(toy_dir, tmp_path, capsys):
     assert run_cli("stats", bad) == 2
     err = capsys.readouterr().err
     assert "schema.json:1:3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda schema: dict(schema, num_classes="x"), id="string-num_classes"),
+    pytest.param(lambda schema: dict(schema, num_classes=3.9), id="float-num_classes"),
+    pytest.param(
+        lambda schema: dict(schema, relations=[dict(schema["relations"][0], name=5), *schema["relations"][1:]]),
+        id="integer-relation-name",
+    ),
+])
+def test_stats_schema_field_types_exit_2(toy_dir, tmp_path, capsys, corrupt):
+    """A class count that is not a JSON integer, or a relation field that is
+    not a string, exits 2 naming schema.json: a float count used to be
+    truncated, a string count and an integer name ended in tracebacks."""
+    import shutil
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    path = os.path.join(bad, "schema.json")
+    with open(path, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(corrupt(schema), fh)
+    assert run_cli("stats", bad) == 2
+    err = capsys.readouterr().err
+    assert "schema.json" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -432,18 +474,21 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     assert "edge removal exhausted" in err and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5])
-def test_checkpoints_before_version_6_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
-    """Checkpoints before version 6 carried ``mlp_hidden``, ``exclude_self``
-    and ``forward_only`` in their meta, before version 5 ``native_dims`` and
-    ``var_dims`` too, and before version 4 stored tensor data as float lists;
-    they exit 2 with no traceback."""
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+def test_checkpoints_before_version_7_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
+    """Checkpoints before version 7 carried ``activation`` in their meta,
+    before version 6 ``mlp_hidden``, ``exclude_self`` and ``forward_only``
+    too, before version 5 ``native_dims`` and ``var_dims``, and before
+    version 4 stored tensor data as float lists; they exit 2 with no
+    traceback."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    assert payload["version"] == 6
+    assert payload["version"] == 7
     payload["version"] = version
     meta = payload["meta"]
-    meta["mlp_hidden"], meta["exclude_self"], meta["forward_only"] = meta["hidden_dim"], False, False
+    meta["activation"] = "relu"
+    if version < 6:
+        meta["mlp_hidden"], meta["exclude_self"], meta["forward_only"] = meta["hidden_dim"], False, False
     if version < 5:
         meta["native_dims"], meta["var_dims"] = False, [meta["hidden_dim"]] * len(meta["variable_names"])
     for entry in payload["tensors"].values() if version < 4 else []:
@@ -493,12 +538,16 @@ def test_malformed_splits_file_exits_2(trained_dir, synth_dir, tmp_path, capsys,
     ("hidden_dim", -3),
     ("terminal_dims", "ab"),
     ("max_metapath_len", "2"),
-    ("activation", "tanh"),
+    ("tensors", 5),
+    ("tensors", list),
 ])
 def test_malformed_checkpoint_meta_exits_2(trained_dir, synth_dir, tmp_path, capsys, field, value):
+    """A malformed meta field, or a ``tensors`` field that is not an object
+    (a number, or a list of the tensor names), exits 2 naming the field."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload["meta"][field] = value
+    part = payload if field == "tensors" else payload["meta"]
+    part[field] = value(part[field]) if callable(value) else value
     bad = str(tmp_path / "bad.json")
     with open(bad, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)

@@ -16,8 +16,8 @@ from graphscm.rng import substream
 from graphscm.scm import ScmParameters, reconstruct, reconstruct_all
 
 
-def _params(n, width, activation="relu", seed=0):
-    params = ScmParameters(n, width, 3, activation, substream(seed, "init"))
+def _params(n, width, seed=0):
+    params = ScmParameters(n, width, 3, substream(seed, "init"))
     # nonzero biases, so that a misplaced bias would show
     rng = np.random.default_rng(seed + 1)
     for p in params.parameters():
@@ -89,10 +89,10 @@ def _compare(params, data, targets, same):
 
 @pytest.mark.parametrize("n", [3, 6, 9])
 @pytest.mark.parametrize("batch", [1, 7, 128])
-@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("activation", ["relu"])  # the only activation; kept in the test ids
 @pytest.mark.parametrize("which", ["all", "label", "inner"])
 def test_fused_matches_pairwise_oracle(n, batch, activation, which):
-    params = _params(n, 6, activation=activation, seed=n)
+    params = _params(n, 6, seed=n)
     targets = {"all": list(range(n)), "label": [n - 1], "inner": [1]}[which]
     _compare(params, _inputs(n, 6, batch, seed=batch), targets, oracles.close)
 

@@ -17,7 +17,6 @@ from graphscm.numcore import (
     pair_mix,
     relu,
     scale,
-    sigmoid,
     softmax,
     square,
     sub,
@@ -60,11 +59,10 @@ def test_all_ops_pass_at_100_random_points():
         ("mul", (5, 4), lambda x: frobenius_sq(mul(x, const_m))),
         ("scale", (5, 4), lambda x: frobenius_sq(scale(x, -2.5))),
         ("relu", (5, 4), lambda x: frobenius_sq(relu(x))),
-        ("sigmoid", (5, 4), lambda x: frobenius_sq(sigmoid(x))),
         ("softmax", (5, 4), lambda x: frobenius_sq(softmax(x))),
         ("square", (5, 4), lambda x: sum_all(square(x))),
         ("clamp", (5, 4), lambda x: sum_all(square(clamp_min(x, 0.3)))),
-        ("log", (5, 4), lambda x: sum_all(log(add(sigmoid(x), Tensor(np.full((5, 4), 0.5)))))),
+        ("log", (5, 4), lambda x: sum_all(log(add(square(x), Tensor(np.full((5, 4), 0.5)))))),
         ("expm_trace", (5, 5), lambda x: expm_trace(x)),
     ]
     points_per_case = max(1, 100 // len(cases) + 1)

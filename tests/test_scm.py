@@ -64,10 +64,10 @@ def _batch(n_vars, batch, dims, seed=0, label_known=True):
     )
 
 
-def _params(dims, classes=2, seed=0, activation="relu"):
+def _params(dims, classes=2, seed=0):
     """An SCM over len(dims) variables of the one width in ``dims``."""
     (width,) = set(dims)
-    return ScmParameters(len(dims), width, classes, activation, substream(seed, "init"))
+    return ScmParameters(len(dims), width, classes, substream(seed, "init"))
 
 
 def test_no_causes_gives_constant_reconstruction():
@@ -213,13 +213,6 @@ def test_zero_diagonal():
     assert np.array_equal(b.grad[off], np.ones((3, 3))[off])
 
 
-def test_sigmoid_activation_supported():
-    params = _params([2, 2], activation="sigmoid")
-    batch = _batch(2, 2, [2, 2])
-    out = structural_assignment(0, batch, params)
-    assert np.all(np.isfinite(out.data))
-
-
 # ---------------------------------------------------------------------------
 # model container and checkpoints
 
@@ -230,7 +223,6 @@ def _toy_model(toy_graph, hidden=4, seed=0):
         variable_names=builder.variable_names,
         num_classes=toy_graph.schema.num_classes,
         hidden_dim=hidden,
-        activation="relu",
         max_metapath_len=2,
         multiset_neighbors=False,
         target_type="author",

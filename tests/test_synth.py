@@ -23,7 +23,7 @@ from oracles import coauthor_pairs as coauthor_pairs_loop
 
 def _small_spec(**overrides):
     # two classes keep the hand arithmetic in these tests simple
-    base = dict(authors=120, terms=20, num_classes=2, term_dim=2, seed=0)
+    base = dict(authors=120, terms=20, num_classes=2, seed=0)
     base.update(overrides)
     return SynthSpec(**base)
 
@@ -31,8 +31,6 @@ def _small_spec(**overrides):
 def test_validation_rejects_bad_specs():
     with pytest.raises(ConfigError):
         SynthSpec(spurious_strength=1.5).validate()
-    with pytest.raises(ConfigError):
-        SynthSpec(venues_per_class=1).validate()
 
 
 def test_full_spurious_strength_gives_full_agreement():
@@ -125,7 +123,7 @@ def test_ground_truth_json_roundtrip(tmp_path):
 
 
 def test_regime_split_ratio_and_disjointness():
-    graph, truth = generate(_small_spec(authors=150, test_regime_fraction=1.0 / 3.0))
+    graph, truth = generate(_small_spec(authors=150))
     spec = regime_split(truth)
     n_train_regime = len(truth.regime_indices("train"))
     assert len(spec.train) == int(0.6 * n_train_regime)
@@ -137,7 +135,7 @@ def test_regime_split_ratio_and_disjointness():
 
 def test_regime_split_example_sizes():
     graph, truth = generate(
-        _small_spec(authors=150, test_regime_fraction=50.0 / 150.0, seed=1)
+        _small_spec(authors=150, seed=1)
     )
     spec = regime_split(truth)
     assert (len(spec.train), len(spec.val), len(spec.test)) == (60, 40, 50)
@@ -166,7 +164,7 @@ def test_spurious_feature_uninformative_on_test_regime():
 
 
 def test_planted_homophily_gap_measured_on_graph():
-    graph, truth = generate(SynthSpec(authors=600, num_classes=2, term_dim=2, seed=0))
+    graph, truth = generate(SynthSpec(authors=600, num_classes=2, seed=0))
     table = homophily_features(graph)
     idx = {n: i for i, n in enumerate(table.nodes)}
     col = table.columns.index("APA")

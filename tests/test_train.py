@@ -24,7 +24,6 @@ def _tiny_task(seed=0, authors=60):
             authors=authors,
             terms=12,
             num_classes=2,
-            term_dim=2,
             noise=0.0,
             spurious_strength=0.6,
             partners_per_author=3,
@@ -232,7 +231,7 @@ def test_evaluate_flipped_labels_leave_predictions_unchanged():
 def test_pooling_flags_flow_through_training():
     # the default label noise leaks into author features, so co-author
     # pools weighted by path counts differ from plain sets
-    graph, truth = generate(SynthSpec(authors=60, terms=12, num_classes=2, term_dim=2, partners_per_author=3))
+    graph, truth = generate(SynthSpec(authors=60, terms=12, num_classes=2, partners_per_author=3))
     result = train(graph, regime_split(truth), _fast_config(max_epochs=2, patience=2, multiset_neighbors=True))
     assert result.model.meta.multiset_neighbors
     apa = next(mp for mp in result.builder.metapaths if mp.name == "APA")
