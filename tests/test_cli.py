@@ -474,13 +474,9 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     assert "edge removal exhausted" in err and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
-def test_checkpoints_before_version_7_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
-    """Checkpoints before version 7 carried ``activation`` in their meta,
-    before version 6 ``mlp_hidden``, ``exclude_self`` and ``forward_only``
-    too, before version 5 ``native_dims`` and ``var_dims``, and before
-    version 4 stored tensor data as float lists; they exit 2 with no
-    traceback."""
+def _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version):
+    """Rewrite the trained checkpoint in the format of ``version`` and check
+    that eval exits 2 naming that version, with no traceback."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["version"] == 7
@@ -500,6 +496,21 @@ def test_checkpoints_before_version_7_rejected(trained_dir, synth_dir, tmp_path,
     assert run_cli("eval", synth_dir, "--checkpoint", old) == 2
     err = capsys.readouterr().err
     assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
+def test_checkpoints_before_version_6_rejected(trained_dir, synth_dir, tmp_path, capsys, version):
+    """Checkpoints before version 6 carried ``activation``, ``mlp_hidden``,
+    ``exclude_self`` and ``forward_only`` in their meta, before version 5
+    ``native_dims`` and ``var_dims`` too, and before version 4 stored tensor
+    data as float lists; they exit 2 with no traceback."""
+    _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version)
+
+
+def test_version_6_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys):
+    """Version 6 checkpoints carried ``activation`` in their meta; they exit
+    2 with no traceback."""
+    _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, 6)
 
 
 def _boolean_id(spec: dict) -> dict:
@@ -538,12 +549,14 @@ def test_malformed_splits_file_exits_2(trained_dir, synth_dir, tmp_path, capsys,
     ("hidden_dim", -3),
     ("terminal_dims", "ab"),
     ("max_metapath_len", "2"),
+    ("activation", "tanh"),
     ("tensors", 5),
     ("tensors", list),
 ])
 def test_malformed_checkpoint_meta_exits_2(trained_dir, synth_dir, tmp_path, capsys, field, value):
-    """A malformed meta field, or a ``tensors`` field that is not an object
-    (a number, or a list of the tensor names), exits 2 naming the field."""
+    """A malformed meta field, a meta field the model no longer has
+    (``activation``), or a ``tensors`` field that is not an object (a number,
+    or a list of the tensor names), exits 2 naming the field."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
     part = payload if field == "tensors" else payload["meta"]
