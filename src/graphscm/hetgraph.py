@@ -572,17 +572,22 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
         raise LoadError(f"missing schema file: {schema_path}")
     raw = read_json(schema_path)
     try:
-        relations = [Relation(r["name"], r["src"], r["dst"], r["inverse"]) for r in raw["relations"]]
-        node_types = list(raw["node_types"])
+        node_types, rels = raw["node_types"], raw["relations"]
         target_type, num_classes = raw["target_type"], raw["num_classes"]
+        if not isinstance(node_types, list) or not isinstance(rels, list):
+            raise LoadError(f"{schema_path}: node_types and relations must be JSON lists")
+        relations = [Relation(r["name"], r["src"], r["dst"], r["inverse"]) for r in rels]
     except (KeyError, TypeError) as exc:
-        raise LoadError(f"malformed schema.json: {exc}") from exc
+        raise LoadError(f"{schema_path}: malformed schema: {exc}") from exc
     if not is_json_int(num_classes):
         raise LoadError(f"{schema_path}: num_classes must be an integer, got {num_classes!r}")
     for value in node_types + [v for r in relations for v in (r.name, r.src, r.dst, r.inverse)]:
         if not isinstance(value, str):
             raise LoadError(f"{schema_path}: node types and relation fields must be strings, got {value!r}")
-    schema = Schema(node_types, relations, target_type, num_classes)
+    try:
+        schema = Schema(node_types, relations, target_type, num_classes)
+    except LoadError as exc:
+        raise LoadError(f"{schema_path}: {exc}") from exc
 
     features: dict[str, np.ndarray] = {}
     for t in schema.node_types:

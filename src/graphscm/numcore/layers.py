@@ -46,7 +46,8 @@ class StackedMlp:
     ReLU between consecutive layers. Layer l of every network lives in
     one stacked weight ``{name}.{l}.W`` of shape (count, width, width) and
     bias ``{name}.{l}.b``. Initial weights are drawn network by network,
-    layer by layer; with no ``rng`` every weight stays zero.
+    layer by layer; with no ``rng`` every weight stays zero. A call is one
+    ``numcore.stacked_mlp`` tape record for all its layers.
     """
 
     def __init__(
@@ -73,15 +74,8 @@ class StackedMlp:
 
     def __call__(self, x: Tensor, rows: slice | None = None) -> Tensor:
         """Run stacked inputs (networks, B, width) through the networks
-        ``rows`` (a slice; None for all)."""
-        out = x
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if l:
-                out = T.relu(out)
-            if rows is not None:
-                w, b = T.take(w, rows), T.take(b, rows)
-            out = T.bmm(out, w, b)
-        return out
+        ``rows`` (a slice; None for all), as one tape record."""
+        return T.stacked_mlp(x, self.weights, self.biases, rows)
 
     def parameters(self) -> list[Tensor]:
         return [p for wb in zip(self.weights, self.biases) for p in wb]

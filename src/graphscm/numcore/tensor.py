@@ -13,13 +13,15 @@ against anything are supported. This keeps every gradient rule small enough
 to audit by hand.
 
 Stacked tensors carry independent slices along a leading axis (one per
-variable or per network). Their ops (``bmm``, ``block_affine``, ``take``,
-and ``frobenius_sq`` on 3-D input) run every slice through the same numpy
-call the unstacked 2-D op makes on it, so a stacked network computes the
-same bits as its per-slice counterpart while recording one tape entry in
-total. ``pair_mix`` is the exception: it records one entry too, but sums
-over causes as matrix products, within 1e-12 * max(1, max|x|) of the
-per-pair chain it replaces rather than bit for bit.
+variable or per network). Their ops (``stacked_mlp``, ``block_affine``,
+``take``, and ``frobenius_sq`` on 3-D input) run every slice through the
+same numpy call the unstacked 2-D op makes on it, so a stacked network
+computes the same bits as its per-slice counterpart while recording one
+tape entry per call. ``stacked_mlp`` runs a whole ReLU perceptron as
+one entry, with the numpy calls of its per-layer chain. ``pair_mix`` is
+the exception: it records one entry too, but sums over causes as matrix
+products, within 1e-12 * max(1, max|x|) of the per-pair chain it replaces
+rather than bit for bit.
 
 A gradient closure hands ``_accumulate`` an array that no other tensor holds:
 ops that pass their incoming gradient on (or a view of it) copy it first.
@@ -161,6 +163,16 @@ def _reduce_to(shape: tuple, g: np.ndarray) -> np.ndarray:
     if len(shape) == 1 and g.ndim == 2 and g.shape[1] == shape[0]:
         return g.sum(axis=0)
     raise DimensionError(f"cannot reduce gradient of shape {g.shape} to {shape}")
+
+
+def _scatter(t: Tensor, index, part: np.ndarray) -> np.ndarray:
+    """The gradient of ``t`` from ``part``, the gradient of ``t[index]``:
+    zero outside the index, and ``part`` itself when ``index`` is None."""
+    if index is None:
+        return part
+    full = np.zeros(t.shape)
+    full[index] = part
+    return full
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -361,30 +373,48 @@ def index_scalar(x: Tensor, i: int, j: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # stacked ops: independent 2-D slices along a leading axis
 
-def bmm(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Slice-wise matmul, (m, B, p) @ (m, p, q) -> (m, B, q), plus one bias
-    row per slice (m, q) when ``b`` is given. The bias is added in place to
-    the fresh product, which computes the same bits as a separate add
-    without a second (m, B, q) array."""
-    if x.ndim != 3 or w.ndim != 3:
-        raise DimensionError(f"bmm needs 3-D operands, got {x.shape} and {w.shape}")
-    if x.shape[0] != w.shape[0] or x.shape[2] != w.shape[1]:
-        raise DimensionError(f"bmm: stacked shapes disagree, {x.shape} x {w.shape}")
-    if b is not None and b.shape != (w.shape[0], w.shape[2]):
-        raise DimensionError(f"bmm: bias {b.shape} does not fit weight {w.shape}")
-    out = np.matmul(x.data, w.data)
-    if b is not None:
-        out += b.data[:, None, :]
+def stacked_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor], rows: Optional[slice] = None) -> Tensor:
+    """Stacked perceptrons, (m, B, p) -> (m, B, q): layer l maps h to
+    h @ W_l + b_l slice by slice, with a ReLU between consecutive layers.
+    ``weights[l]`` is (count, p_l, q_l) and ``biases[l]`` (count, q_l); with
+    ``rows`` (a slice) the inputs run through those networks only, read as
+    views. One tape record for the whole network, which keeps only the ReLU
+    outputs: a post-ReLU value is > 0 exactly where its input was (NaN too).
+    Each step is the numpy call that a chain of per-layer slice-wise
+    matmul-plus-bias and ``relu`` records makes, on the same operands in the
+    same order, so the output and every gradient keep that chain's bits."""
+    if x.ndim != 3:
+        raise DimensionError(f"stacked_mlp needs a 3-D input, got {x.shape}")
+    if len(weights) != len(biases) or not weights:
+        raise DimensionError(f"stacked_mlp needs one bias per weight, got {len(weights)} and {len(biases)}")
+    Ws = [w.data if rows is None else w.data[rows] for w in weights]
+    bs = [b.data if rows is None else b.data[rows] for b in biases]
+    width = x.shape[2]
+    for w, b in zip(Ws, bs):
+        if w.ndim != 3 or w.shape[:2] != (x.shape[0], width) or b.shape != (w.shape[0], w.shape[2]):
+            raise DimensionError(f"stacked_mlp: layer {w.shape} with bias {b.shape} does not fit input {x.shape}")
+        width = w.shape[2]
+    hs = [x.data]  # the input of each layer
+    for l, (w, b) in enumerate(zip(Ws, bs)):
+        if l:
+            np.maximum(out, 0.0, out=out)
+            hs.append(out)
+        out = np.matmul(hs[-1], w)
+        out += b[:, None, :]
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.matmul(g, w.data.transpose(0, 2, 1)))
-        if w.requires_grad:
-            _accumulate(w, np.matmul(x.data.transpose(0, 2, 1), g))
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=1))
+        for l in range(len(Ws) - 1, -1, -1):
+            if weights[l].requires_grad:
+                _accumulate(weights[l], _scatter(weights[l], rows, np.matmul(hs[l].transpose(0, 2, 1), g)))
+            if biases[l].requires_grad:
+                _accumulate(biases[l], _scatter(biases[l], rows, g.sum(axis=1)))
+            if l:
+                g = np.matmul(g, Ws[l].transpose(0, 2, 1))
+                g *= hs[l] > 0.0
+            elif x.requires_grad:
+                _accumulate(x, np.matmul(g, Ws[0].transpose(0, 2, 1)))
 
-    return _record(Tensor(out), (x, w) if b is None else (x, w, b), backward)
+    return _record(Tensor(out), (x, *weights, *biases), backward)
 
 
 def block_affine(xs: Sequence[np.ndarray], w: Tensor, b: Tensor) -> Tensor:
@@ -425,9 +455,7 @@ def take(x: Tensor, index) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            full = np.zeros(x.shape)
-            full[index] = g
-            _accumulate(x, full)
+            _accumulate(x, _scatter(x, index, g))
 
     return _record(out, (x,), backward)
 
@@ -542,10 +570,7 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
             (dag, (grid.rows[:, None], grid.targets), dA),
         )
         for t, index, d in grads:
-            if t.requires_grad:
-                if d.shape != t.shape:  # the cells cover part of t
-                    d, part = np.zeros(t.shape), d
-                    d[index] = part
-                _accumulate(t, d)
+            if t.requires_grad:  # the cells may cover part of t
+                _accumulate(t, d if d.shape == t.shape else _scatter(t, index, d))
 
     return _record(Tensor(out), (effects, weight, bias, dag), backward)

@@ -41,12 +41,13 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        parts = [set(self.train), set(self.val), set(self.test)]
-        if not all(parts):
+        if not all(len(p) for p in (self.train, self.val, self.test)):
             raise ConfigError("every split partition must be nonempty")
-        total = sum(len(p) for p in parts)
-        if len(parts[0] | parts[1] | parts[2]) != total:
-            raise ConfigError("split partitions must be pairwise disjoint")
+        seen = set()
+        for i in [*self.train, *self.val, *self.test]:
+            if i in seen:
+                raise ConfigError(f"node {i} is listed twice: split partitions must be disjoint, each node once")
+            seen.add(i)
 
     def validate_against(self, graph: HeteroGraph) -> None:
         labeled = set(int(i) for i in graph.labeled_nodes())

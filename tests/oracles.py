@@ -4,7 +4,8 @@ Everything here is deliberately naive (loops, enumeration, truncated
 series) and shares no code with the implementations under test, except
 that the per-pair structural assignment is built from numcore's 2-D tape
 ops (matmul, add, mul, index_scalar) rather than the stacked ones it checks,
-and the cell-by-cell ``pair_mix`` records on numcore's tape.
+and the cell-by-cell ``pair_mix`` and the ``bmm`` chain of ``stacked_mlp``
+record on numcore's tape.
 """
 
 from __future__ import annotations
@@ -422,6 +423,47 @@ def pair_mix_cells(effects, weight, bias, dag, targets):
                 _accumulate(t, full)
 
     return _record(Tensor(out), (effects, weight, bias, dag), backward)
+
+
+# ---------------------------------------------------------------------------
+# ``stacked_mlp`` as the chain of tape records it replaced: one ``bmm`` per
+# layer (slice-wise matmul plus a per-slice bias row), a ``relu`` between
+# layers and a ``take`` of each weight and bias when a slice of the networks
+# runs
+
+def bmm(x, w, b=None):
+    """Slice-wise matmul, (m, B, p) @ (m, p, q) -> (m, B, q), plus one bias
+    row per slice (m, q) when ``b`` is given, added in place to the fresh
+    product."""
+    from graphscm.numcore.tensor import Tensor, _accumulate, _record
+
+    out = np.matmul(x.data, w.data)
+    if b is not None:
+        out += b.data[:, None, :]
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g, w.data.transpose(0, 2, 1)))
+        if w.requires_grad:
+            _accumulate(w, np.matmul(x.data.transpose(0, 2, 1), g))
+        if b is not None and b.requires_grad:
+            _accumulate(b, g.sum(axis=1))
+
+    return _record(Tensor(out), (x, w) if b is None else (x, w, b), backward)
+
+
+def stacked_mlp_chain(x, weights, biases, rows=None):
+    """``numcore.stacked_mlp`` as per-layer ``take``/``bmm``/``relu`` records."""
+    from graphscm.numcore import relu, take
+
+    out = x
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        if l:
+            out = relu(out)
+        if rows is not None:
+            w, b = take(w, rows), take(b, rows)
+        out = bmm(out, w, b)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -400,11 +400,20 @@ def test_stats_malformed_schema_exits_2(toy_dir, tmp_path, capsys):
         lambda schema: dict(schema, relations=[dict(schema["relations"][0], name=5), *schema["relations"][1:]]),
         id="integer-relation-name",
     ),
+    pytest.param(lambda schema: dict(schema, node_types="author"), id="string-node_types"),
+    pytest.param(
+        lambda schema: dict(schema, relations=[dict(schema["relations"][0], inverse="nope"), *schema["relations"][1:]]),
+        id="missing-inverse",
+    ),
+    pytest.param(lambda schema: dict(schema, target_type="venue_x"), id="unknown-target-type"),
 ])
 def test_stats_schema_field_types_exit_2(toy_dir, tmp_path, capsys, corrupt):
-    """A class count that is not a JSON integer, or a relation field that is
-    not a string, exits 2 naming schema.json: a float count used to be
-    truncated, a string count and an integer name ended in tracebacks."""
+    """A class count that is not a JSON integer, a relation field that is
+    not a string, node types that are not a list, or a schema whose relations
+    or target type do not fit its node types exits 2 naming schema.json by
+    its path: a float count used to be truncated, a string count and an
+    integer name ended in tracebacks, a string of node types was split into
+    one-letter types, and the schema's own checks named no file."""
     import shutil
 
     bad = str(tmp_path / "bad")
@@ -416,7 +425,7 @@ def test_stats_schema_field_types_exit_2(toy_dir, tmp_path, capsys, corrupt):
         json.dump(corrupt(schema), fh)
     assert run_cli("stats", bad) == 2
     err = capsys.readouterr().err
-    assert "schema.json" in err and "Traceback" not in err, err
+    assert f"error: {path}: " in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -108,3 +108,5 @@ def test_tape_records_and_tensor_count_do_not_grow_with_variables():
         records.add(len(tape))
         tensors.add(len(params.parameters()))
     assert len(records) == 1 and len(tensors) == 1, (records, tensors)
+    # one each for the effect networks, pair_mix and the decoders
+    assert records == {3}, records

@@ -6,7 +6,6 @@ from graphscm.numcore import (
     Tensor,
     add,
     block_affine,
-    bmm,
     clamp_min,
     expm_trace,
     finite_diff_check,
@@ -19,6 +18,7 @@ from graphscm.numcore import (
     scale,
     softmax,
     square,
+    stacked_mlp,
     sub,
     sum_all,
     take,
@@ -77,16 +77,18 @@ def test_all_ops_pass_at_100_random_points():
 
 
 def test_stacked_ops_match_finite_differences():
-    """bmm (with and without bias), block_affine, take (a column run, a leading run,
-    and a basic index of ints and slices), frobenius_sq of a stacked tensor and pair_mix,
-    each with respect to every differentiable input; pair_mix also at n = 2 and
-    with a nonzero DAG diagonal."""
+    """stacked_mlp (one layer, with a zero and a drawn bias; two layers, and
+    three on a slice of the networks), block_affine, take (a column run, a
+    leading run, and a basic index of ints and slices), frobenius_sq of a
+    stacked tensor and pair_mix, each with respect to every differentiable
+    input; pair_mix also at n = 2 and with a nonzero DAG diagonal."""
     rng = np.random.default_rng(29)
 
     def const(*shape):
         return Tensor(rng.normal(size=shape))
 
     w, x, b = const(3, 2, 5), const(3, 4, 2), const(3, 5)
+    zero = Tensor(np.zeros((3, 5)))  # not drawn, so every later draw keeps its value
     narrow, rows, corner = const(4, 3), const(2, 3, 2), const(2, 2)
     n, d = 4, 3
     effects, weight, bias = const(n, 2, d), const(n, n - 1, d, d), const(n, n - 1, d)
@@ -103,11 +105,11 @@ def test_stacked_ops_match_finite_differences():
         return f
 
     cases = [
-        ("bmm x", (3, 4, 2), lambda t: frobenius_sq(bmm(t, w))),
-        ("bmm w", (3, 2, 5), lambda t: frobenius_sq(bmm(x, t))),
-        ("bmm bias x", (3, 4, 2), lambda t: frobenius_sq(bmm(t, w, b))),
-        ("bmm bias w", (3, 2, 5), lambda t: frobenius_sq(bmm(x, t, b))),
-        ("bmm bias b", (3, 5), lambda t: frobenius_sq(bmm(x, w, t))),
+        ("stacked_mlp x", (3, 4, 2), lambda t: frobenius_sq(stacked_mlp(t, [w], [zero]))),
+        ("stacked_mlp w", (3, 2, 5), lambda t: frobenius_sq(stacked_mlp(x, [t], [zero]))),
+        ("stacked_mlp bias x", (3, 4, 2), lambda t: frobenius_sq(stacked_mlp(t, [w], [b]))),
+        ("stacked_mlp bias w", (3, 2, 5), lambda t: frobenius_sq(stacked_mlp(x, [t], [b]))),
+        ("stacked_mlp bias b", (3, 5), lambda t: frobenius_sq(stacked_mlp(x, [w], [t]))),
         ("block_affine w", (6, 5), lambda t: frobenius_sq(block_affine(blocks, t, block_b))),
         ("block_affine b", (3, 5), lambda t: frobenius_sq(block_affine(blocks, block_w, t))),
         ("take columns", (4, 5), lambda t: frobenius_sq(mul(take(t, (slice(None), slice(1, 4))), narrow))),
@@ -148,3 +150,22 @@ def test_stacked_ops_match_finite_differences():
 
             err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-3)
             assert err <= 1e-6, f"pair_mix n={n} {name} gradient error {err}"
+
+    # stacked_mlp with two layers, and with three on a slice of the networks,
+    # with respect to the input and every weight and bias, from a generator
+    # of their own so that the cases above keep their inputs
+    own = np.random.default_rng(37)
+    for depth, rows, widths in ((2, None, (2, 5, 3)), (3, slice(1, 3), (2, 4, 4, 3))):
+        nets = 3
+        m = nets if rows is None else rows.stop - rows.start
+        args = [own.normal(size=(m, 4, widths[0]))]
+        args += [own.normal(size=(nets, p, q)) for p, q in zip(widths, widths[1:])]
+        args += [own.normal(size=(nets, q)) for q in widths[1:]]
+        for slot in range(len(args)):
+            def f(t, slot=slot, args=args, depth=depth, rows=rows):
+                parts = [Tensor(a) for a in args]
+                parts[slot] = t
+                return frobenius_sq(stacked_mlp(parts[0], parts[1:1 + depth], parts[1 + depth:], rows))
+
+            err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-5)
+            assert err <= 1e-6, f"stacked_mlp {depth} layers input {slot} gradient error {err}"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,19 @@ def test_split_spec_validation():
         SplitSpec(train=[1, 2], val=[2], test=[3])
     with pytest.raises(ConfigError):
         SplitSpec(train=[1], val=[], test=[3])
+
+
+@pytest.mark.parametrize("train, val, test, repeated", [
+    ([4, 1, 4], [2], [3], 4),     # twice in one partition
+    ([1, 2], [5, 2], [3], 2),     # in two partitions
+    ([1, 7], [2], [3, 7, 3], 7),  # the first repeat in list order is named
+])
+def test_split_file_listing_a_node_twice_exits_2_naming_it(tmp_path, train, val, test, repeated):
+    path = tmp_path / "splits.json"
+    path.write_text(json.dumps({"train": train, "val": val, "test": test}), encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        SplitSpec.from_json(str(path))
+    assert str(exc.value).startswith(f"{path}: node {repeated} is listed twice")
 
 
 def test_split_spec_json_roundtrip(tmp_path):

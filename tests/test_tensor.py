@@ -13,11 +13,12 @@ from graphscm.numcore import (
     pair_mix,
     relu,
     softmax,
+    stacked_mlp,
     sub,
     sum_all,
 )
 
-from oracles import close, matmul_loops, pair_mix_cells
+from oracles import close, matmul_loops, pair_mix_cells, stacked_mlp_chain
 
 
 def test_matmul_identity():
@@ -180,3 +181,42 @@ def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
     for part, a, b in zip(("out", "effects", "weight", "bias", "dag"), got, want):
         assert close(a, b), part
     assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+@pytest.mark.parametrize("batch", [1, 7, 31, 128])
+@pytest.mark.parametrize("rows", ["all", "slice"])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_grad):
+    """Output and every gradient equal to the per-layer ``take``/``bmm``/
+    ``relu`` chain bit for bit, for two and three layers of width 64. The
+    first network's first unit reads exactly 0 before its ReLU."""
+    width = 64
+    part = None if rows == "all" else slice(1, n)
+    m = n if part is None else n - 1
+    rng = np.random.default_rng(1000 * n + batch)
+    for layers in (2, 3):
+        inputs = [rng.normal(size=(m, batch, width))]
+        weights = [rng.normal(scale=0.2, size=(n, width, width)) for _ in range(layers)]
+        biases = [rng.normal(scale=0.1, size=(n, width)) for _ in range(layers)]
+        first = 0 if part is None else 1
+        weights[0][first, :, 0] = biases[0][first, 0] = 0.0
+        upstream = rng.normal(size=(m, batch, width))
+
+        def run(op):
+            x = Tensor(inputs[0].copy(), requires_grad=x_grad)
+            ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
+            bs = [Tensor(b.copy(), requires_grad=True) for b in biases]
+            with Tape() as tape:
+                out = op(x, ws, bs, part)
+                loss = sum_all(mul(out, Tensor(upstream)))
+            tape.backward(loss)
+            return len(tape), [out.data, x.grad] + [t.grad for t in ws + bs]
+
+        fused, got = run(stacked_mlp)
+        chain, want = run(stacked_mlp_chain)
+        # the chain: a bmm per layer, a relu between layers and two takes per layer of a slice
+        assert (fused, chain) == (3, 2 + 2 * layers - 1 + (2 * layers if part else 0))
+        assert (got[1] is None) == (not x_grad)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert (a is None and b is None) or np.array_equal(a, b), (layers, i)

@@ -310,4 +310,4 @@ def test_training_step_tape_and_tensors_do_not_grow_with_variables(monkeypatch):
         result = train(graph, splits, config)
         n = len(result.model.meta.variable_names)
         counts[n] = (sorted(set(records)), len(result.model.parameters()))
-    assert counts == {3: ([37], 19), 6: ([37], 19), 9: ([37], 19)}, counts
+    assert counts == {3: ([31], 19), 6: ([31], 19), 9: ([31], 19)}, counts
