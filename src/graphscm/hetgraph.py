@@ -204,10 +204,6 @@ class HeteroGraph:
     def labeled_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.labels != UNLABELED)
 
-    def degree(self, relation: str, node: int) -> int:
-        indptr = self.csr[relation].indptr
-        return int(indptr[node + 1] - indptr[node])
-
 
 # Work bound of one metapath hop: (row, node) pairs expanded or dense cells
 # held at once. Query rows are split into groups that stay under it. It also

@@ -10,10 +10,10 @@ from .numcore import (
     add,
     clamp_min,
     expm_trace,
-    frobenius_sq,
     log,
     mul,
     scale,
+    sq_error,
     square,
     sub,
     sum_all,
@@ -36,7 +36,7 @@ def loss_rec(h: Tensor, h_hat: Tensor) -> Tensor:
     if h.ndim != 3 or h.shape != h_hat.shape:
         raise DimensionError(f"variables {h.shape} against reconstructions {h_hat.shape}")
     n_vars, batch = h.shape[:2]
-    return scale(frobenius_sq(sub(h, h_hat)), 1.0 / (batch * n_vars))
+    return sq_error(h, h_hat, 1.0 / (batch * n_vars))
 
 
 def loss_acy(a: Tensor) -> Tensor:

@@ -23,14 +23,6 @@ class Linear:
         self.weight = Tensor(weight, requires_grad=True, name=f"{name}.W")
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.b")
 
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
 

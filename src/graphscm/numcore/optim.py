@@ -12,38 +12,31 @@ from ..errors import ConfigError, DimensionError
 from .tensor import Tensor
 
 _CHUNK = 32768  # elements per elementwise pass: 256 KB per float64 operand
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays and denominator floor
 
 
 class AdamW:
     """Per-parameter moment estimates and a shared step counter, reading
     gradients straight off the parameters. A missing gradient counts as zero.
-    A hyperparameter outside its range raises ConfigError here, before any
-    step can turn the parameters into NaN."""
+    The moment decays and eps are the fixed ``BETA1``, ``BETA2`` and ``EPS``.
+    An ``lr`` or ``weight_decay`` outside its range raises ConfigError here,
+    before any step can turn the parameters into NaN."""
 
     def __init__(
         self,
         params: Sequence[Tensor],
         lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
         no_decay: Sequence[str] = (),
     ):
         for name, value, ok, rule in (
             ("lr", lr, 0 < lr < math.inf, "finite and positive"),
-            ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
-            ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
-            ("eps", eps, 0 < eps < math.inf, "finite and positive"),
             ("weight_decay", weight_decay, 0 <= weight_decay < math.inf, "finite and nonnegative"),
         ):
             if not ok:  # NaN fails every comparison, so it lands here too
                 raise ConfigError(f"AdamW {name} must be {rule}, got {value!r}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
@@ -71,10 +64,10 @@ class AdamW:
         parameter's data or gradient, or an earlier moment) is written."""
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         root_bc2 = math.sqrt(1.0 - b2 ** t)
         lr_t = self.lr * root_bc2 / (1.0 - b1 ** t)
-        eps_t = self.eps * root_bc2
+        eps_t = EPS * root_bc2
         for i, p in enumerate(self.params):
             g = np.zeros(p.shape) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
             if g.shape != p.data.shape:

@@ -14,7 +14,7 @@ to audit by hand.
 
 Stacked tensors carry independent slices along a leading axis (one per
 variable or per network). Their ops (``stacked_mlp``, ``block_affine``,
-``take``, and ``frobenius_sq`` on 3-D input) run every slice through the
+``take``, and ``sq_error`` on 3-D input) run every slice through the
 same numpy call the unstacked 2-D op makes on it, so a stacked network
 computes the same bits as its per-slice counterpart while recording one
 tape entry per call. ``stacked_mlp`` runs a whole ReLU perceptron as
@@ -35,8 +35,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import DimensionError, NumericError
-
-Scalarish = Union["Tensor", float, int]
 
 
 class Tensor:
@@ -63,38 +61,9 @@ class Tensor:
             raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.flat[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
-        return t
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
-
-    # operator sugar; floats/ints are lifted to constant tensors
-    def __add__(self, other: Scalarish) -> "Tensor":
-        return add(self, _lift(other))
-
-    def __sub__(self, other: Scalarish) -> "Tensor":
-        return sub(self, _lift(other))
-
-    def __mul__(self, other: Scalarish) -> "Tensor":
-        return mul(self, _lift(other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-
-def _lift(x: Scalarish) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(float(x))
 
 
 class Tape:
@@ -334,40 +303,34 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def frobenius_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius norm), as a 0-d tensor. A
-    stacked (3-D) tensor is summed slice by slice and the slice sums are
-    added in order, as a chain of per-slice ``frobenius_sq`` and ``add``
-    would."""
-    squares = x.data * x.data
-    if x.ndim == 3:
+def sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
+    """c * sum((a - b)^2) as a 0-d tensor. A stacked (3-D) difference is
+    summed slice by slice and the slice sums are added in order, as a chain
+    of per-slice sums and adds would. One tape record, with the arithmetic of
+    the difference, sum-of-squares and scale records it replaces in the same
+    order, so the value and both gradients keep that chain's bits; ``a`` and
+    ``b`` get gradients that share no array."""
+    if a.shape != b.shape:
+        raise DimensionError(f"sq_error: shapes {a.shape} and {b.shape} differ")
+    c = float(c)
+    d = a.data - b.data
+    squares = d * d
+    if d.ndim == 3:
         total = squares[0].sum()
         for part in squares[1:]:
             total = total + part.sum()
     else:
         total = squares.sum()
-    out = Tensor(total)
+    out = Tensor(total * c)
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * 2.0 * x.data)
+        gd = g * c * 2.0 * d
+        if a.requires_grad:
+            _accumulate(a, gd)
+        if b.requires_grad:
+            _accumulate(b, -gd)
 
-    return _record(out, (x,), backward)
-
-
-def index_scalar(x: Tensor, i: int, j: int) -> Tensor:
-    """Read entry (i, j) of a 2-D tensor as a 0-d tensor."""
-    if x.ndim != 2:
-        raise DimensionError(f"index_scalar needs a 2-D tensor, got {x.shape}")
-    out = Tensor(x.data[i, j])
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            contrib = np.zeros(x.shape)
-            contrib[i, j] = g
-            _accumulate(x, contrib)
-
-    return _record(out, (x,), backward)
+    return _record(out, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def homophily_features(graph: HeteroGraph, max_len: int = 2) -> BiasFeatureTable
     )
 
 
-def degree_features(graph: HeteroGraph, log_transform: bool = True) -> BiasFeatureTable:
+def degree_features(graph: HeteroGraph) -> BiasFeatureTable:
     """log(1 + degree) of each labeled target node under each outgoing relation.
 
     Every relation has an inverse, so relations whose source is the target
@@ -182,7 +182,7 @@ def degree_features(graph: HeteroGraph, log_transform: bool = True) -> BiasFeatu
     values = np.zeros((len(nodes), len(metapaths)))
     for j, mp in enumerate(metapaths):
         degrees = np.diff(graph.csr[mp.relations[0]].indptr)[nodes]
-        values[:, j] = [math.log1p(d) for d in degrees] if log_transform else degrees
+        values[:, j] = [math.log1p(d) for d in degrees]
     return BiasFeatureTable(nodes=nodes, columns=[mp.name for mp in metapaths], values=values)
 
 

@@ -3,9 +3,11 @@
 Everything here is deliberately naive (loops, enumeration, truncated
 series) and shares no code with the implementations under test, except
 that the per-pair structural assignment is built from numcore's 2-D tape
-ops (matmul, add, mul, index_scalar) rather than the stacked ones it checks,
-and the cell-by-cell ``pair_mix`` and the ``bmm`` chain of ``stacked_mlp``
-record on numcore's tape.
+ops (matmul, add, mul, and ``index_scalar`` here) rather than the stacked
+ones it checks, and the cell-by-cell ``pair_mix``, the ``bmm`` chain of
+``stacked_mlp`` and the ``frobenius_sq`` chain of ``sq_error`` record on
+numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
+gradient checks.
 """
 
 from __future__ import annotations
@@ -240,13 +242,13 @@ def homophily_table(graph, adj, metapaths) -> np.ndarray:
     return values
 
 
-def degree_table(graph, adj, relations, log_transform=True) -> np.ndarray:
+def degree_table(graph, adj, relations) -> np.ndarray:
     nodes = [int(i) for i in graph.labeled_nodes()]
     values = np.zeros((len(nodes), len(relations)))
     for j, rel in enumerate(relations):
         for row, node in enumerate(nodes):
             d = len(adj[rel][node])
-            values[row, j] = math.log1p(d) if log_transform else float(d)
+            values[row, j] = math.log1p(d)
     return values
 
 
@@ -322,10 +324,26 @@ def _mlp_forward(layers, x):
     return out
 
 
+def index_scalar(x, i: int, j: int):
+    """Entry (i, j) of a 2-D tensor as a 0-d tape tensor."""
+    from graphscm.numcore.tensor import Tensor, _accumulate, _record
+
+    assert x.ndim == 2
+    out = Tensor(x.data[i, j])
+
+    def backward(g):
+        if x.requires_grad:
+            contrib = np.zeros(x.shape)
+            contrib[i, j] = g
+            _accumulate(x, contrib)
+
+    return _record(out, (x,), backward)
+
+
 def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None):
     """Reconstruct variable k from every other variable, weighted by A[:, k],
     one affine map and one scalar product per cause."""
-    from graphscm.numcore import add, index_scalar, matmul, mul
+    from graphscm.numcore import add, matmul, mul
 
     n = params.n_vars
     if _effects is None:
@@ -475,18 +493,52 @@ def adamw_step_whole(opt) -> None:
     """One step of ``opt`` (a ``numcore.AdamW``), each parameter updated by
     whole-array expressions. ``AdamW.step`` keeps the bits of the moments
     and lands within 1e-12 of the parameters."""
+    from graphscm.numcore.optim import BETA1, BETA2, EPS
+
     opt.step_count += 1
     t = opt.step_count
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for i, p in enumerate(opt.params):
         g = np.zeros(p.shape) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
         assert g.shape == p.data.shape
-        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
-        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * (g * g)
+        opt.m[i] = BETA1 * opt.m[i] + (1.0 - BETA1) * g
+        opt.v[i] = BETA2 * opt.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = opt.m[i] / bc1
         v_hat = opt.v[i] / bc2
-        p.data = p.data - opt.lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.decay[i] * p.data)
+        p.data = p.data - opt.lr * (m_hat / (np.sqrt(v_hat) + EPS) + opt.decay[i] * p.data)
+
+
+# ---------------------------------------------------------------------------
+# sum of squares as a tape record: the reducer ``sq_error`` replaced in the
+# reconstruction loss, and the scalar the gradient checks differentiate
+
+def frobenius_sq(x):
+    """Sum of squared entries as a 0-d tensor. A stacked (3-D) tensor is
+    summed slice by slice and the slice sums are added in order."""
+    from graphscm.numcore.tensor import Tensor, _accumulate, _record
+
+    squares = x.data * x.data
+    if x.ndim == 3:
+        total = squares[0].sum()
+        for part in squares[1:]:
+            total = total + part.sum()
+    else:
+        total = squares.sum()
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g * 2.0 * x.data)
+
+    return _record(Tensor(total), (x,), backward)
+
+
+def sq_error_chain(a, b, c):
+    """``numcore.sq_error`` as the ``sub``/``frobenius_sq``/``scale`` records
+    it replaced."""
+    from graphscm.numcore import scale, sub
+
+    return scale(frobenius_sq(sub(a, b)), c)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +593,7 @@ def encode_variables(ego, pooled, labels, enc: PerVariableEncoders):
 
 def loss_rec(h, h_hat):
     """Mean squared reconstruction error over lists of per-variable tensors."""
-    from graphscm.numcore import add, frobenius_sq, scale, sub
+    from graphscm.numcore import add, scale, sub
 
     acc = None
     for a, b in zip(h, h_hat):

@@ -9,7 +9,6 @@ from graphscm.numcore import (
     clamp_min,
     expm_trace,
     finite_diff_check,
-    frobenius_sq,
     log,
     matmul,
     mul,
@@ -17,6 +16,7 @@ from graphscm.numcore import (
     relu,
     scale,
     softmax,
+    sq_error,
     square,
     stacked_mlp,
     sub,
@@ -24,6 +24,8 @@ from graphscm.numcore import (
     take,
     finite_diff_check as fdc,
 )
+
+from oracles import frobenius_sq
 
 
 def test_sum_of_squares_near_exact():
@@ -169,3 +171,18 @@ def test_stacked_ops_match_finite_differences():
 
             err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-5)
             assert err <= 1e-6, f"stacked_mlp {depth} layers input {slot} gradient error {err}"
+
+    # sq_error with respect to either operand, stacked and 2-D, from a
+    # generator of its own so that the cases above keep their inputs. The
+    # function is quadratic, so the wider step only shrinks the rounding of
+    # the central differences.
+    own = np.random.default_rng(41)
+    for shape, c in (((3, 4, 5), 1.0 / 12.0), ((4, 5), 0.37)):
+        other = Tensor(own.normal(size=shape))
+        cases = [
+            ("a", lambda t: sq_error(t, other, c)),
+            ("b", lambda t: sq_error(other, t, c)),
+        ]
+        for name, f in cases:
+            err = fdc(f, Tensor(own.normal(size=shape)), eps=1e-3)
+            assert err <= 1e-6, f"sq_error {shape} {name} gradient error {err}"

@@ -1,4 +1,3 @@
-import math
 import os
 import shutil
 
@@ -341,11 +340,6 @@ def test_multiset_pooling_weights_by_path_count(toy_graph):
     expected = (2 * feats[0] + feats[1] + feats[2]) / 4.0
     pooled = pooled_neighbor_features(toy_graph, [0], apa, multiset=True)
     assert np.allclose(pooled[0], expected)
-
-
-def test_degree_helper(toy_graph):
-    assert toy_graph.degree("write", 0) == 2
-    assert math.log(1 + toy_graph.degree("write", 0)) == pytest.approx(math.log(3))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from graphscm.errors import ConfigError, DimensionError
-from graphscm.numcore import AdamW, Tape, Tensor, frobenius_sq
+from graphscm.numcore import AdamW, Tape, Tensor
 from graphscm.numcore.optim import _CHUNK
 from graphscm.scm import ScmModel
 from graphscm.train import TrainConfig, build_pipeline
@@ -46,7 +46,7 @@ def test_two_steps_decrease_convex_quadratic():
     for _ in range(2):
         opt.zero_grad()
         with Tape() as tape:
-            loss = frobenius_sq(p)
+            loss = oracles.frobenius_sq(p)
         tape.backward(loss)
         opt.step()
     assert loss_value() < before
@@ -66,7 +66,11 @@ def test_decoupled_weight_decay_shrinks_even_without_gradient():
     + [("weight_decay", v) for v in (-0.1, float("nan"), float("inf"))],
 )
 def test_bad_hyperparameter_rejected(name, value):
-    with pytest.raises(ConfigError, match=name):
+    """lr and weight_decay are checked on entry; beta1, beta2 and eps are the
+    fixed ``optim.BETA1``, ``BETA2`` and ``EPS``, so the constructor takes
+    none of them."""
+    fixed = name in ("beta1", "beta2", "eps")
+    with pytest.raises(TypeError if fixed else ConfigError, match=name):
         AdamW([Tensor(1.0, requires_grad=True)], **{name: value})
 
 

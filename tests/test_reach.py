@@ -194,9 +194,7 @@ def test_split_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_
         want = homophily_table(graph, adj, roundtrip_metapaths(graph, max_len))
         assert _same_bytes(got, want)
     relations = [mp.relations[0] for mp in enumerate_metapaths(graph.schema, graph.schema.target_type, 1)]
-    for log_transform in (True, False):
-        got = degree_features(graph, log_transform=log_transform).values
-        assert _same_bytes(got, degree_table(graph, adj, relations, log_transform))
+    assert _same_bytes(degree_features(graph).values, degree_table(graph, adj, relations))
 
 
 def test_empty_query_and_empty_reach(toy_graph):

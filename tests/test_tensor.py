@@ -6,19 +6,19 @@ from graphscm.numcore import (
     Tape,
     Tensor,
     add,
-    frobenius_sq,
-    index_scalar,
     matmul,
     mul,
     pair_mix,
     relu,
+    scale,
     softmax,
+    sq_error,
     stacked_mlp,
     sub,
     sum_all,
 )
 
-from oracles import close, matmul_loops, pair_mix_cells, stacked_mlp_chain
+from oracles import close, frobenius_sq, index_scalar, matmul_loops, pair_mix_cells, sq_error_chain, stacked_mlp_chain
 
 
 def test_matmul_identity():
@@ -220,3 +220,44 @@ def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_grad):
         assert (got[1] is None) == (not x_grad)
         for i, (a, b) in enumerate(zip(got, want)):
             assert (a is None and b is None) or np.array_equal(a, b), (layers, i)
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 5), (1, 1, 4), (4, 5)])
+@pytest.mark.parametrize("grads", ["both", "a", "b"])
+def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, grads):
+    """Value and both gradients equal to the ``sub``/``frobenius_sq``/``scale``
+    chain bit for bit, under a non-unit upstream gradient, in one tape record
+    where the chain takes three; the two gradients are separate arrays."""
+    rng = np.random.default_rng(sum(shape))
+    inputs = [rng.normal(size=shape), rng.normal(size=shape)]
+    c = 1.0 / (shape[0] * shape[-2]) if len(shape) == 3 else 0.37
+
+    def run(op):
+        a = Tensor(inputs[0].copy(), requires_grad=grads in ("both", "a"))
+        b = Tensor(inputs[1].copy(), requires_grad=grads in ("both", "b"))
+        with Tape() as tape:
+            loss = scale(op(a, b, c), 0.01)
+        tape.backward(loss)
+        return len(tape), [loss.data, a.grad, b.grad]
+
+    fused, got = run(sq_error)
+    chain, want = run(sq_error_chain)
+    assert (fused, chain) == (2, 4)
+    assert (got[1] is None, got[2] is None) == (grads == "b", grads == "a")
+    for i, (x, y) in enumerate(zip(got, want)):
+        assert (x is None and y is None) or np.array_equal(x, y), i
+    if grads == "both":
+        assert got[1] is not got[2] and not np.shares_memory(got[1], got[2])
+
+
+def test_sq_error_shape_mismatch_raises():
+    with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(2, 4, 3\)"):
+        sq_error(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 3))), 1.0)
+
+
+def test_numcore_exports_resolve():
+    """Every name in ``numcore.__all__`` is bound in the package."""
+    import graphscm.numcore as numcore
+
+    missing = [name for name in numcore.__all__ if not hasattr(numcore, name)]
+    assert not missing, missing
