@@ -1,8 +1,10 @@
 """Variable construction: ego, label, and metapath neighbor variables.
 
-For a batch of target nodes this produces q+2 variable representations,
+For a batch of target nodes this produces the variable representations,
 stacked along a leading axis: slot 0 the ego node, slots 1..q the metapath
-neighbor pools, slot q+1 the label. Each variable has its own affine
+neighbor pools and, in a training batch only, slot q+1 the label. A
+prediction batch holds the q+1 slots before the label: the label is never
+encoded where it is to be predicted. Each variable has its own affine
 encoder with no parameter sharing, so that no encoder can absorb
 cross-variable correlations. The encoders share one weight tensor, their
 weights one under another, and run as one ``block_affine`` on the raw
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, pooled_neighbor_features
-from .numcore import Tensor, block_affine, kaiming_uniform, mul
+from .numcore import Tensor, block_affine, kaiming_uniform, take
 
 EGO_NAME = "EGO"
 LABEL_NAME = "Y"
@@ -51,9 +53,6 @@ class Encoders:
             weight[self.rows(j)] = kaiming_uniform(rng, self.in_dims[j], hidden_dim)
         self.weight = Tensor(weight, requires_grad=True, name="enc.W")
         self.bias = Tensor(np.zeros((n, hidden_dim)), requires_grad=True, name="enc.b")
-        # zeroes the label slot's bias, so that an unknown label encodes to zero
-        self._unknown_label = np.ones((n, hidden_dim))
-        self._unknown_label[-1] = 0.0
 
     def rows(self, j: int) -> slice:
         """The rows of ``enc.W`` that hold slot j's weights."""
@@ -64,17 +63,21 @@ class Encoders:
         return [self.weight, self.bias]
 
     def __call__(self, ego: np.ndarray, pooled: Sequence[np.ndarray], labels: Optional[np.ndarray]) -> Tensor:
-        """The (q + 2, B, H) variables of a batch from its raw inputs: ego
-        features, one pooled matrix per metapath, and class indices (None
-        when the labels are unknown; the label slot is then zero)."""
-        num_classes = self.in_dims[-1]
-        label = np.zeros((ego.shape[0], num_classes)) if labels is None else one_hot(labels, num_classes)
-        inputs = [ego, *pooled, label]
-        widths = [x.shape[1] for x in inputs]
-        if widths != self.in_dims:
-            raise DimensionError(f"encoder inputs have widths {widths}, encoders expect {self.in_dims}")
-        bias = self.bias if labels is not None else mul(self.bias, Tensor(self._unknown_label))
-        return block_affine(inputs, self.weight, bias)
+        """The variables of a batch from its raw inputs: ego features, one
+        pooled matrix per metapath, and class indices. With labels that is
+        (q + 2, B, H); with None for the labels it is the (q + 1, B, H) slots
+        before the label, through the same rows of ``enc.W`` and ``enc.b``."""
+        inputs = [ego, *pooled]
+        weight, bias = self.weight, self.bias
+        if labels is not None:
+            inputs.append(one_hot(labels, self.in_dims[-1]))
+        else:  # the slots before the label's, through their rows of enc.W and enc.b
+            n = len(self.in_dims) - 1
+            weight, bias = take(weight, slice(0, self.rows(n).start)), take(bias, slice(0, n))
+        widths, expected = [x.shape[1] for x in inputs], self.in_dims[: bias.shape[0]]
+        if widths != expected:
+            raise DimensionError(f"encoder inputs have widths {widths}, encoders expect {expected}")
+        return block_affine(inputs, weight, bias)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -88,15 +91,16 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 @dataclass
 class VariableBatch:
-    """The q+2 per-sample variable representations, stacked in fixed order."""
+    """The per-sample variable representations, stacked in fixed order: the
+    q+2 variables of a training batch, or the q+1 before the label of a
+    prediction batch."""
 
-    values: Tensor              # (q + 2, B, H)
-    names: list[str]            # ["EGO", metapath names..., "Y"]
-    label_known: np.ndarray     # bool per sample
+    values: Tensor              # (q + 2, B, H), or (q + 1, B, H) without the label
+    names: list[str]            # ["EGO", metapath names..., "Y"], without "Y" when unlabelled
 
     def rows(self, index: slice) -> "VariableBatch":
         """The samples ``index`` of every variable, as a constant view."""
-        return VariableBatch(Tensor(self.values.data[:, index]), self.names, self.label_known[index])
+        return VariableBatch(Tensor(self.values.data[:, index]), self.names)
 
 
 class VariableBuilder:
@@ -148,4 +152,5 @@ class VariableBuilder:
             [self.tables[mp.name][nodes] for mp in self.metapaths],
             labels,
         )
-        return VariableBatch(values, self.variable_names, np.full(nodes.shape[0], with_labels))
+        names = self.variable_names if with_labels else self.variable_names[:-1]
+        return VariableBatch(values, names)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, LoadError, read_json
+from .errors import ContractError, DimensionError
 from .numcore import Tensor
 
 
@@ -29,9 +29,6 @@ class CausalDiagram:
     names: list[str]
     edges: list[Edge]
     removal_log: list[dict] = field(default_factory=list)  # {src, dst, abs_weight, step}
-
-    def edge_set(self) -> set[tuple[str, str]]:
-        return {(e.src, e.dst) for e in self.edges}
 
     def support(self) -> np.ndarray:
         pos = {name: i for i, name in enumerate(self.names)}
@@ -142,18 +139,3 @@ def diagram_to_json(diagram: CausalDiagram, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def diagram_from_json(path: str) -> CausalDiagram:
-    raw = read_json(path)
-    try:
-        diagram = CausalDiagram(
-            names=list(raw["variables"]),
-            edges=[Edge(e["src"], e["dst"], float(e["weight"])) for e in raw["edges"]],
-            removal_log=list(raw.get("removals", [])),
-        )
-    except KeyError as exc:
-        raise LoadError(f"{path}: malformed diagram file: {exc}") from exc
-    if not _is_acyclic(diagram.support()):
-        raise LoadError(f"{path}: stored diagram contains a cycle")
-    return diagram

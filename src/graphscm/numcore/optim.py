@@ -95,7 +95,3 @@ class AdamW:
                 po -= x
             self.m[i], self.v[i] = m, v
             p.data = new
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None

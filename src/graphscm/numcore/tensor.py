@@ -29,8 +29,7 @@ ops that pass their incoming gradient on (or a view of it) copy it first.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -423,57 +422,17 @@ def take(x: Tensor, index) -> Tensor:
     return _record(out, (x,), backward)
 
 
-class _PairGrid(NamedTuple):
-    """The (cause, pair) cells of one ``pair_mix`` call, laid out as a grid:
-    row r is cause ``rows[r]``, and its cells are its pair maps into the
-    targets ``targets[r]``, ascending. Flattened row-major, cell j feeds
-    output row ``out[1][j]``."""
+def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor) -> Tensor:
+    """Weighted sums of pairwise affine maps, one per target variable k:
 
-    rows: np.ndarray     # (c,) cause indices
-    causes: object       # the same rows as an index into the effects; a slice when it can
-    targets: np.ndarray  # (c, m) target variable of each cell
-    cells: tuple         # index of the cells into weight and bias; slices (a view) when it can
-    out: tuple           # (cell, output row) of every cell, an index into a (cells, outputs) array
+        out[k] = sum_{i != k} (E_i W[i, s(i, k)] + b[i, s(i, k)]) * A[i, k]
 
-
-def _rows(idx: np.ndarray) -> Union[slice, np.ndarray]:
-    """A slice for a contiguous ascending run of indices (numpy then returns
-    a view), else the indices."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return slice(int(idx[0]), int(idx[0]) + idx.size)
-    return idx
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_grid(n: int, causes: int, targets: tuple[int, ...]) -> _PairGrid:
-    if targets == tuple(range(n)) and causes == n:
-        rows = np.arange(n)
-        slots = np.tile(np.arange(n - 1), (n, 1))
-        tgt = slots + (slots >= rows[:, None])
-        out = tgt  # output row q is variable q
-    elif len(targets) == 1:
-        k = targets[0]
-        rows = np.array([i for i in range(causes) if i != k])
-        tgt = np.full((rows.size, 1), k)
-        slots = tgt - (tgt > rows[:, None])
-        out = np.zeros_like(tgt)
-    else:
-        raise DimensionError(f"pair_mix targets every variable or one, got {list(targets)}")
-    r, s = _rows(rows), _rows(slots[0])
-    uniform = isinstance(r, slice) and isinstance(s, slice) and (slots == slots[0]).all()
-    cells = (r, s) if uniform else (rows[:, None], slots)
-    return _PairGrid(rows, r, tgt, cells, (np.arange(out.size), out.reshape(-1)))
-
-
-def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets) -> Tensor:
-    """Weighted sums of pairwise affine maps, one per target variable:
-
-        out[q] = sum_{i != k} (E_i W[i, s(i, k)] + b[i, s(i, k)]) * A[i, k],  k = targets[q]
-
-    over the causes i = 0 .. len(effects) - 1, where s(i, k) = k - (k > i)
-    is the slot of the pair map (i -> k). ``effects`` is (c, B, D),
-    ``weight`` (n, n - 1, D, D), ``bias`` (n, n - 1, D) and ``dag`` (n, n).
-    ``targets`` is every variable (then c = n) or one.
+    over the causes i = 0 .. c - 1, where s(i, k) = k - (k > i) is the slot
+    of the pair map (i -> k). ``effects`` is (c, B, D), ``weight``
+    (n, n - 1, D, D), ``bias`` (n, n - 1, D) and ``dag`` (n, n). With c = n
+    every variable is a target; with c = n - 1 the one target is the label,
+    the last variable, fed from slot n - 2 of each cause. Either way the
+    weights and biases read are a block, read in place.
 
     The products E_i W run as one stacked matmul. The sums over causes are
     small matrix products with ``mix`` (cells x outputs), which holds
@@ -487,34 +446,38 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
     The products E_i W are dropped once the output is formed, not kept for
     the backward: it runs cause by cause, and reads the gradient of A[i, k]
     as the sum of E_i * (g_k W^T), from the product g_k W^T that the
-    gradient of E_i needs anyway. When the weights a call reads are a
-    contiguous block (every target, or the last variable from the ones
-    before it) they are read in place, not copied.
+    gradient of E_i needs anyway.
     """
     n = dag.shape[0]
     c = effects.shape[0]
     if weight.shape[:2] != (n, n - 1) or bias.shape != weight.shape[:3]:
         raise DimensionError(f"pair_mix: weight {weight.shape} and bias {bias.shape} do not fit {n} variables")
-    if effects.ndim != 3 or c > n or effects.shape[2] != weight.shape[2]:
+    if effects.ndim != 3 or c not in (n, n - 1) or effects.shape[2] != weight.shape[2]:
         raise DimensionError(f"pair_mix: effects {effects.shape} do not fit weight {weight.shape}")
-    targets = tuple(int(k) for k in targets)
-    if any(not 0 <= k < n for k in targets):
-        raise DimensionError(f"pair_mix: targets {list(targets)} out of range [0, {n})")
-    grid = _pair_grid(n, c, targets)
-    E = effects.data[grid.causes]
-    W, b = weight.data[grid.cells], bias.data[grid.cells]
-    a = dag.data[grid.rows[:, None], grid.targets]
-    mix = np.zeros((a.size, len(targets)))
-    mix[grid.out] = a.reshape(-1)
+    # cell (i, j) is cause i's pair map cells[1][j] into variable targets[i, j],
+    # which it feeds through output row feeds[i, j]
+    if c == n:
+        cells = (slice(0, n), slice(0, n - 1))
+        slots = np.arange(n - 1)
+        targets = feeds = slots + (slots >= np.arange(n)[:, None])
+    else:
+        cells = (slice(0, n - 1), slice(n - 2, n - 1))
+        targets, feeds = np.full((c, 1), n - 1), np.zeros((c, 1), dtype=np.int64)
+    E = effects.data
+    W, b = weight.data[cells], bias.data[cells]
+    dag_cells = (np.arange(c)[:, None], targets)
+    a = dag.data[dag_cells]
+    out_index = (np.arange(a.size), feeds.reshape(-1))
+    mix = np.zeros((a.size, n if c == n else 1))
+    mix[out_index] = a.reshape(-1)
     pre = np.matmul(E[:, None], W).reshape(a.size, -1)
-    out = (mix.T @ pre).reshape((len(targets),) + E.shape[1:])
+    out = (mix.T @ pre).reshape((mix.shape[1],) + E.shape[1:])
     del pre
     flat_b = b.reshape(a.size, -1)
     out += (mix.T @ flat_b)[:, None, :]
 
     def backward(g: np.ndarray) -> None:
         gsum = g.sum(axis=1)
-        feeds = grid.out[1].reshape(a.shape)  # the output row each cell feeds
         dE, dW, dA = np.empty(E.shape), np.empty(W.shape), np.empty(a.shape)
         gr, q = np.empty((2, W.shape[1]) + g.shape[1:])  # one cause's (cells, B, D) scratch
         for r in range(len(E)):  # cause by cause, so that one cause's cells stay in cache
@@ -525,12 +488,12 @@ def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor, targets
             np.matmul(flat_q, E[r].reshape(-1), out=dA[r])
             gr *= a[r][:, None, None]
             np.matmul(E[r].T, gr, out=dW[r])
-        dA += (flat_b @ gsum.T)[grid.out].reshape(a.shape)
+        dA += (flat_b @ gsum.T)[out_index].reshape(a.shape)
         grads = (
-            (effects, grid.causes, dE),
-            (weight, grid.cells, dW),
-            (bias, grid.cells, (mix @ gsum).reshape(b.shape)),
-            (dag, (grid.rows[:, None], grid.targets), dA),
+            (effects, None, dE),
+            (weight, cells, dW),
+            (bias, cells, (mix @ gsum).reshape(b.shape)),
+            (dag, dag_cells, dA),
         )
         for t, index, d in grads:
             if t.requires_grad:  # the cells may cover part of t

@@ -13,9 +13,11 @@ never its own cause) and the i = k term is skipped structurally. The n
 effect networks, the n(n - 1) pair maps and the n decoders are each stacked
 along a leading axis and run by the stacked ops of ``numcore``.
 
-Label prediction reconstructs only the label variable and maps it back to
-class space through a two-layer shortcut network approximating the inverse
-of the label encoder.
+Training encodes and reconstructs all n variables. Label prediction encodes
+the n - 1 variables before the label, reconstructs only the label variable
+from them and maps it back to class space through a two-layer shortcut
+network approximating the inverse of the label encoder; ``reconstruct``
+reads which of the two it runs from the number of variables in the batch.
 """
 
 from __future__ import annotations
@@ -109,39 +111,34 @@ class ScmParameters:
         )
 
 
-def reconstruct(vars: VariableBatch, params: ScmParameters, targets) -> Tensor:
-    """Structural assignments of the variables ``targets`` (every variable,
-    in order, or a single one), each from every other variable weighted by
-    A[:, k], stacked as (len(targets), B, width).
+def reconstruct(vars: VariableBatch, params: ScmParameters) -> Tensor:
+    """Structural assignments, each from every other variable weighted by
+    A[:, k], stacked as (targets, B, width). The batch's slot count sets the
+    targets: n slots reconstruct every variable, in order; the n - 1 slots
+    before the label reconstruct the label alone.
 
     The tape records the same number of entries whatever the number of
-    variables or targets.
+    variables.
     """
     n = params.n_vars
-    targets = [int(k) for k in targets]
-    if any(not 0 <= k < n for k in targets):
-        raise ContractError(f"variable indices {targets} out of range [0, {n})")
-    if len(targets) != 1 and targets != list(range(n)):
-        raise ContractError(f"targets must be every variable or one, got {targets}")
-    n_vars, _, width = vars.values.shape
-    if (n_vars, width) != (n, params.width):
+    count, _, width = vars.values.shape
+    if count not in (n, n - 1) or width != params.width:
         raise DimensionError(
-            f"batch has {n_vars} variables of width {width}, model expects {n} of width {params.width}"
+            f"batch has {count} variables of width {width}, model expects {n} (or {n - 1} without the label)"
+            f" of width {params.width}"
         )
-    # the label is the last variable, so its causes alone are a leading run
-    causes = slice(0, n - 1) if targets == [n - 1] else None
-    x = vars.values if causes is None else take(vars.values, causes)
-    effects = params.effect(x, causes)
-    mixed = pair_mix(effects, params.pair_weight, params.pair_bias, params.dag, targets)
-    params.decoder_calls += len(targets)
-    return params.decoder(mixed, None if len(targets) == n else slice(targets[0], targets[0] + 1))
+    label = count == n - 1
+    effects = params.effect(vars.values, slice(0, n - 1) if label else None)
+    mixed = pair_mix(effects, params.pair_weight, params.pair_bias, params.dag)
+    params.decoder_calls += mixed.shape[0]
+    return params.decoder(mixed, slice(n - 1, n) if label else None)
 
 
 def reconstruct_all(vars: VariableBatch, params: ScmParameters) -> Tensor:
     """Training-time structural assignments of every variable, stacked."""
-    if not np.all(vars.label_known):
+    if vars.values.shape[0] != params.n_vars:
         raise ContractError("reconstruct_all needs a batch built with labels")
-    return reconstruct(vars, params, range(params.n_vars))
+    return reconstruct(vars, params)
 
 
 def label_probabilities_from(decoded: Tensor, params: ScmParameters) -> Tensor:
@@ -155,13 +152,14 @@ def label_probabilities_from(decoded: Tensor, params: ScmParameters) -> Tensor:
 
 
 def predict_labels(vars: VariableBatch, params: ScmParameters) -> Tensor:
-    """Class probabilities via the reconstructed label variable only.
-
-    Invokes exactly one variable decoder (the label's); the label slice of
-    the batch is never read because the diagonal of A is zero and the i = k
-    term is skipped.
+    """Class probabilities via the reconstructed label variable only, from a
+    batch built without labels: it holds the n - 1 variables before the
+    label, so the label is never encoded, and exactly one variable decoder
+    (the label's) runs.
     """
-    return label_probabilities_from(reconstruct(vars, params, [params.n_vars - 1]), params)
+    if vars.values.shape[0] != params.n_vars - 1:
+        raise ContractError("predict_labels needs a batch built without labels")
+    return label_probabilities_from(reconstruct(vars, params), params)
 
 
 # ---------------------------------------------------------------------------

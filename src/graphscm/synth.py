@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError
 from .hetgraph import HeteroGraph, Relation, Schema
 from .rng import substream
 from .splits import OOD_TRAIN_FRACTION, SplitSpec
@@ -121,16 +121,6 @@ class GroundTruth:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str) -> "GroundTruth":
-        raw = read_json(path)
-        return cls(
-            spec=SynthSpec(**raw["spec"]),
-            records=[AuthorRecord(**r) for r in raw["records"]],
-            planted_cause=raw["planted_cause"],
-            spurious=raw["spurious"],
-        )
 
 
 def academic_schema(num_classes: int) -> Schema:

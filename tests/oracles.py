@@ -377,9 +377,11 @@ def reconstruct_all(variables, params: PairwiseScm):
 
 # ---------------------------------------------------------------------------
 # ``pair_mix`` cell by cell: the op before its sums over causes became
-# products with a mixing matrix. Same signature and tape contract; every
-# output row is a Python-ordered sum of its cells, bit-identical to a chain
-# of per-pair ``matmul``/``add``/``mul`` records.
+# products with a mixing matrix. Same tape contract, plus a ``targets``
+# argument (every variable, or any one of them) where ``pair_mix`` reads
+# every variable or the label from the number of causes; every output row
+# is a Python-ordered sum of its cells, bit-identical to a chain of
+# per-pair ``matmul``/``add``/``mul`` records.
 
 def _cell_grid(n: int, causes: int, targets: tuple):
     """(rows, causes, targets, cells, feeds) of a ``pair_mix`` call: row r is

@@ -162,10 +162,14 @@ def test_explain_outputs_diagram(trained_dir, tmp_path, capsys):
                    "--out", out) == 0
     text = open(os.path.join(out, "diagram.dot")).read()
     assert text.startswith("digraph")
-    from graphscm.interpret import diagram_from_json
+    from graphscm.interpret import CausalDiagram, Edge
+    from oracles import has_cycle
 
-    diagram = diagram_from_json(os.path.join(out, "diagram.json"))  # validates acyclicity
+    with open(os.path.join(out, "diagram.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    diagram = CausalDiagram(raw["variables"], [Edge(e["src"], e["dst"], e["weight"]) for e in raw["edges"]])
     assert diagram.names[0] == "EGO" and diagram.names[-1] == "Y"
+    assert not has_cycle(diagram.support())
 
     out2 = str(tmp_path / "diagram2")
     assert run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),

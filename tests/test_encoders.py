@@ -112,8 +112,10 @@ def test_neighbor_permutation_consistency():
 def test_pooled_input_of_wrong_width_rejected():
     params = _fresh_encoders(dims=(2, 2, 2))
     pooled = [np.zeros((3, 2)), np.zeros((3, 4)), np.zeros((3, 2))]
-    with pytest.raises(DimensionError, match=r"widths \[2, 2, 4, 2, 2\], encoders expect \[2, 2, 2, 2, 2\]"):
+    with pytest.raises(DimensionError, match=r"widths \[2, 2, 4, 2\], encoders expect \[2, 2, 2, 2\]$"):
         _encode(params, np.zeros((3, 2)), pooled)
+    with pytest.raises(DimensionError, match=r"widths \[2, 2, 4, 2, 2\], encoders expect \[2, 2, 2, 2, 2\]$"):
+        _encode(params, np.zeros((3, 2)), pooled, labels=np.zeros(3, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +134,15 @@ def test_build_variables_shape_and_names(toy_graph):
     assert batch.values.shape == (len(metapaths) + 2, 1, 5)
 
 
-def test_build_variables_masked_label_slice_is_zero(toy_graph):
-    builder, _ = _toy_builder(toy_graph)
+def test_build_variables_without_labels_is_the_slots_before_the_label(toy_graph):
+    builder, metapaths = _toy_builder(toy_graph)
     params = _fresh_encoders(hidden=5, dims=tuple(builder.terminal_dims()))
+    params.bias.data = np.random.default_rng(4).normal(size=params.bias.shape)
     batch = builder.build([0, 2], params, with_labels=False)
-    assert not batch.label_known.any()
-    assert np.array_equal(batch.values.data[-1], np.zeros((2, 5)))
+    full = builder.build([0, 2], params, with_labels=True)
+    assert batch.names == ["EGO", "AP", "APA", "APV"]
+    assert batch.values.shape == (len(metapaths) + 1, 2, 5)
+    assert np.array_equal(batch.values.data, full.values.data[:-1])
 
 
 def test_build_variables_duplicate_node_rows_identical(toy_graph):

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from graphscm.encoders import VariableBatch
 from graphscm.losses import LossWeights, loss_dag
-from graphscm.numcore import Tape, Tensor, add, sub
+from graphscm.numcore import Tape, Tensor, add, sub, take
 from graphscm.rng import substream
 from graphscm.scm import ScmParameters, reconstruct, reconstruct_all
 
@@ -38,17 +38,23 @@ def _loss(outputs, goals, dag):
     return total
 
 
-def _run_fused(params, data, targets):
-    values = Tensor(np.stack(data), requires_grad=True)
-    batch = VariableBatch(values, [f"v{i}" for i in range(len(data))], np.ones(data[0].shape[0], bool))
+def _targets(n, which):
+    """The variables a case reconstructs: every one, the label from an
+    (n - 1)-slot batch, or variable 1 alone out of the every-variable call."""
+    return {"all": list(range(n)), "label": [n - 1], "inner": [1]}[which]
+
+
+def _run_fused(params, data, which):
+    slots = data[:-1] if which == "label" else data
+    values = Tensor(np.stack(slots), requires_grad=True)
+    batch = VariableBatch(values, [f"v{i}" for i in range(len(slots))])
     for p in params.parameters():
         p.grad = None
-    goals = [np.full((data[0].shape[0], params.width), 0.5) for _ in targets]
+    goals = [np.full((data[0].shape[0], params.width), 0.5) for _ in _targets(params.n_vars, which)]
     with Tape() as tape:
-        if targets == list(range(params.n_vars)):
-            outputs = reconstruct_all(batch, params)
-        else:
-            outputs = reconstruct(batch, params, targets)
+        outputs = reconstruct(batch, params) if which == "label" else reconstruct_all(batch, params)
+        if which == "inner":
+            outputs = take(outputs, slice(1, 2))
         # the per-target terms of _loss, as one stacked squared sum
         misfit = oracles.frobenius_sq(sub(outputs, Tensor(np.stack(goals))))
         loss = add(loss_dag(params.dag, LossWeights()), misfit)
@@ -56,12 +62,13 @@ def _run_fused(params, data, targets):
     return [Tensor(out) for out in outputs.data], list(_grad(values))
 
 
-def _run_oracle(params, data, targets):
+def _run_oracle(params, data, which):
     oracle = oracles.PairwiseScm(params)
     variables = [Tensor(x.copy(), requires_grad=True) for x in data]
+    targets = _targets(params.n_vars, which)
     goals = [np.full((data[0].shape[0], params.width), 0.5) for _ in targets]
     with Tape() as tape:
-        if targets == list(range(params.n_vars)):
+        if which == "all":
             outputs = oracles.reconstruct_all(variables, oracle)
         else:
             outputs = [oracles.structural_assignment(k, variables, oracle) for k in targets]
@@ -74,15 +81,17 @@ def _grad(t):
     return np.zeros(t.shape) if t.grad is None else t.grad
 
 
-def _compare(params, data, targets, same):
-    got, got_vars = _run_fused(params, data, targets)
-    want, want_vars, want_grads = _run_oracle(params, data, targets)
+def _compare(params, data, which, same):
+    got, got_vars = _run_fused(params, data, which)
+    want, want_vars, want_grads = _run_oracle(params, data, which)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert same(a.data, b.data)
     for p in params.parameters():
         if p.name in want_grads:
             assert same(_grad(p), want_grads[p.name]), p.name
+    # a label batch has no label slot; the oracle's label takes no gradient
+    got_vars += [np.zeros(data[0].shape)] * (len(want_vars) - len(got_vars))
     for a, b in zip(got_vars, want_vars):
         assert same(a, _grad(b))
 
@@ -93,8 +102,7 @@ def _compare(params, data, targets, same):
 @pytest.mark.parametrize("which", ["all", "label", "inner"])
 def test_fused_matches_pairwise_oracle(n, batch, activation, which):
     params = _params(n, 6, seed=n)
-    targets = {"all": list(range(n)), "label": [n - 1], "inner": [1]}[which]
-    _compare(params, _inputs(n, 6, batch, seed=batch), targets, oracles.close)
+    _compare(params, _inputs(n, 6, batch, seed=batch), which, oracles.close)
 
 
 def test_tape_records_and_tensor_count_do_not_grow_with_variables():
@@ -102,7 +110,7 @@ def test_tape_records_and_tensor_count_do_not_grow_with_variables():
     for n in (3, 6, 9):
         params = _params(n, 4)
         values = Tensor(np.stack(_inputs(n, 4, 5, seed=n)))
-        batch = VariableBatch(values, [f"v{i}" for i in range(n)], np.ones(5, bool))
+        batch = VariableBatch(values, [f"v{i}" for i in range(n)])
         with Tape() as tape:
             reconstruct_all(batch, params)
         records.add(len(tape))

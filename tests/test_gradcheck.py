@@ -97,12 +97,12 @@ def test_stacked_ops_match_finite_differences():
     dag = const(n, n)
     blocks, block_w, block_b = [rng.normal(size=(4, d)) for d in (2, 3, 1)], const(6, 5), const(3, 5)
 
-    def mix(targets, **override):
-        args = dict(effects=effects, weight=weight, bias=bias, dag=dag)
+    def mix(slot, **fixed):
+        args = {"effects": effects, "weight": weight, "bias": bias, "dag": dag, **fixed}
 
         def f(t):
-            args.update({k: t for k in override})
-            return frobenius_sq(pair_mix(args["effects"], args["weight"], args["bias"], args["dag"], targets))
+            args[slot] = t
+            return frobenius_sq(pair_mix(**args))
 
         return f
 
@@ -118,37 +118,37 @@ def test_stacked_ops_match_finite_differences():
         ("take", (4, 3, 2), lambda t: frobenius_sq(mul(take(t, slice(1, 3)), rows))),
         ("take index", (3, 4, 5), lambda t: frobenius_sq(mul(take(t, (-1, slice(1, 3), slice(0, 2))), corner))),
         ("frobenius_sq stacked", (3, 4, 5), lambda t: frobenius_sq(scale(t, 0.5))),
-        ("pair_mix effects", (n, 2, d), mix(range(n), effects=1)),
-        ("pair_mix weight", (n, n - 1, d, d), mix(range(n), weight=1)),
-        ("pair_mix bias", (n, n - 1, d), mix(range(n), bias=1)),
-        ("pair_mix dag", (n, n), mix(range(n), dag=1)),
-        ("pair_mix one target", (n, 2, d), mix([1], effects=1)),
-        ("pair_mix label", (n - 1, 2, d), mix([n - 1], effects=1)),
+        ("pair_mix effects", (n, 2, d), mix("effects")),
+        ("pair_mix weight", (n, n - 1, d, d), mix("weight")),
+        ("pair_mix bias", (n, n - 1, d), mix("bias")),
+        ("pair_mix dag", (n, n), mix("dag")),
+        ("pair_mix effects upper dag", (n, 2, d), mix("effects", dag=Tensor(np.triu(dag.data)))),
+        ("pair_mix label", (n - 1, 2, d), mix("effects")),
         ("pair_mix label weight", (n, n - 1, d, d), lambda t: frobenius_sq(
-            pair_mix(take(effects, slice(0, n - 1)), t, bias, dag, [n - 1]))),
+            pair_mix(take(effects, slice(0, n - 1)), t, bias, dag))),
     ]
     for name, shape, f in cases:
         err = fdc(f, Tensor(rng.normal(size=shape)), eps=1e-5)
         assert err <= 1e-6, f"{name} gradient error {err}"
 
-    # pair_mix at n = 2 (every target) and n = 5 (an inner target), on a DAG
-    # whose diagonal is nonzero but must not be read, drawn from a generator
-    # of their own so that the cases above keep their inputs. The squared sum
-    # is quadratic in each input, so central differences carry no truncation
-    # error and the wider step only shrinks their rounding (at 1e-5 the n = 5
-    # weight case reads about 1e-6 on an element whose gradient is 1e-4).
+    # pair_mix at n = 2 (every target) and n = 5 (the label from the four
+    # causes before it), on a DAG whose diagonal is nonzero but must not be
+    # read, drawn from a generator of their own so that the cases above keep
+    # their inputs. The squared sum is quadratic in each input, so central
+    # differences carry no truncation error and the wider step only shrinks
+    # their rounding (at 1e-5 a weight element whose gradient is 1e-4 can
+    # read about 1e-6).
     own = np.random.default_rng(31)
-    for n, targets in ((2, [0, 1]), (5, [2])):
-        args = [own.normal(size=s) for s in ((n, 2, d), (n, n - 1, d, d), (n, n - 1, d), (n, n))]
+    for n, causes in ((2, 2), (5, 4)):
+        args = [own.normal(size=s) for s in ((causes, 2, d), (n, n - 1, d, d), (n, n - 1, d), (n, n))]
         np.fill_diagonal(args[3], 1.5)
         hollow = args[:3] + [args[3] * (1.0 - np.eye(n))]
-        assert np.array_equal(pair_mix(*map(Tensor, args), targets).data,
-                              pair_mix(*map(Tensor, hollow), targets).data)
+        assert np.array_equal(pair_mix(*map(Tensor, args)).data, pair_mix(*map(Tensor, hollow)).data)
         for slot, name in enumerate(("effects", "weight", "bias", "dag")):
-            def f(t, slot=slot, args=args, targets=targets):
+            def f(t, slot=slot, args=args):
                 parts = [Tensor(a) for a in args]
                 parts[slot] = t
-                return frobenius_sq(pair_mix(*parts, targets))
+                return frobenius_sq(pair_mix(*parts))
 
             err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-3)
             assert err <= 1e-6, f"pair_mix n={n} {name} gradient error {err}"

@@ -44,7 +44,7 @@ def test_two_steps_decrease_convex_quadratic():
 
     before = loss_value()
     for _ in range(2):
-        opt.zero_grad()
+        p.grad = None
         with Tape() as tape:
             loss = oracles.frobenius_sq(p)
         tape.backward(loss)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from graphscm.encoders import VariableBatch, VariableBuilder
 from graphscm.errors import ContractError, DimensionError, LoadError
 from graphscm.hetgraph import enumerate_metapaths
@@ -13,6 +14,7 @@ from graphscm.scm import (
     ModelMeta,
     ScmModel,
     ScmParameters,
+    label_probabilities_from,
     load_checkpoint,
     predict_labels,
     reconstruct,
@@ -33,8 +35,9 @@ def _mlp_oracle(stacked, j, x):
     return out
 
 
-def structural_assignment(k, batch, params):
-    return Tensor(reconstruct(batch, params, [k]).data[0])
+def _label_batch(batch):
+    """The prediction batch of ``batch``: its slots before the label."""
+    return VariableBatch(Tensor(batch.values.data[:-1]), batch.names[:-1])
 
 
 def sa_oracle(params: ScmParameters, vars_data, k):
@@ -55,12 +58,11 @@ def sa_oracle(params: ScmParameters, vars_data, k):
     return np.stack(rows)
 
 
-def _batch(n_vars, batch, dims, seed=0, label_known=True):
+def _batch(n_vars, batch, dims, seed=0):
     rng = np.random.default_rng(seed)
     return VariableBatch(
         values=Tensor(np.stack([rng.normal(size=(batch, d)) for d in dims])),
         names=[f"v{i}" for i in range(n_vars)],
-        label_known=np.full(batch, label_known),
     )
 
 
@@ -74,27 +76,27 @@ def test_no_causes_gives_constant_reconstruction():
     params = _params([3, 3, 3])
     params.dag.data[:, 1] = 0.0
     batch = _batch(3, 4, [3, 3, 3])
-    out = structural_assignment(1, batch, params)
+    out = reconstruct_all(batch, params).data[1]
     for b in range(1, 4):
-        assert np.array_equal(out.data[b], out.data[0])
+        assert np.array_equal(out[b], out[0])
 
 
 def test_doubling_a_weight_doubles_contribution():
     # 1-d variables with all-ones weights and zero biases turn every network
-    # into a positive passthrough, so the assignment is literally
-    # sum_i A[i,k] * h_i and doubling A[0,2] must double that cause's share.
+    # into a positive passthrough, so the label's assignment is literally
+    # sum_i A[i,2] * h_i and doubling A[0,2] must double that cause's share.
     params = _params([1, 1, 1])
     for p in params.parameters():
         if p.name == "dag.A":
             continue
         p.data = np.ones_like(p.data) if p.name.endswith(".W") else np.zeros_like(p.data)
     params.dag.data[:] = [[0.0, 0.0, 0.3], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
-    h = [np.array([[2.0]]), np.array([[3.0]]), np.array([[0.0]])]
-    batch = VariableBatch(Tensor(np.stack(h)), ["a", "b", "c"], np.array([True]))
-    base = structural_assignment(2, batch, params).item()
+    h = [np.array([[2.0]]), np.array([[3.0]])]
+    batch = VariableBatch(Tensor(np.stack(h)), ["a", "b"])
+    base = reconstruct(batch, params).item()
     assert base == pytest.approx(0.3 * 2.0 + 0.5 * 3.0)
     params.dag.data[0, 2] *= 2.0
-    doubled = structural_assignment(2, batch, params).item()
+    doubled = reconstruct(batch, params).item()
     assert doubled - base == pytest.approx(0.3 * 2.0)
 
 
@@ -103,26 +105,27 @@ def test_assignment_matches_scalar_loop_oracle():
     params = _params(dims, seed=7)
     batch = _batch(4, 2, dims, seed=3)
     vars_data = list(batch.values.data)
+    every = reconstruct_all(batch, params).data
     for k in range(4):
-        got = structural_assignment(k, batch, params)
-        assert np.max(np.abs(got.data - sa_oracle(params, vars_data, k))) < 1e-10
+        assert np.max(np.abs(every[k] - sa_oracle(params, vars_data, k))) < 1e-10
+    label = reconstruct(_label_batch(batch), params).data[0]
+    assert np.max(np.abs(label - sa_oracle(params, vars_data, 3))) < 1e-10
 
 
 def test_assignment_index_range_checked():
-    params = _params([2, 2])
-    batch = _batch(2, 1, [2, 2])
-    with pytest.raises(ContractError):
-        structural_assignment(2, batch, params)
+    # a batch of n slots reconstructs every variable and one of n - 1 the
+    # label; no other count of slots names a set of assignments
+    params = _params([2, 2, 2])
+    for count in (1, 4):
+        with pytest.raises(DimensionError, match=rf"batch has {count} variables .* expects 3 \(or 2 without"):
+            reconstruct(_batch(count, 1, [2] * count), params)
 
 
 def test_reconstruct_takes_every_variable_or_one():
     params = _params([3, 3, 3, 3])
     batch = _batch(4, 2, [3, 3, 3, 3])
-    assert reconstruct(batch, params, [2]).shape == (1, 2, 3)
-    assert reconstruct(batch, params, range(4)).shape == (4, 2, 3)
-    for targets in ([0, 2], [1, 0], []):
-        with pytest.raises(ContractError):
-            reconstruct(batch, params, targets)
+    assert reconstruct(batch, params).shape == (4, 2, 3)
+    assert reconstruct(_label_batch(batch), params).shape == (1, 2, 3)
 
 
 @pytest.mark.parametrize("n_vars, width", [(4, 3), (3, 4)])
@@ -130,18 +133,32 @@ def test_reconstruct_rejects_batch_of_wrong_layout(n_vars, width):
     params = _params([3, 3, 3])
     batch = _batch(n_vars, 2, [width] * n_vars)
     with pytest.raises(DimensionError, match=f"batch has {n_vars} variables of width {width}"):
-        reconstruct(batch, params, [0])
+        reconstruct(batch, params)
+
+
+def test_reconstruct_all_rejects_a_batch_without_the_label():
+    params = _params([3, 3, 3])
+    with pytest.raises(ContractError, match="reconstruct_all needs a batch built with labels"):
+        reconstruct_all(_label_batch(_batch(3, 2, [3, 3, 3])), params)
+
+
+def test_predict_labels_rejects_a_batch_with_the_label():
+    params = _params([3, 3, 3])
+    with pytest.raises(ContractError, match="predict_labels needs a batch built without labels"):
+        predict_labels(_batch(3, 2, [3, 3, 3]), params)
 
 
 def test_reconstruct_all_consistent_with_single_assignments():
+    # the label alone, from the slots before it, agrees with the label row of
+    # the every-variable call; the two sum over causes with different matrix
+    # products, so within rounding
     dims = [3, 3, 3]
     params = _params(dims, seed=1)
     batch = _batch(3, 2, dims, seed=2)
     stack = reconstruct_all(batch, params)
     assert stack.shape[0] == 3
-    for k in range(3):
-        solo = structural_assignment(k, batch, params)
-        assert np.array_equal(stack.data[k], solo.data)
+    solo = reconstruct(_label_batch(batch), params)
+    assert oracles.close(solo.data[0], stack.data[-1])
 
 
 def test_reconstruct_all_zero_dag_constant_per_variable():
@@ -159,32 +176,35 @@ def test_cause_locality_zero_weight_means_no_influence():
     dims = [3, 3, 3]
     params = _params(dims, seed=5)
     params.dag.data[0, 2] = 0.0
-    batch = _batch(3, 2, dims, seed=6)
-    base = structural_assignment(2, batch, params).data.copy()
+    batch = _label_batch(_batch(3, 2, dims, seed=6))
+    base = reconstruct(batch, params).data.copy()
     batch.values.data[0, 0, 1] += 10.0  # perturb a non-cause input
-    again = structural_assignment(2, batch, params).data
+    again = reconstruct(batch, params).data
     assert np.array_equal(base, again)
     batch.values.data[1, 0, 0] += 1.0  # a real cause must matter
-    assert not np.array_equal(structural_assignment(2, batch, params).data, base)
+    assert not np.array_equal(reconstruct(batch, params).data, base)
 
 
 def test_predict_rows_sum_to_one():
     dims = [3, 3, 3]
     params = _params(dims, classes=4, seed=8)
-    batch = _batch(3, 6, dims, seed=9, label_known=False)
+    batch = _label_batch(_batch(3, 6, dims, seed=9))
     probs = predict_labels(batch, params)
     assert probs.shape == (6, 4)
     assert np.max(np.abs(probs.data.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_predict_ignores_label_slice():
+    # a prediction batch has no label slice; the label's assignment in the
+    # every-variable call does not read its slice either
     dims = [3, 3, 3]
     params = _params(dims, seed=10)
-    batch = _batch(3, 4, dims, seed=11, label_known=False)
-    before = predict_labels(batch, params).data.copy()
+    batch = _batch(3, 4, dims, seed=11)
+    before = label_probabilities_from(reconstruct_all(batch, params), params).data.copy()
     batch.values.data[-1] = 123.0  # garbage in the label slice
-    after = predict_labels(batch, params).data
+    after = label_probabilities_from(reconstruct_all(batch, params), params).data
     assert np.array_equal(before, after)
+    assert oracles.close(predict_labels(_label_batch(batch), params).data, before)
 
 
 def test_decoder_invocation_counts():
@@ -192,7 +212,7 @@ def test_decoder_invocation_counts():
     params = _params(dims, seed=12)
     batch = _batch(4, 2, dims, seed=13)
     params.decoder_calls = 0
-    predict_labels(batch, params)
+    predict_labels(_label_batch(batch), params)
     assert params.decoder_calls == 1
     params.decoder_calls = 0
     reconstruct_all(batch, params)

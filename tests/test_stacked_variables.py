@@ -60,7 +60,7 @@ def _run_stacked(enc, scm, ego, pooled, labels):
     targets = Tensor(np.eye(CLASSES)[labels])
     with Tape() as tape:
         values = enc(ego, pooled, labels)
-        recon = reconstruct_all(VariableBatch(values, [], np.ones(ego.shape[0], bool)), scm)
+        recon = reconstruct_all(VariableBatch(values, []), scm)
         loss = add(loss_rec(values, recon), loss_inv(targets, label_probabilities_from(recon, scm)))
     tape.backward(loss)
     outputs = [slot for t in (recon, values) for slot in t.data]
@@ -108,13 +108,14 @@ def test_stacked_encode_and_loss_match_per_variable_oracle(n, batch, activation)
     _compare(n, batch, oracles.close)
 
 
-def test_unknown_labels_encode_to_zero_and_take_no_gradient():
+def test_unknown_labels_are_not_encoded_and_take_no_gradient():
     enc, _ = _model(5, seed=1)
-    ego, pooled, _ = _inputs(5, 4, seed=2)
+    ego, pooled, labels = _inputs(5, 4, seed=2)
     with Tape() as tape:
         values = enc(ego, pooled, None)
         loss = loss_rec(values, Tensor(np.ones(values.shape)))
     tape.backward(loss)
-    assert not values.data[-1].any()
+    assert values.shape == (4, 4, HIDDEN)
+    assert np.array_equal(values.data, enc(ego, pooled, labels).data[:-1])
     assert not enc.weight.grad[enc.rows(4)].any() and not enc.bias.grad[-1].any()
     assert enc.bias.grad[:-1].all()

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ from graphscm.errors import ConfigError
 from graphscm.hetgraph import load_graph, write_dataset
 from graphscm.splits import homophily_features
 from graphscm.synth import (
-    GroundTruth,
+    AuthorRecord,
     SynthSpec,
     coauthor_agreement,
     coauthor_pairs,
@@ -116,10 +117,12 @@ def test_ground_truth_json_roundtrip(tmp_path):
     _, truth = generate(_small_spec(seed=7))
     path = str(tmp_path / "gt.json")
     truth.to_json(path)
-    again = GroundTruth.from_json(path)
-    assert again.spec == truth.spec
-    assert again.planted_cause == truth.planted_cause
-    assert [r.label for r in again.records] == [r.label for r in truth.records]
+    with open(path, encoding="utf-8") as fh:
+        again = json.load(fh)
+    assert SynthSpec(**again["spec"]) == truth.spec
+    assert again["planted_cause"] == truth.planted_cause
+    assert again["spurious"] == truth.spurious
+    assert [AuthorRecord(**r) for r in again["records"]] == truth.records
 
 
 def test_regime_split_ratio_and_disjointness():

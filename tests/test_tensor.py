@@ -147,10 +147,10 @@ def test_fixed_seed_bit_identical():
     assert np.array_equal(g1, g2)
 
 
-def _pair_mix_run(op, inputs, targets, upstream):
+def _pair_mix_run(op, inputs, upstream):
     leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
     with Tape() as tape:
-        out = op(*leaves, targets)
+        out = op(*leaves)
         loss = sum_all(mul(out, Tensor(upstream)))
     tape.backward(loss)
     return [out.data] + [t.grad for t in leaves]
@@ -161,9 +161,14 @@ def _pair_mix_run(op, inputs, targets, upstream):
 @pytest.mark.parametrize("which", ["all", "label", "inner", "zeros"])
 def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
     """Output and all four gradients within 1e-12 * max(1, max|oracle|) of the
-    per-cell op; the weight gradient keeps its bits. "zeros" is every target
-    on a DAG with exact zeros below the diagonal, as ``trim_to_dag`` leaves."""
-    targets = {"label": [n - 1], "inner": [1 if n > 2 else 0]}.get(which, list(range(n)))
+    per-cell op; the weight gradient keeps its bits. "label" is the label from
+    the n - 1 causes before it. "inner" is every target with an upstream
+    gradient on variable 1 alone (0 at n = 2), against the oracle's cells of
+    that one target, whose pair slots do not form a block. "zeros" is every
+    target on a DAG with exact zeros below the diagonal, as ``trim_to_dag``
+    leaves."""
+    k = 1 if n > 2 else 0
+    targets = {"label": [n - 1], "inner": [k]}.get(which, list(range(n)))
     causes = n - 1 if which == "label" else n
     d = 5
     rng = np.random.default_rng(100 * n + batch)
@@ -176,8 +181,14 @@ def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
     if which == "zeros":
         inputs[3][np.tril_indices(n, -1)] = 0.0
     upstream = rng.normal(size=(len(targets), batch, d))
-    got = _pair_mix_run(pair_mix, inputs, targets, upstream)
-    want = _pair_mix_run(pair_mix_cells, inputs, targets, upstream)
+    want = _pair_mix_run(lambda *t: pair_mix_cells(*t, targets), inputs, upstream)
+    if which == "inner":
+        every = np.zeros((n, batch, d))
+        every[k] = upstream[0]
+        got = _pair_mix_run(pair_mix, inputs, every)
+        got[0] = got[0][k : k + 1]
+    else:
+        got = _pair_mix_run(pair_mix, inputs, upstream)
     for part, a, b in zip(("out", "effects", "weight", "bias", "dag"), got, want):
         assert close(a, b), part
     assert np.array_equal(got[2], want[2])
