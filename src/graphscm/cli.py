@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ContractError, DimensionError, LoadError, NumericError, not_utf8
+from .errors import ConfigError, ContractError, DimensionError, LoadError, NumericError, not_utf8, write_json
 from .hetgraph import HeteroGraph, load_graph, write_dataset
 from .interpret import diagram_to_json, export_dot, trim_to_dag
 from .numcore import Tensor, expm_trace
@@ -54,12 +54,6 @@ from .train import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-def _write_json(payload, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _print_json(payload) -> None:
@@ -145,7 +139,7 @@ def cmd_stats(args) -> int:
         print(f"{key.ljust(width)}  {summary[key]}")
     _print_json(summary)
     if args.json:
-        _write_json(summary, args.json)
+        write_json(summary, args.json)
     return EXIT_OK
 
 
@@ -226,7 +220,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.model, checkpoint_path)
     write_history_csv(result.history, history_path)
     test_metrics = evaluate(graph, result.model, splits.test, builder=result.builder)
-    _write_json(test_metrics.to_dict(), metrics_path)
+    write_json(test_metrics.to_dict(), metrics_path)
 
     manifest = {
         "tool_version": __version__,
@@ -248,7 +242,7 @@ def cmd_train(args) -> int:
         },
         "environment": _run_environment(time.perf_counter() - started),
     }
-    _write_json(manifest, manifest_path)
+    write_json(manifest, manifest_path)
     print(
         f"trained {result.epochs_run} epochs (best {result.best_epoch}); "
         f"test macro_f1={test_metrics.macro_f1:.4f} acc={test_metrics.accuracy:.4f}"
@@ -269,7 +263,7 @@ def cmd_eval(args) -> int:
     payload["split"] = part
     _print_json(payload)
     if args.out:
-        _write_json(payload, args.out)
+        write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -326,7 +320,7 @@ def cmd_synth(args) -> int:
         ),
         "venue_majority_rule_accuracy": rule_accuracy(graph),
     }
-    _write_json(report, os.path.join(args.out, "synth-report.json"))
+    write_json(report, os.path.join(args.out, "synth-report.json"))
     _print_json(report)
     print(f"dataset in {args.out}")
     return EXIT_OK

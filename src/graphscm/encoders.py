@@ -1,24 +1,23 @@
 """Variable construction: ego, label, and metapath neighbor variables.
 
-For a batch of target nodes this produces the variable representations,
-stacked along a leading axis: slot 0 the ego node, slots 1..q the metapath
+For a batch of target nodes this produces the variable representations as
+one (slots, B, H) tensor: slot 0 the ego node, slots 1..q the metapath
 neighbor pools and, in a training batch only, slot q+1 the label. A
 prediction batch holds the q+1 slots before the label: the label is never
-encoded where it is to be predicted. Each variable has its own affine
-encoder with no parameter sharing, so that no encoder can absorb
-cross-variable correlations. The encoders share one weight tensor, their
-weights one under another, and run as one ``block_affine`` on the raw
-inputs.
+encoded where it is to be predicted. ``VariableBuilder.variable_names``
+names the slots in order. Each variable has its own affine encoder with no
+parameter sharing, so that no encoder can absorb cross-variable
+correlations. The encoders share one weight tensor, their weights one
+under another, and run as one ``block_affine`` on the raw inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, pooled_neighbor_features
 from .numcore import Tensor, block_affine, kaiming_uniform, take
 
@@ -89,20 +88,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class VariableBatch:
-    """The per-sample variable representations, stacked in fixed order: the
-    q+2 variables of a training batch, or the q+1 before the label of a
-    prediction batch."""
-
-    values: Tensor              # (q + 2, B, H), or (q + 1, B, H) without the label
-    names: list[str]            # ["EGO", metapath names..., "Y"], without "Y" when unlabelled
-
-    def rows(self, index: slice) -> "VariableBatch":
-        """The samples ``index`` of every variable, as a constant view."""
-        return VariableBatch(Tensor(self.values.data[:, index]), self.names)
-
-
 class VariableBuilder:
     """Caches pooled neighbor features and assembles variable batches.
 
@@ -122,6 +107,9 @@ class VariableBuilder:
         for mp in self.metapaths:
             if mp.source_type != target:
                 raise ContractError(f"metapath {mp.name} does not start at {target!r}")
+        for t in [target] + [mp.terminal_type for mp in self.metapaths]:
+            if graph.feature_dim(t) == 0:
+                raise ConfigError(f"node type {t!r} has no feature columns in nodes-{t}.tsv: nothing to encode")
         all_nodes = list(range(graph.num_nodes(target)))
         self.tables = {
             mp.name: pooled_neighbor_features(graph, all_nodes, mp, multiset=multiset_neighbors)
@@ -135,7 +123,9 @@ class VariableBuilder:
     def terminal_dims(self) -> list[int]:
         return [self.graph.feature_dim(mp.terminal_type) for mp in self.metapaths]
 
-    def build(self, node_batch, params: Encoders, with_labels: bool) -> VariableBatch:
+    def build(self, node_batch, params: Encoders, with_labels: bool) -> Tensor:
+        """The variables of ``node_batch``: (q + 2, B, H) with labels, the
+        (q + 1, B, H) slots before the label without them."""
         nodes = np.asarray(node_batch, dtype=np.int64)
         target = self.graph.schema.target_type
         n_target = self.graph.num_nodes(target)
@@ -147,10 +137,8 @@ class VariableBuilder:
             labels = self.graph.labels[nodes]
             if np.any(labels == UNLABELED):
                 raise ContractError("with_labels batch contains an unlabeled node")
-        values = params(
+        return params(
             self.graph.features[target][nodes],
             [self.tables[mp.name][nodes] for mp in self.metapaths],
             labels,
         )
-        names = self.variable_names if with_labels else self.variable_names[:-1]
-        return VariableBatch(values, names)

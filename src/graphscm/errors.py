@@ -1,9 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the JSON and CSV file helpers.
 
 The CLI maps these onto exit codes: input/validation problems exit 2,
 numeric failures (non-finite values mid-run) exit 3.
 """
 
+import csv
 import json
 
 
@@ -61,3 +62,19 @@ def read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc
+
+
+def write_json(payload, path: str) -> None:
+    """Write ``payload`` as key-sorted JSON indented by 2, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(rows, fields: list[str], path: str) -> None:
+    """Write dict ``rows`` under the header ``fields``, each float as its ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})

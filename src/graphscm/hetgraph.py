@@ -18,7 +18,7 @@ operator ``metapath_reach`` walks.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import os
 import warnings
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, LoadError, is_json_int, not_utf8, read_json
+from .errors import ContractError, LoadError, is_json_int, not_utf8, read_json, write_json
 
 UNLABELED = -1
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -108,17 +108,17 @@ def metapath_name(schema: Schema, relations: list[Relation]) -> str:
     return "".join(parts)
 
 
-def enumerate_metapaths(schema: Schema, target_type: str, max_len: int) -> list[MetaPath]:
-    """All composable relation sequences of length 1..max_len from target_type.
+def enumerate_metapaths(schema: Schema, max_len: int) -> list[MetaPath]:
+    """All composable relation sequences of length 1..max_len from the
+    schema's target type.
 
     Breadth-first over length; within a frontier, paths are extended by
     relations in schema declaration order, which makes the output
     deterministic.
     """
-    if target_type not in schema.node_types:
-        raise ContractError(f"unknown target type {target_type!r}")
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
+    target_type = schema.target_type
     out: list[MetaPath] = []
     frontier: list[list[Relation]] = [[]]
     for _ in range(max_len):
@@ -533,6 +533,22 @@ def _read_edges_lines(path: str) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _check_edge_ids(path: str, pairs: np.ndarray, types: tuple[str, str], features: dict) -> None:
+    """Raise LoadError naming the line of ``path`` and the first id on it
+    that is not a node of its column's type."""
+    sizes = [features[t].shape[0] for t in types]
+    # column maxima are several times faster than a per-row mask over (m, 2)
+    if not pairs.size or (pairs.min() >= 0 and all(pairs[:, c].max() < sizes[c] for c in (0, 1))):
+        return
+    k = int(np.flatnonzero(((pairs < 0) | (pairs >= sizes)).any(axis=1))[0])
+    lineno = next(itertools.islice(_read_tsv_rows(path), k, None))[0]
+    col = 1 if 0 <= pairs[k, 0] < sizes[0] else 0
+    raise LoadError(
+        f"{path}:{lineno}: {('source', 'destination')[col]} id {pairs[k, col]} out of range: "
+        f"{types[col]!r} has {sizes[col]} nodes"
+    )
+
+
 def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
     labels = np.full(n, UNLABELED, dtype=np.int64)
     pairs = _fast_pairs(path)
@@ -600,6 +616,7 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
             continue
         pairs = _fast_pairs(path)
         edges[r.name] = pairs if pairs is not None else _read_edges_lines(path)
+        _check_edge_ids(path, edges[r.name], (r.src, r.dst), features)
     on_disk = set(edges)
     for r in schema.relations:
         if r.name not in edges:
@@ -678,9 +695,7 @@ def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
         "target_type": schema.target_type,
         "num_classes": schema.num_classes,
     }
-    with open(os.path.join(out_dir, "schema.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, os.path.join(out_dir, "schema.json"))
     for t in schema.node_types:
         feats = np.asarray(graph.features[t], dtype=np.float64)
         sep = "\t" if feats.shape[1] else ""

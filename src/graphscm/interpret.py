@@ -8,12 +8,11 @@ survivors form the exported diagram.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, write_json
 from .numcore import Tensor
 
 
@@ -136,6 +135,4 @@ def diagram_to_json(diagram: CausalDiagram, path: str) -> None:
         "edges": [{"src": e.src, "dst": e.dst, "weight": e.weight} for e in diagram.edges],
         "removals": diagram.removal_log,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

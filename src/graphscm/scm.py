@@ -16,8 +16,9 @@ along a leading axis and run by the stacked ops of ``numcore``.
 Training encodes and reconstructs all n variables. Label prediction encodes
 the n - 1 variables before the label, reconstructs only the label variable
 from them and maps it back to class space through a two-layer shortcut
-network approximating the inverse of the label encoder; ``reconstruct``
-reads which of the two it runs from the number of variables in the batch.
+network approximating the inverse of the label encoder. A batch is the
+(slots, B, width) tensor of ``VariableBuilder.build``; ``reconstruct`` reads
+which of the two it runs from its slot count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoders import Encoders, VariableBatch
+from .encoders import Encoders
 from .errors import ContractError, DimensionError, LoadError, is_json_int, read_json
 from .numcore import Linear, StackedMlp, Tensor, add, kaiming_uniform, pair_mix, relu, softmax, take
 from .rng import substream
@@ -111,32 +112,33 @@ class ScmParameters:
         )
 
 
-def reconstruct(vars: VariableBatch, params: ScmParameters) -> Tensor:
+def reconstruct(vars: Tensor, params: ScmParameters) -> Tensor:
     """Structural assignments, each from every other variable weighted by
-    A[:, k], stacked as (targets, B, width). The batch's slot count sets the
-    targets: n slots reconstruct every variable, in order; the n - 1 slots
-    before the label reconstruct the label alone.
+    A[:, k], stacked as (targets, B, width). The slot count of the
+    (slots, B, width) batch ``vars`` sets the targets: n slots reconstruct
+    every variable, in order; the n - 1 slots before the label reconstruct
+    the label alone.
 
     The tape records the same number of entries whatever the number of
     variables.
     """
     n = params.n_vars
-    count, _, width = vars.values.shape
+    count, _, width = vars.shape
     if count not in (n, n - 1) or width != params.width:
         raise DimensionError(
             f"batch has {count} variables of width {width}, model expects {n} (or {n - 1} without the label)"
             f" of width {params.width}"
         )
     label = count == n - 1
-    effects = params.effect(vars.values, slice(0, n - 1) if label else None)
+    effects = params.effect(vars, slice(0, n - 1) if label else None)
     mixed = pair_mix(effects, params.pair_weight, params.pair_bias, params.dag)
     params.decoder_calls += mixed.shape[0]
     return params.decoder(mixed, slice(n - 1, n) if label else None)
 
 
-def reconstruct_all(vars: VariableBatch, params: ScmParameters) -> Tensor:
+def reconstruct_all(vars: Tensor, params: ScmParameters) -> Tensor:
     """Training-time structural assignments of every variable, stacked."""
-    if vars.values.shape[0] != params.n_vars:
+    if vars.shape[0] != params.n_vars:
         raise ContractError("reconstruct_all needs a batch built with labels")
     return reconstruct(vars, params)
 
@@ -151,13 +153,13 @@ def label_probabilities_from(decoded: Tensor, params: ScmParameters) -> Tensor:
     return softmax(logits)
 
 
-def predict_labels(vars: VariableBatch, params: ScmParameters) -> Tensor:
+def predict_labels(vars: Tensor, params: ScmParameters) -> Tensor:
     """Class probabilities via the reconstructed label variable only, from a
     batch built without labels: it holds the n - 1 variables before the
     label, so the label is never encoded, and exactly one variable decoder
     (the label's) runs.
     """
-    if vars.values.shape[0] != params.n_vars - 1:
+    if vars.shape[0] != params.n_vars - 1:
         raise ContractError("predict_labels needs a batch built without labels")
     return label_probabilities_from(reconstruct(vars, params), params)
 
@@ -203,28 +205,17 @@ class ModelMeta:
 
 
 class ScmModel:
-    """Encoders plus SCM parameters, addressable as one named-tensor set."""
+    """Encoders plus SCM parameters, addressable as one named-tensor set.
 
-    def __init__(self, meta: ModelMeta, seed: int = 0, rng: np.random.Generator | None = None):
-        self._build(meta, substream(seed, "init") if rng is None else rng)
+    With a ``seed`` the initial weights are drawn from its "init" substream;
+    with None every tensor is zero and nothing is drawn: the frame a
+    checkpoint's tensors are loaded into.
+    """
 
-    @classmethod
-    def _skeleton(cls, meta: ModelMeta) -> "ScmModel":
-        """A model of ``meta``'s layout with every tensor zero, drawing
-        nothing: the frame a checkpoint's tensors are loaded into."""
-        model = cls.__new__(cls)
-        model._build(meta, None)
-        return model
-
-    def _build(self, meta: ModelMeta, rng: np.random.Generator | None) -> None:
+    def __init__(self, meta: ModelMeta, seed: int | None = 0):
+        rng = None if seed is None else substream(seed, "init")
         self.meta = meta
-        self.encoders = Encoders(
-            meta.target_dim,
-            meta.num_classes,
-            meta.terminal_dims,
-            meta.hidden_dim,
-            rng,
-        )
+        self.encoders = Encoders(meta.target_dim, meta.num_classes, meta.terminal_dims, meta.hidden_dim, rng)
         self.scm = ScmParameters(len(meta.variable_names), meta.hidden_dim, meta.num_classes, rng)
 
     def parameters(self) -> list[Tensor]:
@@ -329,7 +320,7 @@ def load_checkpoint(path: str) -> ScmModel:
     meta.validate(path)
     if not isinstance(tensors, dict):
         raise LoadError(f"{path}: field 'tensors' must be an object, not {type(tensors).__name__}")
-    model = ScmModel._skeleton(meta)
+    model = ScmModel(meta, seed=None)
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))

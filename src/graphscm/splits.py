@@ -9,14 +9,21 @@ smaller cluster wholesale as the test set.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, LoadError, NumericError, is_json_int, read_json
+from .errors import (
+    ConfigError,
+    ContractError,
+    LoadError,
+    NumericError,
+    is_json_int,
+    read_json,
+    write_csv,
+    write_json,
+)
 from .hetgraph import UNLABELED, HeteroGraph, MetaPath, enumerate_metapaths, metapath_reach
 from .rng import substream
 
@@ -64,9 +71,7 @@ class SplitSpec:
             "provenance": self.provenance,
             "seed": self.seed,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(payload, path)
 
     @classmethod
     def from_json(cls, path: str) -> "SplitSpec":
@@ -137,7 +142,7 @@ def roundtrip_metapaths(graph: HeteroGraph, max_len: int = 2) -> list[MetaPath]:
     target = graph.schema.target_type
     return [
         mp
-        for mp in enumerate_metapaths(graph.schema, target, max_len)
+        for mp in enumerate_metapaths(graph.schema, max_len)
         if mp.terminal_type == target
     ]
 
@@ -177,7 +182,7 @@ def degree_features(graph: HeteroGraph) -> BiasFeatureTable:
     Every relation has an inverse, so relations whose source is the target
     type cover in-edges as well. Columns are named like length-1 metapaths.
     """
-    metapaths = enumerate_metapaths(graph.schema, graph.schema.target_type, 1)
+    metapaths = enumerate_metapaths(graph.schema, 1)
     nodes = [int(i) for i in graph.labeled_nodes()]
     values = np.zeros((len(nodes), len(metapaths)))
     for j, mp in enumerate(metapaths):
@@ -353,9 +358,4 @@ def split_report(graph: HeteroGraph, spec: SplitSpec, max_len: int = 2) -> list[
 
 
 def write_report_csv(rows: list[dict], path: str) -> None:
-    fields = ["bias", "feature", "mean_all", "mean_train", "mean_val", "mean_test"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+    write_csv(rows, ["bias", "feature", "mean_all", "mean_train", "mean_val", "mean_test"], path)

@@ -15,13 +15,12 @@ never polluted by collaboration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, write_json
 from .hetgraph import HeteroGraph, Relation, Schema
 from .rng import substream
 from .splits import OOD_TRAIN_FRACTION, SplitSpec
@@ -118,9 +117,7 @@ class GroundTruth:
             "spurious": self.spurious,
             "records": [asdict(r) for r in self.records],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(payload, path)
 
 
 def academic_schema(num_classes: int) -> Schema:
@@ -363,7 +360,7 @@ def venue_majority_rule(graph: HeteroGraph) -> np.ndarray:
     """
     from .hetgraph import enumerate_metapaths, metapath_reach
 
-    apv = next(mp for mp in enumerate_metapaths(graph.schema, "author", 2) if mp.name == CAUSAL_METAPATH)
+    apv = next(mp for mp in enumerate_metapaths(graph.schema, 2) if mp.name == CAUSAL_METAPATH)
     venue_class = graph.features["venue"].argmax(axis=1)
     n_classes = graph.schema.num_classes
     counts = np.zeros((graph.num_nodes("author"), n_classes), dtype=np.int64)

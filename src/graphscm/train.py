@@ -12,14 +12,13 @@ run instead of freezing on the first F1 plateau.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .encoders import VariableBuilder, one_hot
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, write_csv
 from .hetgraph import UNLABELED, HeteroGraph, enumerate_metapaths
 from .losses import LossWeights, loss_dag, loss_inv, loss_joint, loss_rec
 from .numcore import AdamW, Tape, Tensor
@@ -150,7 +149,7 @@ def compute_metrics(truth, pred, num_classes: int) -> Metrics:
 def _variable_builder(graph: HeteroGraph, settings: TrainConfig | ModelMeta) -> VariableBuilder:
     """The pooled-feature pipeline of a training config or a checkpoint's
     meta, which name their metapath and pooling settings alike."""
-    metapaths = enumerate_metapaths(graph.schema, graph.schema.target_type, settings.max_metapath_len)
+    metapaths = enumerate_metapaths(graph.schema, settings.max_metapath_len)
     return VariableBuilder(graph, metapaths, multiset_neighbors=settings.multiset_neighbors)
 
 
@@ -211,7 +210,7 @@ def _predict_probabilities(model: ScmModel, builder: VariableBuilder, indices) -
         block = bounds[first : first + per_build + 1]
         vars = builder.build(indices[block[0] : block[-1]], model.encoders, with_labels=False)
         for lo, hi in zip(block, block[1:]):
-            part = vars.rows(slice(lo - block[0], hi - block[0]))
+            part = Tensor(vars.data[:, lo - block[0] : hi - block[0]])
             chunks.append(predict_labels(part, model.scm).data)
     return np.vstack(chunks) if chunks else np.zeros((0, model.meta.num_classes))
 
@@ -302,7 +301,7 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
             with Tape() as tape:
                 vars = builder.build(batch, model.encoders, with_labels=True)
                 recon = reconstruct_all(vars, model.scm)
-                l_rec = loss_rec(vars.values, recon)
+                l_rec = loss_rec(vars, recon)
                 l_dag = loss_dag(model.scm.dag, weights)
                 probs = label_probabilities_from(recon, model.scm)
                 targets = Tensor(one_hot(graph.labels[batch], meta.num_classes))
@@ -356,11 +355,4 @@ HISTORY_FIELDS = [f.name for f in fields(EpochStats)]
 
 
 def write_history_csv(history: list[EpochStats], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=HISTORY_FIELDS)
-        writer.writeheader()
-        for stats in history:
-            row = stats.as_row()
-            writer.writerow(
-                {k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-            )
+    write_csv((stats.as_row() for stats in history), HISTORY_FIELDS, path)

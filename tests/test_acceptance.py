@@ -101,7 +101,7 @@ def _tiny_model_and_batch(batch_size=4, seed=10):
         probs = label_probabilities_from(recon, model.scm)
         return loss_joint(
             loss_inv(targets, probs),
-            loss_rec(vars.values, recon),
+            loss_rec(vars, recon),
             loss_dag(model.scm.dag, weights),
             weights,
         )

@@ -459,6 +459,30 @@ def test_stats_unloadable_bytes_exit_2_naming_the_line(toy_dir, tmp_path, capsys
     assert line.format(n=n) in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("node_type, max_len", [("venue", 2), ("author", 1), ("author", 2)])
+def test_train_featureless_node_type_exits_2(synth_dir, tmp_path, capsys, node_type, max_len):
+    # venue is APV's terminal type and author the target type (and APA's
+    # terminal type at length 2): a variable with no input columns is
+    # refused before pooling, while the dataset itself still loads
+    import shutil
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(synth_dir, bad)
+    path = os.path.join(bad, f"nodes-{node_type}.tsv")
+    with open(path, encoding="utf-8") as fh:
+        ids = [line.split("\t", 1)[0] for line in fh.read().splitlines()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{i}\n" for i in ids))
+    assert run_cli("stats", bad) == 0
+    capsys.readouterr()
+    code = run_cli("train", bad, "--out", tmp_path / "run", "--hidden", 8, "--max-epochs", 1,
+                   "--max-metapath-len", max_len)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"node type {node_type!r} has no feature columns in nodes-{node_type}.tsv" in err, err
+    assert "Traceback" not in err
+
+
 def test_kmeans_inertia_increase_exits_3_without_traceback(synth_dir, tmp_path, monkeypatch, capsys):
     import math
     import types

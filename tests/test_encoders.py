@@ -122,7 +122,7 @@ def test_pooled_input_of_wrong_width_rejected():
 # batch assembly on the toy graph
 
 def _toy_builder(toy_graph, **kwargs):
-    metapaths = enumerate_metapaths(toy_graph.schema, "author", 2)
+    metapaths = enumerate_metapaths(toy_graph.schema, 2)
     return VariableBuilder(toy_graph, metapaths, **kwargs), metapaths
 
 
@@ -130,8 +130,8 @@ def test_build_variables_shape_and_names(toy_graph):
     builder, metapaths = _toy_builder(toy_graph)
     params = _fresh_encoders(hidden=5, dims=tuple(builder.terminal_dims()))
     batch = builder.build([0], params, with_labels=True)
-    assert batch.names == ["EGO", "AP", "APA", "APV", "Y"]
-    assert batch.values.shape == (len(metapaths) + 2, 1, 5)
+    assert builder.variable_names == ["EGO", "AP", "APA", "APV", "Y"]
+    assert batch.shape == (len(builder.variable_names), 1, 5) == (len(metapaths) + 2, 1, 5)
 
 
 def test_build_variables_without_labels_is_the_slots_before_the_label(toy_graph):
@@ -140,16 +140,16 @@ def test_build_variables_without_labels_is_the_slots_before_the_label(toy_graph)
     params.bias.data = np.random.default_rng(4).normal(size=params.bias.shape)
     batch = builder.build([0, 2], params, with_labels=False)
     full = builder.build([0, 2], params, with_labels=True)
-    assert batch.names == ["EGO", "AP", "APA", "APV"]
-    assert batch.values.shape == (len(metapaths) + 1, 2, 5)
-    assert np.array_equal(batch.values.data, full.values.data[:-1])
+    assert builder.variable_names[: batch.shape[0]] == ["EGO", "AP", "APA", "APV"]
+    assert batch.shape == (len(metapaths) + 1, 2, 5)
+    assert np.array_equal(batch.data, full.data[:-1])
 
 
 def test_build_variables_duplicate_node_rows_identical(toy_graph):
     builder, _ = _toy_builder(toy_graph)
     params = _fresh_encoders(hidden=5, dims=tuple(builder.terminal_dims()))
     batch = builder.build([1, 1], params, with_labels=True)
-    for v in batch.values.data:
+    for v in batch.data:
         assert np.array_equal(v[0], v[1])
 
 
@@ -159,16 +159,16 @@ def test_encoder_independence(toy_graph):
     base = builder.build([0, 1], params, with_labels=True)
     _slot(params, 0)[0, 0] += 0.5
     bumped = builder.build([0, 1], params, with_labels=True)
-    assert not np.array_equal(bumped.values.data[0], base.values.data[0])
+    assert not np.array_equal(bumped.data[0], base.data[0])
     for j in range(1, 5):
-        assert np.array_equal(bumped.values.data[j], base.values.data[j])
+        assert np.array_equal(bumped.data[j], base.data[j])
     # and a metapath encoder only touches its own slice
     params2 = _fresh_encoders(hidden=5, dims=tuple(builder.terminal_dims()))
     base2 = builder.build([0, 1], params2, with_labels=True)
     _slot(params2, 2)[0, 0] -= 0.25
     bumped2 = builder.build([0, 1], params2, with_labels=True)
     for j in range(5):
-        same = np.array_equal(bumped2.values.data[j], base2.values.data[j])
+        same = np.array_equal(bumped2.data[j], base2.data[j])
         assert same == (j != 2)
 
 
@@ -180,7 +180,7 @@ def test_eval_output_independent_of_stored_labels(toy_graph):
     flipped.labels = 1 - flipped.labels
     builder2 = VariableBuilder(flipped, metapaths)
     after = builder2.build([0, 1, 2], params, with_labels=False)
-    assert np.array_equal(before.values.data, after.values.data)
+    assert np.array_equal(before.data, after.data)
 
 
 def test_with_labels_requires_labeled_nodes(toy_graph):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import oracles
-from graphscm.encoders import VariableBatch
 from graphscm.losses import LossWeights, loss_dag
 from graphscm.numcore import Tape, Tensor, add, sub, take
 from graphscm.rng import substream
@@ -47,12 +46,11 @@ def _targets(n, which):
 def _run_fused(params, data, which):
     slots = data[:-1] if which == "label" else data
     values = Tensor(np.stack(slots), requires_grad=True)
-    batch = VariableBatch(values, [f"v{i}" for i in range(len(slots))])
     for p in params.parameters():
         p.grad = None
     goals = [np.full((data[0].shape[0], params.width), 0.5) for _ in _targets(params.n_vars, which)]
     with Tape() as tape:
-        outputs = reconstruct(batch, params) if which == "label" else reconstruct_all(batch, params)
+        outputs = reconstruct(values, params) if which == "label" else reconstruct_all(values, params)
         if which == "inner":
             outputs = take(outputs, slice(1, 2))
         # the per-target terms of _loss, as one stacked squared sum
@@ -110,9 +108,8 @@ def test_tape_records_and_tensor_count_do_not_grow_with_variables():
     for n in (3, 6, 9):
         params = _params(n, 4)
         values = Tensor(np.stack(_inputs(n, 4, 5, seed=n)))
-        batch = VariableBatch(values, [f"v{i}" for i in range(n)])
         with Tape() as tape:
-            reconstruct_all(batch, params)
+            reconstruct_all(values, params)
         records.add(len(tape))
         tensors.add(len(params.parameters()))
     assert len(records) == 1 and len(tensors) == 1, (records, tensors)

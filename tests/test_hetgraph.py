@@ -33,8 +33,8 @@ def _reach_sets(graph, nodes, mp, exclude_self=False):
     return sets
 
 
-def _metapath(schema, target, max_len, name):
-    for mp in enumerate_metapaths(schema, target, max_len):
+def _metapath(schema, max_len, name):
+    for mp in enumerate_metapaths(schema, max_len):
         if mp.name == name:
             return mp
     raise AssertionError(f"metapath {name} not found")
@@ -130,10 +130,30 @@ def test_pair_lines_match_str_format_at_every_digit_count():
 def test_dangling_edge_index_rejected(toy_dir, tmp_path):
     bad = str(tmp_path / "bad")
     shutil.copytree(toy_dir, bad)
-    with open(os.path.join(bad, "edges-write.tsv"), "a", encoding="utf-8") as fh:
+    path = os.path.join(bad, "edges-write.tsv")
+    with open(path, encoding="utf-8") as fh:
+        line = len(fh.read().splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write("0\t99\n")
-    with pytest.raises(LoadError):
+    with pytest.raises(LoadError) as exc:
         load_graph(bad)
+    assert f"edges-write.tsv:{line}: destination id 99 out of range: 'paper' has" in str(exc.value)
+
+
+def test_dangling_edge_index_in_inverse_only_file_names_that_file(toy_dir, tmp_path):
+    # the inverse relation's file stands in for the absent forward file; a
+    # blank line before the bad one keeps row and line numbers apart
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    forward = os.path.join(bad, "edges-write.tsv")
+    with open(forward, encoding="utf-8") as fh:
+        pairs = [line.split("\t") for line in fh.read().splitlines()]
+    os.remove(forward)
+    with open(os.path.join(bad, "edges-rev_write.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{d}\t{s}\n" for s, d in pairs) + "\n99\t0\n")
+    with pytest.raises(LoadError) as exc:
+        load_graph(bad)
+    assert f"edges-rev_write.tsv:{len(pairs) + 2}: source id 99 out of range: 'paper' has" in str(exc.value)
 
 
 def test_duplicate_node_id_rejected(toy_dir, tmp_path):
@@ -178,23 +198,23 @@ def test_schema_requires_mutual_inverses():
 # metapath enumeration
 
 def test_dblp_author_len2(dblp_schema):
-    names = [mp.name for mp in enumerate_metapaths(dblp_schema, "author", 2)]
+    names = [mp.name for mp in enumerate_metapaths(dblp_schema, 2)]
     assert names == ["AP", "APA", "APV", "APT"]
 
 
 def test_dblp_author_len1(dblp_schema):
-    names = [mp.name for mp in enumerate_metapaths(dblp_schema, "author", 1)]
+    names = [mp.name for mp in enumerate_metapaths(dblp_schema, 1)]
     assert names == ["AP"]
 
 
 def test_acm_paper_len1(acm_schema):
-    names = [mp.name for mp in enumerate_metapaths(acm_schema, "paper", 1)]
+    names = [mp.name for mp in enumerate_metapaths(acm_schema, 1)]
     assert names == ["PcP", "PrP", "PA", "PS"]
 
 
 def test_enumeration_deterministic_and_composable(dblp_schema):
-    first = enumerate_metapaths(dblp_schema, "author", 3)
-    second = enumerate_metapaths(dblp_schema, "author", 3)
+    first = enumerate_metapaths(dblp_schema, 3)
+    second = enumerate_metapaths(dblp_schema, 3)
     assert [mp.name for mp in first] == [mp.name for mp in second]
     by_name = {r.name: r for r in dblp_schema.relations}
     for mp in first:
@@ -208,19 +228,19 @@ def test_enumeration_deterministic_and_composable(dblp_schema):
 # neighbor sets
 
 def test_apa_neighbors_include_self_and_coauthors(toy_graph):
-    apa = _metapath(toy_graph.schema, "author", 2, "APA")
+    apa = _metapath(toy_graph.schema, 2, "APA")
     assert _reach_sets(toy_graph, [0], apa) == [{0, 1, 2}]
     assert _reach_sets(toy_graph, [0], apa, exclude_self=True) == [{1, 2}]
 
 
 def test_exclude_self_keeps_terminals_of_another_type(toy_graph):
     # paper 0 shares author 0's id but is not author 0
-    ap = _metapath(toy_graph.schema, "author", 1, "AP")
+    ap = _metapath(toy_graph.schema, 1, "AP")
     assert _reach_sets(toy_graph, [0], ap, exclude_self=True) == [{0, 1}]
 
 
 def test_single_edge_chain(toy_graph):
-    ap = _metapath(toy_graph.schema, "author", 1, "AP")
+    ap = _metapath(toy_graph.schema, 1, "AP")
     assert _reach_sets(toy_graph, [2], ap) == [{1, 3}]
 
 
@@ -240,7 +260,7 @@ def test_isolated_node_empty_set():
         edges={"r": np.array([[0, 0]]), "rev_r": np.array([[0, 0]])},
         labels=np.array([0, 1]),
     )
-    mp = enumerate_metapaths(schema, "a", 1)[0]
+    mp = enumerate_metapaths(schema, 1)[0]
     assert _reach_sets(graph, [1], mp) == [set()]
     pooled = pooled_neighbor_features(graph, [1], mp)
     assert np.array_equal(pooled, np.zeros((1, 1)))
@@ -250,14 +270,14 @@ def test_isolated_node_empty_set():
 # pooling
 
 def test_two_point_mean(toy_graph):
-    ap = _metapath(toy_graph.schema, "author", 1, "AP")
+    ap = _metapath(toy_graph.schema, 1, "AP")
     # author 0 writes papers 0 and 1 with features (0.5,0.5) and (0.3,0.7)
     pooled = pooled_neighbor_features(toy_graph, [0], ap)
     assert np.allclose(pooled, [[0.4, 0.6]])
 
 
 def test_single_neighbor_verbatim(toy_graph):
-    apv = _metapath(toy_graph.schema, "author", 2, "APV")
+    apv = _metapath(toy_graph.schema, 2, "APV")
     pooled = pooled_neighbor_features(toy_graph, [0], apv)
     assert np.array_equal(pooled[0], toy_graph.features["venue"][0])
 
@@ -287,7 +307,7 @@ def test_pooling_matches_bruteforce_on_random_graphs():
     rng = np.random.default_rng(123)
     for _ in range(5):
         graph = _random_bipartite_graph(rng)
-        for mp in enumerate_metapaths(graph.schema, "a", 2):
+        for mp in enumerate_metapaths(graph.schema, 2):
             edges_by_rel = {
                 name: [tuple(p) for p in pairs] for name, pairs in graph.edges.items()
             }
@@ -315,7 +335,7 @@ def test_pooling_invariant_to_edge_permutation(toy_dir, tmp_path):
         fh.write("\n".join(reversed(lines)) + "\n")
     base = load_graph(toy_dir)
     perm = load_graph(scrambled)
-    for mp in enumerate_metapaths(base.schema, "author", 2):
+    for mp in enumerate_metapaths(base.schema, 2):
         a = pooled_neighbor_features(base, [0, 1, 2], mp)
         b = pooled_neighbor_features(perm, [0, 1, 2], mp)
         assert np.array_equal(a, b)
@@ -327,14 +347,14 @@ def test_isolated_node_does_not_change_others(toy_graph, tmp_path):
     with open(os.path.join(out, "nodes-author.tsv"), "a", encoding="utf-8") as fh:
         fh.write("3\t0.0\t0.0\n")
     bigger = load_graph(out)
-    for mp in enumerate_metapaths(toy_graph.schema, "author", 2):
+    for mp in enumerate_metapaths(toy_graph.schema, 2):
         a = pooled_neighbor_features(toy_graph, [0, 1, 2], mp)
         b = pooled_neighbor_features(bigger, [0, 1, 2], mp)
         assert np.array_equal(a, b)
 
 
 def test_multiset_pooling_weights_by_path_count(toy_graph):
-    apa = _metapath(toy_graph.schema, "author", 2, "APA")
+    apa = _metapath(toy_graph.schema, 2, "APA")
     # author 0 reaches itself twice (via papers 0 and 1), authors 1 and 2 once
     feats = toy_graph.features["author"]
     expected = (2 * feats[0] + feats[1] + feats[2]) / 4.0

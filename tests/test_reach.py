@@ -85,7 +85,7 @@ def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach
     target = graph.schema.target_type
     adj = adjacency_lists(graph)
     nodes = list(range(graph.num_nodes(target)))
-    for mp in enumerate_metapaths(graph.schema, target, 3):
+    for mp in enumerate_metapaths(graph.schema, 3):
         feats = graph.features[mp.terminal_type]
         for multiset in (False, True):
             dense_calls.clear()
@@ -105,7 +105,7 @@ def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach
 
 def test_dense_route_takes_aptp_and_no_short_path(synth_graph):
     nodes = list(range(synth_graph.num_nodes("author")))
-    paths = enumerate_metapaths(synth_graph.schema, "author", 3)
+    paths = enumerate_metapaths(synth_graph.schema, 3)
     dense = {mp.name for mp in paths if _dense_route(synth_graph, nodes, mp)}
     assert "APTP" in dense
     assert not dense & {mp.name for mp in paths if len(mp) <= 2}
@@ -115,7 +115,7 @@ def test_dense_route_in_row_blocks_and_column_tiles_matches_oracle(synth_graph, 
     # APTPA over every other author: the frontier (60 authors x 1320 papers)
     # fills the block exactly, the earlier hops' walk splits into row
     # blocks, and the (1320 papers x 120 authors) incidence into column tiles
-    mp = next(m for m in enumerate_metapaths(synth_graph.schema, "author", 4) if m.name == "APTPA")
+    mp = next(m for m in enumerate_metapaths(synth_graph.schema, 4) if m.name == "APTPA")
     nodes = np.arange(0, synth_graph.num_nodes("author"), 2)
     papers = synth_graph.num_nodes("paper")
     monkeypatch.setattr(hetgraph, "REACH_BLOCK", nodes.size * papers)
@@ -135,7 +135,7 @@ def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls
     features = dict(toy_graph.features, author=np.vstack([toy_graph.features["author"], [[0.5, 0.5]]]))
     graph = HeteroGraph(toy_graph.schema, features, toy_graph.edges, np.append(toy_graph.labels, UNLABELED))
     adj = adjacency_lists(graph)
-    paths = {mp.name: mp for mp in enumerate_metapaths(graph.schema, "author", 3)}
+    paths = {mp.name: mp for mp in enumerate_metapaths(graph.schema, 3)}
     for name, nodes in (("APVP", [3, 0, 2]), ("APA", [2, 0])):
         mp = paths[name]
         feats = graph.features[mp.terminal_type]
@@ -161,7 +161,7 @@ def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block
     adj = adjacency_lists(graph)
     nodes = [120, *range(118, 0, -3), 120, 7]
     empty = [i for i, node in enumerate(nodes) if node == 120]
-    for mp in enumerate_metapaths(graph.schema, "author", 2):
+    for mp in enumerate_metapaths(graph.schema, 2):
         got = pooled_neighbor_features(graph, nodes, mp, True)
         assert _same_bytes(got, pooled_table(graph, adj, nodes, mp, True, ordered=True))
         assert not got[empty].any()
@@ -171,7 +171,7 @@ def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block
 def test_reach_counts_match_path_counts(synth_graph, reach_block):
     adj = adjacency_lists(synth_graph)
     nodes = np.arange(0, 120, 3)
-    for mp in enumerate_metapaths(synth_graph.schema, "author", 3):
+    for mp in enumerate_metapaths(synth_graph.schema, 3):
         got = [dict() for _ in nodes]
         next_lo = 0
         for lo, hi, rows, indices, counts in metapath_reach(synth_graph, nodes, mp):
@@ -193,12 +193,12 @@ def test_split_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_
         got = homophily_features(graph, max_len=max_len).values
         want = homophily_table(graph, adj, roundtrip_metapaths(graph, max_len))
         assert _same_bytes(got, want)
-    relations = [mp.relations[0] for mp in enumerate_metapaths(graph.schema, graph.schema.target_type, 1)]
+    relations = [mp.relations[0] for mp in enumerate_metapaths(graph.schema, 1)]
     assert _same_bytes(degree_features(graph).values, degree_table(graph, adj, relations))
 
 
 def test_empty_query_and_empty_reach(toy_graph):
-    ap = enumerate_metapaths(toy_graph.schema, "author", 1)[0]
+    ap = enumerate_metapaths(toy_graph.schema, 1)[0]
     assert list(metapath_reach(toy_graph, [], ap)) == []
     assert pooled_neighbor_features(toy_graph, [], ap).shape == (0, 2)
 
@@ -234,7 +234,7 @@ def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, 
         edges[name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         edges["rev_" + name] = edges[name][:, ::-1].copy()
     graph = HeteroGraph(dblp_schema, features, edges, np.full(4, UNLABELED))
-    apvp = next(mp for mp in enumerate_metapaths(dblp_schema, "author", 3) if mp.name == "APVP")
+    apvp = next(mp for mp in enumerate_metapaths(dblp_schema, 3) if mp.name == "APVP")
     adj = adjacency_lists(graph)
     nodes = [0, 1, 2, 3]
     pooled_rows.clear()
@@ -252,7 +252,7 @@ def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, 
 
 @pytest.mark.parametrize("multiset", [False, True])
 def test_apvp_pools_each_distinct_frontier_row_once(synth_graph, multiset, pooled_rows, dense_calls):
-    paths = {mp.name: mp for mp in enumerate_metapaths(synth_graph.schema, "author", 3)}
+    paths = {mp.name: mp for mp in enumerate_metapaths(synth_graph.schema, 3)}
     apvp, apv = paths["APVP"], paths["APV"]
     assert apv.relations == apvp.relations[:-1]
     adj = adjacency_lists(synth_graph)

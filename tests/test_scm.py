@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from graphscm.encoders import VariableBatch, VariableBuilder
+from graphscm.encoders import VariableBuilder
 from graphscm.errors import ContractError, DimensionError, LoadError
 from graphscm.hetgraph import enumerate_metapaths
 from graphscm.numcore import Tensor
@@ -37,7 +37,7 @@ def _mlp_oracle(stacked, j, x):
 
 def _label_batch(batch):
     """The prediction batch of ``batch``: its slots before the label."""
-    return VariableBatch(Tensor(batch.values.data[:-1]), batch.names[:-1])
+    return Tensor(batch.data[:-1])
 
 
 def sa_oracle(params: ScmParameters, vars_data, k):
@@ -58,12 +58,9 @@ def sa_oracle(params: ScmParameters, vars_data, k):
     return np.stack(rows)
 
 
-def _batch(n_vars, batch, dims, seed=0):
+def _batch(batch, dims, seed=0):
     rng = np.random.default_rng(seed)
-    return VariableBatch(
-        values=Tensor(np.stack([rng.normal(size=(batch, d)) for d in dims])),
-        names=[f"v{i}" for i in range(n_vars)],
-    )
+    return Tensor(np.stack([rng.normal(size=(batch, d)) for d in dims]))
 
 
 def _params(dims, classes=2, seed=0):
@@ -75,7 +72,7 @@ def _params(dims, classes=2, seed=0):
 def test_no_causes_gives_constant_reconstruction():
     params = _params([3, 3, 3])
     params.dag.data[:, 1] = 0.0
-    batch = _batch(3, 4, [3, 3, 3])
+    batch = _batch(4, [3, 3, 3])
     out = reconstruct_all(batch, params).data[1]
     for b in range(1, 4):
         assert np.array_equal(out[b], out[0])
@@ -92,7 +89,7 @@ def test_doubling_a_weight_doubles_contribution():
         p.data = np.ones_like(p.data) if p.name.endswith(".W") else np.zeros_like(p.data)
     params.dag.data[:] = [[0.0, 0.0, 0.3], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
     h = [np.array([[2.0]]), np.array([[3.0]])]
-    batch = VariableBatch(Tensor(np.stack(h)), ["a", "b"])
+    batch = Tensor(np.stack(h))
     base = reconstruct(batch, params).item()
     assert base == pytest.approx(0.3 * 2.0 + 0.5 * 3.0)
     params.dag.data[0, 2] *= 2.0
@@ -103,8 +100,8 @@ def test_doubling_a_weight_doubles_contribution():
 def test_assignment_matches_scalar_loop_oracle():
     dims = [4, 4, 4, 4]  # q = 2 plus ego and label
     params = _params(dims, seed=7)
-    batch = _batch(4, 2, dims, seed=3)
-    vars_data = list(batch.values.data)
+    batch = _batch(2, dims, seed=3)
+    vars_data = list(batch.data)
     every = reconstruct_all(batch, params).data
     for k in range(4):
         assert np.max(np.abs(every[k] - sa_oracle(params, vars_data, k))) < 1e-10
@@ -118,12 +115,12 @@ def test_assignment_index_range_checked():
     params = _params([2, 2, 2])
     for count in (1, 4):
         with pytest.raises(DimensionError, match=rf"batch has {count} variables .* expects 3 \(or 2 without"):
-            reconstruct(_batch(count, 1, [2] * count), params)
+            reconstruct(_batch(1, [2] * count), params)
 
 
 def test_reconstruct_takes_every_variable_or_one():
     params = _params([3, 3, 3, 3])
-    batch = _batch(4, 2, [3, 3, 3, 3])
+    batch = _batch(2, [3, 3, 3, 3])
     assert reconstruct(batch, params).shape == (4, 2, 3)
     assert reconstruct(_label_batch(batch), params).shape == (1, 2, 3)
 
@@ -131,7 +128,7 @@ def test_reconstruct_takes_every_variable_or_one():
 @pytest.mark.parametrize("n_vars, width", [(4, 3), (3, 4)])
 def test_reconstruct_rejects_batch_of_wrong_layout(n_vars, width):
     params = _params([3, 3, 3])
-    batch = _batch(n_vars, 2, [width] * n_vars)
+    batch = _batch(2, [width] * n_vars)
     with pytest.raises(DimensionError, match=f"batch has {n_vars} variables of width {width}"):
         reconstruct(batch, params)
 
@@ -139,13 +136,13 @@ def test_reconstruct_rejects_batch_of_wrong_layout(n_vars, width):
 def test_reconstruct_all_rejects_a_batch_without_the_label():
     params = _params([3, 3, 3])
     with pytest.raises(ContractError, match="reconstruct_all needs a batch built with labels"):
-        reconstruct_all(_label_batch(_batch(3, 2, [3, 3, 3])), params)
+        reconstruct_all(_label_batch(_batch(2, [3, 3, 3])), params)
 
 
 def test_predict_labels_rejects_a_batch_with_the_label():
     params = _params([3, 3, 3])
     with pytest.raises(ContractError, match="predict_labels needs a batch built without labels"):
-        predict_labels(_batch(3, 2, [3, 3, 3]), params)
+        predict_labels(_batch(2, [3, 3, 3]), params)
 
 
 def test_reconstruct_all_consistent_with_single_assignments():
@@ -154,7 +151,7 @@ def test_reconstruct_all_consistent_with_single_assignments():
     # products, so within rounding
     dims = [3, 3, 3]
     params = _params(dims, seed=1)
-    batch = _batch(3, 2, dims, seed=2)
+    batch = _batch(2, dims, seed=2)
     stack = reconstruct_all(batch, params)
     assert stack.shape[0] == 3
     solo = reconstruct(_label_batch(batch), params)
@@ -165,7 +162,7 @@ def test_reconstruct_all_zero_dag_constant_per_variable():
     dims = [3, 3, 3]
     params = _params(dims)
     params.dag.data[:] = 0.0
-    batch = _batch(3, 5, dims, seed=4)
+    batch = _batch(5, dims, seed=4)
     for rec in reconstruct_all(batch, params).data:
         assert rec.shape == (5, 3)
         for b in range(1, 5):
@@ -176,19 +173,19 @@ def test_cause_locality_zero_weight_means_no_influence():
     dims = [3, 3, 3]
     params = _params(dims, seed=5)
     params.dag.data[0, 2] = 0.0
-    batch = _label_batch(_batch(3, 2, dims, seed=6))
+    batch = _label_batch(_batch(2, dims, seed=6))
     base = reconstruct(batch, params).data.copy()
-    batch.values.data[0, 0, 1] += 10.0  # perturb a non-cause input
+    batch.data[0, 0, 1] += 10.0  # perturb a non-cause input
     again = reconstruct(batch, params).data
     assert np.array_equal(base, again)
-    batch.values.data[1, 0, 0] += 1.0  # a real cause must matter
+    batch.data[1, 0, 0] += 1.0  # a real cause must matter
     assert not np.array_equal(reconstruct(batch, params).data, base)
 
 
 def test_predict_rows_sum_to_one():
     dims = [3, 3, 3]
     params = _params(dims, classes=4, seed=8)
-    batch = _label_batch(_batch(3, 6, dims, seed=9))
+    batch = _label_batch(_batch(6, dims, seed=9))
     probs = predict_labels(batch, params)
     assert probs.shape == (6, 4)
     assert np.max(np.abs(probs.data.sum(axis=1) - 1.0)) < 1e-12
@@ -199,9 +196,9 @@ def test_predict_ignores_label_slice():
     # every-variable call does not read its slice either
     dims = [3, 3, 3]
     params = _params(dims, seed=10)
-    batch = _batch(3, 4, dims, seed=11)
+    batch = _batch(4, dims, seed=11)
     before = label_probabilities_from(reconstruct_all(batch, params), params).data.copy()
-    batch.values.data[-1] = 123.0  # garbage in the label slice
+    batch.data[-1] = 123.0  # garbage in the label slice
     after = label_probabilities_from(reconstruct_all(batch, params), params).data
     assert np.array_equal(before, after)
     assert oracles.close(predict_labels(_label_batch(batch), params).data, before)
@@ -210,7 +207,7 @@ def test_predict_ignores_label_slice():
 def test_decoder_invocation_counts():
     dims = [3, 3, 3, 3]
     params = _params(dims, seed=12)
-    batch = _batch(4, 2, dims, seed=13)
+    batch = _batch(2, dims, seed=13)
     params.decoder_calls = 0
     predict_labels(_label_batch(batch), params)
     assert params.decoder_calls == 1
@@ -237,7 +234,7 @@ def test_zero_diagonal():
 # model container and checkpoints
 
 def _toy_model(toy_graph, hidden=4, seed=0):
-    metapaths = enumerate_metapaths(toy_graph.schema, "author", 2)
+    metapaths = enumerate_metapaths(toy_graph.schema, 2)
     builder = VariableBuilder(toy_graph, metapaths)
     meta = ModelMeta(
         variable_names=builder.variable_names,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from graphscm.encoders import Encoders, VariableBatch
+from graphscm.encoders import Encoders
 from graphscm.losses import loss_inv, loss_rec
 from graphscm.numcore import Tape, Tensor, add, relu, softmax
 from graphscm.rng import substream
@@ -60,7 +60,7 @@ def _run_stacked(enc, scm, ego, pooled, labels):
     targets = Tensor(np.eye(CLASSES)[labels])
     with Tape() as tape:
         values = enc(ego, pooled, labels)
-        recon = reconstruct_all(VariableBatch(values, []), scm)
+        recon = reconstruct_all(values, scm)
         loss = add(loss_rec(values, recon), loss_inv(targets, label_probabilities_from(recon, scm)))
     tape.backward(loss)
     outputs = [slot for t in (recon, values) for slot in t.data]

@@ -88,7 +88,7 @@ def _apv_pool(graph, author):
     from graphscm.hetgraph import enumerate_metapaths
 
     apv = next(
-        mp for mp in enumerate_metapaths(graph.schema, "author", 2) if mp.name == "APV"
+        mp for mp in enumerate_metapaths(graph.schema, 2) if mp.name == "APV"
     )
     return neighbor_set(adjacency_lists(graph), author, apv)
 
