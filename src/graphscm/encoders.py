@@ -107,6 +107,14 @@ class VariableBuilder:
         for mp in self.metapaths:
             if mp.source_type != target:
                 raise ContractError(f"metapath {mp.name} does not start at {target!r}")
+        named: dict[str, MetaPath] = {}
+        for mp in self.metapaths:
+            other = named.setdefault(mp.name, mp)
+            if other is not mp:
+                raise ConfigError(
+                    f"metapaths {'/'.join(other.relations)} and {'/'.join(mp.relations)} both make "
+                    f"the variable {mp.name!r}: variables are named by node-type initials, and each name must be unique"
+                )
         for t in [target] + [mp.terminal_type for mp in self.metapaths]:
             if graph.feature_dim(t) == 0:
                 raise ConfigError(f"node type {t!r} has no feature columns in nodes-{t}.tsv: nothing to encode")

@@ -51,6 +51,9 @@ class Schema:
     num_classes: int
 
     def __post_init__(self):
+        # variable names start from type initials, so an empty name has none to give
+        if "" in self.node_types or any(r.name == "" for r in self.relations):
+            raise LoadError("node type and relation names must not be empty")
         if len(set(self.node_types)) != len(self.node_types):
             raise LoadError("duplicate node type names in schema")
         names = [r.name for r in self.relations]
@@ -340,31 +343,76 @@ def _last_hop(graph: HeteroGraph, frontier: np.ndarray, metapath: MetaPath):
     return _walk([hop], 0, frontier.shape[0], rows, cols, frontier[rows, cols].astype(np.int64))
 
 
+def _column_groups(csr: Csr, n_dst: int):
+    """The destinations of a relation grouped by their in-neighbour multisets.
+
+    Returns ``(group, sources, indptr)``: ``group[d]`` is destination d's
+    group, -1 when d has no in-edges, and group g's in-neighbours, ascending
+    and repeated by multiplicity, are ``sources[indptr[g]:indptr[g + 1]]``.
+    The destinations of one in-degree are compared as rows of their sorted
+    sources, with one ``np.unique`` per distinct in-degree, so the grouping
+    is exact, costs O(m log m) in the relation's m edges and holds no more
+    than m sources at once.
+    """
+    src_ptr, dst = csr
+    order = np.argsort(dst, kind="stable")
+    # CSR lists edges by source, so a stable sort by destination keeps each one's sources ascending
+    src = np.repeat(np.arange(src_ptr.shape[0] - 1), np.diff(src_ptr))[order]
+    deg = np.bincount(dst, minlength=n_dst)
+    starts = np.cumsum(deg) - deg
+    by_deg = np.argsort(deg, kind="stable")
+    degrees, cuts = np.unique(deg[by_deg], return_index=True)
+    cuts = np.append(cuts, n_dst)
+    group = np.full(n_dst, -1, dtype=np.int64)
+    sources, sizes = [], []
+    for d, a, b in zip(degrees.tolist(), cuts[:-1], cuts[1:]):
+        if d == 0:
+            continue
+        cols = by_deg[a:b]
+        rows = src[starts[cols, None] + np.arange(d)]
+        keys = rows.view(np.dtype((np.void, rows.itemsize * d))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        group[cols] = len(sizes) + inverse.ravel()  # the inverse's shape varies across numpy versions
+        sources.append(rows[first].ravel())
+        sizes += [d] * first.shape[0]
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return group, np.concatenate(sources) if sources else src, indptr
+
+
 def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, multiset: bool) -> np.ndarray:
-    """Pooled features from the frontier of ``_frontier``: the path
-    counts to the terminal nodes are ``frontier @ incidence`` of the last
-    relation, formed in column tiles of at most REACH_BLOCK cells (and an
-    incidence tile as large), then weighted by their counts (multiset) or by
-    one per reached node (set) in a product with the terminal features."""
+    """Pooled features from the frontier of ``_frontier``.
+
+    Destinations of the last relation with the same in-neighbour multiset
+    get the same path count from every frontier row, so they are merged
+    into one column (``_column_groups``) weighted by their summed
+    ``[features | 1]``. The counts ``frontier @ incidence`` over these
+    columns are formed in column tiles of at most REACH_BLOCK cells (and an
+    incidence tile as large), clipped to 1 for a set, and multiplied by the
+    group weights: rows x |src| x groups multiply-adds, not rows x |src| x
+    |dst|. A destination with no in-edges is in no group and adds nothing.
+    """
     rel = graph.schema.relation(metapath.relations[-1])
     feats = graph.features[rel.dst]
     n, n_src = frontier.shape
-    indptr, dst = graph.csr[rel.name]
-    order = np.argsort(dst, kind="stable")
-    dst = dst[order]
-    src = np.repeat(np.arange(n_src), np.diff(indptr))[order]
-    # a trailing column of ones sums each row's weights beside its features
+    group, sources, indptr = _column_groups(graph.csr[rel.name], feats.shape[0])
+    groups = indptr.shape[0] - 1
+    # a trailing column of ones counts each group's members beside its summed features
     weighted = np.hstack([feats, np.ones((feats.shape[0], 1))])
+    members = np.argsort(group, kind="stable")[np.count_nonzero(group < 0):]
+    heads = np.searchsorted(group[members], np.arange(groups))
+    weights = np.add.reduceat(weighted[members], heads, axis=0) if groups else weighted[:0]
     sums = np.zeros((n, weighted.shape[1]))
     width = REACH_BLOCK // max(n, n_src)
-    for c0 in range(0, feats.shape[0], width):
-        c1 = min(c0 + width, feats.shape[0])
-        a, b = np.searchsorted(dst, [c0, c1])
-        incidence = np.bincount(src[a:b] * (c1 - c0) + dst[a:b] - c0, minlength=n_src * (c1 - c0))
-        counts = frontier @ incidence.reshape(n_src, c1 - c0).astype(np.float64)
+    for g0 in range(0, groups, width):
+        g1 = min(g0 + width, groups)
+        a, b = indptr[g0], indptr[g1]
+        cols = np.repeat(np.arange(g1 - g0), np.diff(indptr[g0:g1 + 1]))
+        incidence = np.bincount(sources[a:b] * (g1 - g0) + cols, minlength=n_src * (g1 - g0))
+        counts = frontier @ incidence.reshape(n_src, g1 - g0).astype(np.float64)
         if not multiset:
             np.minimum(counts, 1.0, out=counts)  # whole counts: 1 per reached node
-        sums += counts @ weighted[c0:c1]
+        sums += counts @ weights[g0:g1]
     sizes = sums[:, -1:]
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
 
@@ -385,7 +433,10 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     multiplies it by the last relation's incidence in float64, as metapath
     neighbours are formed from adjacency products in HAN (Wang et al.
     2019): set means are ``(counts > 0) @ F / |set|``, multiset means
-    ``counts @ F / counts.sum()``. Path counts are exact integers there
+    ``counts @ F / counts.sum()``. Destinations with equal in-neighbour
+    multisets share one incidence column (``_dense_pool``), so the product
+    costs rows x |src| x groups (780 term pairs among APTP's 8800 papers at
+    800 authors, say), not rows x |src| x |dst|. Path counts are exact integers there
     (below 2**53), but BLAS sums the features in its own order, so dense
     means agree with the per-node mean to within 1e-12 * max(1, max|F|),
     not bit for bit. Every other metapath takes the sparse route (``_pool_means`` per

@@ -7,7 +7,8 @@ ops (matmul, add, mul, and ``index_scalar`` here) rather than the stacked
 ones it checks, and the cell-by-cell ``pair_mix``, the ``bmm`` chain of
 ``stacked_mlp`` and the ``frobenius_sq`` chain of ``sq_error`` record on
 numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
-gradient checks.
+gradient checks. ``dense_pool_columns`` reads the graph's CSR and tiles by
+``hetgraph.REACH_BLOCK``.
 """
 
 from __future__ import annotations
@@ -189,6 +190,35 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, ordered=False) -> 
                 idx = sorted(pool)
                 out[i] = feats[idx].mean(axis=0)
     return out
+
+
+def dense_pool_columns(graph, metapath, frontier: np.ndarray, multiset: bool) -> np.ndarray:
+    """``hetgraph._dense_pool`` as it was: one incidence column per terminal
+    node, ``frontier @ incidence`` in column tiles of at most REACH_BLOCK
+    cells, then weighted by the counts (multiset) or by one per reached node
+    (set) in a product with the terminal features."""
+    from graphscm import hetgraph
+
+    rel = graph.schema.relation(metapath.relations[-1])
+    feats = graph.features[rel.dst]
+    n, n_src = frontier.shape
+    indptr, dst = graph.csr[rel.name]
+    order = np.argsort(dst, kind="stable")
+    dst = dst[order]
+    src = np.repeat(np.arange(n_src), np.diff(indptr))[order]
+    weighted = np.hstack([feats, np.ones((feats.shape[0], 1))])
+    sums = np.zeros((n, weighted.shape[1]))
+    width = hetgraph.REACH_BLOCK // max(n, n_src)
+    for c0 in range(0, feats.shape[0], width):
+        c1 = min(c0 + width, feats.shape[0])
+        a, b = np.searchsorted(dst, [c0, c1])
+        incidence = np.bincount(src[a:b] * (c1 - c0) + dst[a:b] - c0, minlength=n_src * (c1 - c0))
+        counts = frontier @ incidence.reshape(n_src, c1 - c0).astype(np.float64)
+        if not multiset:
+            np.minimum(counts, 1.0, out=counts)
+        sums += counts @ weighted[c0:c1]
+    sizes = sums[:, -1:]
+    return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
 
 
 def write_dataset_lines(graph, out_dir: str) -> None:

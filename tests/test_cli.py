@@ -432,6 +432,69 @@ def test_stats_schema_field_types_exit_2(toy_dir, tmp_path, capsys, corrupt):
     assert f"error: {path}: " in err and "Traceback" not in err, err
 
 
+def _rename_in_copy(toy_dir, tmp_path, old, new):
+    """A copy of the toy dataset with the node type or relation ``old``
+    renamed to ``new`` in schema.json and in its file's name."""
+    import shutil
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    path = os.path.join(bad, "schema.json")
+    with open(path, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    schema["node_types"] = [new if t == old else t for t in schema["node_types"]]
+    schema["relations"] = [{k: new if v == old else v for k, v in r.items()} for r in schema["relations"]]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(schema, fh)
+    for prefix in ("nodes", "edges"):
+        if os.path.isfile(os.path.join(bad, f"{prefix}-{old}.tsv")):
+            os.rename(os.path.join(bad, f"{prefix}-{old}.tsv"), os.path.join(bad, f"{prefix}-{new}.tsv"))
+    return bad, path
+
+
+@pytest.mark.parametrize("old", ["venue", "publish"], ids=["node-type", "relation"])
+def test_empty_schema_name_exits_2(toy_dir, tmp_path, capsys, old):
+    """An empty node-type or relation name is rejected naming schema.json:
+    ``stats`` used to accept it and ``train`` to end in an IndexError while
+    naming the variables by type initials."""
+    bad, path = _rename_in_copy(toy_dir, tmp_path, old, "")
+    assert run_cli("stats", bad) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "must not be empty" in err and "Traceback" not in err, err
+    code = run_cli("train", bad, "--out", str(tmp_path / "run"), "--hidden", 8, "--max-epochs", 1)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "Traceback" not in err, err
+    assert not os.path.exists(tmp_path / "run" / "checkpoint.json")
+
+
+def test_two_metapaths_with_one_name_exit_2(synth_dir, tmp_path, capsys):
+    """Author -> paper ``write`` and ``review`` both make the variable AP.
+    The pooled tables are keyed by that name, so training used to exit 0
+    with variables EGO, AP, AP, Y that both read the ``review`` pool."""
+    import shutil
+
+    data = str(tmp_path / "data")
+    shutil.copytree(synth_dir, data)
+    path = os.path.join(data, "schema.json")
+    with open(path, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    schema["relations"] += [
+        {"name": "review", "src": "author", "dst": "paper", "inverse": "rev_review"},
+        {"name": "rev_review", "src": "paper", "dst": "author", "inverse": "review"},
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(schema, fh)
+    with open(os.path.join(data, "edges-review.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("0\t1\n1\t0\n")
+    out = str(tmp_path / "run")
+    code = run_cli("train", data, "--out", out, "--hidden", 8, "--max-epochs", 1, "--max-metapath-len", 1)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'AP'" in err and "write" in err and "review" in err and "Traceback" not in err, err
+    assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
+
 @pytest.mark.parametrize(
     "name, tail, line",
     [

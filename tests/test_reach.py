@@ -5,7 +5,9 @@ implementations in ``oracles``: the vectorised code only re-lays-out the
 computation. Sparse multiset means are byte-equal to the ascending-order
 weighted oracle and held to 1e-12 * max(1, max|F|) of the previous
 implementation's BLAS ``w @ F``. The dense pooling route sums features in
-BLAS order, so its tables are held to that tolerance of the oracle instead.
+BLAS order, so its tables are held to that tolerance of the oracle instead,
+and of ``dense_pool_columns``, the dense route with one incidence column per
+terminal node that the grouped columns replaced.
 """
 
 import numpy as np
@@ -22,7 +24,14 @@ from graphscm.hetgraph import (
 from graphscm.splits import degree_features, homophily_features, roundtrip_metapaths
 from graphscm.synth import SynthSpec, generate
 
-from oracles import adjacency_lists, degree_table, homophily_table, path_counts, pooled_table
+from oracles import (
+    adjacency_lists,
+    degree_table,
+    dense_pool_columns,
+    homophily_table,
+    path_counts,
+    pooled_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +75,21 @@ def dense_calls(monkeypatch):
         return dense_pool(graph, metapath, *args)
 
     monkeypatch.setattr(hetgraph, "_dense_pool", spy)
+    return calls
+
+
+@pytest.fixture()
+def column_groups(monkeypatch):
+    """The group count of each ``_column_groups`` call."""
+    calls = []
+    column_groups = hetgraph._column_groups
+
+    def spy(*args):
+        out = column_groups(*args)
+        calls.append(out[2].shape[0] - 1)
+        return out
+
+    monkeypatch.setattr(hetgraph, "_column_groups", spy)
     return calls
 
 
@@ -264,3 +288,95 @@ def test_apvp_pools_each_distinct_frontier_row_once(synth_graph, multiset, poole
     assert sum(pooled_rows) == len(distinct)
     assert dense_calls == []
     assert _same_bytes(got, pooled_table(synth_graph, adj, nodes, apvp, multiset, ordered=multiset))
+
+
+def _in_multisets(adj, relation: str, n_dst: int) -> list[tuple[int, ...]]:
+    """Each destination's sorted in-neighbours, repeated by multiplicity."""
+    sources = [[] for _ in range(n_dst)]
+    for s, dests in enumerate(adj[relation]):
+        for d in dests:
+            sources[d].append(s)
+    return [tuple(sorted(x)) for x in sources]
+
+
+def _assert_grouped_route_matches_both_oracles(graph, nodes, mp, dense_calls, column_groups):
+    """The grouped dense route within 1e-12 * max(1, max|F|) of the column
+    oracle and of the per-node oracle; returns the group count it used."""
+    adj = adjacency_lists(graph)
+    feats = graph.features[mp.terminal_type]
+    frontier = hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp)
+    groups = set()
+    for multiset in (False, True):
+        dense_calls.clear()
+        column_groups.clear()
+        got = pooled_neighbor_features(graph, nodes, mp, multiset)
+        assert dense_calls == [mp.name] and len(column_groups) == 1, multiset
+        groups.add(column_groups[0])
+        assert _within_tolerance(got, dense_pool_columns(graph, mp, frontier, multiset), feats), multiset
+        assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, multiset), feats), multiset
+    in_sets = _in_multisets(adj, mp.relations[-1], feats.shape[0])
+    assert groups == {len({x for x in in_sets if x})}
+    return groups.pop()
+
+
+def test_grouped_dense_route_on_synth_aptp(synth_graph, dense_calls, column_groups):
+    mp = next(m for m in enumerate_metapaths(synth_graph.schema, 3) if m.name == "APTP")
+    nodes = list(range(synth_graph.num_nodes("author")))
+    groups = _assert_grouped_route_matches_both_oracles(synth_graph, nodes, mp, dense_calls, column_groups)
+    assert groups < synth_graph.num_nodes("paper")
+
+
+def test_grouped_dense_route_parallel_edges_and_papers_without_terms(dblp_schema, dense_calls, column_groups):
+    # papers 0 and 4 use term 1 twice, paper 2 once: three papers, two
+    # multisets; papers 5 and 6 use no term and join no group
+    rng = np.random.default_rng(5)
+    sizes = {"author": 4, "paper": 7, "venue": 1, "term": 3}
+    features = {t: rng.normal(size=(n, 3)) * 4.0 for t, n in sizes.items()}
+    forward = {
+        "write": [(0, 0), (0, 5), (1, 1), (1, 2), (2, 3), (2, 4), (3, 0), (3, 0), (3, 6)],
+        "publish": [(0, p) for p in range(7)],
+        "use": [(0, 1), (0, 1), (1, 0), (1, 2), (2, 1), (3, 0), (3, 2), (3, 2), (4, 1), (4, 1)],
+    }
+    edges = {}
+    for name, pairs in forward.items():
+        edges[name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        edges["rev_" + name] = edges[name][:, ::-1].copy()
+    graph = HeteroGraph(dblp_schema, features, edges, np.full(4, UNLABELED))
+    aptp = next(mp for mp in enumerate_metapaths(dblp_schema, 3) if mp.name == "APTP")
+    nodes = [3, 0, 1, 2, 1]
+    groups = _assert_grouped_route_matches_both_oracles(graph, nodes, aptp, dense_calls, column_groups)
+    assert groups == 4  # {1, 1} twice, {0, 2}, {0, 2, 2}, {1}
+
+
+def test_grouped_dense_route_with_every_column_distinct(toy_graph, dense_calls, column_groups):
+    # APA's last hop ends at the authors, whose paper sets all differ
+    mp = next(m for m in enumerate_metapaths(toy_graph.schema, 2) if m.name == "APA")
+    nodes = list(range(toy_graph.num_nodes("author")))
+    groups = _assert_grouped_route_matches_both_oracles(toy_graph, nodes, mp, dense_calls, column_groups)
+    assert groups == toy_graph.num_nodes("author")
+
+
+def test_grouped_dense_route_in_several_incidence_tiles(synth_graph, monkeypatch, dense_calls, column_groups):
+    # 120 authors x 40 terms fit in the block, and the grouped incidence
+    # splits into tiles of 100 groups
+    mp = next(m for m in enumerate_metapaths(synth_graph.schema, 3) if m.name == "APTP")
+    nodes = list(range(synth_graph.num_nodes("author")))
+    monkeypatch.setattr(hetgraph, "REACH_BLOCK", 100 * len(nodes))
+    groups = _assert_grouped_route_matches_both_oracles(synth_graph, nodes, mp, dense_calls, column_groups)
+    assert groups > 3 * 100
+
+
+def test_aptp_groups_papers_by_their_terms():
+    # at the pool-l3 benchmark's 800 authors, the 8800 papers carry 2 of 40
+    # terms each: at most 780 term pairs, so one column per paper would fail
+    graph, _ = generate(SynthSpec(authors=800, seed=1))
+    mp = next(m for m in enumerate_metapaths(graph.schema, 3) if m.name == "APTP")
+    nodes = np.arange(graph.num_nodes("author"))
+    assert _dense_route(graph, nodes, mp)
+    group, sources, indptr = hetgraph._column_groups(graph.csr["rev_use"], graph.num_nodes("paper"))
+    assert indptr.shape[0] - 1 <= graph.num_nodes("paper") // 10
+    in_sets = _in_multisets(adjacency_lists(graph), "rev_use", graph.num_nodes("paper"))
+    assert len({x for x in in_sets if x}) == indptr.shape[0] - 1
+    for d in range(0, graph.num_nodes("paper"), 97):  # every group lists a member's in-neighbours
+        g = group[d]
+        assert tuple(sources[indptr[g]:indptr[g + 1]]) == in_sets[d]
