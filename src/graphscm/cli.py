@@ -5,7 +5,8 @@ produces artifacts also writes a manifest recording the resolved
 configuration, input paths, seed, and artifact locations, so the run can
 be reproduced exactly.
 
-Exit codes: 0 success, 2 input/validation error, 3 numeric failure.
+Exit codes: 0 success, 2 input/validation error (an output path that
+cannot be created included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LoadError, ConfigError, ContractError, DimensionError) as exc:
+    except (LoadError, ConfigError, ContractError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

@@ -334,15 +334,6 @@ def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.n
     return frontier
 
 
-def _last_hop(graph: HeteroGraph, frontier: np.ndarray, metapath: MetaPath):
-    """``metapath_reach``'s blocks for the rows of ``frontier``, walked from
-    its nonzeros through the last hop of ``metapath``."""
-    rel = graph.schema.relation(metapath.relations[-1])
-    rows, cols = np.nonzero(frontier)
-    hop = (graph.csr[rel.name], graph.num_nodes(rel.dst))
-    return _walk([hop], 0, frontier.shape[0], rows, cols, frontier[rows, cols].astype(np.int64))
-
-
 def _column_groups(csr: Csr, n_dst: int):
     """The destinations of a relation grouped by their in-neighbour multisets.
 
@@ -380,22 +371,23 @@ def _column_groups(csr: Csr, n_dst: int):
     return group, np.concatenate(sources) if sources else src, indptr
 
 
-def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, multiset: bool) -> np.ndarray:
+def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, grouping, multiset: bool) -> np.ndarray:
     """Pooled features from the frontier of ``_frontier``.
 
     Destinations of the last relation with the same in-neighbour multiset
     get the same path count from every frontier row, so they are merged
-    into one column (``_column_groups``) weighted by their summed
-    ``[features | 1]``. The counts ``frontier @ incidence`` over these
-    columns are formed in column tiles of at most REACH_BLOCK cells (and an
-    incidence tile as large), clipped to 1 for a set, and multiplied by the
-    group weights: rows x |src| x groups multiply-adds, not rows x |src| x
-    |dst|. A destination with no in-edges is in no group and adds nothing.
+    into one column (``grouping``, from ``_column_groups``) weighted by
+    their summed ``[features | 1]``. The counts ``frontier @ incidence``
+    over these columns are formed in column tiles of at most REACH_BLOCK
+    cells (and an incidence tile as large), clipped to 1 for a set, and
+    multiplied by the group weights: rows x |src| x groups multiply-adds,
+    not rows x |src| x |dst|. A destination with no in-edges is in no group
+    and adds nothing.
     """
     rel = graph.schema.relation(metapath.relations[-1])
     feats = graph.features[rel.dst]
     n, n_src = frontier.shape
-    group, sources, indptr = _column_groups(graph.csr[rel.name], feats.shape[0])
+    group, sources, indptr = grouping
     groups = indptr.shape[0] - 1
     # a trailing column of ones counts each group's members beside its summed features
     weighted = np.hstack([feats, np.ones((feats.shape[0], 1))])
@@ -417,6 +409,21 @@ def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, mu
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
 
 
+# The dense route runs frontier.size x groups multiply-adds where the walk
+# expands one (row, node) pair per frontier nonzero and out-edge of its last
+# hop; pooling goes dense while the first is at most DENSE_COST times the
+# second. On the seed-1 synthetic graphs of 30-8000 authors that ratio is
+# 0.01-2.7 for APVP and 0.29-26 for APTP, whose walks take 25-60 times as long
+# as the dense route at 700-2000 authors; it is 101 for APAP at 60 authors and
+# 399 or more from 120 on, and 284 or more for every path of length 2 or less
+# whose frontier fits. 64 lies between the two groups; at 30 authors APAP's
+# ratio is 26, so it goes dense there. A mostly-zero frontier walks far
+# faster (APAP at 700 authors: 40 ms walked, 156 ms dense). At 60 and 120
+# authors APAP pools faster dense, but in a few ms either way, and the walk's
+# set means are exact where dense ones are within 1e-12 * max(1, max|F|).
+DENSE_COST = 64
+
+
 def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, multiset: bool = False) -> np.ndarray:
     """Mean terminal-node features per query node; zero row for empty sets.
 
@@ -425,52 +432,46 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     metapath back to the source type (APA, say) keeps the query node in its
     own pool, as HAN's metapath neighbours do.
 
-    Two routes compute it, chosen once per call from the input alone. Take
-    the path counts over every hop but the last as a (rows, |src|) frontier,
-    src being the last hop's source type. When that frontier fits in
-    REACH_BLOCK cells and at least half of its cells are nonzero (APTP,
-    whose authors reach most of the 40 terms, say), the dense route
-    multiplies it by the last relation's incidence in float64, as metapath
-    neighbours are formed from adjacency products in HAN (Wang et al.
-    2019): set means are ``(counts > 0) @ F / |set|``, multiset means
-    ``counts @ F / counts.sum()``. Destinations with equal in-neighbour
-    multisets share one incidence column (``_dense_pool``), so the product
-    costs rows x |src| x groups (780 term pairs among APTP's 8800 papers at
-    800 authors, say), not rows x |src| x |dst|. Path counts are exact integers there
-    (below 2**53), but BLAS sums the features in its own order, so dense
-    means agree with the per-node mean to within 1e-12 * max(1, max|F|),
-    not bit for bit. Every other metapath takes the sparse route (``_pool_means`` per
-    ``metapath_reach`` block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
-    multiset means ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in ascending terminal id order.
+    Two routes compute it, chosen once per call from the input alone by
+    counting their work. Take the path counts over every hop but the last as
+    a (rows, |src|) frontier, src being the last hop's source type. When it
+    fits in REACH_BLOCK cells, the last relation's destinations are grouped
+    by their in-neighbour multisets (``_column_groups``): destinations of
+    one group get the same count from every frontier row. The dense route
+    then multiplies the frontier by the grouped incidence in float64, as
+    metapath neighbours are formed from adjacency products in HAN (Wang et
+    al. 2019): set means are ``(counts > 0) @ F / |set|``, multiset means
+    ``counts @ F / counts.sum()``, at rows x |src| x groups multiply-adds
+    (780 term pairs among APTP's 8800 papers at 800 authors, say). The walk
+    expands one (row, node) pair per frontier nonzero and out-edge of the
+    last hop. The dense route is taken when its multiply-adds are at most
+    DENSE_COST times those pairs (APTP and APVP on the synthetic graphs).
+    Path counts are exact integers there (below 2**53), but BLAS sums the
+    features in its own order, so dense means agree with the per-node mean
+    to within 1e-12 * max(1, max|F|), not bit for bit.
 
-    Query rows with equal frontier rows (equal counts for a multiset, equal
-    support for a set) have equal pools, so when the frontier fits, the
-    sparse route pools each distinct frontier row once, walking the last
-    hop from its nonzeros, and copies the means to the rows that share it
-    (APVP, whose authors reach one of a few venue subsets, say). A mean
-    depends only on its own pool, so the bits are the same as pooling
-    every row.
+    Otherwise, and whenever the frontier does not fit, the walk pools every
+    hop from the query nodes (``_pool_means`` per ``metapath_reach``
+    block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
+    multiset means ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in ascending
+    terminal id order.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     frontier = _frontier(graph, nodes, metapath)
-    if frontier is not None and 2 * np.count_nonzero(frontier) >= frontier.size:
-        return _dense_pool(graph, metapath, frontier, multiset)
+    if frontier is not None:
+        rel = graph.schema.relation(metapath.relations[-1])
+        grouping = _column_groups(graph.csr[rel.name], graph.num_nodes(rel.dst))
+        madds = frontier.size * (grouping[2].shape[0] - 1)
+        pairs = np.count_nonzero(frontier, axis=0) @ np.diff(graph.csr[rel.name].indptr)
+        if madds <= DENSE_COST * pairs:
+            return _dense_pool(graph, metapath, frontier, grouping, multiset)
     feats = graph.features[metapath.terminal_type]
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
-    inverse = None
-    if frontier is None:
-        blocks, n = _reach_blocks(graph, nodes, metapath.relations), nodes.shape[0]
-    else:
-        key = frontier if multiset else frontier > 0
-        # each row as one opaque value: unique rows sort by memcmp, not field by field
-        as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-        _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
-        blocks, n = _last_hop(graph, key[first], metapath), first.shape[0]
-    out = np.zeros((n, feats.shape[1]))
-    for lo, hi, rows, indices, counts in blocks:
+    out = np.zeros((nodes.shape[0], feats.shape[1]))
+    for lo, hi, rows, indices, counts in _reach_blocks(graph, nodes, metapath.relations):
         indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
         out[lo:hi] = _pool_means(padded, indptr, indices, counts if multiset else None)
-    return out if inverse is None else out[inverse]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +609,7 @@ def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
         in_range = ids.size == 0 or (
             ids.min() >= 0 and ids.max() < n and cls.min() >= 0 and cls.max() < num_classes
         )
-        # which of several labels for one id fancy assignment keeps is unspecified;
-        # the line loop below keeps the last
+        # a repeated id falls through to the line loop below, which names its line
         if in_range and np.unique(ids).size == ids.size:
             labels[ids] = cls
             return labels
@@ -624,6 +624,8 @@ def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
             raise LoadError(f"{path}:{lineno}: node id {node_id} out of range")
         if not 0 <= c < num_classes:
             raise LoadError(f"{path}:{lineno}: class {c} out of range")
+        if labels[node_id] != UNLABELED:
+            raise LoadError(f"{path}:{lineno}: duplicate node id {node_id}")
         labels[node_id] = c
     return labels
 

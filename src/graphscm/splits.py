@@ -90,8 +90,11 @@ class SplitSpec:
         seed = raw.get("seed", 0)
         if not is_json_int(seed):
             raise LoadError(f"{path}: split seed must be an integer")
+        provenance = raw.get("provenance", "iid")
+        if not isinstance(provenance, str):
+            raise LoadError(f"{path}: split provenance must be a string, got {provenance!r}")
         try:
-            return cls(**parts, provenance=raw.get("provenance", "iid"), seed=seed)
+            return cls(**parts, provenance=provenance, seed=seed)
         except ConfigError as exc:
             raise LoadError(f"{path}: {exc}") from exc
 

@@ -33,18 +33,13 @@ from .scm import (
 )
 from .splits import SplitSpec
 
-# Prediction encodes variables BUILD_BATCH rows at a time, then runs the SCM
-# on EVAL_BATCH rows of them at a time: the stacked SCM holds (variables,
-# rows, width) arrays, which stay in cache at 128 rows and do not at 4096.
-# An encoded block is one such array; at 4096 rows (12.6 MB at 6 variables
-# of width 64) freeing it raised glibc's dynamic mmap threshold, after which
-# the heap kept freed memory, and the peak RSS of a train-and-predict run on
-# 8000 authors rose by about 11 MB; at 2048 rows it stays at the training peak.
+# Prediction encodes and scores EVAL_BATCH rows at a time: the encoders and
+# the stacked SCM hold (variables, rows, width) arrays, which stay in cache
+# at 128 rows and do not at 4096.
 # A row's probabilities do not depend on the chunking while every chunk but
 # the last holds a multiple of 4 rows (BLAS edge kernels round narrow outputs
 # differently) and no chunk is a single row (a matrix-vector product), so
 # EVAL_BATCH is a multiple of 4 and at least 8.
-BUILD_BATCH = 2048
 EVAL_BATCH = 128
 
 ABLATIONS = ("full", "no_rec", "no_dag", "no_both")
@@ -204,14 +199,10 @@ def _chunk_bounds(rows: int) -> list[int]:
 def _predict_probabilities(model: ScmModel, builder: VariableBuilder, indices) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
     bounds = _chunk_bounds(indices.size)
-    per_build = max(1, BUILD_BATCH // EVAL_BATCH)
     chunks = []
-    for first in range(0, len(bounds) - 1, per_build):
-        block = bounds[first : first + per_build + 1]
-        vars = builder.build(indices[block[0] : block[-1]], model.encoders, with_labels=False)
-        for lo, hi in zip(block, block[1:]):
-            part = Tensor(vars.data[:, lo - block[0] : hi - block[0]])
-            chunks.append(predict_labels(part, model.scm).data)
+    for lo, hi in zip(bounds, bounds[1:]):
+        vars = builder.build(indices[lo:hi], model.encoders, with_labels=False)
+        chunks.append(predict_labels(vars, model.scm).data)
     return np.vstack(chunks) if chunks else np.zeros((0, model.meta.num_classes))
 
 

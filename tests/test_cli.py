@@ -93,6 +93,25 @@ def test_split_negative_seed_exits_2(synth_dir, tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "train", "split", "synth"])
+def test_output_path_that_cannot_be_created_exits_2(synth_dir, tmp_path, capsys, command):
+    """A missing parent directory of ``stats --json``, or an existing file
+    given as an ``--out`` directory, exits 2 naming the path; both used to
+    end in a traceback with exit 1."""
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    args = {
+        "stats": ["stats", synth_dir, "--json", tmp_path / "missing" / "x.json"],
+        "train": ["train", synth_dir, "--out", taken, "--max-epochs", 1],
+        "split": ["split", synth_dir, "--kind", "iid", "--out", taken],
+        "synth": ["synth", "--out", taken, "--authors", 20],
+    }[command]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert str(tmp_path / "missing" / "x.json" if command == "stats" else taken) in err
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--seed", "-1"], "seed"),
     (["--noise", "nan"], "noise"),
@@ -628,6 +647,7 @@ def _boolean_id(spec: dict) -> dict:
     pytest.param(_boolean_id, id="boolean-id"),
     pytest.param(lambda spec: dict(spec, train=[*spec["train"], 10**6]), id="unknown-id"),
     pytest.param(lambda spec: dict(spec, seed="x"), id="string-seed"),
+    pytest.param(lambda spec: dict(spec, provenance={"x": [1]}), id="non-string-provenance"),
 ])
 def test_malformed_splits_file_exits_2(trained_dir, synth_dir, tmp_path, capsys, corrupt):
     """A split file whose ids are not JSON integers, or not labeled nodes,

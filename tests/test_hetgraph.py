@@ -166,6 +166,19 @@ def test_duplicate_node_id_rejected(toy_dir, tmp_path):
     assert "duplicate" in str(exc.value)
 
 
+@pytest.mark.parametrize("repeat", ["0\t0\n", "0\t1\n"], ids=["same-class", "other-class"])
+def test_label_listed_twice_names_line_and_id(toy_dir, tmp_path, repeat):
+    # a second label for node 0, equal to its first or not, used to load
+    # silently with the last one kept
+    bad = str(tmp_path / "bad")
+    shutil.copytree(toy_dir, bad)
+    with open(os.path.join(bad, "labels.tsv"), "a", encoding="utf-8") as fh:
+        fh.write(repeat)
+    with pytest.raises(LoadError) as exc:
+        load_graph(bad)
+    assert "labels.tsv:4: duplicate node id 0" in str(exc.value)
+
+
 def test_feature_width_mismatch_names_file_and_line(toy_dir, tmp_path):
     bad = str(tmp_path / "bad")
     shutil.copytree(toy_dir, bad)

@@ -60,8 +60,18 @@ def _within_tolerance(got: np.ndarray, want: np.ndarray, feats: np.ndarray) -> b
 
 
 def _dense_route(graph, nodes, mp) -> bool:
+    """The route rule from the adjacency lists: the frontier fits and its
+    cells times the distinct non-empty in-neighbour multisets of the last
+    hop's destinations are at most DENSE_COST times the last hop's walked
+    (row, node) pairs."""
     frontier = hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp)
-    return frontier is not None and 2 * np.count_nonzero(frontier) >= frontier.size
+    if frontier is None:
+        return False
+    adj = adjacency_lists(graph)
+    last = mp.relations[-1]
+    groups = {x for x in _in_multisets(adj, last, graph.num_nodes(mp.terminal_type)) if x}
+    pairs = sum(len(adj[last][col]) for _, col in zip(*np.nonzero(frontier)))
+    return frontier.size * len(groups) <= hetgraph.DENSE_COST * pairs
 
 
 @pytest.fixture()
@@ -93,56 +103,83 @@ def column_groups(monkeypatch):
     return calls
 
 
-# which metapaths of length <= 3 the dense route takes; any move between
-# routes must show up here
+# which metapaths of length <= 3 the dense route takes at the default
+# DENSE_COST; any move between routes must show up here
 DENSE_PATHS = {
-    ("toy", "default"): {"APA", "APV", "APAP", "APVP"},
+    ("toy", "default"): {"AP", "APA", "APV", "APAP", "APVP"},
     ("toy", "tiny"): {"APVP"},
-    ("synth", "default"): {"APTP"},
+    ("synth", "default"): {"APTP", "APVP"},
     ("synth", "tiny"): set(),
 }
 
 
 @pytest.mark.parametrize("which", ["toy", "synth"])
-def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_block, dense_calls):
+def test_pooled_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_block, dense_calls, monkeypatch):
     graph = toy_graph if which == "toy" else synth_graph
     target = graph.schema.target_type
     adj = adjacency_lists(graph)
     nodes = list(range(graph.num_nodes(target)))
-    for mp in enumerate_metapaths(graph.schema, 3):
-        feats = graph.features[mp.terminal_type]
-        for multiset in (False, True):
-            dense_calls.clear()
-            got = pooled_neighbor_features(graph, nodes, mp, multiset)
-            want = pooled_table(graph, adj, nodes, mp, multiset)
-            case = (mp.name, multiset)
-            assert (mp.name in DENSE_PATHS[which, reach_block]) == bool(dense_calls), case
-            if dense_calls:
-                assert _within_tolerance(got, want, feats), case
-            elif multiset:
-                ordered = pooled_table(graph, adj, nodes, mp, multiset, ordered=True)
-                assert _same_bytes(got, ordered), case
-                assert _within_tolerance(got, want, feats), case
-            else:
-                assert _same_bytes(got, want), case
+    paths = enumerate_metapaths(graph.schema, 3)
+    fits = {mp.name for mp in paths if hetgraph._frontier(graph, np.asarray(nodes), mp) is not None}
+    # DENSE_COST 0 walks every metapath, and 10**9 pools every one whose
+    # frontier fits densely, so both routes meet the oracle on each of those
+    for cost, dense in ((0, set()), (hetgraph.DENSE_COST, DENSE_PATHS[which, reach_block]), (10**9, fits)):
+        monkeypatch.setattr(hetgraph, "DENSE_COST", cost)
+        for mp in paths:
+            _assert_pooled_like_oracle(graph, adj, nodes, mp, mp.name in dense, dense_calls, cost)
+
+
+def _assert_pooled_like_oracle(graph, adj, nodes, mp, dense, dense_calls, cost):
+    feats = graph.features[mp.terminal_type]
+    for multiset in (False, True):
+        dense_calls.clear()
+        got = pooled_neighbor_features(graph, nodes, mp, multiset)
+        want = pooled_table(graph, adj, nodes, mp, multiset)
+        case = (cost, mp.name, multiset)
+        assert dense == bool(dense_calls), case
+        if dense_calls:
+            assert _within_tolerance(got, want, feats), case
+        elif multiset:
+            ordered = pooled_table(graph, adj, nodes, mp, multiset, ordered=True)
+            assert _same_bytes(got, ordered), case
+            assert _within_tolerance(got, want, feats), case
+        else:
+            assert _same_bytes(got, want), case
 
 
 def test_dense_route_takes_aptp_and_no_short_path(synth_graph):
     nodes = list(range(synth_graph.num_nodes("author")))
     paths = enumerate_metapaths(synth_graph.schema, 3)
     dense = {mp.name for mp in paths if _dense_route(synth_graph, nodes, mp)}
-    assert "APTP" in dense
+    assert dense == {"APTP", "APVP"}
     assert not dense & {mp.name for mp in paths if len(mp) <= 2}
+
+
+def test_dense_cost_sends_apap_dense_at_30_authors_and_walks_it_at_60(dense_calls):
+    # APAP's dense multiply-adds per walked pair are 26 at 30 authors and 101
+    # at 60 (seed 1), the two sides of DENSE_COST's measured boundary
+    for authors, dense in ((30, ["APAP"]), (60, [])):
+        graph, _ = generate(SynthSpec(authors=authors, seed=1))
+        mp = next(m for m in enumerate_metapaths(graph.schema, 3) if m.name == "APAP")
+        nodes = np.arange(authors)
+        dense_calls.clear()
+        got = pooled_neighbor_features(graph, nodes, mp)
+        assert dense_calls == dense and _dense_route(graph, nodes, mp) == bool(dense), authors
+        want = pooled_table(graph, adjacency_lists(graph), list(nodes), mp, False)
+        assert _within_tolerance(got, want, graph.features["paper"]), authors
 
 
 def test_dense_route_in_row_blocks_and_column_tiles_matches_oracle(synth_graph, monkeypatch, dense_calls):
     # APTPA over every other author: the frontier (60 authors x 1320 papers)
     # fills the block exactly, the earlier hops' walk splits into row
-    # blocks, and the (1320 papers x 120 authors) incidence into column tiles
+    # blocks, and the (1320 papers x 120 authors) incidence into column tiles;
+    # this frontier costs more than DENSE_COST times the walk, so the cost
+    # bound is lifted to take the dense route
     mp = next(m for m in enumerate_metapaths(synth_graph.schema, 4) if m.name == "APTPA")
     nodes = np.arange(0, synth_graph.num_nodes("author"), 2)
     papers = synth_graph.num_nodes("paper")
     monkeypatch.setattr(hetgraph, "REACH_BLOCK", nodes.size * papers)
+    monkeypatch.setattr(hetgraph, "DENSE_COST", 10**9)
     assert len(list(hetgraph._reach_blocks(synth_graph, nodes, mp.relations[:-1]))) > 1
     assert hetgraph.REACH_BLOCK < papers * synth_graph.num_nodes("author")
     adj = adjacency_lists(synth_graph)
@@ -227,24 +264,9 @@ def test_empty_query_and_empty_reach(toy_graph):
     assert pooled_neighbor_features(toy_graph, [], ap).shape == (0, 2)
 
 
-@pytest.fixture()
-def pooled_rows(monkeypatch):
-    """The number of rows that ``_pool_means`` averages, call by call."""
-    calls = []
-    pool_means = hetgraph._pool_means
-
-    def spy(padded, indptr, *args):
-        calls.append(indptr.shape[0] - 1)
-        return pool_means(padded, indptr, *args)
-
-    monkeypatch.setattr(hetgraph, "_pool_means", spy)
-    return calls
-
-
-def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, pooled_rows, dense_calls):
+def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, dense_calls):
     # authors 0 and 3 reach venues (0, 1) along 2 and 1 papers, author 1
-    # along 1 and 1, author 2 reaches venue 0 alone; venues 2-5 keep the
-    # (author x venue) frontier under half nonzero, so APVP is pooled sparse
+    # along 1 and 1, author 2 reaches venue 0 alone
     rng = np.random.default_rng(0)
     sizes = {"author": 4, "paper": 6, "venue": 6, "term": 1}
     features = {t: rng.normal(size=(n, 3)) for t, n in sizes.items()}
@@ -261,33 +283,15 @@ def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, 
     apvp = next(mp for mp in enumerate_metapaths(dblp_schema, 3) if mp.name == "APVP")
     adj = adjacency_lists(graph)
     nodes = [0, 1, 2, 3]
-    pooled_rows.clear()
+    feats = features["paper"]
     sets = pooled_neighbor_features(graph, nodes, apvp)
-    assert pooled_rows == [2]
-    assert _same_bytes(sets, pooled_table(graph, adj, nodes, apvp))
-    assert _same_bytes(sets[0], sets[1]) and _same_bytes(sets[0], sets[3])
-    pooled_rows.clear()
+    assert _within_tolerance(sets, pooled_table(graph, adj, nodes, apvp), feats)
+    assert _within_tolerance(sets[1], sets[0], feats) and _within_tolerance(sets[3], sets[0], feats)
     multisets = pooled_neighbor_features(graph, nodes, apvp, multiset=True)
-    assert pooled_rows == [3]
-    assert _same_bytes(multisets, pooled_table(graph, adj, nodes, apvp, multiset=True, ordered=True))
-    assert np.any(multisets[0] != multisets[1]) and _same_bytes(multisets[0], multisets[3])
-    assert dense_calls == []
-
-
-@pytest.mark.parametrize("multiset", [False, True])
-def test_apvp_pools_each_distinct_frontier_row_once(synth_graph, multiset, pooled_rows, dense_calls):
-    paths = {mp.name: mp for mp in enumerate_metapaths(synth_graph.schema, 3)}
-    apvp, apv = paths["APVP"], paths["APV"]
-    assert apv.relations == apvp.relations[:-1]
-    adj = adjacency_lists(synth_graph)
-    nodes = list(range(synth_graph.num_nodes("author")))
-    frontiers = [path_counts(adj, node, apv) for node in nodes]
-    distinct = {frozenset(f.items() if multiset else f) for f in frontiers}
-    assert len(distinct) < len(nodes) // 10
-    got = pooled_neighbor_features(synth_graph, nodes, apvp, multiset)
-    assert sum(pooled_rows) == len(distinct)
-    assert dense_calls == []
-    assert _same_bytes(got, pooled_table(synth_graph, adj, nodes, apvp, multiset, ordered=multiset))
+    assert _within_tolerance(multisets, pooled_table(graph, adj, nodes, apvp, multiset=True), feats)
+    assert not _within_tolerance(multisets[1], multisets[0], feats)
+    assert _within_tolerance(multisets[3], multisets[0], feats)
+    assert dense_calls == ["APVP", "APVP"]
 
 
 def _in_multisets(adj, relation: str, n_dst: int) -> list[tuple[int, ...]]:

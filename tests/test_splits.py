@@ -300,6 +300,16 @@ def test_split_spec_json_roundtrip(tmp_path):
     assert again.provenance == "degree" and again.seed == 9
 
 
+@pytest.mark.parametrize("provenance", [["x"], 1, None, {"x": [1]}], ids=["list", "int", "null", "object"])
+def test_split_file_with_non_string_provenance_exits_2(tmp_path, provenance):
+    path = tmp_path / "splits.json"
+    spec = {"train": [0, 1], "val": [2], "test": [3], "provenance": provenance}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        SplitSpec.from_json(str(path))
+    assert str(exc.value).startswith(f"{path}: split provenance must be a string")
+
+
 def test_split_spec_malformed_json_names_line_and_column(tmp_path):
     path = tmp_path / "splits.json"
     path.write_text('{"train": [0, 1],\n "val": [2,, 3]}\n', encoding="utf-8")

@@ -262,14 +262,12 @@ def test_prediction_does_not_depend_on_chunk_sizes(monkeypatch):
     graph, _ = _tiny_task(authors=60)
     builder, meta = train_mod.build_pipeline(graph, _fast_config())
     model = ScmModel(meta, seed=3)
-    # 41 rows at EVAL_BATCH 8 would leave a lone last row, and 41 at
-    # BUILD_BATCH 16 a build block that ends in one
+    # 41 rows at EVAL_BATCH 8 would leave a lone last row
     for count in (44, 41):
         nodes = graph.labeled_nodes()[:count]
         assert nodes.size == count
         whole = train_mod._predict_probabilities(model, builder, nodes)
         with monkeypatch.context() as m:
-            m.setattr(train_mod, "BUILD_BATCH", 16)
             m.setattr(train_mod, "EVAL_BATCH", 8)
             model.scm.decoder_calls = 0
             chunked = train_mod._predict_probabilities(model, builder, nodes)
