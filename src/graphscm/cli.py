@@ -119,9 +119,21 @@ def resolve_train_config(args) -> TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each checks or creates its output path before any work
+
+def _check_output_file(path: str) -> None:
+    """Raise ConfigError naming ``path`` when its directory is missing or it
+    is itself a directory, so that a file cannot be written there."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
 
 def cmd_stats(args) -> int:
+    if args.json:
+        _check_output_file(args.json)
     graph = load_graph(args.dataset)
     schema = graph.schema
     summary = {
@@ -147,14 +159,15 @@ def cmd_stats(args) -> int:
 def cmd_split(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    out_dir = args.out or args.dataset
     graph = load_graph(args.dataset)
     labeled = [int(i) for i in graph.labeled_nodes()]
     if args.kind == "iid":
         spec = iid_split(labeled, seed=args.seed)
     else:
         spec = ood_split(graph, args.kind, seed=args.seed, max_len=args.max_metapath_len)
-    out_dir = args.out or args.dataset
-    os.makedirs(out_dir, exist_ok=True)
     splits_path = os.path.join(out_dir, "splits.json")
     report_path = os.path.join(out_dir, "split-report.csv")
     spec.to_json(splits_path)
@@ -253,6 +266,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_output_file(args.out)
     model = load_checkpoint(args.checkpoint)
     graph = load_graph(args.dataset)
     splits = _load_splits(graph, args.dataset, args.splits)
@@ -298,8 +313,9 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         terms=args.terms,
     )
-    graph, truth = generate(spec)
+    spec.validate()
     os.makedirs(args.out, exist_ok=True)
+    graph, truth = generate(spec)
     write_dataset(graph, args.out)
     truth.to_json(os.path.join(args.out, "ground-truth.json"))
     splits = regime_split(truth)

@@ -323,10 +323,12 @@ def _pool_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, cou
 def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray | None:
     """The (rows, |src|) path counts from the query nodes over every hop of
     ``metapath`` but the last, src being the last hop's source type, or None
-    when it is empty or does not fit in REACH_BLOCK cells."""
+    when it is empty or does not fit in REACH_BLOCK cells, and for a path of
+    one hop, whose frontier would be the rows of an identity matrix: the
+    walk expands each row's own edges there, which the product never beats."""
     src = graph.schema.relation(metapath.relations[-1]).src
     cells = nodes.shape[0] * graph.num_nodes(src)
-    if not 0 < cells <= REACH_BLOCK:
+    if len(metapath) < 2 or not 0 < cells <= REACH_BLOCK:
         return None
     frontier = np.zeros((nodes.shape[0], graph.num_nodes(src)))
     for lo, _, rows, cols, counts in _reach_blocks(graph, nodes, metapath.relations[:-1]):
@@ -415,12 +417,13 @@ def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, gr
 # second. On the seed-1 synthetic graphs of 30-8000 authors that ratio is
 # 0.01-2.7 for APVP and 0.29-26 for APTP, whose walks take 25-60 times as long
 # as the dense route at 700-2000 authors; it is 101 for APAP at 60 authors and
-# 399 or more from 120 on, and 284 or more for every path of length 2 or less
-# whose frontier fits. 64 lies between the two groups; at 30 authors APAP's
-# ratio is 26, so it goes dense there. A mostly-zero frontier walks far
-# faster (APAP at 700 authors: 40 ms walked, 156 ms dense). At 60 and 120
-# authors APAP pools faster dense, but in a few ms either way, and the walk's
-# set means are exact where dense ones are within 1e-12 * max(1, max|F|).
+# 399 or more from 120 on, and 284 or more for every path of length 2 whose
+# frontier fits (a path of length 1 has none). 64 lies between the two
+# groups; at 30 authors APAP's ratio is 26, so it goes dense there. A
+# mostly-zero frontier walks far faster (APAP at 700 authors: 40 ms walked,
+# 156 ms dense). At 60 and 120 authors APAP pools faster dense, but in a few
+# ms either way, and the walk's set means are exact where dense ones are
+# within 1e-12 * max(1, max|F|).
 DENSE_COST = 64
 
 
@@ -450,9 +453,9 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     features in its own order, so dense means agree with the per-node mean
     to within 1e-12 * max(1, max|F|), not bit for bit.
 
-    Otherwise, and whenever the frontier does not fit, the walk pools every
-    hop from the query nodes (``_pool_means`` per ``metapath_reach``
-    block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
+    Otherwise, and whenever the frontier does not fit or the path has one
+    hop, the walk pools every hop from the query nodes (``_pool_means`` per
+    ``metapath_reach`` block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
     multiset means ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in ascending
     terminal id order.
     """

@@ -18,10 +18,11 @@ variable or per network). Their ops (``stacked_mlp``, ``block_affine``,
 same numpy call the unstacked 2-D op makes on it, so a stacked network
 computes the same bits as its per-slice counterpart while recording one
 tape entry per call. ``stacked_mlp`` runs a whole ReLU perceptron as
-one entry, with the numpy calls of its per-layer chain. ``pair_mix`` is
-the exception: it records one entry too, but sums over causes as matrix
-products, within 1e-12 * max(1, max|x|) of the per-pair chain it replaces
-rather than bit for bit.
+one entry, with the numpy calls of its per-layer chain. ``dag_mix``, the
+structural assignment's sum over causes, also records one entry: a
+product of the DAG matrix with every slice at once, so its sums round as
+BLAS orders them, within 1e-12 * max(1, max|x|) of a cause-by-cause chain
+of scaled adds rather than bit for bit.
 
 A gradient closure hands ``_accumulate`` an array that no other tensor holds:
 ops that pass their incoming gradient on (or a view of it) copy it first.
@@ -422,81 +423,42 @@ def take(x: Tensor, index) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def pair_mix(effects: Tensor, weight: Tensor, bias: Tensor, dag: Tensor) -> Tensor:
-    """Weighted sums of pairwise affine maps, one per target variable k:
+def dag_mix(effects: Tensor, dag: Tensor) -> Tensor:
+    """The causes of each target variable k, weighted by the DAG:
 
-        out[k] = sum_{i != k} (E_i W[i, s(i, k)] + b[i, s(i, k)]) * A[i, k]
+        out[k] = sum_{i != k} A[i, k] * E_i
 
-    over the causes i = 0 .. c - 1, where s(i, k) = k - (k > i) is the slot
-    of the pair map (i -> k). ``effects`` is (c, B, D), ``weight``
-    (n, n - 1, D, D), ``bias`` (n, n - 1, D) and ``dag`` (n, n). With c = n
-    every variable is a target; with c = n - 1 the one target is the label,
-    the last variable, fed from slot n - 2 of each cause. Either way the
-    weights and biases read are a block, read in place.
-
-    The products E_i W run as one stacked matmul. The sums over causes are
-    small matrix products with ``mix`` (cells x outputs), which holds
-    A[i, k] in the output column of cell (i, k) and zero elsewhere; the
-    biases are summed apart from the products. So the output and the
-    gradients of ``effects``, ``bias`` and ``dag`` round differently from a
-    chain of per-pair affine maps, within 1e-12 of it relative to the
-    largest entry; the weight gradient keeps that chain's bits, because it
-    is E_i^T (A[i, k] g_k) with the same product A[i, k] g_k.
-
-    The products E_i W are dropped once the output is formed, not kept for
-    the backward: it runs cause by cause, and reads the gradient of A[i, k]
-    as the sum of E_i * (g_k W^T), from the product g_k W^T that the
-    gradient of E_i needs anyway.
+    over the causes i = 0 .. c - 1. ``effects`` is (c, B, D) and ``dag``
+    (n, n). With c = n every variable is a target, and the diagonal of A is
+    read as zero; with c = n - 1 the one target is the label, the last
+    variable, weighted by the column A[:n - 1, n - 1]. Either way the
+    output is one product of (the used part of) A^T with the effects
+    flattened to (c, B * D), and the backward is two: A g for the effects
+    and E g^T for A. The diagonal of A takes no gradient.
     """
-    n = dag.shape[0]
-    c = effects.shape[0]
-    if weight.shape[:2] != (n, n - 1) or bias.shape != weight.shape[:3]:
-        raise DimensionError(f"pair_mix: weight {weight.shape} and bias {bias.shape} do not fit {n} variables")
-    if effects.ndim != 3 or c not in (n, n - 1) or effects.shape[2] != weight.shape[2]:
-        raise DimensionError(f"pair_mix: effects {effects.shape} do not fit weight {weight.shape}")
-    # cell (i, j) is cause i's pair map cells[1][j] into variable targets[i, j],
-    # which it feeds through output row feeds[i, j]
+    if dag.ndim != 2 or dag.shape[0] != dag.shape[1]:
+        raise DimensionError(f"dag_mix needs a square DAG matrix, got {dag.shape}")
+    n, c = dag.shape[0], effects.shape[0]
+    if effects.ndim != 3 or c not in (n, n - 1):
+        raise DimensionError(f"dag_mix: effects {effects.shape} do not fit {n} variables")
     if c == n:
-        cells = (slice(0, n), slice(0, n - 1))
-        slots = np.arange(n - 1)
-        targets = feeds = slots + (slots >= np.arange(n)[:, None])
+        index = None
+        mix = dag.data.copy()
+        np.fill_diagonal(mix, 0.0)
     else:
-        cells = (slice(0, n - 1), slice(n - 2, n - 1))
-        targets, feeds = np.full((c, 1), n - 1), np.zeros((c, 1), dtype=np.int64)
-    E = effects.data
-    W, b = weight.data[cells], bias.data[cells]
-    dag_cells = (np.arange(c)[:, None], targets)
-    a = dag.data[dag_cells]
-    out_index = (np.arange(a.size), feeds.reshape(-1))
-    mix = np.zeros((a.size, n if c == n else 1))
-    mix[out_index] = a.reshape(-1)
-    pre = np.matmul(E[:, None], W).reshape(a.size, -1)
-    out = (mix.T @ pre).reshape((mix.shape[1],) + E.shape[1:])
-    del pre
-    flat_b = b.reshape(a.size, -1)
-    out += (mix.T @ flat_b)[:, None, :]
+        index = (slice(0, n - 1), slice(n - 1, n))
+        mix = dag.data[index]
+    E = effects.data.reshape(c, -1)
+    out = (mix.T @ E).reshape((mix.shape[1],) + effects.shape[1:])
 
     def backward(g: np.ndarray) -> None:
-        gsum = g.sum(axis=1)
-        dE, dW, dA = np.empty(E.shape), np.empty(W.shape), np.empty(a.shape)
-        gr, q = np.empty((2, W.shape[1]) + g.shape[1:])  # one cause's (cells, B, D) scratch
-        for r in range(len(E)):  # cause by cause, so that one cause's cells stay in cache
-            np.take(g, feeds[r], axis=0, out=gr, mode="clip")  # in range by construction
-            np.matmul(gr, W[r].transpose(0, 2, 1), out=q)
-            flat_q = q.reshape(len(q), -1)
-            np.matmul(a[r], flat_q, out=dE[r].reshape(-1))
-            np.matmul(flat_q, E[r].reshape(-1), out=dA[r])
-            gr *= a[r][:, None, None]
-            np.matmul(E[r].T, gr, out=dW[r])
-        dA += (flat_b @ gsum.T)[out_index].reshape(a.shape)
-        grads = (
-            (effects, None, dE),
-            (weight, cells, dW),
-            (bias, cells, (mix @ gsum).reshape(b.shape)),
-            (dag, dag_cells, dA),
-        )
-        for t, index, d in grads:
-            if t.requires_grad:  # the cells may cover part of t
-                _accumulate(t, d if d.shape == t.shape else _scatter(t, index, d))
+        flat_g = g.reshape(g.shape[0], -1)
+        if effects.requires_grad:
+            _accumulate(effects, (mix @ flat_g).reshape(effects.shape))
+        if dag.requires_grad:
+            da = E @ flat_g.T
+            if index is None:
+                np.fill_diagonal(da, 0.0)
+            _accumulate(dag, _scatter(dag, index, da))
 
-    return _record(Tensor(out), (effects, weight, bias, dag), backward)
+    return _record(Tensor(out), (effects, dag), backward)

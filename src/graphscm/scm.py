@@ -4,14 +4,16 @@ A trainable matrix ``A`` holds one weight per ordered variable pair,
 A[i, k] being the strength of "variable i directly causes variable k".
 Each variable k is reconstructed from the others as
 
-    h_hat_k = Decoder_k( sum_{i != k} A[i, k] * Pair_ik( Effect_i(h_i) ) )
+    h_hat_k = Decoder_k( sum_{i != k} A[i, k] * Effect_i(h_i) )
 
-where Effect_i is a two-layer ReLU perceptron shared across every target of i,
-Pair_ik is an independent affine map per ordered pair, and Decoder_k is a
-three-layer ReLU perceptron. The diagonal of A is pinned to zero (a variable is
+where Effect_i is a two-layer ReLU perceptron shared across every target of i
+and Decoder_k is a three-layer ReLU perceptron, one network per target over
+its A-weighted causes as in NOTEARS-MLP (Zheng et al. 2020) and GraN-DAG
+(Lachapelle et al. 2020). The diagonal of A is pinned to zero (a variable is
 never its own cause) and the i = k term is skipped structurally. The n
-effect networks, the n(n - 1) pair maps and the n decoders are each stacked
-along a leading axis and run by the stacked ops of ``numcore``.
+effect networks and the n decoders are each stacked along a leading axis
+and run by the stacked ops of ``numcore``; ``dag_mix`` forms every
+target's weighted sum of causes as one product with A.
 
 Training encodes and reconstructs all n variables. Label prediction encodes
 the n - 1 variables before the label, reconstructs only the label variable
@@ -34,7 +36,7 @@ import numpy as np
 
 from .encoders import Encoders
 from .errors import ContractError, DimensionError, LoadError, is_json_int, read_json
-from .numcore import Linear, StackedMlp, Tensor, add, kaiming_uniform, pair_mix, relu, softmax, take
+from .numcore import Linear, StackedMlp, Tensor, add, dag_mix, relu, softmax, take
 from .rng import substream
 
 DAG_INIT_MAGNITUDE = 0.4
@@ -72,11 +74,9 @@ class ScmParameters:
     """DAG matrix plus all assignment networks for ``n_vars`` variables.
 
     Each kind of network is stacked along a leading axis: ``effect`` slice i
-    is Effect_i, ``decoder`` slice k is Decoder_k, and ``pair_weight`` /
-    ``pair_bias`` of shape (n, n - 1, D, D) / (n, n - 1, D) hold cause i's
-    n - 1 pair maps in slot s, the map into target k = s + (s >= i), where D
-    is the common ``width`` of every variable and of every hidden layer. With
-    no ``rng`` nothing is drawn and every tensor starts at zero.
+    is Effect_i and ``decoder`` slice k is Decoder_k, each ``width`` wide in
+    every layer, as every variable is. With no ``rng`` nothing is drawn and
+    every tensor starts at zero.
     """
 
     def __init__(self, n_vars: int, width: int, num_classes: int, rng: np.random.Generator | None):
@@ -84,18 +84,17 @@ class ScmParameters:
             raise ContractError("an SCM needs at least two variables")
         n = self.n_vars = n_vars
         self.width = width
-        # initial weights are drawn network by network: effects, pair maps
-        # (cause-major, targets ascending), decoders, the label shortcut
+        # initial weights are drawn network by network: effects, decoders, the
+        # label shortcut
         if rng is None:
             self.dag = Tensor(np.zeros((n, n)), requires_grad=True, name="dag.A")
         else:
             self.dag = init_dag(n, rng)
         self.effect = StackedMlp(n, width, 2, rng, "scm.effect")
-        pair = np.zeros((n, n - 1, width, width))
-        for i, s in np.ndindex(n, n - 1) if rng is not None else []:
-            pair[i, s] = kaiming_uniform(rng, width, width)
-        self.pair_weight = Tensor(pair, requires_grad=True, name="scm.pair.W")
-        self.pair_bias = Tensor(np.zeros((n, n - 1, width)), requires_grad=True, name="scm.pair.b")
+        if rng is not None:
+            # the draws of the n(n - 1) per-pair D x D maps the model once had,
+            # taken and dropped so that every later tensor keeps its initial values
+            rng.uniform(size=n * (n - 1) * width * width)
         self.decoder = StackedMlp(n, width, 3, rng, "scm.decoder")
         self.inv1 = Linear(width, width, rng, "scm.inv1")
         self.inv2 = Linear(width, num_classes, rng, "scm.inv2")
@@ -105,7 +104,6 @@ class ScmParameters:
         return (
             [self.dag]
             + self.effect.parameters()
-            + [self.pair_weight, self.pair_bias]
             + self.decoder.parameters()
             + self.inv1.parameters()
             + self.inv2.parameters()
@@ -131,7 +129,7 @@ def reconstruct(vars: Tensor, params: ScmParameters) -> Tensor:
         )
     label = count == n - 1
     effects = params.effect(vars, slice(0, n - 1) if label else None)
-    mixed = pair_mix(effects, params.pair_weight, params.pair_bias, params.dag)
+    mixed = dag_mix(effects, params.dag)
     params.decoder_calls += mixed.shape[0]
     return params.decoder(mixed, slice(n - 1, n) if label else None)
 
@@ -243,7 +241,7 @@ class ScmModel:
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 TENSOR_DTYPE = "<f8"  # every tensor's data: base64 of its row-major little-endian float64 bytes
 
 

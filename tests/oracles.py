@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (loops, enumeration, truncated
 series) and shares no code with the implementations under test, except
-that the per-pair structural assignment is built from numcore's 2-D tape
-ops (matmul, add, mul, and ``index_scalar`` here) rather than the stacked
-ones it checks, and the cell-by-cell ``pair_mix``, the ``bmm`` chain of
+that the per-network structural assignment is built from numcore's 2-D
+tape ops (matmul, add, mul, and ``index_scalar`` here) rather than the
+stacked ones it checks, and the two pair-map mixes, the ``bmm`` chain of
 ``stacked_mlp`` and the ``frobenius_sq`` chain of ``sq_error`` record on
 numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
 gradient checks. ``dense_pool_columns`` reads the graph's CSR and tiles by
@@ -283,15 +283,15 @@ def degree_table(graph, adj, relations) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-pair structural assignment: the layout the stacked SCM replaced, one
-# tensor per network layer and per ordered pair, run through 2-D tape ops
+# per-network structural assignment: the layout the stacked SCM replaced,
+# one tensor per network layer, run through 2-D tape ops, with one scalar
+# product per ordered pair
 
 class PairwiseScm:
     """Per-network copies of a stacked ``ScmParameters``' weights.
 
-    Every layer and pair map is its own tensor, cut from a slice of the
-    stacked weights; the DAG matrix is copied and the label shortcut is
-    shared.
+    Every layer is its own tensor, cut from a slice of the stacked weights;
+    the DAG matrix is copied and the label shortcut is shared.
     """
 
     def __init__(self, params):
@@ -309,15 +309,6 @@ class PairwiseScm:
         n = self.n_vars = params.n_vars
         self.dag = leaf(params.dag.data, "dag.A")
         self.effect = [cut(params.effect, i, "effect") for i in range(n)]
-        self.pair = {}
-        for i in range(n):
-            for k in range(n):
-                if i != k:
-                    s = k - (k > i)
-                    self.pair[(i, k)] = (
-                        leaf(params.pair_weight.data[i, s], f"pair.{i}.{k}.W"),
-                        leaf(params.pair_bias.data[i, s], f"pair.{i}.{k}.b"),
-                    )
         self.decoder = [cut(params.decoder, k, "decoder") for k in range(n)]
         self.decoder_calls = 0
 
@@ -336,11 +327,6 @@ class PairwiseScm:
                     lw, lb = layers[l]
                     gw[j], gb[j] = grad(lw), grad(lb)
                 out[w.name], out[b.name] = gw, gb
-        gw, gb = np.zeros(params.pair_weight.shape), np.zeros(params.pair_bias.shape)
-        for (i, k), (w, b) in self.pair.items():
-            s = k - (k > i)
-            gw[i, s], gb[i, s] = grad(w), grad(b)
-        out["scm.pair.W"], out["scm.pair.b"] = gw, gb
         return out
 
 
@@ -372,8 +358,8 @@ def index_scalar(x, i: int, j: int):
 
 def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None):
     """Reconstruct variable k from every other variable, weighted by A[:, k],
-    one affine map and one scalar product per cause."""
-    from graphscm.numcore import add, matmul, mul
+    one scalar product per cause."""
+    from graphscm.numcore import add, mul
 
     n = params.n_vars
     if _effects is None:
@@ -386,8 +372,7 @@ def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None)
     for i in range(n):
         if i == k:
             continue
-        w, b = params.pair[(i, k)]
-        weighted = mul(add(matmul(_effects[i], w), b), index_scalar(params.dag, i, k))
+        weighted = mul(_effects[i], index_scalar(params.dag, i, k))
         acc = weighted if acc is None else add(acc, weighted)
     params.decoder_calls += 1
     return _mlp_forward(params.decoder[k], acc)
@@ -405,13 +390,57 @@ def reconstruct_all(variables, params: PairwiseScm):
     ]
 
 
+def initial_tensors_with_pair_maps(meta, seed: int) -> dict[str, np.ndarray]:
+    """The initial tensors of ``ScmModel(meta, seed)`` while the model had a
+    D x D affine map per ordered variable pair, ``scm.pair.W`` (n, n - 1, D,
+    D) with ``scm.pair.b``. Replayed from the "init" substream in that
+    model's draw order: the encoders (ego, label, then each metapath), the
+    DAG's signs, each effect network layer by layer, each pair map cause by
+    cause with its targets ascending, each decoder layer by layer, then the
+    label shortcut. Every weight is a Kaiming-uniform draw and every bias
+    zero."""
+    from graphscm.rng import substream
+
+    rng = substream(seed, "init")
+
+    def kaiming(fan_in, fan_out):
+        bound = np.sqrt(6.0 / fan_in)
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    n, width = len(meta.variable_names), meta.hidden_dim
+    in_dims = [meta.target_dim, *meta.terminal_dims, meta.num_classes]
+    offsets = np.concatenate([[0], np.cumsum(in_dims)])
+    enc = np.zeros((offsets[-1], width))
+    for j in [0, n - 1, *range(1, n - 1)]:
+        enc[offsets[j]:offsets[j + 1]] = kaiming(in_dims[j], width)
+    out = {"enc.W": enc, "enc.b": np.zeros((n, width))}
+    out["dag.A"] = 0.4 * np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+    np.fill_diagonal(out["dag.A"], 0.0)
+
+    def stacked(name, count, layers):
+        weights = np.array([[kaiming(width, width) for _ in range(layers)] for _ in range(count)])
+        for l in range(layers):
+            out[f"{name}.{l}.W"], out[f"{name}.{l}.b"] = weights[:, l], np.zeros((count, width))
+
+    stacked("scm.effect", n, 2)
+    out["scm.pair.W"] = np.array([[kaiming(width, width) for _ in range(n - 1)] for _ in range(n)])
+    out["scm.pair.b"] = np.zeros((n, n - 1, width))
+    stacked("scm.decoder", n, 3)
+    out["scm.inv1.W"], out["scm.inv1.b"] = kaiming(width, width), np.zeros(width)
+    out["scm.inv2.W"], out["scm.inv2.b"] = kaiming(width, meta.num_classes), np.zeros(meta.num_classes)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# ``pair_mix`` cell by cell: the op before its sums over causes became
-# products with a mixing matrix. Same tape contract, plus a ``targets``
-# argument (every variable, or any one of them) where ``pair_mix`` reads
-# every variable or the label from the number of causes; every output row
-# is a Python-ordered sum of its cells, bit-identical to a chain of
-# per-pair ``matmul``/``add``/``mul`` records.
+# the structural assignment's mix with a D x D affine map per ordered pair
+# (i -> k), as the model had it before ``numcore.dag_mix`` mixed the causes
+# through A alone. ``pair_mix`` formed its sums over causes as products with
+# a mixing matrix; ``pair_mix_cells`` is the op before that, with the same
+# tape contract plus a ``targets`` argument (every variable, or any one of
+# them) where ``pair_mix`` reads every variable or the label from the
+# number of causes: every output row is a Python-ordered sum of its cells,
+# bit-identical to a chain of per-pair ``matmul``/``add``/``mul`` records.
+# At identity maps and zero biases both are ``dag_mix``.
 
 def _cell_grid(n: int, causes: int, targets: tuple):
     """(rows, causes, targets, cells, feeds) of a ``pair_mix`` call: row r is
@@ -471,6 +500,89 @@ def pair_mix_cells(effects, weight, bias, dag, targets):
                 full = np.zeros(t.shape)
                 full[index] = d
                 _accumulate(t, full)
+
+    return _record(Tensor(out), (effects, weight, bias, dag), backward)
+
+
+def pair_mix(effects, weight, bias, dag):
+    """Weighted sums of pairwise affine maps, one per target variable k:
+
+        out[k] = sum_{i != k} (E_i W[i, s(i, k)] + b[i, s(i, k)]) * A[i, k]
+
+    over the causes i = 0 .. c - 1, where s(i, k) = k - (k > i) is the slot
+    of the pair map (i -> k). ``effects`` is (c, B, D), ``weight``
+    (n, n - 1, D, D), ``bias`` (n, n - 1, D) and ``dag`` (n, n). With c = n
+    every variable is a target; with c = n - 1 the one target is the label,
+    the last variable, fed from slot n - 2 of each cause. Either way the
+    weights and biases read are a block, read in place.
+
+    The products E_i W run as one stacked matmul. The sums over causes are
+    small matrix products with ``mix`` (cells x outputs), which holds
+    A[i, k] in the output column of cell (i, k) and zero elsewhere; the
+    biases are summed apart from the products. So the output and the
+    gradients of ``effects``, ``bias`` and ``dag`` round differently from a
+    chain of per-pair affine maps, within 1e-12 of it relative to the
+    largest entry; the weight gradient keeps that chain's bits, because it
+    is E_i^T (A[i, k] g_k) with the same product A[i, k] g_k.
+
+    The products E_i W are dropped once the output is formed, not kept for
+    the backward: it runs cause by cause, and reads the gradient of A[i, k]
+    as the sum of E_i * (g_k W^T), from the product g_k W^T that the
+    gradient of E_i needs anyway.
+    """
+    from graphscm.errors import DimensionError
+    from graphscm.numcore.tensor import Tensor, _accumulate, _record, _scatter
+
+    n = dag.shape[0]
+    c = effects.shape[0]
+    if weight.shape[:2] != (n, n - 1) or bias.shape != weight.shape[:3]:
+        raise DimensionError(f"pair_mix: weight {weight.shape} and bias {bias.shape} do not fit {n} variables")
+    if effects.ndim != 3 or c not in (n, n - 1) or effects.shape[2] != weight.shape[2]:
+        raise DimensionError(f"pair_mix: effects {effects.shape} do not fit weight {weight.shape}")
+    # cell (i, j) is cause i's pair map cells[1][j] into variable targets[i, j],
+    # which it feeds through output row feeds[i, j]
+    if c == n:
+        cells = (slice(0, n), slice(0, n - 1))
+        slots = np.arange(n - 1)
+        targets = feeds = slots + (slots >= np.arange(n)[:, None])
+    else:
+        cells = (slice(0, n - 1), slice(n - 2, n - 1))
+        targets, feeds = np.full((c, 1), n - 1), np.zeros((c, 1), dtype=np.int64)
+    E = effects.data
+    W, b = weight.data[cells], bias.data[cells]
+    dag_cells = (np.arange(c)[:, None], targets)
+    a = dag.data[dag_cells]
+    out_index = (np.arange(a.size), feeds.reshape(-1))
+    mix = np.zeros((a.size, n if c == n else 1))
+    mix[out_index] = a.reshape(-1)
+    pre = np.matmul(E[:, None], W).reshape(a.size, -1)
+    out = (mix.T @ pre).reshape((mix.shape[1],) + E.shape[1:])
+    del pre
+    flat_b = b.reshape(a.size, -1)
+    out += (mix.T @ flat_b)[:, None, :]
+
+    def backward(g: np.ndarray) -> None:
+        gsum = g.sum(axis=1)
+        dE, dW, dA = np.empty(E.shape), np.empty(W.shape), np.empty(a.shape)
+        gr, q = np.empty((2, W.shape[1]) + g.shape[1:])  # one cause's (cells, B, D) scratch
+        for r in range(len(E)):  # cause by cause, so that one cause's cells stay in cache
+            np.take(g, feeds[r], axis=0, out=gr, mode="clip")  # in range by construction
+            np.matmul(gr, W[r].transpose(0, 2, 1), out=q)
+            flat_q = q.reshape(len(q), -1)
+            np.matmul(a[r], flat_q, out=dE[r].reshape(-1))
+            np.matmul(flat_q, E[r].reshape(-1), out=dA[r])
+            gr *= a[r][:, None, None]
+            np.matmul(E[r].T, gr, out=dW[r])
+        dA += (flat_b @ gsum.T)[out_index].reshape(a.shape)
+        grads = (
+            (effects, None, dE),
+            (weight, cells, dW),
+            (bias, cells, (mix @ gsum).reshape(b.shape)),
+            (dag, dag_cells, dA),
+        )
+        for t, index, d in grads:
+            if t.requires_grad:  # the cells may cover part of t
+                _accumulate(t, d if d.shape == t.shape else _scatter(t, index, d))
 
     return _record(Tensor(out), (effects, weight, bias, dag), backward)
 

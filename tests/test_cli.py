@@ -112,6 +112,38 @@ def test_output_path_that_cannot_be_created_exits_2(synth_dir, tmp_path, capsys,
     assert str(tmp_path / "missing" / "x.json" if command == "stats" else taken) in err
 
 
+@pytest.mark.parametrize("command", ["stats", "split", "synth", "eval"])
+@pytest.mark.parametrize("bad", ["missing-directory", "taken"])
+def test_output_path_is_checked_before_any_work(synth_dir, trained_dir, tmp_path, capsys, monkeypatch, command, bad):
+    """``stats --json``, ``split --out``, ``synth --out`` and ``eval --out``
+    exit 2 naming the path before they load or generate anything, and print
+    nothing on stdout: they used to print the whole table, compute the split
+    or generate the graph first."""
+    import graphscm.cli as cli_mod
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command did its work before checking its output path")
+
+    for name in ("load_graph", "load_checkpoint", "generate", "iid_split"):
+        monkeypatch.setattr(cli_mod, name, work)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    if command in ("split", "synth"):  # directories: a file in the way, or one under it
+        path = taken if bad == "taken" else taken / "d"
+    else:  # files: a missing parent directory, or a directory in the way
+        path = tmp_path / "missing" / "x.json" if bad == "missing-directory" else tmp_path
+    args = {
+        "stats": ["stats", synth_dir, "--json", path],
+        "split": ["split", synth_dir, "--kind", "iid", "--out", path],
+        "synth": ["synth", "--out", path, "--authors", 20],
+        "eval": ["eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"), "--out", path],
+    }[command]
+    assert run_cli(*args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--seed", "-1"], "seed"),
     (["--noise", "nan"], "noise"),
@@ -593,15 +625,23 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     assert "edge removal exhausted" in err and "Traceback" not in err, err
 
 
-def _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version):
+def _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version, command="eval"):
     """Rewrite the trained checkpoint in the format of ``version`` and check
-    that eval exits 2 naming that version, with no traceback."""
+    that ``command`` (eval or explain) exits 2 naming the file and that
+    version, with no traceback."""
     with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    assert payload["version"] == 7
+    assert payload["version"] == 8
     payload["version"] = version
     meta = payload["meta"]
-    meta["activation"] = "relu"
+    n, width = len(meta["variable_names"]), meta["hidden_dim"]
+    for name, shape in (("scm.pair.W", (n, n - 1, width, width)), ("scm.pair.b", (n, n - 1, width))):
+        payload["tensors"][name] = {
+            "shape": list(shape), "dtype": "<f8",
+            "data": base64.b64encode(np.zeros(shape).tobytes()).decode("ascii"),
+        }
+    if version < 7:
+        meta["activation"] = "relu"
     if version < 6:
         meta["mlp_hidden"], meta["exclude_self"], meta["forward_only"] = meta["hidden_dim"], False, False
     if version < 5:
@@ -612,9 +652,10 @@ def _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version):
     old = str(tmp_path / f"v{version}.json")
     with open(old, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
-    assert run_cli("eval", synth_dir, "--checkpoint", old) == 2
+    args = {"eval": ["eval", synth_dir], "explain": ["explain", "--out", str(tmp_path / "diagram")]}[command]
+    assert run_cli(*args, "--checkpoint", old) == 2
     err = capsys.readouterr().err
-    assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err, err
+    assert f"{old}: unsupported checkpoint version {version}" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("version", [2, 3, 4, 5])
@@ -630,6 +671,15 @@ def test_version_6_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys)
     """Version 6 checkpoints carried ``activation`` in their meta; they exit
     2 with no traceback."""
     _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, 6)
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_version_7_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys, command):
+    """Version 7 checkpoints held a D x D map per ordered variable pair,
+    ``scm.pair.W`` and ``scm.pair.b``; eval and explain exit 2 naming the
+    file, with no traceback, and explain writes no diagram."""
+    _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, 7, command)
+    assert not (tmp_path / "diagram").exists()
 
 
 def _boolean_id(spec: dict) -> dict:

@@ -1,8 +1,8 @@
-"""The stacked SCM layer against the per-pair oracle it replaced.
+"""The stacked SCM layer against the per-network oracle it replaced.
 
 Outputs and every parameter and input gradient must agree within
-1e-12 * max(1, max|oracle|): ``pair_mix`` sums over causes as matrix
-products, which round differently from the oracle's chain of scaled adds.
+1e-12 * max(1, max|oracle|): ``dag_mix`` sums over causes as one matrix
+product, which rounds differently from the oracle's chain of scaled adds.
 """
 
 import numpy as np
@@ -113,5 +113,5 @@ def test_tape_records_and_tensor_count_do_not_grow_with_variables():
         records.add(len(tape))
         tensors.add(len(params.parameters()))
     assert len(records) == 1 and len(tensors) == 1, (records, tensors)
-    # one each for the effect networks, pair_mix and the decoders
+    # one each for the effect networks, dag_mix and the decoders
     assert records == {3}, records

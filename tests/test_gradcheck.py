@@ -7,12 +7,12 @@ from graphscm.numcore import (
     add,
     block_affine,
     clamp_min,
+    dag_mix,
     expm_trace,
     finite_diff_check,
     log,
     matmul,
     mul,
-    pair_mix,
     relu,
     scale,
     softmax,
@@ -25,7 +25,7 @@ from graphscm.numcore import (
     finite_diff_check as fdc,
 )
 
-from oracles import frobenius_sq
+from oracles import frobenius_sq, pair_mix
 
 
 def test_sum_of_squares_near_exact():
@@ -82,8 +82,9 @@ def test_stacked_ops_match_finite_differences():
     """stacked_mlp (one layer, with a zero and a drawn bias; two layers, and
     three on a slice of the networks), block_affine, take (a column run, a
     leading run, and a basic index of ints and slices), frobenius_sq of a
-    stacked tensor and pair_mix, each with respect to every differentiable
-    input; pair_mix also at n = 2 and with a nonzero DAG diagonal."""
+    stacked tensor and the pair-map mix of the oracles, each with respect to
+    every differentiable input; pair_mix also at n = 2 and with a nonzero
+    DAG diagonal."""
     rng = np.random.default_rng(29)
 
     def const(*shape):
@@ -186,3 +187,26 @@ def test_stacked_ops_match_finite_differences():
         for name, f in cases:
             err = fdc(f, Tensor(own.normal(size=shape)), eps=1e-3)
             assert err <= 1e-6, f"sq_error {shape} {name} gradient error {err}"
+
+
+def test_dag_mix_matches_finite_differences():
+    """dag_mix with respect to the effects and to A, every target (n = 2 and
+    4) and the label alone (from the n - 1 causes before it, n = 2 and 5),
+    on a DAG whose diagonal is nonzero: the diagonal is not read and takes
+    no gradient. Inputs come from a generator of their own. The squared sum
+    is quadratic in each input, so central differences carry no truncation
+    error and the wider step only shrinks their rounding."""
+    own = np.random.default_rng(43)
+    d = 3
+    for n, causes in ((2, 2), (4, 4), (2, 1), (5, 4)):
+        effects, dag = own.normal(size=(causes, 2, d)), own.normal(size=(n, n))
+        np.fill_diagonal(dag, 1.5)
+        hollow = dag * (1.0 - np.eye(n))
+        assert np.array_equal(dag_mix(Tensor(effects), Tensor(dag)).data, dag_mix(Tensor(effects), Tensor(hollow)).data)
+        cases = [
+            ("effects", effects.shape, lambda t, dag=dag: frobenius_sq(dag_mix(t, Tensor(dag)))),
+            ("dag", dag.shape, lambda t, effects=effects: frobenius_sq(dag_mix(Tensor(effects), t))),
+        ]
+        for name, shape, f in cases:
+            err = fdc(f, Tensor(own.normal(size=shape)), eps=1e-3)
+            assert err <= 1e-6, f"dag_mix n={n} causes={causes} {name} gradient error {err}"

@@ -106,7 +106,7 @@ def column_groups(monkeypatch):
 # which metapaths of length <= 3 the dense route takes at the default
 # DENSE_COST; any move between routes must show up here
 DENSE_PATHS = {
-    ("toy", "default"): {"AP", "APA", "APV", "APAP", "APVP"},
+    ("toy", "default"): {"APA", "APV", "APAP", "APVP"},
     ("toy", "tiny"): {"APVP"},
     ("synth", "default"): {"APTP", "APVP"},
     ("synth", "tiny"): set(),
@@ -145,6 +145,24 @@ def _assert_pooled_like_oracle(graph, adj, nodes, mp, dense, dense_calls, cost):
             assert _within_tolerance(got, want, feats), case
         else:
             assert _same_bytes(got, want), case
+
+
+@pytest.mark.parametrize("which", ["toy", "synth"])
+def test_one_hop_paths_walk_without_a_frontier_or_groups(which, toy_graph, synth_graph, dense_calls, column_groups, monkeypatch):
+    """A path of one hop builds no (rows x rows) identity frontier and groups
+    no columns, whatever the cost bound; it walks, bit-identical to the
+    per-node oracle."""
+    graph = toy_graph if which == "toy" else synth_graph
+    nodes = list(range(graph.num_nodes(graph.schema.target_type)))
+    adj = adjacency_lists(graph)
+    monkeypatch.setattr(hetgraph, "DENSE_COST", 10**9)
+    for mp in enumerate_metapaths(graph.schema, 1):
+        assert hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp) is None
+        for multiset in (False, True):
+            got = pooled_neighbor_features(graph, nodes, mp, multiset)
+            want = pooled_table(graph, adj, nodes, mp, multiset, ordered=multiset)
+            assert _same_bytes(got, want), (mp.name, multiset)
+    assert dense_calls == [] and column_groups == []
 
 
 def test_dense_route_takes_aptp_and_no_short_path(synth_graph):

@@ -51,9 +51,7 @@ def sa_oracle(params: ScmParameters, vars_data, k):
             if i == k:
                 continue
             e = _mlp_oracle(params.effect, i, vars_data[i][b])
-            s = k - (k > i)
-            p = e @ params.pair_weight.data[i, s] + params.pair_bias.data[i, s]
-            total = total + params.dag.data[i, k] * p
+            total = total + params.dag.data[i, k] * e
         rows.append(_mlp_oracle(params.decoder, k, total))
     return np.stack(rows)
 
@@ -256,6 +254,19 @@ def test_model_init_deterministic(toy_graph):
         assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("n, width, seed", [(3, 4, 1), (6, 8, 3), (9, 5, 0)])
+def test_initial_tensors_are_those_drawn_with_pair_maps(n, width, seed):
+    """The per-pair maps are gone, but their draws are still taken from the
+    stream, so every tensor the model keeps starts bit for bit where it did
+    when the model drew them."""
+    meta = ModelMeta([f"v{i}" for i in range(n)], 3, width, 2, False, "author", 4, [2 + i for i in range(n - 2)])
+    want = oracles.initial_tensors_with_pair_maps(meta, seed)
+    got = ScmModel(meta, seed=seed).state_snapshot()
+    assert sorted(set(want) - set(got)) == ["scm.pair.W", "scm.pair.b"] and set(got) <= set(want)
+    for name, array in got.items():
+        assert array.shape == want[name].shape and array.tobytes() == want[name].tobytes(), name
+
+
 def test_checkpoint_roundtrip(toy_graph, tmp_path):
     model, builder = _toy_model(toy_graph, seed=1)
     path = str(tmp_path / "model.json")
@@ -386,7 +397,7 @@ def test_load_checkpoint_draws_no_initial_weights(toy_graph, tmp_path, monkeypat
     def draw(*args, **kwargs):
         raise AssertionError("load_checkpoint drew an initial weight")
 
-    for module in (graphscm.encoders, graphscm.numcore.layers, graphscm.scm):
+    for module in (graphscm.encoders, graphscm.numcore.layers):
         monkeypatch.setattr(module, "kaiming_uniform", draw)
     monkeypatch.setattr(graphscm.scm, "init_dag", draw)
     again = load_checkpoint(path).named_parameters()

@@ -4,11 +4,11 @@ oracle they replaced.
 One training forward pass (encode, reconstruct every variable, the
 reconstruction loss and the label cross-entropy) runs twice: through the
 stacked ``Encoders``, ``reconstruct_all`` and ``loss_rec``, and through
-per-variable affine encoders, the per-pair SCM and a per-variable loss loop
+per-variable affine encoders, the per-network SCM and a per-variable loss loop
 cut from the same weights. The loss, the reconstructions and every
 parameter gradient must agree within 1e-12 * max(1, max|oracle|), one-row
-batches included: the stacked SCM's ``pair_mix`` sums over causes as matrix
-products, which round differently from the per-pair chain.
+batches included: the stacked SCM's ``dag_mix`` sums over causes as one
+matrix product, which rounds differently from a cause-by-cause chain.
 """
 
 import numpy as np

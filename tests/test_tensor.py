@@ -6,9 +6,9 @@ from graphscm.numcore import (
     Tape,
     Tensor,
     add,
+    dag_mix,
     matmul,
     mul,
-    pair_mix,
     relu,
     scale,
     softmax,
@@ -18,7 +18,16 @@ from graphscm.numcore import (
     sum_all,
 )
 
-from oracles import close, frobenius_sq, index_scalar, matmul_loops, pair_mix_cells, sq_error_chain, stacked_mlp_chain
+from oracles import (
+    close,
+    frobenius_sq,
+    index_scalar,
+    matmul_loops,
+    pair_mix,
+    pair_mix_cells,
+    sq_error_chain,
+    stacked_mlp_chain,
+)
 
 
 def test_matmul_identity():
@@ -192,6 +201,44 @@ def test_pair_mix_matches_cell_by_cell_oracle(n, batch, which):
     for part, a, b in zip(("out", "effects", "weight", "bias", "dag"), got, want):
         assert close(a, b), part
     assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+@pytest.mark.parametrize("batch", [1, 7, 128])
+@pytest.mark.parametrize("which", ["all", "label"])
+def test_dag_mix_is_the_cell_by_cell_pair_mix_at_identity_maps(n, batch, which):
+    """Output and the effects and DAG gradients within 1e-12 * max(1,
+    max|oracle|) of the per-cell pair-map op with every map the identity
+    and every bias zero, in one tape record. "label" is the label from the
+    n - 1 causes before it. The DAG's diagonal is nonzero here; it is read
+    as zero and takes no gradient."""
+    targets = [n - 1] if which == "label" else list(range(n))
+    causes = n - 1 if which == "label" else n
+    d = 5
+    rng = np.random.default_rng(100 * n + batch + 7)
+    effects, dag = rng.normal(size=(causes, batch, d)), rng.normal(size=(n, n))
+    upstream = rng.normal(size=(len(targets), batch, d))
+    identity = np.broadcast_to(np.eye(d), (n, n - 1, d, d)).copy()
+    want = _pair_mix_run(
+        lambda e, w, b, a: pair_mix_cells(e, w, b, a, targets),
+        [effects, identity, np.zeros((n, n - 1, d)), dag],
+        upstream,
+    )
+    got = _pair_mix_run(dag_mix, [effects, dag], upstream)
+    for part, a, b in zip(("out", "effects", "dag"), got, [want[0], want[1], want[4]]):
+        assert close(a, b), part
+    assert not np.diagonal(got[2]).any()
+    with Tape() as tape:
+        dag_mix(Tensor(effects, requires_grad=True), Tensor(dag))
+    assert len(tape) == 1
+
+
+def test_dag_mix_rejects_shapes_that_do_not_fit():
+    with pytest.raises(DimensionError, match="square"):
+        dag_mix(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((3, 4))))
+    for causes in (1, 4):
+        with pytest.raises(DimensionError, match="do not fit 3 variables"):
+            dag_mix(Tensor(np.zeros((causes, 2, 4))), Tensor(np.zeros((3, 3))))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
