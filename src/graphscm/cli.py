@@ -159,6 +159,8 @@ def cmd_stats(args) -> int:
 def cmd_split(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
+    if args.max_metapath_len < 1:
+        raise ConfigError(f"--max-metapath-len must be at least 1, got {args.max_metapath_len}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     out_dir = args.out or args.dataset
@@ -168,10 +170,12 @@ def cmd_split(args) -> int:
         spec = iid_split(labeled, seed=args.seed)
     else:
         spec = ood_split(graph, args.kind, seed=args.seed, max_len=args.max_metapath_len)
+    # the report can still fail (no round-trip metapath, say): write neither file before it exists
+    report = split_report(graph, spec, max_len=args.max_metapath_len)
     splits_path = os.path.join(out_dir, "splits.json")
     report_path = os.path.join(out_dir, "split-report.csv")
     spec.to_json(splits_path)
-    write_report_csv(split_report(graph, spec, max_len=args.max_metapath_len), report_path)
+    write_report_csv(report, report_path)
     print(f"splits: {splits_path}")
     print(f"report: {report_path}")
     print(

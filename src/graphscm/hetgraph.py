@@ -278,48 +278,6 @@ def _walk(hops, lo, hi, rows, cols, counts):
         yield from _walk(hops[1:], lo + a, lo + b, key // n_dst, key % n_dst, paths)
 
 
-def _pool_means(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, counts=None) -> np.ndarray:
-    """Mean of ``padded[idx]`` over each row's index set (weighted by ``counts``), zero if empty.
-
-    ``padded`` is the feature matrix plus one trailing zero row. Each set is
-    laid out along axis 0 of a (steps, rows, D) gather in ascending index
-    order, padded at the end with the zero row, and numpy sums along that
-    axis one row after another, so set means are bit-identical to
-    ``feats[idx].mean(axis=0)``. Counts (0 on padding) scale the gather in
-    place, and the weighted sums are divided by ``sum(w)``, exact below 2**53.
-    Rows go longest set first, in tiles whose sets are longer than half the
-    tile's longest, so padding at most doubles the work; a tile gathers at
-    most REACH_BLOCK values unless one set alone is larger. A row's mean
-    does not depend on the rows that share its tile: they only add zero
-    padding after its last term. Gathers use ``np.take``, which copies the
-    same bytes as fancy indexing several times faster.
-    """
-    zero = padded.shape[0] - 1
-    lens = np.diff(indptr)
-    out = np.zeros((lens.shape[0], padded.shape[1]))
-    order = np.argsort(-lens, kind="stable")
-    neg_sorted = -lens[order]
-    i, nonempty = 0, int(np.count_nonzero(lens))
-    while i < nonempty:
-        top = int(-neg_sorted[i])
-        j = int(np.searchsorted(neg_sorted, -(top // 2), side="left"))
-        j = min(j, i + max(1, REACH_BLOCK // (top * padded.shape[1])))
-        rows = order[i:j]
-        steps = np.arange(top)[:, None]
-        pos = np.minimum(indptr[rows] + steps, indices.shape[0] - 1)
-        valid = steps < lens[rows]
-        gathered = np.take(padded, np.where(valid, np.take(indices, pos), zero), axis=0)
-        sizes = lens[rows]
-        if counts is not None:
-            w = np.where(valid, np.take(counts, pos), 0.0)
-            gathered *= w[:, :, None]
-            sizes = w.sum(axis=0)
-        out[rows] = gathered.sum(axis=0) / sizes[:, None]
-        del gathered  # one tile's gather alive at a time
-        i = j
-    return out
-
-
 def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray | None:
     """The (rows, |src|) path counts from the query nodes over every hop of
     ``metapath`` but the last, src being the last hop's source type, or None
@@ -454,10 +412,17 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     to within 1e-12 * max(1, max|F|), not bit for bit.
 
     Otherwise, and whenever the frontier does not fit or the path has one
-    hop, the walk pools every hop from the query nodes (``_pool_means`` per
-    ``metapath_reach`` block): set means bit-identical to ``feats[sorted pool].mean(axis=0)``,
-    multiset means ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in ascending
-    terminal id order.
+    hop, the walk pools every hop from the query nodes and reduces each
+    ``metapath_reach`` block over its sorted rows with ``np.bincount``: one
+    for the pool sizes (the path-count sums for a multiset), then one per
+    feature column, of that column taken at the block's terminals (times the
+    counts for a multiset), so that no more than one column of the block's
+    pairs is held at once. bincount adds each row's terms from +0.0 in
+    ascending terminal id order. Set means are bit-identical to
+    ``feats[sorted pool].mean(axis=0)`` up to the sign of a sum whose terms
+    are all -0.0, which is +0.0 here; multiset means are
+    ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in that order. Empty pools
+    give zero rows.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     frontier = _frontier(graph, nodes, metapath)
@@ -469,11 +434,17 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
         if madds <= DENSE_COST * pairs:
             return _dense_pool(graph, metapath, frontier, grouping, multiset)
     feats = graph.features[metapath.terminal_type]
-    padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
+    columns = np.ascontiguousarray(feats.T)
     out = np.zeros((nodes.shape[0], feats.shape[1]))
     for lo, hi, rows, indices, counts in _reach_blocks(graph, nodes, metapath.relations):
-        indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
-        out[lo:hi] = _pool_means(padded, indptr, indices, counts if multiset else None)
+        sizes = np.bincount(rows, weights=counts if multiset else None, minlength=hi - lo)[:, None]
+        sums = np.empty((feats.shape[1], hi - lo))
+        for c, column in enumerate(columns):  # one column of the block's pairs at a time
+            terms = np.take(column, indices)
+            if multiset:
+                terms *= counts
+            sums[c] = np.bincount(rows, weights=terms, minlength=hi - lo)
+        np.divide(sums.T, sizes, out=out[lo:hi], where=sizes > 0)
     return out
 
 

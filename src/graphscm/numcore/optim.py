@@ -11,7 +11,6 @@ import numpy as np
 from ..errors import ConfigError, DimensionError
 from .tensor import Tensor
 
-_CHUNK = 32768  # elements per elementwise pass: 256 KB per float64 operand
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays and denominator floor
 
 
@@ -42,7 +41,6 @@ class AdamW:
         self.v = [np.zeros(p.shape) for p in self.params]
         no_decay = set(no_decay)
         self.decay = [0.0 if p.name in no_decay else weight_decay for p in self.params]
-        self._x, self._y = np.empty(_CHUNK), np.empty(_CHUNK)  # per-chunk scratch
 
     def step(self) -> None:
         """One update of every parameter, the decoupled-decay form of Adam
@@ -58,10 +56,9 @@ class AdamW:
         the parameters agree with it to within 1e-12 relative to their
         largest entry, with one division per element instead of three.
 
-        Each new moment and value is a fresh array, written in chunks of
-        ``_CHUNK`` elements so that every elementwise pass reads operands
-        that are still in cache. No array that a caller may hold (a
-        parameter's data or gradient, or an earlier moment) is written."""
+        Each new moment and value is a fresh array, formed by whole-array
+        passes. No array that a caller may hold (a parameter's data or
+        gradient, or an earlier moment) is written."""
         self.step_count += 1
         t = self.step_count
         b1, b2 = BETA1, BETA2
@@ -75,23 +72,14 @@ class AdamW:
                     f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
                 )
             keep = 1.0 - self.lr * self.decay[i]
-            m, v, new = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
-            flat = [a.reshape(-1) for a in (g, self.m[i], self.v[i], p.data, m, v, new)]
-            for lo in range(0, g.size, _CHUNK):
-                gc, mc, vc, pc, mo, vo, po = (a[lo : lo + _CHUNK] for a in flat)
-                x, y = self._x[: gc.size], self._y[: gc.size]
-                np.multiply(mc, b1, out=mo)
-                np.multiply(gc, 1.0 - b1, out=x)
-                mo += x
-                np.multiply(vc, b2, out=vo)
-                np.multiply(gc, gc, out=x)
-                x *= 1.0 - b2
-                vo += x
-                np.sqrt(vo, out=y)
-                y += eps_t
-                np.divide(mo, y, out=x)
-                x *= lr_t
-                np.multiply(pc, keep, out=po)
-                po -= x
+            # out= keeps a 0-d result an array, where an operator would return a scalar
+            m = np.multiply(self.m[i], b1, out=np.empty(p.shape))
+            m += g * (1.0 - b1)
+            v = np.multiply(self.v[i], b2, out=np.empty(p.shape))
+            v += g * g * (1.0 - b2)
+            step = m / (np.sqrt(v) + eps_t)
+            step *= lr_t
+            new = np.multiply(p.data, keep, out=np.empty(p.shape))
+            new -= step
             self.m[i], self.v[i] = m, v
             p.data = new

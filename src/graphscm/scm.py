@@ -326,4 +326,6 @@ def load_checkpoint(path: str) -> ScmModel:
         raise LoadError(f"{path}: tensor names do not match (missing {missing}, extra {extra})")
     for name, p in params.items():
         p.data = _decode_tensor(path, name, tensors[name], p.data.shape)
+    if np.diagonal(params["dag.A"].data).any():  # training pins it to zero; dag_mix would not read it
+        raise LoadError(f"{path}: tensor 'dag.A' has a nonzero diagonal (a variable cannot cause itself)")
     return model

@@ -8,7 +8,8 @@ stacked ones it checks, and the two pair-map mixes, the ``bmm`` chain of
 ``stacked_mlp`` and the ``frobenius_sq`` chain of ``sq_error`` record on
 numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
 gradient checks. ``dense_pool_columns`` reads the graph's CSR and tiles by
-``hetgraph.REACH_BLOCK``.
+``hetgraph.REACH_BLOCK``; ``pooled_walk_tiles`` reduces the blocks of
+``hetgraph._reach_blocks`` and tiles by it too.
 """
 
 from __future__ import annotations
@@ -219,6 +220,59 @@ def dense_pool_columns(graph, metapath, frontier: np.ndarray, multiset: bool) ->
         sums += counts @ weighted[c0:c1]
     sizes = sums[:, -1:]
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
+
+
+def pooled_walk_tiles(graph, nodes, metapath, multiset=False) -> np.ndarray:
+    """The walk route of ``hetgraph.pooled_neighbor_features`` as it was:
+    each ``_reach_blocks`` block reduced by ``pool_means_padded``."""
+    from graphscm import hetgraph
+
+    feats = graph.features[metapath.terminal_type]
+    padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
+    nodes = np.asarray(nodes, dtype=np.int64)
+    out = np.zeros((nodes.shape[0], feats.shape[1]))
+    for lo, hi, rows, indices, counts in hetgraph._reach_blocks(graph, nodes, metapath.relations):
+        indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
+        out[lo:hi] = pool_means_padded(padded, indptr, indices, counts if multiset else None)
+    return out
+
+
+def pool_means_padded(padded: np.ndarray, indptr: np.ndarray, indices: np.ndarray, counts=None) -> np.ndarray:
+    """Mean of ``padded[idx]`` over each row's index set (weighted by ``counts``), zero if empty.
+
+    ``padded`` is the feature matrix plus one trailing zero row. Each set is
+    laid out along axis 0 of a (steps, rows, D) gather in ascending index
+    order, padded at the end with the zero row, and numpy sums along that
+    axis one row after another. Counts (0 on padding) scale the gather in
+    place, and the weighted sums are divided by ``sum(w)``. Rows go longest
+    set first, in tiles whose sets are longer than half the tile's longest;
+    a tile gathers at most REACH_BLOCK values unless one set alone is larger.
+    """
+    from graphscm import hetgraph
+
+    zero = padded.shape[0] - 1
+    lens = np.diff(indptr)
+    out = np.zeros((lens.shape[0], padded.shape[1]))
+    order = np.argsort(-lens, kind="stable")
+    neg_sorted = -lens[order]
+    i, nonempty = 0, int(np.count_nonzero(lens))
+    while i < nonempty:
+        top = int(-neg_sorted[i])
+        j = int(np.searchsorted(neg_sorted, -(top // 2), side="left"))
+        j = min(j, i + max(1, hetgraph.REACH_BLOCK // (top * padded.shape[1])))
+        rows = order[i:j]
+        steps = np.arange(top)[:, None]
+        pos = np.minimum(indptr[rows] + steps, indices.shape[0] - 1)
+        valid = steps < lens[rows]
+        gathered = np.take(padded, np.where(valid, np.take(indices, pos), zero), axis=0)
+        sizes = lens[rows]
+        if counts is not None:
+            w = np.where(valid, np.take(counts, pos), 0.0)
+            gathered *= w[:, :, None]
+            sizes = w.sum(axis=0)
+        out[rows] = gathered.sum(axis=0) / sizes[:, None]
+        i = j
+    return out
 
 
 def write_dataset_lines(graph, out_dir: str) -> None:
@@ -630,8 +684,8 @@ def stacked_mlp_chain(x, weights, biases, rows=None):
 
 # ---------------------------------------------------------------------------
 # AdamW over whole arrays, with the bias corrections applied to the moments:
-# the update before it ran in cache-sized chunks with the corrections folded
-# into the step size
+# the update before they were folded into the step size; and the folded
+# update in cache-sized chunks, as ``AdamW.step`` ran before whole-array passes
 
 def adamw_step_whole(opt) -> None:
     """One step of ``opt`` (a ``numcore.AdamW``), each parameter updated by
@@ -651,6 +705,44 @@ def adamw_step_whole(opt) -> None:
         m_hat = opt.m[i] / bc1
         v_hat = opt.v[i] / bc2
         p.data = p.data - opt.lr * (m_hat / (np.sqrt(v_hat) + EPS) + opt.decay[i] * p.data)
+
+
+def adamw_step_chunked(opt, chunk: int = 32768) -> None:
+    """``AdamW.step`` as it was: the same folded update, each parameter
+    walked in pieces of ``chunk`` elements through two scratch buffers."""
+    from graphscm.numcore.optim import BETA1, BETA2, EPS
+
+    opt.step_count += 1
+    t = opt.step_count
+    b1, b2 = BETA1, BETA2
+    root_bc2 = math.sqrt(1.0 - b2 ** t)
+    lr_t = opt.lr * root_bc2 / (1.0 - b1 ** t)
+    eps_t = EPS * root_bc2
+    scratch_x, scratch_y = np.empty(chunk), np.empty(chunk)
+    for i, p in enumerate(opt.params):
+        g = np.zeros(p.shape) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
+        assert g.shape == p.data.shape
+        keep = 1.0 - opt.lr * opt.decay[i]
+        m, v, new = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
+        flat = [a.reshape(-1) for a in (g, opt.m[i], opt.v[i], p.data, m, v, new)]
+        for lo in range(0, g.size, chunk):
+            gc, mc, vc, pc, mo, vo, po = (a[lo : lo + chunk] for a in flat)
+            x, y = scratch_x[: gc.size], scratch_y[: gc.size]
+            np.multiply(mc, b1, out=mo)
+            np.multiply(gc, 1.0 - b1, out=x)
+            mo += x
+            np.multiply(vc, b2, out=vo)
+            np.multiply(gc, gc, out=x)
+            x *= 1.0 - b2
+            vo += x
+            np.sqrt(vo, out=y)
+            y += eps_t
+            np.divide(mo, y, out=x)
+            x *= lr_t
+            np.multiply(pc, keep, out=po)
+            po -= x
+        opt.m[i], opt.v[i] = m, v
+        p.data = new
 
 
 # ---------------------------------------------------------------------------

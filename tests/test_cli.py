@@ -93,6 +93,41 @@ def test_split_negative_seed_exits_2(synth_dir, tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["iid", "homophily", "degree", "feature"])
+def test_split_length_below_1_exits_2_before_loading(synth_dir, tmp_path, capsys, monkeypatch, kind):
+    import graphscm.cli as cli_mod
+
+    def work(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before --max-metapath-len was checked")
+
+    monkeypatch.setattr(cli_mod, "load_graph", work)
+    out = tmp_path / "s"
+    for length in (0, -1):
+        assert run_cli("split", synth_dir, "--kind", kind, "--max-metapath-len", length, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--max-metapath-len must be at least 1" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["iid", "homophily", "degree", "feature"])
+def test_failed_split_leaves_the_dataset_splits_alone(synth_dir, tmp_path, capsys, kind):
+    """A split whose report fails (length 1 admits no round-trip metapath
+    for the homophily report) or whose length is rejected exits 2 and writes
+    neither file: the dataset's splits.json keeps its bytes. The split used
+    to be written before the report ran."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    before = (data / "splits.json").read_bytes()
+    for length in (0, 1):
+        assert run_cli("split", data, "--kind", kind, "--max-metapath-len", length) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert (data / "splits.json").read_bytes() == before, length
+        assert not (data / "split-report.csv").exists(), length
+
+
 @pytest.mark.parametrize("command", ["stats", "train", "split", "synth"])
 def test_output_path_that_cannot_be_created_exits_2(synth_dir, tmp_path, capsys, command):
     """A missing parent directory of ``stats --json``, or an existing file
@@ -679,6 +714,32 @@ def test_version_7_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys,
     ``scm.pair.W`` and ``scm.pair.b``; eval and explain exit 2 naming the
     file, with no traceback, and explain writes no diagram."""
     _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, 7, command)
+    assert not (tmp_path / "diagram").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_checkpoint_with_nonzero_dag_diagonal_rejected(trained_dir, synth_dir, tmp_path, capsys, command):
+    """A ``dag.A`` with a nonzero diagonal exits 2 naming the file and the
+    tensor, and explain writes no diagram: eval used to score it as if the
+    diagonal were zero, and explain to fail without naming the file."""
+    from graphscm.scm import load_checkpoint
+
+    original = os.path.join(trained_dir, "checkpoint.json")
+    with open(original, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    entry = payload["tensors"]["dag.A"]
+    a = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"]).copy()
+    assert not np.diagonal(a).any()
+    load_checkpoint(original)  # the trained file, with its zero diagonal, loads
+    a[1, 1] = 0.25
+    entry["data"] = base64.b64encode(a.tobytes()).decode("ascii")
+    bad = str(tmp_path / "diag.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    args = {"eval": ["eval", synth_dir], "explain": ["explain", "--out", tmp_path / "diagram"]}[command]
+    assert run_cli(*args, "--checkpoint", bad) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: tensor 'dag.A' has a nonzero diagonal" in err and "Traceback" not in err, err
     assert not (tmp_path / "diagram").exists()
 
 

@@ -4,7 +4,6 @@ import pytest
 import oracles
 from graphscm.errors import ConfigError, DimensionError
 from graphscm.numcore import AdamW, Tape, Tensor
-from graphscm.numcore.optim import _CHUNK
 from graphscm.scm import ScmModel
 from graphscm.train import TrainConfig, build_pipeline
 
@@ -92,7 +91,9 @@ def test_step_counter_strictly_increases():
 
 def _oracle_params():
     rng = np.random.default_rng(11)
-    shapes = [(_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 5,), (), (3, 4), (7,)]
+    # the old step's 32768-element chunk edges on both sides, a 0-d
+    # parameter, a missing gradient (p5) and a parameter without decay (p6)
+    shapes = [(32767,), (32768,), (32769,), (65541,), (), (3, 4), (7,)]
     return [Tensor(rng.normal(size=s), requires_grad=True, name=f"p{j}") for j, s in enumerate(shapes)]
 
 
@@ -114,9 +115,7 @@ def _run_against_oracle(got, want, steps):
     assert opts[0].step_count == opts[1].step_count == steps
 
 
-def test_chunked_step_matches_whole_array_oracle():
-    # chunk edges on both sides, a 0-d parameter, a missing gradient
-    # (p5) and a parameter without decay (p6)
+def test_step_matches_bias_corrected_oracle():
     _run_against_oracle(_oracle_params(), _oracle_params(), 3)
 
 
@@ -124,6 +123,23 @@ def test_folded_step_matches_oracle_as_bias_corrections_fade():
     # bc1 and bc2 go from 0.1 and 0.001 to 1 and 0.865, so a wrong folded
     # step size or eps drifts out of the bound over the run
     _run_against_oracle(_oracle_params()[4:], _oracle_params()[4:], 2000)
+
+
+def test_step_is_bit_identical_to_chunked_oracle():
+    """The whole-array passes keep every bit of the cache-chunked step they
+    replaced: parameters and both moments, fresh 0-d arrays included."""
+    got, want = _oracle_params(), _oracle_params()
+    opts = [AdamW(ps, lr=0.01, weight_decay=0.1, no_decay=["p6"]) for ps in (got, want)]
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        for a, b in zip(got, want):
+            a.grad = b.grad = None if a.name == "p5" else rng.normal(size=a.shape)
+        opts[0].step()
+        oracles.adamw_step_chunked(opts[1])
+        for j, p in enumerate(got):
+            for a, b in ((p.data, want[j].data), (opts[0].m[j], opts[1].m[j]), (opts[0].v[j], opts[1].v[j])):
+                assert isinstance(a, np.ndarray) and a.shape == b.shape, p.name
+                assert a.tobytes() == b.tobytes(), p.name
 
 
 def test_step_writes_no_array_it_does_not_own(toy_graph):

@@ -31,6 +31,7 @@ from oracles import (
     homophily_table,
     path_counts,
     pooled_table,
+    pooled_walk_tiles,
 )
 
 
@@ -231,7 +232,7 @@ def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls
 def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block, monkeypatch, dense_calls):
     # an extra author with no papers reaches nothing; the query rows are an
     # unordered, non-contiguous subset of the authors; a 128-cell block cuts
-    # the walk into row groups and each group's gather into several row tiles
+    # the walk into many row groups
     if block is not None:
         monkeypatch.setattr(hetgraph, "REACH_BLOCK", block)
     extra = np.full((1, synth_graph.feature_dim("author")), 0.5)
@@ -245,6 +246,44 @@ def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block
         assert _same_bytes(got, pooled_table(graph, adj, nodes, mp, True, ordered=True))
         assert not got[empty].any()
     assert dense_calls == []
+
+
+@pytest.mark.parametrize("which", ["toy", "synth"])
+def test_walk_bincounts_byte_equal_to_padded_tiles(which, toy_graph, synth_graph, reach_block, monkeypatch):
+    """The walk's per-column bincounts keep every bit of the padded
+    (steps, rows, D) tiles they replaced, set and multiset, on every
+    metapath up to length 3: over all target nodes, and over an unordered
+    subset with repeats that puts a node without edges (an empty pool) first,
+    last and between."""
+    graph = toy_graph if which == "toy" else synth_graph
+    n = graph.num_nodes(graph.schema.target_type)
+    extra = np.full((1, graph.feature_dim("author")), 0.5)
+    features = dict(graph.features, author=np.vstack([graph.features["author"], extra]))
+    graph = HeteroGraph(graph.schema, features, graph.edges, np.append(graph.labels, UNLABELED))
+    subset = [n, *range(n - 1, 0, -3), n, 1, 0, 1, n]
+    monkeypatch.setattr(hetgraph, "DENSE_COST", 0)  # every metapath walks
+    for nodes in (list(range(n + 1)), subset):
+        for mp in enumerate_metapaths(graph.schema, 3):
+            for multiset in (False, True):
+                got = pooled_neighbor_features(graph, nodes, mp, multiset)
+                assert _same_bytes(got, pooled_walk_tiles(graph, nodes, mp, multiset)), (mp.name, multiset)
+                if mp.relations[0] == "write":
+                    assert not got[[i for i, x in enumerate(nodes) if x == n]].any()
+
+
+def test_walk_set_sums_start_at_positive_zero(toy_graph):
+    """A pool whose terms are all -0.0 sums to +0.0, as bincount starts
+    from +0.0 (numpy's own reductions keep -0.0 or not by version); every
+    other set mean keeps the bits of feats[sorted pool].mean(axis=0)."""
+    features = dict(toy_graph.features, paper=toy_graph.features["paper"].copy())
+    features["paper"][:, 0] = -0.0
+    graph = HeteroGraph(toy_graph.schema, features, toy_graph.edges, toy_graph.labels)
+    ap = enumerate_metapaths(graph.schema, 1)[0]
+    nodes = list(range(graph.num_nodes("author")))
+    got = pooled_neighbor_features(graph, nodes, ap)
+    want = pooled_table(graph, adjacency_lists(graph), nodes, ap)
+    assert not np.signbit(got[:, 0]).any() and not want[:, 0].any()
+    assert _same_bytes(got[:, 1:], want[:, 1:])
 
 
 def test_reach_counts_match_path_counts(synth_graph, reach_block):
