@@ -170,7 +170,7 @@ def cmd_split(args) -> int:
         spec = iid_split(labeled, seed=args.seed)
     else:
         spec = ood_split(graph, args.kind, seed=args.seed, max_len=args.max_metapath_len)
-    # the report can still fail (no round-trip metapath, say): write neither file before it exists
+    # the report can still fail (features of zero variance, say): write neither file before it exists
     report = split_report(graph, spec, max_len=args.max_metapath_len)
     splits_path = os.path.join(out_dir, "splits.json")
     report_path = os.path.join(out_dir, "split-report.csv")

@@ -50,8 +50,8 @@ class Encoders:
         draw_order = [0, n - 1] + list(range(1, n - 1)) if rng is not None else []
         for j in draw_order:
             weight[self.rows(j)] = kaiming_uniform(rng, self.in_dims[j], hidden_dim)
-        self.weight = Tensor(weight, requires_grad=True, name="enc.W")
-        self.bias = Tensor(np.zeros((n, hidden_dim)), requires_grad=True, name="enc.b")
+        self.weight = Tensor(weight, name="enc.W")
+        self.bias = Tensor(np.zeros((n, hidden_dim)), name="enc.b")
 
     def rows(self, j: int) -> slice:
         """The rows of ``enc.W`` that hold slot j's weights."""

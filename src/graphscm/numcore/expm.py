@@ -52,7 +52,6 @@ def expm_trace(a: Tensor) -> Tensor:
     out = Tensor(np.trace(e))
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g * (e.T * (2.0 * a.data)))
+        _accumulate(a, g * (e.T * (2.0 * a.data)))
 
-    return _record(out, (a,), backward)
+    return _record(out, backward)

@@ -19,8 +19,6 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    was_requiring = x.requires_grad
-    x.requires_grad = True
     x.grad = None
     try:
         with Tape() as tape:
@@ -48,5 +46,4 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-
         rel = np.abs(analytic - numeric) / denom
         return float(rel.max()) if rel.size else 0.0
     finally:
-        x.requires_grad = was_requiring
         x.grad = None

@@ -20,8 +20,8 @@ class Linear:
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, name: str):
         weight = np.zeros((in_dim, out_dim)) if rng is None else kaiming_uniform(rng, in_dim, out_dim)
-        self.weight = Tensor(weight, requires_grad=True, name=f"{name}.W")
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.b")
+        self.weight = Tensor(weight, name=f"{name}.W")
+        self.bias = Tensor(np.zeros(out_dim), name=f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
@@ -53,11 +53,11 @@ class StackedMlp:
         if n_layers < 1:
             raise ConfigError("StackedMlp needs at least one layer")
         self.weights = [
-            Tensor(np.zeros((count, width, width)), requires_grad=True, name=f"{name}.{l}.W")
+            Tensor(np.zeros((count, width, width)), name=f"{name}.{l}.W")
             for l in range(n_layers)
         ]
         self.biases = [
-            Tensor(np.zeros((count, width)), requires_grad=True, name=f"{name}.{l}.b")
+            Tensor(np.zeros((count, width)), name=f"{name}.{l}.b")
             for l in range(n_layers)
         ]
         for j in range(count) if rng is not None else []:

@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A ``Tensor`` wraps a numpy array. While a ``Tape`` is active, every
-operation that involves a grad-requiring input appends a record (output
-reference plus a gradient closure) to the tape; ``Tape.backward`` replays
-the records in exact reverse order of recording, which is always a valid
-reverse topological order because inputs are recorded before the outputs
-that consume them.
+operation appends a record (output reference plus a gradient closure) to
+the tape, and its closure sends a gradient to every input, constants
+included; ``Tape.backward`` replays the records in exact reverse order of
+recording, which is always a valid reverse topological order because inputs
+are recorded before the outputs that consume them. With no tape active
+nothing is recorded and no gradient is kept.
 
 Broadcasting is deliberately restricted: apart from same-shape operands,
 only a 1-D row vector against a 2-D matrix (per-row bias) and a 0-d scalar
@@ -38,13 +39,12 @@ from ..errors import DimensionError, NumericError
 
 
 class Tensor:
-    """A float64 array with an optional gradient slot."""
+    """A float64 array with a gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, name: Optional[str] = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.name = name
 
@@ -63,7 +63,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}{tag})"
 
 
 class Tape:
@@ -95,7 +95,7 @@ class Tape:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every grad-requiring leaf."""
+        """Accumulate d(loss)/d(t) into every tensor t the loss was computed from."""
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not np.isfinite(loss.data):
@@ -115,10 +115,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+def _record(out: Tensor, backward_fn) -> Tensor:
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    if tape is not None:
         tape.record(out, backward_fn)
     return out
 
@@ -165,12 +164,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g).copy())
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, g).copy())
+        _accumulate(a, _reduce_to(a.shape, g).copy())
+        _accumulate(b, _reduce_to(b.shape, g).copy())
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -178,12 +175,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g).copy())
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, -g))
+        _accumulate(a, _reduce_to(a.shape, g).copy())
+        _accumulate(b, _reduce_to(b.shape, -g))
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -192,12 +187,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g * b.data))
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, g * a.data))
+        _accumulate(a, _reduce_to(a.shape, g * b.data))
+        _accumulate(b, _reduce_to(b.shape, g * a.data))
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -206,10 +199,9 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g * c)
+        _accumulate(a, g * c)
 
-    return _record(out, (a,), backward)
+    return _record(out, backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -220,12 +212,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +225,9 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * (x.data > 0.0))
+        _accumulate(x, g * (x.data > 0.0))
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -246,10 +235,9 @@ def log(x: Tensor) -> Tensor:
         out = Tensor(np.log(x.data))
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g / x.data)
+        _accumulate(x, g / x.data)
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
@@ -257,20 +245,18 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
     out = Tensor(np.maximum(x.data, floor))
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * (x.data > floor))
+        _accumulate(x, g * (x.data > floor))
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def square(x: Tensor) -> Tensor:
     out = Tensor(x.data * x.data)
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * 2.0 * x.data)
+        _accumulate(x, g * 2.0 * x.data)
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +272,19 @@ def softmax(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(x, y * (g - dot))
+        dot = (g * y).sum(axis=1, keepdims=True)
+        _accumulate(x, y * (g - dot))
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
+        _accumulate(x, np.broadcast_to(g, x.shape).copy())
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
@@ -325,12 +309,10 @@ def sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gd = g * c * 2.0 * d
-        if a.requires_grad:
-            _accumulate(a, gd)
-        if b.requires_grad:
-            _accumulate(b, -gd)
+        _accumulate(a, gd)
+        _accumulate(b, -gd)
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +349,15 @@ def stacked_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor], 
 
     def backward(g: np.ndarray) -> None:
         for l in range(len(Ws) - 1, -1, -1):
-            if weights[l].requires_grad:
-                _accumulate(weights[l], _scatter(weights[l], rows, np.matmul(hs[l].transpose(0, 2, 1), g)))
-            if biases[l].requires_grad:
-                _accumulate(biases[l], _scatter(biases[l], rows, g.sum(axis=1)))
+            _accumulate(weights[l], _scatter(weights[l], rows, np.matmul(hs[l].transpose(0, 2, 1), g)))
+            _accumulate(biases[l], _scatter(biases[l], rows, g.sum(axis=1)))
             if l:
                 g = np.matmul(g, Ws[l].transpose(0, 2, 1))
                 g *= hs[l] > 0.0
-            elif x.requires_grad:
+            else:
                 _accumulate(x, np.matmul(g, Ws[0].transpose(0, 2, 1)))
 
-    return _record(Tensor(out), (x, *weights, *biases), backward)
+    return _record(Tensor(out), backward)
 
 
 def block_affine(xs: Sequence[np.ndarray], w: Tensor, b: Tensor) -> Tensor:
@@ -401,15 +381,13 @@ def block_affine(xs: Sequence[np.ndarray], w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         g = np.ascontiguousarray(g)
-        if w.requires_grad:
-            gw = np.empty(w.shape)
-            for j, x in enumerate(xs):
-                gw[blocks[j]] = x.T @ g[j]
-            _accumulate(w, gw)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=1))
+        gw = np.empty(w.shape)
+        for j, x in enumerate(xs):
+            gw[blocks[j]] = x.T @ g[j]
+        _accumulate(w, gw)
+        _accumulate(b, g.sum(axis=1))
 
-    return _record(Tensor(out), (w, b), backward)
+    return _record(Tensor(out), backward)
 
 
 def take(x: Tensor, index) -> Tensor:
@@ -417,10 +395,9 @@ def take(x: Tensor, index) -> Tensor:
     out = Tensor(x.data[index])
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, _scatter(x, index, g))
+        _accumulate(x, _scatter(x, index, g))
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def dag_mix(effects: Tensor, dag: Tensor) -> Tensor:
@@ -453,12 +430,10 @@ def dag_mix(effects: Tensor, dag: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         flat_g = g.reshape(g.shape[0], -1)
-        if effects.requires_grad:
-            _accumulate(effects, (mix @ flat_g).reshape(effects.shape))
-        if dag.requires_grad:
-            da = E @ flat_g.T
-            if index is None:
-                np.fill_diagonal(da, 0.0)
-            _accumulate(dag, _scatter(dag, index, da))
+        _accumulate(effects, (mix @ flat_g).reshape(effects.shape))
+        da = E @ flat_g.T
+        if index is None:
+            np.fill_diagonal(da, 0.0)
+        _accumulate(dag, _scatter(dag, index, da))
 
-    return _record(Tensor(out), (effects, dag), backward)
+    return _record(Tensor(out), backward)

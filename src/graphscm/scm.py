@@ -9,11 +9,16 @@ Each variable k is reconstructed from the others as
 where Effect_i is a two-layer ReLU perceptron shared across every target of i
 and Decoder_k is a three-layer ReLU perceptron, one network per target over
 its A-weighted causes as in NOTEARS-MLP (Zheng et al. 2020) and GraN-DAG
-(Lachapelle et al. 2020). The diagonal of A is pinned to zero (a variable is
-never its own cause) and the i = k term is skipped structurally. The n
-effect networks and the n decoders are each stacked along a leading axis
-and run by the stacked ops of ``numcore``; ``dag_mix`` forms every
-target's weighted sum of causes as one product with A.
+(Lachapelle et al. 2020). A variable is never its own cause: the i = k term
+is skipped structurally, and the diagonal of A stays exactly zero without a
+pass that re-zeroes it. ``init_dag`` starts it at zero; ``dag_mix`` neither
+reads it nor sends it a gradient, the acyclicity gradient there is
+g e_ii 2 A_ii = 0, and A takes no weight decay, so AdamW never moves it;
+the checkpoint loader rejects a nonzero one; and a test of ``train`` checks
+it after every optimizer step. The n effect networks and the n decoders
+are each stacked along a leading axis and run by the stacked ops of
+``numcore``; ``dag_mix`` forms every target's weighted sum of causes as
+one product with A.
 
 Training encodes and reconstructs all n variables. Label prediction encodes
 the n - 1 variables before the label, reconstructs only the label variable
@@ -57,17 +62,7 @@ def init_dag(n_vars: int, rng: np.random.Generator) -> Tensor:
     signs = np.where(rng.random((n_vars, n_vars)) < 0.5, -1.0, 1.0)
     a = DAG_INIT_MAGNITUDE * signs
     np.fill_diagonal(a, 0.0)
-    return Tensor(a, requires_grad=True, name="dag.A")
-
-
-def zero_diagonal(a: Tensor) -> Tensor:
-    """Force diagonal values and gradients to exactly zero, in place."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"zero_diagonal needs a square matrix, got {a.shape}")
-    np.fill_diagonal(a.data, 0.0)
-    if a.grad is not None:
-        np.fill_diagonal(a.grad, 0.0)
-    return a
+    return Tensor(a, name="dag.A")
 
 
 class ScmParameters:
@@ -87,7 +82,7 @@ class ScmParameters:
         # initial weights are drawn network by network: effects, decoders, the
         # label shortcut
         if rng is None:
-            self.dag = Tensor(np.zeros((n, n)), requires_grad=True, name="dag.A")
+            self.dag = Tensor(np.zeros((n, n)), name="dag.A")
         else:
             self.dag = init_dag(n, rng)
         self.effect = StackedMlp(n, width, 2, rng, "scm.effect")
@@ -326,6 +321,6 @@ def load_checkpoint(path: str) -> ScmModel:
         raise LoadError(f"{path}: tensor names do not match (missing {missing}, extra {extra})")
     for name, p in params.items():
         p.data = _decode_tensor(path, name, tensors[name], p.data.shape)
-    if np.diagonal(params["dag.A"].data).any():  # training pins it to zero; dag_mix would not read it
+    if np.diagonal(params["dag.A"].data).any():  # training never moves it from zero; dag_mix would not read it
         raise LoadError(f"{path}: tensor 'dag.A' has a nonzero diagonal (a variable cannot cause itself)")
     return model

@@ -340,13 +340,15 @@ def ood_split(graph: HeteroGraph, bias: str, seed: int, max_len: int = 2) -> Spl
 # distribution report
 
 def split_report(graph: HeteroGraph, spec: SplitSpec, max_len: int = 2) -> list[dict]:
-    """Per bias feature: mean over all labeled nodes and over each partition."""
+    """Per bias feature: mean over all labeled nodes and over each partition.
+    The homophily rows are left out when no round-trip metapath is at most
+    ``max_len`` long."""
     spec.validate_against(graph)
-    tables = [
-        ("homophily", homophily_features(graph, max_len=max_len)),
-        ("degree", degree_features(graph)),
-        ("feature", feature_pca_features(graph, n_components=REPORT_PCA_COMPONENTS)),
-    ]
+    tables = []
+    if roundtrip_metapaths(graph, max_len):
+        tables.append(("homophily", homophily_features(graph, max_len=max_len)))
+    tables.append(("degree", degree_features(graph)))
+    tables.append(("feature", feature_pca_features(graph, n_components=REPORT_PCA_COMPONENTS)))
     rows = []
     for kind, table in tables:
         pos = {node: i for i, node in enumerate(table.nodes)}

@@ -2,12 +2,12 @@
 
 Each epoch shuffles the train indices (seeded), runs batched forward and
 backward passes over the joint objective, applies one AdamW update per
-batch, re-zeroes the DAG diagonal, and scores the validation split. The
-parameters of the best validation epoch are restored at the end: best
-means lowest validation cross-entropy, with higher Macro F1 breaking exact
-ties. Cross-entropy keeps improving long after the F1 saturates on small
-tasks, so it gives the snapshot selection a usable signal for the whole
-run instead of freezing on the first F1 plateau.
+batch, and scores the validation split. The parameters of the best
+validation epoch are restored at the end: best means lowest validation
+cross-entropy, with higher Macro F1 breaking exact ties. Cross-entropy
+keeps improving long after the F1 saturates on small tasks, so it gives
+the snapshot selection a usable signal for the whole run instead of
+freezing on the first F1 plateau.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .scm import (
     label_probabilities_from,
     predict_labels,
     reconstruct_all,
-    zero_diagonal,
 )
 from .splits import SplitSpec
 
@@ -260,7 +259,6 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
     splits.validate_against(graph)
     builder, meta = build_pipeline(graph, config)
     model = ScmModel(meta, seed=config.seed)
-    zero_diagonal(model.scm.dag)
     # decoupled decay regularizes every network weight but not the DAG
     # matrix itself, so pathway scale settles into A where trimming reads it
     optimizer = AdamW(
@@ -302,7 +300,6 @@ def train(graph: HeteroGraph, splits: SplitSpec, config: TrainConfig) -> TrainRe
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             tape.backward(joint)
             optimizer.step()
-            zero_diagonal(model.scm.dag)
             sums["inv"] += l_inv.item() * batch.size
             sums["rec"] += l_rec.item() * batch.size
             sums["dag"] += l_dag.item() * batch.size

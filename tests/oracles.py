@@ -352,7 +352,7 @@ class PairwiseScm:
         from graphscm.numcore import Tensor
 
         def leaf(a, name):
-            return Tensor(np.array(a, copy=True), requires_grad=True, name=name)
+            return Tensor(np.array(a, copy=True), name=name)
 
         def cut(stacked, j, name):
             return [
@@ -402,12 +402,11 @@ def index_scalar(x, i: int, j: int):
     out = Tensor(x.data[i, j])
 
     def backward(g):
-        if x.requires_grad:
-            contrib = np.zeros(x.shape)
-            contrib[i, j] = g
-            _accumulate(x, contrib)
+        contrib = np.zeros(x.shape)
+        contrib[i, j] = g
+        _accumulate(x, contrib)
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None):
@@ -550,12 +549,11 @@ def pair_mix_cells(effects, weight, bias, dag, targets):
             (dag, (rows[:, None], tgt), da),
         )
         for t, index, d in grads:
-            if t.requires_grad:
-                full = np.zeros(t.shape)
-                full[index] = d
-                _accumulate(t, full)
+            full = np.zeros(t.shape)
+            full[index] = d
+            _accumulate(t, full)
 
-    return _record(Tensor(out), (effects, weight, bias, dag), backward)
+    return _record(Tensor(out), backward)
 
 
 def pair_mix(effects, weight, bias, dag):
@@ -634,11 +632,10 @@ def pair_mix(effects, weight, bias, dag):
             (bias, cells, (mix @ gsum).reshape(b.shape)),
             (dag, dag_cells, dA),
         )
-        for t, index, d in grads:
-            if t.requires_grad:  # the cells may cover part of t
-                _accumulate(t, d if d.shape == t.shape else _scatter(t, index, d))
+        for t, index, d in grads:  # the cells may cover part of t
+            _accumulate(t, d if d.shape == t.shape else _scatter(t, index, d))
 
-    return _record(Tensor(out), (effects, weight, bias, dag), backward)
+    return _record(Tensor(out), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +655,12 @@ def bmm(x, w, b=None):
         out += b.data[:, None, :]
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.matmul(g, w.data.transpose(0, 2, 1)))
-        if w.requires_grad:
-            _accumulate(w, np.matmul(x.data.transpose(0, 2, 1), g))
-        if b is not None and b.requires_grad:
+        _accumulate(x, np.matmul(g, w.data.transpose(0, 2, 1)))
+        _accumulate(w, np.matmul(x.data.transpose(0, 2, 1), g))
+        if b is not None:
             _accumulate(b, g.sum(axis=1))
 
-    return _record(Tensor(out), (x, w) if b is None else (x, w, b), backward)
+    return _record(Tensor(out), backward)
 
 
 def stacked_mlp_chain(x, weights, biases, rows=None):
@@ -763,10 +758,9 @@ def frobenius_sq(x):
         total = squares.sum()
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * 2.0 * x.data)
+        _accumulate(x, g * 2.0 * x.data)
 
-    return _record(Tensor(total), (x,), backward)
+    return _record(Tensor(total), backward)
 
 
 def sq_error_chain(a, b, c):
@@ -789,7 +783,7 @@ class PerVariableEncoders:
         from graphscm.numcore import Tensor
 
         def leaf(a, name):
-            return Tensor(np.array(a, copy=True), requires_grad=True, name=name)
+            return Tensor(np.array(a, copy=True), name=name)
 
         self.hidden_dim = enc.hidden_dim
         self.in_dims = list(enc.in_dims)

@@ -46,6 +46,26 @@ def test_stats_toy(toy_dir, capsys):
     assert payload["target"] == "author"
 
 
+def test_stats_json_file_matches_stdout_and_graph(synth_dir, tmp_path, capsys):
+    """``--json`` writes the object printed on stdout, whose per-type and
+    per-relation counts are the lines of the dataset's node and edge files."""
+    path = tmp_path / "stats.json"
+    assert run_cli("stats", synth_dir, "--json", path) == 0
+    out = capsys.readouterr().out
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written == json.loads(out[out.index("{"):])
+
+    def lines(name):
+        with open(os.path.join(synth_dir, name), encoding="utf-8") as fh:
+            return sum(1 for _ in fh)
+
+    nodes, edges = written["per_type_nodes"], written["per_relation_edges"]
+    assert nodes == {t: lines(f"nodes-{t}.tsv") for t in ("author", "paper", "term", "venue")}
+    relations = ("write", "rev_write", "publish", "rev_publish", "use", "rev_use")
+    assert edges == {r: lines(f"edges-{r}.tsv") for r in relations}
+    assert (written["nodes"], written["edges"]) == (sum(nodes.values()), sum(edges.values()))
+
+
 def test_stats_missing_dataset(tmp_path, capsys):
     assert run_cli("stats", str(tmp_path / "nope")) == 2
     assert "error:" in capsys.readouterr().err
@@ -111,21 +131,44 @@ def test_split_length_below_1_exits_2_before_loading(synth_dir, tmp_path, capsys
 
 @pytest.mark.parametrize("kind", ["iid", "homophily", "degree", "feature"])
 def test_failed_split_leaves_the_dataset_splits_alone(synth_dir, tmp_path, capsys, kind):
-    """A split whose report fails (length 1 admits no round-trip metapath
-    for the homophily report) or whose length is rejected exits 2 and writes
-    neither file: the dataset's splits.json keeps its bytes. The split used
-    to be written before the report ran."""
+    """A split whose report fails (target features of zero variance leave
+    the report's PCA nothing to decompose; a feature split fails there
+    first) or whose length is rejected exits 2 and writes neither file: the
+    dataset's splits.json keeps its bytes. The split used to be written
+    before the report ran."""
     import shutil
 
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
+    nodes = data / "nodes-author.tsv"
+    rows = [line.split("\t") for line in nodes.read_text().splitlines()]
+    nodes.write_text("".join("\t".join([row[0]] + ["0.0"] * (len(row) - 1)) + "\n" for row in rows))
     before = (data / "splits.json").read_bytes()
-    for length in (0, 1):
-        assert run_cli("split", data, "--kind", kind, "--max-metapath-len", length) == 2
+    for flags in (("--max-metapath-len", 0), ()):
+        assert run_cli("split", data, "--kind", kind, *flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
-        assert (data / "splits.json").read_bytes() == before, length
-        assert not (data / "split-report.csv").exists(), length
+        assert flags or "zero variance" in err, err
+        assert (data / "splits.json").read_bytes() == before, flags
+        assert not (data / "split-report.csv").exists(), flags
+
+
+def test_split_at_length_1_reports_no_homophily(synth_dir, tmp_path, capsys):
+    """Length 1 admits no round-trip metapath: a degree split still writes
+    its report, with degree and feature rows and no homophily rows, while a
+    homophily split exits 2 and writes nothing."""
+    import csv
+
+    out = tmp_path / "degree"
+    assert run_cli("split", synth_dir, "--kind", "degree", "--max-metapath-len", 1, "--out", out) == 0
+    with open(out / "split-report.csv", encoding="utf-8") as fh:
+        kinds = [row["bias"] for row in csv.DictReader(fh)]
+    assert set(kinds) == {"degree", "feature"}, kinds
+    capsys.readouterr()
+    out = tmp_path / "homophily"
+    assert run_cli("split", synth_dir, "--kind", "homophily", "--max-metapath-len", 1, "--out", out) == 2
+    assert "no round-trip metapath" in capsys.readouterr().err
+    assert not (out / "splits.json").exists() and not (out / "split-report.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["stats", "train", "split", "synth"])

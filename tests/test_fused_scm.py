@@ -45,7 +45,7 @@ def _targets(n, which):
 
 def _run_fused(params, data, which):
     slots = data[:-1] if which == "label" else data
-    values = Tensor(np.stack(slots), requires_grad=True)
+    values = Tensor(np.stack(slots))
     for p in params.parameters():
         p.grad = None
     goals = [np.full((data[0].shape[0], params.width), 0.5) for _ in _targets(params.n_vars, which)]
@@ -62,7 +62,7 @@ def _run_fused(params, data, which):
 
 def _run_oracle(params, data, which):
     oracle = oracles.PairwiseScm(params)
-    variables = [Tensor(x.copy(), requires_grad=True) for x in data]
+    variables = [Tensor(x.copy()) for x in data]
     targets = _targets(params.n_vars, which)
     goals = [np.full((data[0].shape[0], params.width), 0.5) for _ in targets]
     with Tape() as tape:

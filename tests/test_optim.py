@@ -9,7 +9,7 @@ from graphscm.train import TrainConfig, build_pipeline
 
 
 def test_zero_gradient_zero_decay_leaves_parameter():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, -2.0]))
     opt = AdamW([p])
     p.grad = np.zeros(2)
     opt.step()
@@ -20,7 +20,7 @@ def test_zero_gradient_zero_decay_leaves_parameter():
 def test_single_step_hand_computed():
     # g=1, lr=0.001, betas (0.9, 0.999), eps 1e-8, no decay:
     # m_hat = 1, v_hat = 1, p <- 1 - 0.001 * 1/(1 + 1e-8)
-    p = Tensor(1.0, requires_grad=True)
+    p = Tensor(1.0)
     p.grad = np.asarray(1.0)
     opt = AdamW([p])
     opt.step()
@@ -35,7 +35,7 @@ def test_single_step_hand_computed():
 
 
 def test_two_steps_decrease_convex_quadratic():
-    p = Tensor(np.array([[3.0, -2.0]]), requires_grad=True)
+    p = Tensor(np.array([[3.0, -2.0]]))
     opt = AdamW([p], lr=0.05)
 
     def loss_value():
@@ -52,7 +52,7 @@ def test_two_steps_decrease_convex_quadratic():
 
 
 def test_decoupled_weight_decay_shrinks_even_without_gradient():
-    p = Tensor(2.0, requires_grad=True)
+    p = Tensor(2.0)
     AdamW([p], weight_decay=0.1).step()  # no gradient at all
     assert float(p.data) == pytest.approx(2.0 - 0.001 * 0.1 * 2.0)
 
@@ -70,18 +70,18 @@ def test_bad_hyperparameter_rejected(name, value):
     none of them."""
     fixed = name in ("beta1", "beta2", "eps")
     with pytest.raises(TypeError if fixed else ConfigError, match=name):
-        AdamW([Tensor(1.0, requires_grad=True)], **{name: value})
+        AdamW([Tensor(1.0)], **{name: value})
 
 
 def test_shape_mismatch_rejected():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
+    p = Tensor(np.zeros((2, 2)))
     p.grad = np.zeros(3)
     with pytest.raises(DimensionError):
         AdamW([p]).step()
 
 
 def test_step_counter_strictly_increases():
-    p = Tensor(0.0, requires_grad=True)
+    p = Tensor(0.0)
     opt = AdamW([p])
     for expected in (1, 2, 3):
         p.grad = np.asarray(1.0)
@@ -94,7 +94,7 @@ def _oracle_params():
     # the old step's 32768-element chunk edges on both sides, a 0-d
     # parameter, a missing gradient (p5) and a parameter without decay (p6)
     shapes = [(32767,), (32768,), (32769,), (65541,), (), (3, 4), (7,)]
-    return [Tensor(rng.normal(size=s), requires_grad=True, name=f"p{j}") for j, s in enumerate(shapes)]
+    return [Tensor(rng.normal(size=s), name=f"p{j}") for j, s in enumerate(shapes)]
 
 
 def _run_against_oracle(got, want, steps):
@@ -145,7 +145,7 @@ def test_step_is_bit_identical_to_chunked_oracle():
 def test_step_writes_no_array_it_does_not_own(toy_graph):
     model = ScmModel(build_pipeline(toy_graph, TrainConfig(hidden_dim=4))[1], seed=0)
     given = np.arange(6.0).reshape(2, 3)
-    extra = Tensor(given, requires_grad=True, name="extra")
+    extra = Tensor(given, name="extra")
     assert extra.data is given
     params = model.parameters() + [extra]
     snapshot = model.state_snapshot()

@@ -20,7 +20,6 @@ from graphscm.scm import (
     reconstruct,
     reconstruct_all,
     save_checkpoint,
-    zero_diagonal,
 )
 
 
@@ -212,20 +211,6 @@ def test_decoder_invocation_counts():
     params.decoder_calls = 0
     reconstruct_all(batch, params)
     assert params.decoder_calls == 4
-
-
-def test_zero_diagonal():
-    a = Tensor(np.eye(3), requires_grad=True)
-    zero_diagonal(a)
-    assert np.array_equal(a.data, np.zeros((3, 3)))
-    b = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
-    b.grad = np.ones((3, 3))
-    zero_diagonal(b)
-    off = ~np.eye(3, dtype=bool)
-    assert np.array_equal(b.data[off], np.arange(9.0).reshape(3, 3)[off])
-    assert np.array_equal(np.diag(b.data), np.zeros(3))
-    assert np.array_equal(np.diag(b.grad), np.zeros(3))
-    assert np.array_equal(b.grad[off], np.ones((3, 3))[off])
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_broadcast_restricted_to_row_vector():
 
 def test_bias_gradient_sums_over_rows():
     x = Tensor(np.ones((3, 2)))
-    b = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.zeros(2))
     with Tape() as tape:
         y = frobenius_sq(add(x, b))
     tape.backward(y)
@@ -99,7 +99,7 @@ def test_bias_gradient_sums_over_rows():
 
 
 def test_backward_visits_reverse_order_and_accumulates():
-    x = Tensor(2.0, requires_grad=True)
+    x = Tensor(2.0)
     with Tape() as tape:
         y = add(mul(x, x), x)  # x^2 + x
     tape.backward(y)
@@ -109,9 +109,9 @@ def test_backward_visits_reverse_order_and_accumulates():
 def test_passed_on_gradients_are_private_arrays():
     # add and sub hand their incoming gradient on and sum_all broadcasts it:
     # every input still gets an array of its own, which it may change in place
-    a = Tensor(np.ones((2, 3)), requires_grad=True)
-    b = Tensor(np.ones((2, 3)), requires_grad=True)
-    c = Tensor(np.ones((2, 3)), requires_grad=True)
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.ones((2, 3)))
+    c = Tensor(np.ones((2, 3)))
     with Tape() as tape:
         s = add(a, b)
         y = sum_all(sub(s, c))
@@ -125,7 +125,7 @@ def test_passed_on_gradients_are_private_arrays():
 
 
 def test_index_scalar_scatters_gradient():
-    a = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
+    a = Tensor(np.arange(9.0).reshape(3, 3))
     with Tape() as tape:
         y = mul(index_scalar(a, 1, 2), index_scalar(a, 1, 2))
     tape.backward(y)
@@ -135,15 +135,33 @@ def test_index_scalar_scatters_gradient():
 
 
 def test_no_tape_means_no_recording():
-    x = Tensor(1.0, requires_grad=True)
+    """An op outside a tape is recorded nowhere: a later tape holds no
+    record of it, and its backward sends no gradient to its input."""
+    x = Tensor(1.0)
     y = mul(x, x)
-    assert y.requires_grad is False and y.grad is None
+    with Tape() as tape:
+        pass
+    assert len(tape) == 0 and y.grad is None
+    tape.backward(y)
+    assert x.grad is None
+
+
+def test_constant_inputs_are_recorded_and_get_gradients():
+    """Within a tape an op on tensors that no parameter produced is still
+    recorded, and each of those constants gets its gradient."""
+    c = Tensor(np.array([2.0, -3.0]))
+    d = Tensor(np.array([0.5, 4.0]))
+    with Tape() as tape:
+        y = sum_all(mul(c, d))
+    assert len(tape) == 2
+    tape.backward(y)
+    assert np.array_equal(c.grad, d.data) and np.array_equal(d.grad, c.data)
 
 
 def test_fixed_seed_bit_identical():
     def run():
         rng = np.random.default_rng(42)
-        a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        a = Tensor(rng.normal(size=(4, 4)))
         b = Tensor(rng.normal(size=(4, 4)))
         with Tape() as tape:
             y = frobenius_sq(matmul(relu(a), b))
@@ -157,7 +175,7 @@ def test_fixed_seed_bit_identical():
 
 
 def _pair_mix_run(op, inputs, upstream):
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    leaves = [Tensor(x.copy()) for x in inputs]
     with Tape() as tape:
         out = op(*leaves)
         loss = sum_all(mul(out, Tensor(upstream)))
@@ -229,7 +247,7 @@ def test_dag_mix_is_the_cell_by_cell_pair_mix_at_identity_maps(n, batch, which):
         assert close(a, b), part
     assert not np.diagonal(got[2]).any()
     with Tape() as tape:
-        dag_mix(Tensor(effects, requires_grad=True), Tensor(dag))
+        dag_mix(Tensor(effects), Tensor(dag))
     assert len(tape) == 1
 
 
@@ -244,8 +262,7 @@ def test_dag_mix_rejects_shapes_that_do_not_fit():
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 @pytest.mark.parametrize("batch", [1, 7, 31, 128])
 @pytest.mark.parametrize("rows", ["all", "slice"])
-@pytest.mark.parametrize("x_grad", [True, False])
-def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_grad):
+def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows):
     """Output and every gradient equal to the per-layer ``take``/``bmm``/
     ``relu`` chain bit for bit, for two and three layers of width 64. The
     first network's first unit reads exactly 0 before its ReLU."""
@@ -262,9 +279,9 @@ def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_grad):
         upstream = rng.normal(size=(m, batch, width))
 
         def run(op):
-            x = Tensor(inputs[0].copy(), requires_grad=x_grad)
-            ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
-            bs = [Tensor(b.copy(), requires_grad=True) for b in biases]
+            x = Tensor(inputs[0].copy())
+            ws = [Tensor(w.copy()) for w in weights]
+            bs = [Tensor(b.copy()) for b in biases]
             with Tape() as tape:
                 out = op(x, ws, bs, part)
                 loss = sum_all(mul(out, Tensor(upstream)))
@@ -275,14 +292,12 @@ def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_grad):
         chain, want = run(stacked_mlp_chain)
         # the chain: a bmm per layer, a relu between layers and two takes per layer of a slice
         assert (fused, chain) == (3, 2 + 2 * layers - 1 + (2 * layers if part else 0))
-        assert (got[1] is None) == (not x_grad)
         for i, (a, b) in enumerate(zip(got, want)):
-            assert (a is None and b is None) or np.array_equal(a, b), (layers, i)
+            assert np.array_equal(a, b), (layers, i)
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 5), (1, 1, 4), (4, 5)])
-@pytest.mark.parametrize("grads", ["both", "a", "b"])
-def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, grads):
+def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape):
     """Value and both gradients equal to the ``sub``/``frobenius_sq``/``scale``
     chain bit for bit, under a non-unit upstream gradient, in one tape record
     where the chain takes three; the two gradients are separate arrays."""
@@ -291,8 +306,8 @@ def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, grads):
     c = 1.0 / (shape[0] * shape[-2]) if len(shape) == 3 else 0.37
 
     def run(op):
-        a = Tensor(inputs[0].copy(), requires_grad=grads in ("both", "a"))
-        b = Tensor(inputs[1].copy(), requires_grad=grads in ("both", "b"))
+        a = Tensor(inputs[0].copy())
+        b = Tensor(inputs[1].copy())
         with Tape() as tape:
             loss = scale(op(a, b, c), 0.01)
         tape.backward(loss)
@@ -301,11 +316,9 @@ def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, grads):
     fused, got = run(sq_error)
     chain, want = run(sq_error_chain)
     assert (fused, chain) == (2, 4)
-    assert (got[1] is None, got[2] is None) == (grads == "b", grads == "a")
     for i, (x, y) in enumerate(zip(got, want)):
-        assert (x is None and y is None) or np.array_equal(x, y), i
-    if grads == "both":
-        assert got[1] is not got[2] and not np.shares_memory(got[1], got[2])
+        assert np.array_equal(x, y), i
+    assert got[1] is not got[2] and not np.shares_memory(got[1], got[2])
 
 
 def test_sq_error_shape_mismatch_raises():

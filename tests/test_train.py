@@ -150,7 +150,7 @@ def test_same_seed_bit_identical_history():
     assert rows1 == rows2
     for name, p in r1.model.named_parameters().items():
         assert np.array_equal(p.data, r2.model.named_parameters()[name].data)
-    # the causal-matrix diagonal stays pinned at exactly zero through training
+    # the causal-matrix diagonal stays at exactly zero through training
     assert np.array_equal(np.diag(r1.model.scm.dag.data), np.zeros(r1.model.scm.n_vars))
 
 
@@ -167,6 +167,52 @@ def test_early_stopping_restores_best_epoch_parameters():
     assert rerun.epochs_run == best
     for name, p in result.model.named_parameters().items():
         assert np.array_equal(p.data, rerun.model.named_parameters()[name].data)
+
+
+def test_early_stopping_stops_patience_epochs_after_the_best():
+    """A larger step overfits the validation cross-entropy early, so the run
+    stops ``patience`` epochs after its best epoch, well before
+    ``max_epochs``, and restores that epoch's parameters."""
+    graph, truth = _tiny_task(authors=70)
+    splits = regime_split(truth)
+    config = _fast_config(learning_rate=0.01, max_epochs=60, patience=5)
+
+    result = train(graph, splits, config)
+    assert result.epochs_run == result.best_epoch + config.patience < config.max_epochs
+    best = result.best_epoch
+    rerun = train(graph, splits, _fast_config(learning_rate=0.01, max_epochs=best, patience=best))
+    assert rerun.epochs_run == best
+    for name, p in result.model.named_parameters().items():
+        assert np.array_equal(p.data, rerun.model.named_parameters()[name].data)
+
+
+@pytest.mark.parametrize("objective", ["full", "no_both"])
+@pytest.mark.parametrize("multiset", [False, True])
+def test_dag_diagonal_stays_zero_after_every_step(monkeypatch, objective, multiset):
+    """Nothing re-zeroes the diagonal of A during training: after every AdamW
+    step it is +0.0 bit for bit, and the gradient the step read is zero there."""
+    from graphscm.numcore import AdamW
+
+    graph, truth = _tiny_task()
+    splits = regime_split(truth)
+    beta, gamma = ablation_presets(objective, 0.01, 1.0)
+    config = _fast_config(max_epochs=3, patience=3, beta=beta, gamma=gamma, multiset_neighbors=multiset)
+    steps = 0
+    step = AdamW.step
+
+    def checked_step(self):
+        nonlocal steps
+        step(self)
+        dag = next(p for p in self.params if p.name == "dag.A")
+        diagonal = np.diagonal(dag.data)
+        assert not diagonal.any() and not np.signbit(diagonal).any(), steps
+        assert not np.diagonal(dag.grad).any(), steps
+        steps += 1
+
+    monkeypatch.setattr(AdamW, "step", checked_step)
+    result = train(graph, splits, config)
+    batches = -(-len(splits.train) // config.batch_size)
+    assert steps == result.epochs_run * batches
 
 
 def test_joint_loss_mostly_non_increasing_early():
