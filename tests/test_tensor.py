@@ -262,10 +262,13 @@ def test_dag_mix_rejects_shapes_that_do_not_fit():
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 @pytest.mark.parametrize("batch", [1, 7, 31, 128])
 @pytest.mark.parametrize("rows", ["all", "slice"])
-def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows):
+@pytest.mark.parametrize("x_leaf", [True, False])
+def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_leaf):
     """Output and every gradient equal to the per-layer ``take``/``bmm``/
     ``relu`` chain bit for bit, for two and three layers of width 64. The
-    first network's first unit reads exactly 0 before its ReLU."""
+    first network's first unit reads exactly 0 before its ReLU. The input is
+    a leaf, or the output of a recorded ``relu`` whose own input then gets
+    the gradient passed on."""
     width = 64
     part = None if rows == "all" else slice(1, n)
     m = n if part is None else n - 1
@@ -279,46 +282,55 @@ def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows):
         upstream = rng.normal(size=(m, batch, width))
 
         def run(op):
-            x = Tensor(inputs[0].copy())
+            x0 = Tensor(inputs[0].copy())
             ws = [Tensor(w.copy()) for w in weights]
             bs = [Tensor(b.copy()) for b in biases]
             with Tape() as tape:
+                x = x0 if x_leaf else relu(x0)
                 out = op(x, ws, bs, part)
                 loss = sum_all(mul(out, Tensor(upstream)))
             tape.backward(loss)
-            return len(tape), [out.data, x.grad] + [t.grad for t in ws + bs]
+            return len(tape), [out.data, x.grad, x0.grad] + [t.grad for t in ws + bs]
 
         fused, got = run(stacked_mlp)
         chain, want = run(stacked_mlp_chain)
         # the chain: a bmm per layer, a relu between layers and two takes per layer of a slice
-        assert (fused, chain) == (3, 2 + 2 * layers - 1 + (2 * layers if part else 0))
+        extra = 0 if x_leaf else 1
+        assert (fused, chain) == (3 + extra, 2 + 2 * layers - 1 + (2 * layers if part else 0) + extra)
         for i, (a, b) in enumerate(zip(got, want)):
             assert np.array_equal(a, b), (layers, i)
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 5), (1, 1, 4), (4, 5)])
-def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape):
+@pytest.mark.parametrize("leaves", ["both", "a", "b"])
+def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, leaves):
     """Value and both gradients equal to the ``sub``/``frobenius_sq``/``scale``
     chain bit for bit, under a non-unit upstream gradient, in one tape record
-    where the chain takes three; the two gradients are separate arrays."""
+    where the chain takes three; the two gradients are separate arrays.
+    ``leaves`` names the inputs that are leaves; the other one is the output
+    of a recorded ``relu`` whose own input then gets the gradient passed on."""
     rng = np.random.default_rng(sum(shape))
     inputs = [rng.normal(size=shape), rng.normal(size=shape)]
     c = 1.0 / (shape[0] * shape[-2]) if len(shape) == 3 else 0.37
 
     def run(op):
-        a = Tensor(inputs[0].copy())
-        b = Tensor(inputs[1].copy())
+        a0 = Tensor(inputs[0].copy())
+        b0 = Tensor(inputs[1].copy())
         with Tape() as tape:
+            a = a0 if leaves in ("both", "a") else relu(a0)
+            b = b0 if leaves in ("both", "b") else relu(b0)
             loss = scale(op(a, b, c), 0.01)
         tape.backward(loss)
-        return len(tape), [loss.data, a.grad, b.grad]
+        return len(tape), [loss.data, a.grad, b.grad, a0.grad, b0.grad]
 
     fused, got = run(sq_error)
     chain, want = run(sq_error_chain)
-    assert (fused, chain) == (2, 4)
+    extra = 0 if leaves == "both" else 1
+    assert (fused, chain) == (2 + extra, 4 + extra)
     for i, (x, y) in enumerate(zip(got, want)):
         assert np.array_equal(x, y), i
     assert got[1] is not got[2] and not np.shares_memory(got[1], got[2])
+    assert got[3] is not got[4] and not np.shares_memory(got[3], got[4])
 
 
 def test_sq_error_shape_mismatch_raises():
