@@ -12,6 +12,7 @@ cannot be created included), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -156,14 +157,37 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _make_dirs(path: str) -> list[str]:
+    """Create directory ``path`` and its missing parents; return the ones
+    created, deepest first."""
+    created = []
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return created
+
+
 def cmd_split(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
     if args.max_metapath_len < 1:
         raise ConfigError(f"--max-metapath-len must be at least 1, got {args.max_metapath_len}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    out_dir = args.out or args.dataset
+    if not args.out:
+        return _split(args, args.dataset)
+    created = _make_dirs(args.out)
+    try:
+        return _split(args, args.out)
+    except Exception:
+        # deepest first; a write that failed midway keeps its directory
+        with contextlib.suppress(OSError):
+            for path in created:
+                os.rmdir(path)
+        raise
+
+
+def _split(args, out_dir: str) -> int:
     graph = load_graph(args.dataset)
     labeled = [int(i) for i in graph.labeled_nodes()]
     if args.kind == "iid":

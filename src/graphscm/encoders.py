@@ -79,6 +79,12 @@ class Encoders:
         return block_affine(inputs, weight, bias)
 
 
+def variable_names(metapaths: Sequence[MetaPath]) -> list[str]:
+    """The SCM's variables over ``metapaths``: the ego features, one pooled
+    variable per metapath, then the label."""
+    return [EGO_NAME] + [mp.name for mp in metapaths] + [LABEL_NAME]
+
+
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -126,7 +132,7 @@ class VariableBuilder:
 
     @property
     def variable_names(self) -> list[str]:
-        return [EGO_NAME] + [mp.name for mp in self.metapaths] + [LABEL_NAME]
+        return variable_names(self.metapaths)
 
     def terminal_dims(self) -> list[int]:
         return [self.graph.feature_dim(mp.terminal_type) for mp in self.metapaths]

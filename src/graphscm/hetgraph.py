@@ -214,16 +214,16 @@ class HeteroGraph:
 REACH_BLOCK = 1 << 19
 
 
-def metapath_reach(graph: HeteroGraph, nodes, metapath: MetaPath, exclude_self: bool = False):
-    """Path counts from each query node to the terminal nodes of a metapath.
+def metapath_reach(graph: HeteroGraph, nodes, relations):
+    """Path counts from each query node along the relation sequence
+    ``relations`` (a metapath's ``.relations``, or a prefix of one).
 
     Yields blocks ``(lo, hi, rows, indices, counts)`` that cover the query
     rows ``lo:hi`` of ``nodes`` in order. Query row ``lo + rows[k]`` reaches
-    terminal node ``indices[k]`` along ``counts[k]`` distinct paths; pairs are
-    sorted by row, then by index. Set semantics reads ``indices`` alone.
-    ``exclude_self`` drops the query node itself from the terminals of a
-    metapath that ends at its own type (APA, say); a terminal of another type
-    is never the query node, whatever its id.
+    node ``indices[k]`` of the last relation's destination type along
+    ``counts[k]`` distinct paths; pairs are sorted by row, then by index. Set
+    semantics reads ``indices`` alone. A query node that reaches itself (APA,
+    say) is among its own terminals.
 
     Each hop expands the frontier through the relation's CSR and merges
     repeated (row, node) pairs: into a dense count block when the rows at
@@ -232,15 +232,6 @@ def metapath_reach(graph: HeteroGraph, nodes, metapath: MetaPath, exclude_self: 
     through the dense merge, so they are exact below 2**53.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    for lo, hi, rows, indices, counts in _reach_blocks(graph, nodes, metapath.relations):
-        if exclude_self and metapath.terminal_type == metapath.source_type:
-            keep = indices != nodes[lo + rows]
-            rows, indices, counts = rows[keep], indices[keep], counts[keep]
-        yield lo, hi, rows, indices, counts
-
-
-def _reach_blocks(graph: HeteroGraph, nodes: np.ndarray, relations):
-    """``metapath_reach``'s blocks over the relation sequence ``relations``."""
     hops = [(graph.csr[rel], graph.num_nodes(graph.schema.relation(rel).dst)) for rel in relations]
     n = nodes.shape[0]
     return _walk(hops, 0, n, np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64))
@@ -289,7 +280,7 @@ def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.n
     if len(metapath) < 2 or not 0 < cells <= REACH_BLOCK:
         return None
     frontier = np.zeros((nodes.shape[0], graph.num_nodes(src)))
-    for lo, _, rows, cols, counts in _reach_blocks(graph, nodes, metapath.relations[:-1]):
+    for lo, _, rows, cols, counts in metapath_reach(graph, nodes, metapath.relations[:-1]):
         frontier[lo + rows, cols] = counts
     return frontier
 
@@ -436,7 +427,7 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     feats = graph.features[metapath.terminal_type]
     columns = np.ascontiguousarray(feats.T)
     out = np.zeros((nodes.shape[0], feats.shape[1]))
-    for lo, hi, rows, indices, counts in _reach_blocks(graph, nodes, metapath.relations):
+    for lo, hi, rows, indices, counts in metapath_reach(graph, nodes, metapath.relations):
         sizes = np.bincount(rows, weights=counts if multiset else None, minlength=hi - lo)[:, None]
         sums = np.empty((feats.shape[1], hi - lo))
         for c, column in enumerate(columns):  # one column of the block's pairs at a time

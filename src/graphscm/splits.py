@@ -165,11 +165,14 @@ def homophily_features(graph: HeteroGraph, max_len: int = 2) -> BiasFeatureTable
     for j, mp in enumerate(metapaths):
         known = np.zeros(len(nodes), dtype=np.int64)
         agree = np.zeros(len(nodes), dtype=np.int64)
-        for lo, hi, rows, indices, _ in metapath_reach(graph, nodes, mp, exclude_self=True):
+        for lo, hi, rows, indices, _ in metapath_reach(graph, nodes, mp.relations):
+            query = nodes[lo + rows]
             lab = labels[indices]
-            has = lab != UNLABELED
+            # round-trip metapaths end at the target type, so a terminal
+            # with the query node's id is the query node itself
+            has = (lab != UNLABELED) & (indices != query)
             known[lo:hi] = np.bincount(rows[has], minlength=hi - lo)
-            same = has & (lab == labels[nodes[lo + rows]])
+            same = has & (lab == labels[query])
             agree[lo:hi] = np.bincount(rows[same], minlength=hi - lo)
         present = known > 0
         values[present, j] = agree[present] / known[present]

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, write_json
-from .hetgraph import HeteroGraph, Relation, Schema
+from .hetgraph import HeteroGraph, Relation, Schema, enumerate_metapaths, metapath_reach
 from .rng import substream
 from .splits import OOD_TRAIN_FRACTION, SplitSpec
 
@@ -324,20 +324,15 @@ def regime_split(truth: GroundTruth) -> SplitSpec:
 
 def coauthor_pairs(graph: HeteroGraph) -> list[tuple[int, int]]:
     """All unordered author pairs sharing at least one paper, as sorted
-    ``(x, y)`` tuples with x < y."""
-    indptr, papers = graph.csr["write"]
-    n_authors = indptr.shape[0] - 1
-    authors = np.repeat(np.arange(n_authors), np.diff(indptr))
-    order = np.argsort(papers, kind="stable")
-    authors, papers = authors[order], papers[order]
-    # pair each (author, paper) entry with every later entry of its paper
-    later = np.searchsorted(papers, papers, side="right") - np.arange(papers.shape[0]) - 1
-    first = np.repeat(np.arange(papers.shape[0]), later)
-    second = first + 1 + np.arange(first.shape[0]) - np.repeat(np.cumsum(later) - later, later)
-    a, b = authors[first], authors[second]
-    keep = a != b
-    keys = np.unique(np.minimum(a, b)[keep] * n_authors + np.maximum(a, b)[keep])
-    return list(zip((keys // n_authors).tolist(), (keys % n_authors).tolist()))
+    ``(x, y)`` tuples with x < y: the author-paper-author walk from every
+    author, each pair kept from its smaller end."""
+    authors = np.arange(graph.num_nodes("author"))
+    pairs = []
+    for lo, _, rows, indices, _ in metapath_reach(graph, authors, ("write", "rev_write")):
+        first = lo + rows
+        keep = first < indices
+        pairs.extend(zip(first[keep].tolist(), indices[keep].tolist()))
+    return pairs
 
 
 def coauthor_agreement(graph: HeteroGraph, authors: set[int], rng=None, sample: int = 1000) -> float:
@@ -358,13 +353,11 @@ def venue_majority_rule(graph: HeteroGraph) -> np.ndarray:
     Reads only the graph: venue classes are recovered from the one-hot venue
     features; the venue pool is deduplicated; ties break to the lowest class.
     """
-    from .hetgraph import enumerate_metapaths, metapath_reach
-
     apv = next(mp for mp in enumerate_metapaths(graph.schema, 2) if mp.name == CAUSAL_METAPATH)
     venue_class = graph.features["venue"].argmax(axis=1)
     n_classes = graph.schema.num_classes
     counts = np.zeros((graph.num_nodes("author"), n_classes), dtype=np.int64)
-    for lo, hi, rows, indices, _ in metapath_reach(graph, np.arange(counts.shape[0]), apv):
+    for lo, hi, rows, indices, _ in metapath_reach(graph, np.arange(counts.shape[0]), apv.relations):
         keys = rows * n_classes + venue_class[indices]
         counts[lo:hi] = np.bincount(keys, minlength=(hi - lo) * n_classes).reshape(-1, n_classes)
     return counts.argmax(axis=1)  # argmax takes the lowest index on ties

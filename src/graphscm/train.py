@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .encoders import VariableBuilder, one_hot
+from .encoders import VariableBuilder, one_hot, variable_names
 from .errors import ConfigError, NumericError, write_csv
 from .hetgraph import UNLABELED, HeteroGraph, enumerate_metapaths
 from .losses import LossWeights, loss_dag, loss_inv, loss_joint, loss_rec
@@ -140,15 +140,9 @@ def compute_metrics(truth, pred, num_classes: int) -> Metrics:
 # ---------------------------------------------------------------------------
 # model construction and evaluation
 
-def _variable_builder(graph: HeteroGraph, settings: TrainConfig | ModelMeta) -> VariableBuilder:
-    """The pooled-feature pipeline of a training config or a checkpoint's
-    meta, which name their metapath and pooling settings alike."""
-    metapaths = enumerate_metapaths(graph.schema, settings.max_metapath_len)
-    return VariableBuilder(graph, metapaths, multiset_neighbors=settings.multiset_neighbors)
-
-
 def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBuilder, ModelMeta]:
-    builder = _variable_builder(graph, config)
+    metapaths = enumerate_metapaths(graph.schema, config.max_metapath_len)
+    builder = VariableBuilder(graph, metapaths, multiset_neighbors=config.multiset_neighbors)
     meta = ModelMeta(
         variable_names=builder.variable_names,
         num_classes=graph.schema.num_classes,
@@ -163,26 +157,26 @@ def build_pipeline(graph: HeteroGraph, config: TrainConfig) -> tuple[VariableBui
 
 
 def builder_for_model(graph: HeteroGraph, model: ScmModel) -> VariableBuilder:
-    """Rebuild the pooled-feature pipeline a checkpoint was trained with."""
+    """Rebuild the pooled-feature pipeline a checkpoint was trained with,
+    once the dataset is known to match it: pooling every target node is
+    the costly part, so a mismatch is reported before it."""
     meta = model.meta
     if graph.schema.target_type != meta.target_type:
         raise ConfigError(
             f"checkpoint was trained for target {meta.target_type!r}, "
             f"dataset targets {graph.schema.target_type!r}"
         )
-    builder = _variable_builder(graph, meta)
-    if builder.variable_names != meta.variable_names:
-        raise ConfigError(
-            f"dataset variables {builder.variable_names} do not match "
-            f"checkpoint variables {meta.variable_names}"
-        )
-    if builder.terminal_dims() != meta.terminal_dims:
+    metapaths = enumerate_metapaths(graph.schema, meta.max_metapath_len)
+    names = variable_names(metapaths)
+    if names != meta.variable_names:
+        raise ConfigError(f"dataset variables {names} do not match checkpoint variables {meta.variable_names}")
+    if [graph.feature_dim(mp.terminal_type) for mp in metapaths] != meta.terminal_dims:
         raise ConfigError("dataset feature widths do not match the checkpoint")
     if graph.feature_dim(meta.target_type) != meta.target_dim:
         raise ConfigError("target feature width does not match the checkpoint")
     if graph.schema.num_classes != meta.num_classes:
         raise ConfigError("class count does not match the checkpoint")
-    return builder
+    return VariableBuilder(graph, metapaths, multiset_neighbors=meta.multiset_neighbors)
 
 
 def _chunk_bounds(rows: int) -> list[int]:

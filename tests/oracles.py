@@ -9,7 +9,7 @@ stacked ones it checks, and the two pair-map mixes, the ``bmm`` chain of
 numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
 gradient checks. ``dense_pool_columns`` reads the graph's CSR and tiles by
 ``hetgraph.REACH_BLOCK``; ``pooled_walk_tiles`` reduces the blocks of
-``hetgraph._reach_blocks`` and tiles by it too.
+``hetgraph.metapath_reach`` and tiles by it too.
 """
 
 from __future__ import annotations
@@ -224,14 +224,14 @@ def dense_pool_columns(graph, metapath, frontier: np.ndarray, multiset: bool) ->
 
 def pooled_walk_tiles(graph, nodes, metapath, multiset=False) -> np.ndarray:
     """The walk route of ``hetgraph.pooled_neighbor_features`` as it was:
-    each ``_reach_blocks`` block reduced by ``pool_means_padded``."""
+    each ``metapath_reach`` block reduced by ``pool_means_padded``."""
     from graphscm import hetgraph
 
     feats = graph.features[metapath.terminal_type]
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
     nodes = np.asarray(nodes, dtype=np.int64)
     out = np.zeros((nodes.shape[0], feats.shape[1]))
-    for lo, hi, rows, indices, counts in hetgraph._reach_blocks(graph, nodes, metapath.relations):
+    for lo, hi, rows, indices, counts in hetgraph.metapath_reach(graph, nodes, metapath.relations):
         indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
         out[lo:hi] = pool_means_padded(padded, indptr, indices, counts if multiset else None)
     return out

@@ -171,6 +171,29 @@ def test_split_at_length_1_reports_no_homophily(synth_dir, tmp_path, capsys):
     assert not (out / "splits.json").exists() and not (out / "split-report.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["fails-nested-new", "fails-existing", "succeeds-nested-new"])
+def test_split_removes_only_the_out_directories_it_made(synth_dir, tmp_path, capsys, case):
+    """A split that fails after loading removes the ``--out`` directories it
+    created, deepest first, and none that existed before; they used to stay
+    behind, empty. A split that succeeds keeps its new directories."""
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    out = existing if case == "fails-existing" else existing / "a" / "b"
+    if case.startswith("fails"):  # length 1 has no round-trip metapath for homophily
+        flags, code = ["--kind", "homophily", "--max-metapath-len", 1], 2
+    else:
+        flags, code = ["--kind", "degree"], 0
+    assert run_cli("split", synth_dir, *flags, "--out", out) == code
+    capsys.readouterr()
+    assert existing.is_dir()
+    if case == "fails-nested-new":
+        assert not (existing / "a").exists()
+    elif case == "fails-existing":
+        assert list(existing.iterdir()) == []
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["split-report.csv", "splits.json"]
+
+
 @pytest.mark.parametrize("command", ["stats", "train", "split", "synth"])
 def test_output_path_that_cannot_be_created_exits_2(synth_dir, tmp_path, capsys, command):
     """A missing parent directory of ``stats --json``, or an existing file
@@ -279,10 +302,39 @@ def test_eval_checkpoint_on_val_matches_history(trained_dir, synth_dir, tmp_path
     assert payload["macro_f1"] == pytest.approx(float(best_row["val_macro_f1"]), abs=1e-12)
 
 
-def test_eval_schema_mismatch_fails(trained_dir, toy_dir, capsys):
-    code = run_cli("eval", toy_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"))
+def _forbid_pooling(monkeypatch):
+    import graphscm.encoders as encoders_mod
+
+    def pool(*args, **kwargs):
+        raise AssertionError("pooled before the checkpoint was compared with the dataset")
+
+    monkeypatch.setattr(encoders_mod, "pooled_neighbor_features", pool)
+
+
+def test_eval_schema_mismatch_fails(trained_dir, toy_dir, tmp_path, capsys, monkeypatch):
+    """The toy dataset has no terms, so it makes other variables than the
+    checkpoint's: eval exits 2 naming them before any pooling. Without a
+    split file the toy dataset used to exit 2 on the missing splits.json
+    alone, and every target node was pooled before the comparison."""
+    splits = tmp_path / "splits.json"
+    splits.write_text('{"train": [0], "val": [1], "test": [2]}', encoding="utf-8")
+    _forbid_pooling(monkeypatch)
+    code = run_cli("eval", toy_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"), "--splits", splits)
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "do not match checkpoint variables" in err and "Traceback" not in err, err
+
+
+def test_eval_feature_width_mismatch_exits_2_before_pooling(trained_dir, tmp_path, capsys, monkeypatch):
+    """Three classes widen the one-hot venue features: eval exits 2 naming
+    the mismatch before any pooling."""
+    data = tmp_path / "three"
+    assert run_cli("synth", "--out", data, "--authors", 40, "--classes", 3, "--terms", 16, "--seed", 3) == 0
+    capsys.readouterr()
+    _forbid_pooling(monkeypatch)
+    assert run_cli("eval", data, "--checkpoint", os.path.join(trained_dir, "checkpoint.json")) == 2
+    err = capsys.readouterr().err
+    assert "feature widths do not match" in err and "Traceback" not in err, err
 
 
 def test_explain_outputs_diagram(trained_dir, tmp_path, capsys):

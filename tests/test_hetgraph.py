@@ -25,9 +25,9 @@ from graphscm.hetgraph import (
 from oracles import metapath_neighbors_dfs, write_dataset_lines
 
 
-def _reach_sets(graph, nodes, mp, exclude_self=False):
+def _reach_sets(graph, nodes, mp):
     sets = [set() for _ in nodes]
-    for lo, _, rows, indices, _ in metapath_reach(graph, nodes, mp, exclude_self):
+    for lo, _, rows, indices, _ in metapath_reach(graph, nodes, mp.relations):
         for r, v in zip(rows, indices):
             sets[lo + int(r)].add(int(v))
     return sets
@@ -243,13 +243,6 @@ def test_enumeration_deterministic_and_composable(dblp_schema):
 def test_apa_neighbors_include_self_and_coauthors(toy_graph):
     apa = _metapath(toy_graph.schema, 2, "APA")
     assert _reach_sets(toy_graph, [0], apa) == [{0, 1, 2}]
-    assert _reach_sets(toy_graph, [0], apa, exclude_self=True) == [{1, 2}]
-
-
-def test_exclude_self_keeps_terminals_of_another_type(toy_graph):
-    # paper 0 shares author 0's id but is not author 0
-    ap = _metapath(toy_graph.schema, 1, "AP")
-    assert _reach_sets(toy_graph, [0], ap, exclude_self=True) == [{0, 1}]
 
 
 def test_single_edge_chain(toy_graph):

@@ -199,7 +199,7 @@ def test_dense_route_in_row_blocks_and_column_tiles_matches_oracle(synth_graph, 
     papers = synth_graph.num_nodes("paper")
     monkeypatch.setattr(hetgraph, "REACH_BLOCK", nodes.size * papers)
     monkeypatch.setattr(hetgraph, "DENSE_COST", 10**9)
-    assert len(list(hetgraph._reach_blocks(synth_graph, nodes, mp.relations[:-1]))) > 1
+    assert len(list(metapath_reach(synth_graph, nodes, mp.relations[:-1]))) > 1
     assert hetgraph.REACH_BLOCK < papers * synth_graph.num_nodes("author")
     adj = adjacency_lists(synth_graph)
     for multiset in (False, True):
@@ -292,7 +292,7 @@ def test_reach_counts_match_path_counts(synth_graph, reach_block):
     for mp in enumerate_metapaths(synth_graph.schema, 3):
         got = [dict() for _ in nodes]
         next_lo = 0
-        for lo, hi, rows, indices, counts in metapath_reach(synth_graph, nodes, mp):
+        for lo, hi, rows, indices, counts in metapath_reach(synth_graph, nodes, mp.relations):
             assert lo == next_lo and hi > lo  # blocks tile the query rows in order
             next_lo = hi
             assert np.all(np.diff(rows * 10**6 + indices) > 0)  # sorted, no repeats
@@ -317,7 +317,7 @@ def test_split_tables_byte_equal_to_oracle(which, toy_graph, synth_graph, reach_
 
 def test_empty_query_and_empty_reach(toy_graph):
     ap = enumerate_metapaths(toy_graph.schema, 1)[0]
-    assert list(metapath_reach(toy_graph, [], ap)) == []
+    assert list(metapath_reach(toy_graph, [], ap.relations)) == []
     assert pooled_neighbor_features(toy_graph, [], ap).shape == (0, 2)
 
 

@@ -14,8 +14,11 @@ from graphscm.splits import (
     kmeans2,
     ood_split,
     pca_components,
+    roundtrip_metapaths,
     split_report,
 )
+
+from oracles import adjacency_lists, homophily_table
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,34 @@ def test_homophily_fraction_forced_by_definition():
     table = homophily_features(graph)
     row = table.nodes.index(0)
     assert table.values[row, 0] == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("max_len", [2, 4])
+def test_homophily_self_only_neighbour_is_imputed(max_len):
+    """An author whose one paper has no other author reaches only itself on
+    every round trip: its pool is empty, so it takes the column mean, and
+    every other row keeps the oracle's value."""
+    schema = Schema(
+        node_types=["a", "p"],
+        relations=[
+            Relation("w", "a", "p", "rev_w"),
+            Relation("rev_w", "p", "a", "w"),
+        ],
+        target_type="a",
+        num_classes=2,
+    )
+    # 0 and 1 disagree on paper 0, 2 and 3 agree on paper 1, 4 writes paper 2 alone
+    edges = np.array([[0, 0], [1, 0], [2, 1], [3, 1], [4, 2]])
+    graph = HeteroGraph(
+        schema=schema,
+        features={"a": np.zeros((5, 1)), "p": np.zeros((3, 1))},
+        edges={"w": edges, "rev_w": edges[:, ::-1].copy()},
+        labels=np.array([0, 1, 0, 0, 1]),
+    )
+    table = homophily_features(graph, max_len=max_len)
+    want = homophily_table(graph, adjacency_lists(graph), roundtrip_metapaths(graph, max_len))
+    assert table.values.tobytes() == want.tobytes()
+    assert table.values[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0, 0.5]
 
 
 def test_degree_features_toy(toy_graph):
