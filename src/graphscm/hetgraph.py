@@ -13,7 +13,7 @@ If an inverse relation has no edge file on disk, its edges are synthesized
 by reversing the forward relation's; when both files exist, each must be
 the other's reversal. Feature values must be finite. In memory each
 relation is also held as CSR (``HeteroGraph.csr``), which the metapath
-operator ``metapath_reach`` walks.
+operator ``metapath_reach`` walks and the multiset pool sums over.
 """
 
 from __future__ import annotations
@@ -222,8 +222,10 @@ def metapath_reach(graph: HeteroGraph, nodes, relations):
     rows ``lo:hi`` of ``nodes`` in order. Query row ``lo + rows[k]`` reaches
     node ``indices[k]`` of the last relation's destination type along
     ``counts[k]`` distinct paths; pairs are sorted by row, then by index. Set
-    semantics reads ``indices`` alone. A query node that reaches itself (APA,
-    say) is among its own terminals.
+    semantics reads ``indices`` alone; the dense set route's frontier
+    (``_frontier``) holds the counts. Multiset pooling does not walk: it
+    sums per hop over the whole relation instead (``_multiset_pool``). A
+    query node that reaches itself (APA, say) is among its own terminals.
 
     Each hop expands the frontier through the relation's CSR and merges
     repeated (row, node) pairs: into a dense count block when the rows at
@@ -322,18 +324,18 @@ def _column_groups(csr: Csr, n_dst: int):
     return group, np.concatenate(sources) if sources else src, indptr
 
 
-def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, grouping, multiset: bool) -> np.ndarray:
-    """Pooled features from the frontier of ``_frontier``.
+def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, grouping) -> np.ndarray:
+    """Pooled set features from the frontier of ``_frontier``.
 
     Destinations of the last relation with the same in-neighbour multiset
     get the same path count from every frontier row, so they are merged
     into one column (``grouping``, from ``_column_groups``) weighted by
     their summed ``[features | 1]``. The counts ``frontier @ incidence``
     over these columns are formed in column tiles of at most REACH_BLOCK
-    cells (and an incidence tile as large), clipped to 1 for a set, and
-    multiplied by the group weights: rows x |src| x groups multiply-adds,
-    not rows x |src| x |dst|. A destination with no in-edges is in no group
-    and adds nothing.
+    cells (and an incidence tile as large), clipped to 1, and multiplied by
+    the group weights: rows x |src| x groups multiply-adds, not
+    rows x |src| x |dst|. A destination with no in-edges is in no group and
+    adds nothing.
     """
     rel = graph.schema.relation(metapath.relations[-1])
     feats = graph.features[rel.dst]
@@ -353,27 +355,46 @@ def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, gr
         cols = np.repeat(np.arange(g1 - g0), np.diff(indptr[g0:g1 + 1]))
         incidence = np.bincount(sources[a:b] * (g1 - g0) + cols, minlength=n_src * (g1 - g0))
         counts = frontier @ incidence.reshape(n_src, g1 - g0).astype(np.float64)
-        if not multiset:
-            np.minimum(counts, 1.0, out=counts)  # whole counts: 1 per reached node
+        np.minimum(counts, 1.0, out=counts)  # whole counts: 1 per reached node
         sums += counts @ weights[g0:g1]
     sizes = sums[:, -1:]
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
 
 
-# The dense route runs frontier.size x groups multiply-adds where the walk
-# expands one (row, node) pair per frontier nonzero and out-edge of its last
-# hop; pooling goes dense while the first is at most DENSE_COST times the
-# second. On the seed-1 synthetic graphs of 30-8000 authors that ratio is
-# 0.01-2.7 for APVP and 0.29-26 for APTP, whose walks take 25-60 times as long
-# as the dense route at 700-2000 authors; it is 101 for APAP at 60 authors and
-# 399 or more from 120 on, and 284 or more for every path of length 2 whose
-# frontier fits (a path of length 1 has none). 64 lies between the two
-# groups; at 30 authors APAP's ratio is 26, so it goes dense there. A
-# mostly-zero frontier walks far faster (APAP at 700 authors: 40 ms walked,
-# 156 ms dense). At 60 and 120 authors APAP pools faster dense, but in a few
-# ms either way, and the walk's set means are exact where dense ones are
-# within 1e-12 * max(1, max|F|).
+# Set pools only. The dense route runs frontier.size x groups multiply-adds
+# where the walk expands one (row, node) pair per frontier nonzero and
+# out-edge of its last hop; pooling goes dense while the first is at most
+# DENSE_COST times the second. On the seed-1 synthetic graphs of 30-8000
+# authors that ratio is 0.01-2.7 for APVP and 0.29-26 for APTP, whose walks
+# take 25-60 times as long as the dense route at 700-2000 authors; it is 101
+# for APAP at 60 authors and 399 or more from 120 on, and 284 or more for
+# every path of length 2 whose frontier fits (a path of length 1 has none).
+# 64 lies between the two groups; at 30 authors APAP's ratio is 26, so it
+# goes dense there. A mostly-zero frontier walks far faster (APAP at 700
+# authors: 40 ms walked, 156 ms dense). At 60 and 120 authors APAP pools
+# faster dense, but in a few ms either way, and the walk's set means are
+# exact where dense ones are within 1e-12 * max(1, max|F|).
 DENSE_COST = 64
+
+
+def _multiset_pool(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray:
+    """Path-count-weighted means, as ``A_1 (A_2 (... (A_k [F | 1])))``: one
+    sparse sum per hop, from the last relation back to the first."""
+    feats = graph.features[metapath.terminal_type]
+    sums = np.vstack([feats.T, np.ones(feats.shape[0])])  # one row per column of [F | 1]
+    for k in range(len(metapath) - 1, -1, -1):
+        rel = metapath.relations[k]
+        indptr, indices = graph.csr[rel]
+        rows = nodes if k == 0 else np.arange(graph.num_nodes(graph.schema.relation(rel).src))
+        starts = indptr[rows]
+        deg = indptr[rows + 1] - starts
+        first = np.cumsum(deg) - deg
+        # each row's out-edges in CSR order, and the row each one sums into
+        dst = indices[np.arange(int(deg.sum()), dtype=np.int64) - np.repeat(first - starts, deg)]
+        seg = np.repeat(np.arange(rows.shape[0]), deg)
+        sums = np.stack([np.bincount(seg, weights=np.take(col, dst), minlength=rows.shape[0]) for col in sums])
+    sizes = sums[-1][:, None]
+    return np.divide(sums[:-1].T, sizes, out=np.zeros((nodes.shape[0], feats.shape[1])), where=sizes > 0)
 
 
 def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, multiset: bool = False) -> np.ndarray:
@@ -384,38 +405,48 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     metapath back to the source type (APA, say) keeps the query node in its
     own pool, as HAN's metapath neighbours do.
 
-    Two routes compute it, chosen once per call from the input alone by
-    counting their work. Take the path counts over every hop but the last as
-    a (rows, |src|) frontier, src being the last hop's source type. When it
-    fits in REACH_BLOCK cells, the last relation's destinations are grouped
-    by their in-neighbour multisets (``_column_groups``): destinations of
-    one group get the same count from every frontier row. The dense route
-    then multiplies the frontier by the grouped incidence in float64, as
-    metapath neighbours are formed from adjacency products in HAN (Wang et
-    al. 2019): set means are ``(counts > 0) @ F / |set|``, multiset means
-    ``counts @ F / counts.sum()``, at rows x |src| x groups multiply-adds
-    (780 term pairs among APTP's 8800 papers at 800 authors, say). The walk
-    expands one (row, node) pair per frontier nonzero and out-edge of the
-    last hop. The dense route is taken when its multiply-adds are at most
-    DENSE_COST times those pairs (APTP and APVP on the synthetic graphs).
-    Path counts are exact integers there (below 2**53), but BLAS sums the
-    features in its own order, so dense means agree with the per-node mean
-    to within 1e-12 * max(1, max|F|), not bit for bit.
+    Those path counts are the entries of the adjacency product
+    ``A_1 A_2 ... A_k``, from which HAN (Wang et al. 2019) forms metapath
+    neighbours, so a multiset pool is computed right to left without
+    enumerating a single (query, terminal) pair: starting from ``[F | 1]``
+    of the terminal type, each hop from the last to the first sets a source
+    node's row to the sum of its out-neighbours' rows, over the edges in
+    CSR order with one ``np.bincount`` per column. The inner hops run over
+    every source node of their type, the first over the query nodes only.
+    The mean is the feature sums over the count sum. Counts are exact
+    integers below 2**53; the features are summed in edge order, so
+    multiset means are within 1e-12 * max(1, max|F|) of the per-node
+    weighted mean, not bit for bit.
+
+    Set pools take one of two routes, chosen once per call from the input
+    alone by counting their work. Take the path counts over every hop but
+    the last as a (rows, |src|) frontier, src being the last hop's source
+    type. When it fits in REACH_BLOCK cells, the last relation's
+    destinations are grouped by their in-neighbour multisets
+    (``_column_groups``): destinations of one group get the same count from
+    every frontier row. The dense route then multiplies the frontier by the
+    grouped incidence in float64 and forms ``(counts > 0) @ F / |set|``, at
+    rows x |src| x groups multiply-adds (780 term pairs among APTP's 8800
+    papers at 800 authors, say). The walk expands one (row, node) pair per
+    frontier nonzero and out-edge of the last hop. The dense route is taken
+    when its multiply-adds are at most DENSE_COST times those pairs (APTP
+    and APVP on the synthetic graphs). BLAS sums the features in its own
+    order, so dense means agree with the per-node mean to within
+    1e-12 * max(1, max|F|), not bit for bit.
 
     Otherwise, and whenever the frontier does not fit or the path has one
     hop, the walk pools every hop from the query nodes and reduces each
     ``metapath_reach`` block over its sorted rows with ``np.bincount``: one
-    for the pool sizes (the path-count sums for a multiset), then one per
-    feature column, of that column taken at the block's terminals (times the
-    counts for a multiset), so that no more than one column of the block's
-    pairs is held at once. bincount adds each row's terms from +0.0 in
-    ascending terminal id order. Set means are bit-identical to
+    for the pool sizes, then one per feature column, of that column taken
+    at the block's terminals, so that no more than one column of the
+    block's pairs is held at once. bincount adds each row's terms from +0.0
+    in ascending terminal id order, so set means are bit-identical to
     ``feats[sorted pool].mean(axis=0)`` up to the sign of a sum whose terms
-    are all -0.0, which is +0.0 here; multiset means are
-    ``fl(sum_k fl(w_k * F_k)) / sum(w)`` added in that order. Empty pools
-    give zero rows.
+    are all -0.0, which is +0.0 here. Empty pools give zero rows.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
+    if multiset:
+        return _multiset_pool(graph, nodes, metapath)
     frontier = _frontier(graph, nodes, metapath)
     if frontier is not None:
         rel = graph.schema.relation(metapath.relations[-1])
@@ -423,18 +454,15 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
         madds = frontier.size * (grouping[2].shape[0] - 1)
         pairs = np.count_nonzero(frontier, axis=0) @ np.diff(graph.csr[rel.name].indptr)
         if madds <= DENSE_COST * pairs:
-            return _dense_pool(graph, metapath, frontier, grouping, multiset)
+            return _dense_pool(graph, metapath, frontier, grouping)
     feats = graph.features[metapath.terminal_type]
     columns = np.ascontiguousarray(feats.T)
     out = np.zeros((nodes.shape[0], feats.shape[1]))
-    for lo, hi, rows, indices, counts in metapath_reach(graph, nodes, metapath.relations):
-        sizes = np.bincount(rows, weights=counts if multiset else None, minlength=hi - lo)[:, None]
+    for lo, hi, rows, indices, _ in metapath_reach(graph, nodes, metapath.relations):
+        sizes = np.bincount(rows, minlength=hi - lo)[:, None]
         sums = np.empty((feats.shape[1], hi - lo))
         for c, column in enumerate(columns):  # one column of the block's pairs at a time
-            terms = np.take(column, indices)
-            if multiset:
-                terms *= counts
-            sums[c] = np.bincount(rows, weights=terms, minlength=hi - lo)
+            sums[c] = np.bincount(rows, weights=np.take(column, indices), minlength=hi - lo)
         np.divide(sums.T, sizes, out=out[lo:hi], where=sizes > 0)
     return out
 

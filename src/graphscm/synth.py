@@ -137,17 +137,21 @@ def academic_schema(num_classes: int) -> Schema:
 
 
 def _draw_partners(rng, author, pool_by_label, label, strength, count):
-    """Distinct partners: same-pool with probability ``strength`` per slot."""
-    same = [a for a in pool_by_label[label] if a != author]
-    other = [a for a in sum((pool_by_label[c] for c in pool_by_label if c != label), [])]
+    """Distinct partners: same-pool with probability ``strength`` per slot.
+
+    ``pool_by_label`` maps each class to its authors as an ascending int64
+    array; the other pool is the other classes' arrays in key order."""
+    same = pool_by_label[label]
+    same = same[same != author]
+    other = np.concatenate([pool_by_label[c] for c in pool_by_label if c != label])
     n_same = int(np.sum(rng.random(count) < strength))
-    n_same = min(n_same, len(same))
-    n_other = min(count - n_same, len(other))
+    n_same = min(n_same, same.shape[0])
+    n_other = min(count - n_same, other.shape[0])
     picked = []
     if n_same:
-        picked += [int(i) for i in rng.choice(same, size=n_same, replace=False)]
+        picked += rng.choice(same, size=n_same, replace=False).tolist()
     if n_other:
-        picked += [int(i) for i in rng.choice(other, size=n_other, replace=False)]
+        picked += rng.choice(other, size=n_other, replace=False).tolist()
     return picked
 
 
@@ -204,12 +208,12 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     # key on the stored label rather than the pre-flip class, so in the
     # train regime the co-author channel partially explains even the label
     # noise: an in-sample temptation that carries nothing on the test side.
-    pools: dict[str, dict[int, list[int]]] = {}
-    label_pools: dict[str, dict[int, list[int]]] = {}
+    pools: dict[str, dict[int, np.ndarray]] = {}
+    label_pools: dict[str, dict[int, np.ndarray]] = {}
     for reg in (TRAIN_REGIME, TEST_REGIME):
-        members = [a for a in range(n_authors) if regime[a] == reg]
-        pools[reg] = {cls: [a for a in members if majority[a] == cls] for cls in range(c)}
-        label_pools[reg] = {cls: [a for a in members if labels[a] == cls] for cls in range(c)}
+        members = regime == reg
+        pools[reg] = {cls: np.flatnonzero(members & (majority == cls)) for cls in range(c)}
+        label_pools[reg] = {cls: np.flatnonzero(members & (labels == cls)) for cls in range(c)}
     for a in range(n_authors):
         reg = str(regime[a])
         strength = spec.spurious_strength if reg == TRAIN_REGIME else 1.0 / c

@@ -165,11 +165,9 @@ def path_counts(adj, node: int, metapath) -> dict[int, int]:
     return counts
 
 
-def pooled_table(graph, adj, nodes, metapath, multiset=False, ordered=False) -> np.ndarray:
-    """Per-node pooled means. Multiset means are the previous implementation's
-    ``(w @ feats[idx]) / w.sum()``, summed in BLAS order, or with ``ordered``
-    the sparse route's contract: ``fl(w_k * F_k)`` added one terminal after
-    another in ascending id order, over ``sum(w)``."""
+def pooled_table(graph, adj, nodes, metapath, multiset=False) -> np.ndarray:
+    """Per-node pooled means. Multiset means are ``(w @ feats[idx]) / w.sum()``
+    over the path counts ``w``, summed in BLAS order."""
     feats = graph.features[metapath.terminal_type]
     out = np.zeros((len(nodes), feats.shape[1]))
     for i, node in enumerate(nodes):
@@ -178,13 +176,7 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False, ordered=False) -> 
             if counts:
                 idx = sorted(counts)
                 w = np.array([counts[j] for j in idx], dtype=np.float64)
-                if ordered:
-                    acc = w[0] * feats[idx[0]]
-                    for k in range(1, len(idx)):
-                        acc = acc + w[k] * feats[idx[k]]
-                    out[i] = acc / w.sum()
-                else:
-                    out[i] = (w @ feats[idx]) / w.sum()
+                out[i] = (w @ feats[idx]) / w.sum()
         else:
             pool = neighbor_set(adj, int(node), metapath)
             if pool:
@@ -846,3 +838,21 @@ def coauthor_pairs(graph) -> list[tuple[int, int]]:
                 if x != y:
                     pairs.add((x, y))
     return sorted(pairs)
+
+
+def draw_partners_lists(rng, author, pool_by_label, label, strength, count):
+    """``synth._draw_partners`` as it was: the same-class and other-class
+    pools rebuilt as Python lists over every author, for every author (the
+    pools arrive as arrays and are turned back into the lists it took)."""
+    pool_by_label = {c: pool.tolist() for c, pool in pool_by_label.items()}
+    same = [a for a in pool_by_label[label] if a != author]
+    other = [a for a in sum((pool_by_label[c] for c in pool_by_label if c != label), [])]
+    n_same = int(np.sum(rng.random(count) < strength))
+    n_same = min(n_same, len(same))
+    n_other = min(count - n_same, len(other))
+    picked = []
+    if n_same:
+        picked += [int(i) for i in rng.choice(same, size=n_same, replace=False)]
+    if n_other:
+        picked += [int(i) for i in rng.choice(other, size=n_other, replace=False)]
+    return picked

@@ -337,6 +337,62 @@ def test_eval_feature_width_mismatch_exits_2_before_pooling(trained_dir, tmp_pat
     assert "feature widths do not match" in err and "Traceback" not in err, err
 
 
+def _copy_with_schema(src, dst, **fields):
+    import shutil
+
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "schema.json")
+    with open(path, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    schema.update(fields)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(schema, fh)
+    return dst
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # the 80 authors' labels and splits are valid paper ids too, so the dataset loads
+        ({"target_type": "paper"}, "checkpoint was trained for target 'author', dataset targets 'paper'"),
+        # the venue features stay two wide: only the class count differs
+        ({"num_classes": 3}, "class count does not match the checkpoint"),
+    ],
+    ids=["target-type", "num-classes"],
+)
+def test_eval_target_or_class_mismatch_exits_2_before_pooling(trained_dir, synth_dir, tmp_path, capsys, monkeypatch, fields, message):
+    data = _copy_with_schema(synth_dir, str(tmp_path / "other"), **fields)
+    assert run_cli("stats", data) == 0
+    capsys.readouterr()
+    _forbid_pooling(monkeypatch)
+    assert run_cli("eval", data, "--checkpoint", os.path.join(trained_dir, "checkpoint.json")) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+
+
+def test_eval_target_width_mismatch_exits_2_before_pooling(synth_dir, tmp_path, capsys, monkeypatch):
+    """At length 1 no metapath ends at the target type, so a wider target
+    is caught by the target-width check itself; at length 2 APA's terminal
+    width differs first."""
+    import shutil
+
+    run = str(tmp_path / "run1")
+    assert run_cli("train", synth_dir, "--out", run, "--hidden", 8, "--max-epochs", 1,
+                   "--batch-size", 32, "--max-metapath-len", 1) == 0
+    data = str(tmp_path / "wide")
+    shutil.copytree(synth_dir, data)
+    path = os.path.join(data, "nodes-author.tsv")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\t0.0\n" for line in lines))
+    capsys.readouterr()
+    _forbid_pooling(monkeypatch)
+    assert run_cli("eval", data, "--checkpoint", os.path.join(run, "checkpoint.json")) == 2
+    err = capsys.readouterr().err
+    assert "target feature width does not match the checkpoint" in err and "Traceback" not in err, err
+
+
 def test_explain_outputs_diagram(trained_dir, tmp_path, capsys):
     out = str(tmp_path / "diagram")
     assert run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
@@ -701,6 +757,59 @@ def test_stats_unloadable_bytes_exit_2_naming_the_line(toy_dir, tmp_path, capsys
     assert run_cli("stats", bad) == 2
     err = capsys.readouterr().err
     assert line.format(n=n) in err and "Traceback" not in err, err
+
+
+@pytest.fixture(scope="module")
+def labels20_dir(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("data") / "synth20")
+    assert run_cli("synth", "--out", out, "--authors", 20, "--classes", 2, "--terms", 16, "--seed", 3) == 0
+    with open(os.path.join(out, "labels.tsv"), encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 20  # every author labeled
+    return out
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("0\t1\t2\n", "labels.tsv:21: expected 'node_id<TAB>class'"),
+        ("999\t0\n", "labels.tsv:21: node id 999 out of range"),
+    ],
+    ids=["extra-column", "unknown-id"],
+)
+def test_labels_line_reader_exits_2_naming_the_line(labels20_dir, tmp_path, capsys, tail, message):
+    import shutil
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(labels20_dir, bad)
+    with open(os.path.join(bad, "labels.tsv"), "a", encoding="utf-8") as fh:
+        fh.write(tail)
+    capsys.readouterr()
+    assert run_cli("stats", bad) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+
+
+def test_labels_line_reader_loads_what_numpy_declines(labels20_dir, tmp_path, capsys):
+    """``0_0`` is an id that ``int()`` reads and numpy's parser declines:
+    the line reader loads the labels of the plain file."""
+    import shutil
+
+    from graphscm.hetgraph import _fast_pairs, load_graph
+
+    odd = str(tmp_path / "odd")
+    shutil.copytree(labels20_dir, odd)
+    path = os.path.join(odd, "labels.tsv")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert lines[0].startswith("0\t")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("0_" + "".join(lines))
+    assert _fast_pairs(path) is None
+    capsys.readouterr()
+    assert run_cli("stats", odd) == 0
+    plain = load_graph(labels20_dir).labels
+    got = load_graph(odd).labels
+    assert got.dtype == plain.dtype and np.array_equal(got, plain)
 
 
 @pytest.mark.parametrize("node_type, max_len", [("venue", 2), ("author", 1), ("author", 2)])

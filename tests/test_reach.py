@@ -1,13 +1,15 @@
 """Differential tests of the CSR metapath operator against the per-node walks.
 
-Every table from the sparse route must be byte-equal to the loop
+Every set table from the walk must be byte-equal to the loop
 implementations in ``oracles``: the vectorised code only re-lays-out the
-computation. Sparse multiset means are byte-equal to the ascending-order
-weighted oracle and held to 1e-12 * max(1, max|F|) of the previous
-implementation's BLAS ``w @ F``. The dense pooling route sums features in
-BLAS order, so its tables are held to that tolerance of the oracle instead,
-and of ``dense_pool_columns``, the dense route with one incidence column per
-terminal node that the grouped columns replaced.
+computation. The dense set route sums features in BLAS order, so its tables
+are held to 1e-12 * max(1, max|F|) of the oracle instead, and of
+``dense_pool_columns``, the dense route with one incidence column per
+terminal node that the grouped columns replaced. Multiset means are per-hop
+sums over each relation's edges, never walked and never dense; they are
+held to the same tolerance of the per-node weighted oracle
+(``pooled_table``), of the walk they replaced (``pooled_walk_tiles``) and,
+where a frontier fits, of ``dense_pool_columns``.
 """
 
 import numpy as np
@@ -90,6 +92,20 @@ def dense_calls(monkeypatch):
 
 
 @pytest.fixture()
+def reach_calls(monkeypatch):
+    """The relation sequence of each ``metapath_reach`` call."""
+    calls = []
+    reach = hetgraph.metapath_reach
+
+    def spy(graph, nodes, relations):
+        calls.append(tuple(relations))
+        return reach(graph, nodes, relations)
+
+    monkeypatch.setattr(hetgraph, "metapath_reach", spy)
+    return calls
+
+
+@pytest.fixture()
 def column_groups(monkeypatch):
     """The group count of each ``_column_groups`` call."""
     calls = []
@@ -137,12 +153,13 @@ def _assert_pooled_like_oracle(graph, adj, nodes, mp, dense, dense_calls, cost):
         got = pooled_neighbor_features(graph, nodes, mp, multiset)
         want = pooled_table(graph, adj, nodes, mp, multiset)
         case = (cost, mp.name, multiset)
+        if multiset:  # per-hop sums whatever the cost bound: never the dense route
+            assert dense_calls == [], case
+            assert _within_tolerance(got, want, feats), case
+            assert _within_tolerance(got, pooled_walk_tiles(graph, nodes, mp, True), feats), case
+            continue
         assert dense == bool(dense_calls), case
         if dense_calls:
-            assert _within_tolerance(got, want, feats), case
-        elif multiset:
-            ordered = pooled_table(graph, adj, nodes, mp, multiset, ordered=True)
-            assert _same_bytes(got, ordered), case
             assert _within_tolerance(got, want, feats), case
         else:
             assert _same_bytes(got, want), case
@@ -151,18 +168,18 @@ def _assert_pooled_like_oracle(graph, adj, nodes, mp, dense, dense_calls, cost):
 @pytest.mark.parametrize("which", ["toy", "synth"])
 def test_one_hop_paths_walk_without_a_frontier_or_groups(which, toy_graph, synth_graph, dense_calls, column_groups, monkeypatch):
     """A path of one hop builds no (rows x rows) identity frontier and groups
-    no columns, whatever the cost bound; it walks, bit-identical to the
-    per-node oracle."""
+    no columns, whatever the cost bound; a set pool walks, bit-identical to
+    the per-node oracle, and a multiset pool is within the tolerance of it."""
     graph = toy_graph if which == "toy" else synth_graph
     nodes = list(range(graph.num_nodes(graph.schema.target_type)))
     adj = adjacency_lists(graph)
     monkeypatch.setattr(hetgraph, "DENSE_COST", 10**9)
     for mp in enumerate_metapaths(graph.schema, 1):
         assert hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp) is None
-        for multiset in (False, True):
-            got = pooled_neighbor_features(graph, nodes, mp, multiset)
-            want = pooled_table(graph, adj, nodes, mp, multiset, ordered=multiset)
-            assert _same_bytes(got, want), (mp.name, multiset)
+        got = pooled_neighbor_features(graph, nodes, mp)
+        assert _same_bytes(got, pooled_table(graph, adj, nodes, mp)), mp.name
+        got = pooled_neighbor_features(graph, nodes, mp, True)
+        assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, True), graph.features[mp.terminal_type]), mp.name
     assert dense_calls == [] and column_groups == []
 
 
@@ -206,7 +223,7 @@ def test_dense_route_in_row_blocks_and_column_tiles_matches_oracle(synth_graph, 
         dense_calls.clear()
         got = pooled_neighbor_features(synth_graph, nodes, mp, multiset)
         want = pooled_table(synth_graph, adj, nodes, mp, multiset)
-        assert dense_calls == ["APTPA"]
+        assert dense_calls == ([] if multiset else ["APTPA"])
         assert _within_tolerance(got, want, synth_graph.features["author"]), multiset
 
 
@@ -222,7 +239,7 @@ def test_dense_route_empty_pools_subsets_and_exclude_self(toy_graph, dense_calls
         for multiset in (False, True):
             dense_calls.clear()
             got = pooled_neighbor_features(graph, nodes, mp, multiset)
-            assert dense_calls == [name]
+            assert dense_calls == ([] if multiset else [name])
             assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, multiset), feats)
             if 3 in nodes:
                 assert not got[nodes.index(3)].any()
@@ -243,7 +260,9 @@ def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block
     empty = [i for i, node in enumerate(nodes) if node == 120]
     for mp in enumerate_metapaths(graph.schema, 2):
         got = pooled_neighbor_features(graph, nodes, mp, True)
-        assert _same_bytes(got, pooled_table(graph, adj, nodes, mp, True, ordered=True))
+        feats = graph.features[mp.terminal_type]
+        assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, True), feats)
+        assert _within_tolerance(got, pooled_walk_tiles(graph, nodes, mp, True), feats)
         assert not got[empty].any()
     assert dense_calls == []
 
@@ -251,10 +270,11 @@ def test_sparse_multiset_empty_pools_subsets_and_exclude_self(synth_graph, block
 @pytest.mark.parametrize("which", ["toy", "synth"])
 def test_walk_bincounts_byte_equal_to_padded_tiles(which, toy_graph, synth_graph, reach_block, monkeypatch):
     """The walk's per-column bincounts keep every bit of the padded
-    (steps, rows, D) tiles they replaced, set and multiset, on every
-    metapath up to length 3: over all target nodes, and over an unordered
-    subset with repeats that puts a node without edges (an empty pool) first,
-    last and between."""
+    (steps, rows, D) set tiles they replaced, and the per-hop multiset sums
+    are within the tolerance of the multiset tiles, on every metapath up to
+    length 3: over all target nodes, and over an unordered subset with
+    repeats that puts a node without edges (an empty pool) first, last and
+    between."""
     graph = toy_graph if which == "toy" else synth_graph
     n = graph.num_nodes(graph.schema.target_type)
     extra = np.full((1, graph.feature_dim("author")), 0.5)
@@ -266,7 +286,11 @@ def test_walk_bincounts_byte_equal_to_padded_tiles(which, toy_graph, synth_graph
         for mp in enumerate_metapaths(graph.schema, 3):
             for multiset in (False, True):
                 got = pooled_neighbor_features(graph, nodes, mp, multiset)
-                assert _same_bytes(got, pooled_walk_tiles(graph, nodes, mp, multiset)), (mp.name, multiset)
+                want = pooled_walk_tiles(graph, nodes, mp, multiset)
+                if multiset:
+                    assert _within_tolerance(got, want, graph.features[mp.terminal_type]), mp.name
+                else:
+                    assert _same_bytes(got, want), mp.name
                 if mp.relations[0] == "write":
                     assert not got[[i for i, x in enumerate(nodes) if x == n]].any()
 
@@ -348,7 +372,7 @@ def test_equal_venue_support_shares_a_set_pool_not_a_multiset_pool(dblp_schema, 
     assert _within_tolerance(multisets, pooled_table(graph, adj, nodes, apvp, multiset=True), feats)
     assert not _within_tolerance(multisets[1], multisets[0], feats)
     assert _within_tolerance(multisets[3], multisets[0], feats)
-    assert dense_calls == ["APVP", "APVP"]
+    assert dense_calls == ["APVP"]  # the set pool; the multiset pool sums per hop
 
 
 def _in_multisets(adj, relation: str, n_dst: int) -> list[tuple[int, ...]]:
@@ -361,8 +385,9 @@ def _in_multisets(adj, relation: str, n_dst: int) -> list[tuple[int, ...]]:
 
 
 def _assert_grouped_route_matches_both_oracles(graph, nodes, mp, dense_calls, column_groups):
-    """The grouped dense route within 1e-12 * max(1, max|F|) of the column
-    oracle and of the per-node oracle; returns the group count it used."""
+    """The grouped dense route's set pool, and the per-hop multiset pool,
+    within 1e-12 * max(1, max|F|) of the column oracle and of the per-node
+    oracle; returns the group count the set pool used."""
     adj = adjacency_lists(graph)
     feats = graph.features[mp.terminal_type]
     frontier = hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp)
@@ -371,8 +396,11 @@ def _assert_grouped_route_matches_both_oracles(graph, nodes, mp, dense_calls, co
         dense_calls.clear()
         column_groups.clear()
         got = pooled_neighbor_features(graph, nodes, mp, multiset)
-        assert dense_calls == [mp.name] and len(column_groups) == 1, multiset
-        groups.add(column_groups[0])
+        if multiset:
+            assert dense_calls == [] and column_groups == []
+        else:
+            assert dense_calls == [mp.name] and len(column_groups) == 1
+            groups.add(column_groups[0])
         assert _within_tolerance(got, dense_pool_columns(graph, mp, frontier, multiset), feats), multiset
         assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, multiset), feats), multiset
     in_sets = _in_multisets(adj, mp.relations[-1], feats.shape[0])
@@ -441,3 +469,84 @@ def test_aptp_groups_papers_by_their_terms():
     for d in range(0, graph.num_nodes("paper"), 97):  # every group lists a member's in-neighbours
         g = group[d]
         assert tuple(sources[indptr[g]:indptr[g + 1]]) == in_sets[d]
+
+
+def _random_multigraph(schema, sizes, edges, seed):
+    """Normal features scaled by 4, and ``edges[name]`` edges per forward
+    relation drawn with replacement, so that parallel edges occur; the last
+    node of the target type is on no edge, so every pool of it is empty."""
+    rng = np.random.default_rng(seed)
+    features = {t: rng.normal(size=(n, 3)) * 4.0 for t, n in sizes.items()}
+    target = schema.target_type
+    graph_edges = {}
+    for rel in schema.relations:
+        if rel.name in graph_edges:  # the inverse of a relation drawn before it
+            continue
+        hi = [sizes[t] - (t == target) for t in (rel.src, rel.dst)]
+        pairs = np.stack([rng.integers(0, n, size=edges.get(rel.name, 0)) for n in hi], axis=1)
+        graph_edges[rel.name] = pairs.astype(np.int64).reshape(-1, 2)
+        graph_edges[rel.inverse] = graph_edges[rel.name][:, ::-1].copy()
+    return HeteroGraph(schema, features, graph_edges, np.full(sizes[target], UNLABELED))
+
+
+@pytest.mark.parametrize(
+    "which",
+    [
+        "dblp",
+        "dblp-no-terms",  # use and rev_use have no edges: every pool through them is empty
+        "acm",  # cite and ref link papers to papers
+    ],
+)
+def test_multiset_pools_on_multigraphs_match_oracles_up_to_length_4(which, dblp_schema, acm_schema, dense_calls, reach_calls):
+    if which == "acm":
+        sizes = {"paper": 30, "author": 12, "subject": 4}
+        graph = _random_multigraph(acm_schema, sizes, {"cite": 45, "write": 50, "belong": 40}, seed=7)
+    else:
+        sizes = {"author": 16, "paper": 30, "venue": 4, "term": 6}
+        edges = {"write": 50, "publish": 30, "use": 0 if which == "dblp-no-terms" else 55}
+        graph = _random_multigraph(dblp_schema, sizes, edges, seed=3)
+    n = graph.num_nodes(graph.schema.target_type)
+    assert any(np.unique(e, axis=0).shape[0] < e.shape[0] for e in graph.edges.values())  # parallel edges
+    adj = adjacency_lists(graph)
+    subset = [n - 1, 4, 2, 9, 4, 0, n - 2, 2, n - 1]  # unordered, repeats, the empty pool first and last
+    for nodes in (list(range(n)), subset, []):  # no query nodes: (0, D) tables
+        for mp in enumerate_metapaths(graph.schema, 4):
+            feats = graph.features[mp.terminal_type]
+            dense_calls.clear()
+            reach_calls.clear()
+            got = pooled_neighbor_features(graph, nodes, mp, multiset=True)
+            assert dense_calls == [] and reach_calls == [], mp.name  # neither the dense route nor a walk
+            assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, True), feats), mp.name
+            assert _within_tolerance(got, pooled_walk_tiles(graph, nodes, mp, True), feats), mp.name
+    for mp in enumerate_metapaths(graph.schema, 4):
+        got = pooled_neighbor_features(graph, subset, mp, multiset=True)
+        assert not got[[0, -1]].any(), mp.name
+        if "use" in mp.relations and which == "dblp-no-terms":
+            assert not got.any(), mp.name
+
+
+def test_multiset_parallel_edges_count_twice(dblp_schema, reach_calls):
+    # author 0 writes paper 0 twice and paper 1 once; author 1 writes paper 1
+    # twice; author 2 writes nothing
+    features = {
+        "author": np.array([[1.0], [10.0], [0.0]]),
+        "paper": np.array([[1.0], [4.0]]),
+        "venue": np.zeros((1, 1)),
+        "term": np.zeros((1, 1)),
+    }
+    forward = {"write": [(0, 0), (0, 1), (0, 0), (1, 1), (1, 1)], "publish": [], "use": []}
+    edges = {}
+    for name, pairs in forward.items():
+        edges[name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        edges["rev_" + name] = edges[name][:, ::-1].copy()
+    graph = HeteroGraph(dblp_schema, features, edges, np.full(3, UNLABELED))
+    paths = {mp.name: mp for mp in enumerate_metapaths(dblp_schema, 2)}
+    ap = pooled_neighbor_features(graph, [0, 1, 2], paths["AP"], multiset=True)
+    assert ap.tolist() == [[2.0], [4.0], [0.0]]  # (1 + 1 + 4) / 3; a set pool of author 0 is 2.5
+    # APA: author 0 reaches itself along 2 * 2 + 1 paths and author 1 along
+    # 1 * 2; author 1 reaches author 0 along 2 * 1 and itself along 2 * 2
+    apa = pooled_neighbor_features(graph, [1, 0], paths["APA"], multiset=True)
+    assert _within_tolerance(apa, np.array([[(2 * 1.0 + 4 * 10.0) / 6], [(5 * 1.0 + 2 * 10.0) / 7]]), features["author"])
+    assert reach_calls == []
+    assert pooled_neighbor_features(graph, [0], paths["AP"]).tolist() == [[2.5]]
+

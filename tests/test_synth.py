@@ -18,7 +18,7 @@ from graphscm.synth import (
     rule_accuracy,
 )
 
-from oracles import adjacency_lists, neighbor_set
+from oracles import adjacency_lists, draw_partners_lists, neighbor_set
 from oracles import coauthor_pairs as coauthor_pairs_loop
 
 
@@ -101,6 +101,26 @@ def test_same_seed_byte_identical_datasets(tmp_path):
         truth.to_json(os.path.join(out, "ground-truth.json"))
     for name in sorted(os.listdir(out1)):
         assert filecmp.cmp(os.path.join(out1, name), os.path.join(out2, name), shallow=False)
+
+
+@pytest.mark.parametrize("authors, seed", [(60, 0), (60, 5), (400, 1), (400, 9)])
+def test_partner_draws_byte_identical_to_list_pools(tmp_path, monkeypatch, authors, seed):
+    """The partner pools as int64 arrays, the author masked out, draw the
+    partners the per-author Python lists drew: every dataset file and the
+    ground truth are byte-identical."""
+    import graphscm.synth as synth
+
+    outs = []
+    for draw in (synth._draw_partners, draw_partners_lists):
+        monkeypatch.setattr(synth, "_draw_partners", draw)
+        graph, truth = generate(SynthSpec(authors=authors, seed=seed))
+        outs.append(str(tmp_path / draw.__name__))
+        write_dataset(graph, outs[-1])
+        truth.to_json(os.path.join(outs[-1], "ground-truth.json"))
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "edges-write.tsv" in names
+    for name in names:
+        assert filecmp.cmp(os.path.join(outs[0], name), os.path.join(outs[1], name), shallow=False), name
 
 
 def test_generated_dataset_roundtrips_through_loader(tmp_path):
