@@ -382,19 +382,13 @@ def _multiset_pool(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) ->
     sparse sum per hop, from the last relation back to the first."""
     feats = graph.features[metapath.terminal_type]
     sums = np.vstack([feats.T, np.ones(feats.shape[0])])  # one row per column of [F | 1]
-    for k in range(len(metapath) - 1, -1, -1):
-        rel = metapath.relations[k]
+    for rel in reversed(metapath.relations):
         indptr, indices = graph.csr[rel]
-        rows = nodes if k == 0 else np.arange(graph.num_nodes(graph.schema.relation(rel).src))
-        starts = indptr[rows]
-        deg = indptr[rows + 1] - starts
-        first = np.cumsum(deg) - deg
-        # each row's out-edges in CSR order, and the row each one sums into
-        dst = indices[np.arange(int(deg.sum()), dtype=np.int64) - np.repeat(first - starts, deg)]
-        seg = np.repeat(np.arange(rows.shape[0]), deg)
-        sums = np.stack([np.bincount(seg, weights=np.take(col, dst), minlength=rows.shape[0]) for col in sums])
-    sizes = sums[-1][:, None]
-    return np.divide(sums[:-1].T, sizes, out=np.zeros((nodes.shape[0], feats.shape[1])), where=sizes > 0)
+        n = indptr.shape[0] - 1
+        seg = np.repeat(np.arange(n), np.diff(indptr))  # the source each edge sums into
+        sums = np.stack([np.bincount(seg, weights=np.take(col, indices), minlength=n) for col in sums])
+    sizes = sums[-1, nodes][:, None]
+    return np.divide(sums[:-1, nodes].T, sizes, out=np.zeros((nodes.shape[0], feats.shape[1])), where=sizes > 0)
 
 
 def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, multiset: bool = False) -> np.ndarray:
@@ -411,9 +405,10 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     enumerating a single (query, terminal) pair: starting from ``[F | 1]``
     of the terminal type, each hop from the last to the first sets a source
     node's row to the sum of its out-neighbours' rows, over the edges in
-    CSR order with one ``np.bincount`` per column. The inner hops run over
-    every source node of their type, the first over the query nodes only.
-    The mean is the feature sums over the count sum. Counts are exact
+    CSR order with one ``np.bincount`` per column. Every hop runs over all
+    source nodes of its type, and the query rows are taken from the first
+    hop's sums, so a subset pools as the same rows of the whole table. The
+    mean is the feature sums over the count sum. Counts are exact
     integers below 2**53; the features are summed in edge order, so
     multiset means are within 1e-12 * max(1, max|F|) of the per-node
     weighted mean, not bit for bit.

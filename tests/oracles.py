@@ -165,9 +165,11 @@ def path_counts(adj, node: int, metapath) -> dict[int, int]:
     return counts
 
 
-def pooled_table(graph, adj, nodes, metapath, multiset=False) -> np.ndarray:
+def pooled_table(graph, adj, nodes, metapath, multiset=False, ordered=False) -> np.ndarray:
     """Per-node pooled means. Multiset means are ``(w @ feats[idx]) / w.sum()``
-    over the path counts ``w``, summed in BLAS order."""
+    over the path counts ``w``, summed in BLAS order, or with ``ordered``
+    ``fl(w_k * F_k)`` added one terminal after another in ascending id order,
+    over ``sum(w)``."""
     feats = graph.features[metapath.terminal_type]
     out = np.zeros((len(nodes), feats.shape[1]))
     for i, node in enumerate(nodes):
@@ -176,7 +178,13 @@ def pooled_table(graph, adj, nodes, metapath, multiset=False) -> np.ndarray:
             if counts:
                 idx = sorted(counts)
                 w = np.array([counts[j] for j in idx], dtype=np.float64)
-                out[i] = (w @ feats[idx]) / w.sum()
+                if ordered:
+                    acc = w[0] * feats[idx[0]]
+                    for k in range(1, len(idx)):
+                        acc = acc + w[k] * feats[idx[k]]
+                    out[i] = acc / w.sum()
+                else:
+                    out[i] = (w @ feats[idx]) / w.sum()
         else:
             pool = neighbor_set(adj, int(node), metapath)
             if pool:

@@ -168,18 +168,18 @@ def _assert_pooled_like_oracle(graph, adj, nodes, mp, dense, dense_calls, cost):
 @pytest.mark.parametrize("which", ["toy", "synth"])
 def test_one_hop_paths_walk_without_a_frontier_or_groups(which, toy_graph, synth_graph, dense_calls, column_groups, monkeypatch):
     """A path of one hop builds no (rows x rows) identity frontier and groups
-    no columns, whatever the cost bound; a set pool walks, bit-identical to
-    the per-node oracle, and a multiset pool is within the tolerance of it."""
+    no columns, whatever the cost bound; a set pool walks, and set and
+    multiset pools are bit-identical to the per-node oracle."""
     graph = toy_graph if which == "toy" else synth_graph
     nodes = list(range(graph.num_nodes(graph.schema.target_type)))
     adj = adjacency_lists(graph)
     monkeypatch.setattr(hetgraph, "DENSE_COST", 10**9)
     for mp in enumerate_metapaths(graph.schema, 1):
         assert hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp) is None
-        got = pooled_neighbor_features(graph, nodes, mp)
-        assert _same_bytes(got, pooled_table(graph, adj, nodes, mp)), mp.name
-        got = pooled_neighbor_features(graph, nodes, mp, True)
-        assert _within_tolerance(got, pooled_table(graph, adj, nodes, mp, True), graph.features[mp.terminal_type]), mp.name
+        for multiset in (False, True):
+            got = pooled_neighbor_features(graph, nodes, mp, multiset)
+            want = pooled_table(graph, adj, nodes, mp, multiset, ordered=multiset)
+            assert _same_bytes(got, want), (mp.name, multiset)
     assert dense_calls == [] and column_groups == []
 
 
