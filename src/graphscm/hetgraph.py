@@ -143,6 +143,15 @@ def enumerate_metapaths(schema: Schema, max_len: int) -> list[MetaPath]:
     return out
 
 
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of keys in ``[0, n)``, sorted as
+    8- or 16-bit keys when ``n`` allows: numpy radix-sorts those widths, and
+    a stable order is unique, so the permutation is the same."""
+    if n <= 1 << 16:
+        keys = keys.astype(np.uint8 if n <= 1 << 8 else np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 class Csr(NamedTuple):
     """One relation in compressed sparse rows: source ``s`` links to
     ``indices[indptr[s]:indptr[s + 1]]``, in edge-file order."""
@@ -186,9 +195,10 @@ class HeteroGraph:
         self.csr = {}
         for r in self.schema.relations:
             e = np.asarray(self.edges[r.name], dtype=np.int64).reshape(-1, 2)
-            indptr = np.zeros(self.num_nodes(r.src) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(e[:, 0], minlength=self.num_nodes(r.src)), out=indptr[1:])
-            self.csr[r.name] = Csr(indptr, e[np.argsort(e[:, 0], kind="stable"), 1])
+            n_src = self.num_nodes(r.src)
+            indptr = np.zeros(n_src + 1, dtype=np.int64)
+            np.cumsum(np.bincount(e[:, 0], minlength=n_src), out=indptr[1:])
+            self.csr[r.name] = Csr(indptr, e[_stable_order(e[:, 0], n_src), 1])
 
     def num_nodes(self, node_type: str) -> int:
         return self.features[node_type].shape[0]
@@ -299,7 +309,7 @@ def _column_groups(csr: Csr, n_dst: int):
     than m sources at once.
     """
     src_ptr, dst = csr
-    order = np.argsort(dst, kind="stable")
+    order = _stable_order(dst, n_dst)
     # CSR lists edges by source, so a stable sort by destination keeps each one's sources ascending
     src = np.repeat(np.arange(src_ptr.shape[0] - 1), np.diff(src_ptr))[order]
     deg = np.bincount(dst, minlength=n_dst)
@@ -688,43 +698,27 @@ def load_graph(dataset_dir: str) -> HeteroGraph:
     return graph
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _byte_table(strings) -> np.ndarray:
+    """The ASCII ``strings`` as the rows of a NUL-padded uint8 table."""
+    table = np.array(strings, dtype=np.bytes_)
+    return table.view(np.uint8).reshape(table.shape + (table.itemsize,))
 
 
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _put_digits(buf: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
-    """Write the decimal digits of the non-negative ``values`` into ``buf``,
-    each value's last digit just before its entry of ``ends``."""
-    while values.size:
-        buf[ends - 1] = values % 10 + ord("0")
-        more = values >= 10
-        values, ends = values[more] // 10, ends[more] - 1
-
-
-def _pair_lines(first: np.ndarray, second: np.ndarray) -> str:
-    """One ``first<TAB>second`` line per pair of non-negative int64s, the
-    bytes ``str.format`` gives, with the digits laid out by numpy in one buffer."""
-    w1, w2 = (1 + np.searchsorted(_POWERS_OF_TEN, v, side="right") for v in (first, second))
-    ends = np.cumsum(w1 + w2 + 2)
-    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    tabs = ends - w2 - 2
-    buf[tabs], buf[ends - 1] = ord("\t"), ord("\n")
-    _put_digits(buf, tabs, first)
-    _put_digits(buf, ends - 1, second)
-    return buf.tobytes().decode("ascii")
+def _write_lines(path: str, *columns: np.ndarray) -> None:
+    """Write the uint8 tables ``columns`` side by side as tab-separated lines, NULs dropped."""
+    tab, newline = (np.full((columns[0].shape[0], 1), ord(c), dtype=np.uint8) for c in "\t\n")
+    mat = np.hstack([b for column in columns for b in (tab, column)][1:] + [newline])
+    with open(path, "wb") as fh:
+        fh.write(mat[mat != 0].tobytes())
 
 
 def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
-    """Write a graph back to the on-disk dataset format (byte-stable).
-
-    Feature values are written as ``repr`` of the float, the shortest
-    decimal that parses back to the same value; each file is formatted as
-    one string and written at once.
-    """
+    """Write a graph in the on-disk dataset format: ids and classes in
+    decimal, features as ``repr`` of the float (the shortest decimal that
+    parses back to it), so ``write_dataset(load_graph(d), out)`` reproduces
+    every file of a dataset ``d`` this function wrote. Each field is a row
+    of a byte table of its strings: ``str(i)`` per id of a type, ``repr``
+    once per distinct float64 bit pattern (``-0.0`` keeps its sign)."""
     os.makedirs(out_dir, exist_ok=True)
     schema = graph.schema
     payload = {
@@ -737,13 +731,16 @@ def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
         "num_classes": schema.num_classes,
     }
     write_json(payload, os.path.join(out_dir, "schema.json"))
+    # the target type's table also spells the classes
+    sizes = {t: max(graph.num_nodes(t), schema.num_classes) for t in schema.node_types}
+    ids = {t: _byte_table(list(map(str, range(n)))) for t, n in sizes.items()}
     for t in schema.node_types:
-        feats = np.asarray(graph.features[t], dtype=np.float64)
-        sep = "\t" if feats.shape[1] else ""
-        lines = [str(i) + sep + "\t".join(map(repr, row)) + "\n" for i, row in enumerate(feats.tolist())]
-        _write_text(os.path.join(out_dir, f"nodes-{t}.tsv"), "".join(lines))
+        feats = np.ascontiguousarray(graph.features[t], dtype=np.float64)
+        bits, where = np.unique(feats.view(np.uint64).ravel(), return_inverse=True)
+        values = _byte_table(list(map(repr, bits.view(np.float64).tolist())))[where.reshape(feats.shape)]
+        _write_lines(os.path.join(out_dir, f"nodes-{t}.tsv"), ids[t][: feats.shape[0]], *values.transpose(1, 0, 2))
     for r in schema.relations:
         edges = np.asarray(graph.edges[r.name], dtype=np.int64).reshape(-1, 2)
-        _write_text(os.path.join(out_dir, f"edges-{r.name}.tsv"), _pair_lines(edges[:, 0], edges[:, 1]))
-    labeled = graph.labeled_nodes()
-    _write_text(os.path.join(out_dir, "labels.tsv"), _pair_lines(labeled, graph.labels[labeled].astype(np.int64)))
+        _write_lines(os.path.join(out_dir, f"edges-{r.name}.tsv"), ids[r.src][edges[:, 0]], ids[r.dst][edges[:, 1]])
+    labeled, table = graph.labeled_nodes(), ids[schema.target_type]
+    _write_lines(os.path.join(out_dir, "labels.tsv"), table[labeled], table[graph.labels[labeled]])

@@ -155,6 +155,27 @@ def _draw_partners(rng, author, pool_by_label, label, strength, count):
     return picked
 
 
+def _draw_terms(rng, paper_venue_class, term_class):
+    """``(paper, term)`` pairs: TERMS_PER_PAPER distinct terms per paper,
+    ascending, each drawn from the venue class's terms with probability
+    TERM_CLASS_AFFINITY and from all terms otherwise (always, for a
+    venue-less paper). ``pool[rng.integers(pool.size)]`` draws what
+    ``rng.choice(pool)`` draws, through the same generator call."""
+    everything = np.arange(term_class.shape[0])
+    by_class = [np.flatnonzero(term_class == k) for k in range(int(term_class.max()) + 1)]
+    use_edges = []
+    for p, vclass in enumerate(paper_venue_class):
+        picked: set[int] = set()
+        while len(picked) < TERMS_PER_PAPER:
+            if vclass is not None and rng.random() < TERM_CLASS_AFFINITY:
+                pool = by_class[vclass]
+            else:
+                pool = everything
+            picked.add(int(pool[rng.integers(pool.size)]))
+        use_edges += [(p, t) for t in sorted(picked)]
+    return use_edges
+
+
 def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     """Build the graph and its generative record, deterministically per seed."""
     spec.validate()
@@ -234,18 +255,7 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, GroundTruth]:
     # so the term variable carries a weak class echo rather than a constant
     n_papers = next_paper
     term_class = np.arange(spec.terms) % c
-    use_edges = []
-    for p in range(n_papers):
-        vclass = paper_venue_class[p]
-        picked: set[int] = set()
-        while len(picked) < TERMS_PER_PAPER:
-            if vclass is not None and rng.random() < TERM_CLASS_AFFINITY:
-                pool = np.flatnonzero(term_class == vclass)
-            else:
-                pool = np.arange(spec.terms)
-            picked.add(int(rng.choice(pool)))
-        for t in sorted(picked):
-            use_edges.append((p, t))
+    use_edges = _draw_terms(rng, paper_venue_class, term_class)
 
     # features: venues carry exact one-hot class blocks; authors and papers
     # carry a small discrete class leak plus discrete class-agnostic noise,

@@ -864,3 +864,22 @@ def draw_partners_lists(rng, author, pool_by_label, label, strength, count):
     if n_other:
         picked += [int(i) for i in rng.choice(other, size=n_other, replace=False)]
     return picked
+
+
+def draw_terms_choice(rng, paper_venue_class, term_class):
+    """``synth._draw_terms`` as it was: each term drawn with
+    ``rng.choice(pool)``, the pool rebuilt for every draw."""
+    from graphscm.synth import TERM_CLASS_AFFINITY, TERMS_PER_PAPER
+
+    use_edges = []
+    for p, vclass in enumerate(paper_venue_class):
+        picked: set[int] = set()
+        while len(picked) < TERMS_PER_PAPER:
+            if vclass is not None and rng.random() < TERM_CLASS_AFFINITY:
+                pool = np.flatnonzero(term_class == vclass)
+            else:
+                pool = np.arange(term_class.shape[0])
+            picked.add(int(rng.choice(pool)))
+        for t in sorted(picked):
+            use_edges.append((p, t))
+    return use_edges

@@ -10,9 +10,9 @@ from graphscm.hetgraph import (
     HeteroGraph,
     _fast_features,
     _fast_pairs,
-    _pair_lines,
     _read_edges_lines,
     _read_features_lines,
+    _stable_order,
     Relation,
     Schema,
     enumerate_metapaths,
@@ -118,13 +118,57 @@ def test_write_dataset_empty_relation_and_digit_boundaries(dblp_schema, tmp_path
     assert (tmp_path / "fast" / "edges-write.tsv").read_bytes().endswith(b"\n8\t10000\n9\t99999\n10\t100000\n")
 
 
-def test_pair_lines_match_str_format_at_every_digit_count():
-    values = np.array([0, 1, 9, 10, 99, 100, 99999, 100000, 10**18 - 1, 10**18, 2**63 - 1], dtype=np.int64)
-    first, second = (v.ravel() for v in np.meshgrid(values, values))
-    want = "".join(f"{a}\t{b}\n" for a, b in zip(first.tolist(), second.tolist()))
-    assert _pair_lines(first, second) == want
-    empty = np.zeros(0, dtype=np.int64)
-    assert _pair_lines(empty, empty) == ""
+def test_write_dataset_bytes_equal_line_writer_at_id_and_float_edges(dblp_schema, tmp_path):
+    # ids cross every digit count up to 100000; one venue feature column
+    # holds the float forms repr spells apart (NaNs with other bits
+    # included), every paper feature is distinct, and there are no terms
+    sizes = {"author": 11, "paper": 100001, "venue": 11, "term": 0}
+    ids = np.array([0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000])
+    forms = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, np.nan, np.inf, -np.inf]
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    venue = np.column_stack([np.concatenate([forms, nans]), np.ones(11)])
+    papers = np.random.default_rng(5).standard_normal((sizes["paper"], 2))
+    assert np.unique(papers).size == papers.size
+    features = {"author": np.resize(venue[:, 0], (11, 3)), "paper": papers, "venue": venue, "term": np.zeros((0, 2))}
+    forward = {
+        "write": np.column_stack([np.arange(11), ids]),
+        "publish": np.column_stack([np.arange(11), ids[::-1]]),
+        "use": np.zeros((0, 2), dtype=np.int64),
+    }
+    edges = dict(forward, **{"rev_" + name: e[:, ::-1].copy() for name, e in forward.items()})
+    labels = np.array([UNLABELED, 1, 2, 3, 0, UNLABELED, 1, 2, 3, 0, 1])
+    graph = HeteroGraph(dblp_schema, features, edges, labels)
+    write_dataset(graph, str(tmp_path / "fast"))
+    write_dataset_lines(graph, str(tmp_path / "lines"))
+    names = sorted(os.listdir(tmp_path / "lines"))
+    assert sorted(os.listdir(tmp_path / "fast")) == names
+    for name in names:
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "lines" / name).read_bytes(), name
+    assert (tmp_path / "fast" / "nodes-term.tsv").read_bytes() == b""
+    venue_lines = (tmp_path / "fast" / "nodes-venue.tsv").read_text().splitlines()
+    assert [line.split("\t")[1] for line in venue_lines] == (
+        "0.0 -0.0 5e-324 1e+16 1e-05 0.30000000000000004 nan inf -inf nan nan".split()
+    )
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 65535, 65536, 65537])
+def test_stable_order_equals_int64_stable_argsort(n):
+    rng = np.random.default_rng(n)
+    # shuffled keys with many duplicates, every key of the range among them
+    keys = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, size=3 * n + 7)]))
+    assert np.array_equal(_stable_order(keys, n), np.argsort(keys.astype(np.int64), kind="stable"))
+    assert _stable_order(keys[:0], n).shape == (0,)
+
+
+def test_csr_equals_int64_argsort_build():
+    from graphscm.synth import SynthSpec, generate
+
+    graph, _ = generate(SynthSpec(authors=120, seed=0))
+    for name, (indptr, indices) in graph.csr.items():
+        e = graph.edges[name]
+        order = np.argsort(e[:, 0].astype(np.int64), kind="stable")
+        assert np.array_equal(indices, e[order, 1]), name
+        assert np.array_equal(indptr, np.searchsorted(e[order, 0], np.arange(indptr.shape[0]))), name
 
 
 def test_dangling_edge_index_rejected(toy_dir, tmp_path):

@@ -18,7 +18,7 @@ from graphscm.synth import (
     rule_accuracy,
 )
 
-from oracles import adjacency_lists, draw_partners_lists, neighbor_set
+from oracles import adjacency_lists, draw_partners_lists, draw_terms_choice, neighbor_set
 from oracles import coauthor_pairs as coauthor_pairs_loop
 
 
@@ -119,6 +119,26 @@ def test_partner_draws_byte_identical_to_list_pools(tmp_path, monkeypatch, autho
         truth.to_json(os.path.join(outs[-1], "ground-truth.json"))
     names = sorted(os.listdir(outs[0]))
     assert names == sorted(os.listdir(outs[1])) and "edges-write.tsv" in names
+    for name in names:
+        assert filecmp.cmp(os.path.join(outs[0], name), os.path.join(outs[1], name), shallow=False), name
+
+
+@pytest.mark.parametrize("authors, seed", [(60, 0), (60, 5), (400, 1), (400, 9)])
+def test_term_draws_byte_identical_to_choice(tmp_path, monkeypatch, authors, seed):
+    """Terms drawn by indexing pools built once draw what ``rng.choice``
+    drew from pools rebuilt per draw: every dataset file and the ground
+    truth are byte-identical, so the generator stream is too."""
+    import graphscm.synth as synth
+
+    outs = []
+    for draw in (synth._draw_terms, draw_terms_choice):
+        monkeypatch.setattr(synth, "_draw_terms", draw)
+        graph, truth = generate(SynthSpec(authors=authors, seed=seed))
+        outs.append(str(tmp_path / draw.__name__))
+        write_dataset(graph, outs[-1])
+        truth.to_json(os.path.join(outs[-1], "ground-truth.json"))
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "edges-use.tsv" in names
     for name in names:
         assert filecmp.cmp(os.path.join(outs[0], name), os.path.join(outs[1], name), shallow=False), name
 
