@@ -12,8 +12,8 @@ A dataset lives in a directory of UTF-8 text files:
 If an inverse relation has no edge file on disk, its edges are synthesized
 by reversing the forward relation's; when both files exist, each must be
 the other's reversal. Feature values must be finite. In memory each
-relation is also held as CSR (``HeteroGraph.csr``), which the metapath
-operator ``metapath_reach`` walks and the multiset pool sums over.
+relation is also held as CSR (``HeteroGraph.csr``), which the set walk
+``metapath_reach`` and the multiset pool's per-hop sums both read.
 """
 
 from __future__ import annotations
@@ -225,33 +225,33 @@ REACH_BLOCK = 1 << 19
 
 
 def metapath_reach(graph: HeteroGraph, nodes, relations):
-    """Path counts from each query node along the relation sequence
+    """The nodes reached from each query node along the relation sequence
     ``relations`` (a metapath's ``.relations``, or a prefix of one).
 
-    Yields blocks ``(lo, hi, rows, indices, counts)`` that cover the query
-    rows ``lo:hi`` of ``nodes`` in order. Query row ``lo + rows[k]`` reaches
-    node ``indices[k]`` of the last relation's destination type along
-    ``counts[k]`` distinct paths; pairs are sorted by row, then by index. Set
-    semantics reads ``indices`` alone; the dense set route's frontier
-    (``_frontier``) holds the counts. Multiset pooling does not walk: it
-    sums per hop over the whole relation instead (``_multiset_pool``). A
-    query node that reaches itself (APA, say) is among its own terminals.
+    Yields blocks ``(lo, hi, rows, indices)`` that cover the query rows
+    ``lo:hi`` of ``nodes`` in order. Query row ``lo + rows[k]`` reaches node
+    ``indices[k]`` of the last relation's destination type along at least
+    one path; pairs are sorted by row, then by index, each once. The walk
+    tracks reachability alone: set pools, the dense set route's frontier
+    (``_frontier``) and the homophily split read nothing else. Path counts
+    exist only as the multiset pool's per-hop sums (``_multiset_pool``),
+    which do not walk. A query node that reaches itself (APA, say) is among
+    its own terminals.
 
     Each hop expands the frontier through the relation's CSR and merges
-    repeated (row, node) pairs: into a dense count block when the rows at
-    hand times the destination type's size fit in REACH_BLOCK cells (the
-    40 terms of APT, say), by sorting otherwise. Counts travel as float64
-    through the dense merge, so they are exact below 2**53.
+    repeated (row, node) pairs: by marking a dense boolean block when the
+    rows at hand times the destination type's size fit in REACH_BLOCK cells
+    (the 40 terms of APT, say), by sorting otherwise.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     hops = [(graph.csr[rel], graph.num_nodes(graph.schema.relation(rel).dst)) for rel in relations]
     n = nodes.shape[0]
-    return _walk(hops, 0, n, np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64))
+    return _walk(hops, 0, n, np.arange(n, dtype=np.int64), nodes)
 
 
-def _walk(hops, lo, hi, rows, cols, counts):
+def _walk(hops, lo, hi, rows, cols):
     if not hops:
-        yield lo, hi, rows, cols, counts
+        yield lo, hi, rows, cols
         return
     (indptr, indices), n_dst = hops[0]
     starts = indptr[cols]
@@ -268,21 +268,18 @@ def _walk(hops, lo, hi, rows, cols, counts):
         first = np.cumsum(d) - d
         pos = np.arange(int(d.sum()), dtype=np.int64) - np.repeat(first - starts[i:j], d)
         key = np.repeat(rows[i:j] - a, d) * n_dst + indices[pos]
-        paths = np.repeat(counts[i:j], d)
         if (b - a) * n_dst <= REACH_BLOCK:
-            acc = np.bincount(key, weights=paths, minlength=(b - a) * n_dst)
-            key = np.flatnonzero(acc)
-            paths = acc[key].astype(np.int64)
+            seen = np.zeros((b - a) * n_dst, dtype=bool)
+            seen[key] = True
+            key = np.flatnonzero(seen)
         elif key.size:
-            order = np.argsort(key)
-            key, paths = key[order], paths[order]
-            head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            key, paths = key[head], np.add.reduceat(paths, head)
-        yield from _walk(hops[1:], lo + a, lo + b, key // n_dst, key % n_dst, paths)
+            key = np.sort(key)
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        yield from _walk(hops[1:], lo + a, lo + b, key // n_dst, key % n_dst)
 
 
 def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.ndarray | None:
-    """The (rows, |src|) path counts from the query nodes over every hop of
+    """The (rows, |src|) 0/1 table of the nodes reached over every hop of
     ``metapath`` but the last, src being the last hop's source type, or None
     when it is empty or does not fit in REACH_BLOCK cells, and for a path of
     one hop, whose frontier would be the rows of an identity matrix: the
@@ -292,8 +289,8 @@ def _frontier(graph: HeteroGraph, nodes: np.ndarray, metapath: MetaPath) -> np.n
     if len(metapath) < 2 or not 0 < cells <= REACH_BLOCK:
         return None
     frontier = np.zeros((nodes.shape[0], graph.num_nodes(src)))
-    for lo, _, rows, cols, counts in metapath_reach(graph, nodes, metapath.relations[:-1]):
-        frontier[lo + rows, cols] = counts
+    for lo, _, rows, cols in metapath_reach(graph, nodes, metapath.relations[:-1]):
+        frontier[lo + rows, cols] = 1.0
     return frontier
 
 
@@ -338,14 +335,14 @@ def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, gr
     """Pooled set features from the frontier of ``_frontier``.
 
     Destinations of the last relation with the same in-neighbour multiset
-    get the same path count from every frontier row, so they are merged
-    into one column (``grouping``, from ``_column_groups``) weighted by
-    their summed ``[features | 1]``. The counts ``frontier @ incidence``
-    over these columns are formed in column tiles of at most REACH_BLOCK
-    cells (and an incidence tile as large), clipped to 1, and multiplied by
-    the group weights: rows x |src| x groups multiply-adds, not
-    rows x |src| x |dst|. A destination with no in-edges is in no group and
-    adds nothing.
+    are reached from the same frontier rows, so they are merged into one
+    column (``grouping``, from ``_column_groups``) weighted by their summed
+    ``[features | 1]``. The products ``frontier @ incidence`` over these
+    columns, whole numbers that are at least 1 exactly where a row reaches
+    the column, are formed in column tiles of at most REACH_BLOCK cells (and
+    an incidence tile as large), clipped to 1, and multiplied by the group
+    weights: rows x |src| x groups multiply-adds, not rows x |src| x |dst|.
+    A destination with no in-edges is in no group and adds nothing.
     """
     rel = graph.schema.relation(metapath.relations[-1])
     feats = graph.features[rel.dst]
@@ -365,7 +362,7 @@ def _dense_pool(graph: HeteroGraph, metapath: MetaPath, frontier: np.ndarray, gr
         cols = np.repeat(np.arange(g1 - g0), np.diff(indptr[g0:g1 + 1]))
         incidence = np.bincount(sources[a:b] * (g1 - g0) + cols, minlength=n_src * (g1 - g0))
         counts = frontier @ incidence.reshape(n_src, g1 - g0).astype(np.float64)
-        np.minimum(counts, 1.0, out=counts)  # whole counts: 1 per reached node
+        np.minimum(counts, 1.0, out=counts)  # whole numbers: 1 per reached node
         sums += counts @ weights[g0:g1]
     sizes = sums[:, -1:]
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
@@ -407,7 +404,8 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     With ``multiset`` the mean is weighted by the number of distinct paths
     reaching each terminal node instead of treating the pool as a set. A
     metapath back to the source type (APA, say) keeps the query node in its
-    own pool, as HAN's metapath neighbours do.
+    own pool, as HAN's metapath neighbours do. Only multiset pools count
+    paths; set pools read which nodes are reached and nothing else.
 
     Those path counts are the entries of the adjacency product
     ``A_1 A_2 ... A_k``, from which HAN (Wang et al. 2019) forms metapath
@@ -418,19 +416,19 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     CSR order with one ``np.bincount`` per column. Every hop runs over all
     source nodes of its type, and the query rows are taken from the first
     hop's sums, so a subset pools as the same rows of the whole table. The
-    mean is the feature sums over the count sum. Counts are exact
+    mean is the feature sums over the count sum. Multiset counts are exact
     integers below 2**53; the features are summed in edge order, so
     multiset means are within 1e-12 * max(1, max|F|) of the per-node
     weighted mean, not bit for bit.
 
     Set pools take one of two routes, chosen once per call from the input
-    alone by counting their work. Take the path counts over every hop but
-    the last as a (rows, |src|) frontier, src being the last hop's source
-    type. When it fits in REACH_BLOCK cells, the last relation's
+    alone by counting their work. Take the nodes reached over every hop but
+    the last as a (rows, |src|) 0/1 frontier, src being the last hop's
+    source type. When it fits in REACH_BLOCK cells, the last relation's
     destinations are grouped by their in-neighbour multisets
-    (``_column_groups``): destinations of one group get the same count from
-    every frontier row. The dense route then multiplies the frontier by the
-    grouped incidence in float64 and forms ``(counts > 0) @ F / |set|``, at
+    (``_column_groups``): destinations of one group are reached from the
+    same frontier rows. The dense route then multiplies the frontier by the
+    grouped incidence in float64 and forms ``(product > 0) @ F / |set|``, at
     rows x |src| x groups multiply-adds (780 term pairs among APTP's 8800
     papers at 800 authors, say). The walk expands one (row, node) pair per
     frontier nonzero and out-edge of the last hop. The dense route is taken
@@ -441,13 +439,14 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
 
     Otherwise, and whenever the frontier does not fit or the path has one
     hop, the walk pools every hop from the query nodes and reduces each
-    ``metapath_reach`` block over its sorted rows with ``np.bincount``: one
-    for the pool sizes, then one per feature column, of that column taken
-    at the block's terminals, so that no more than one column of the
-    block's pairs is held at once. bincount adds each row's terms from +0.0
-    in ascending terminal id order, so set means are bit-identical to
-    ``feats[sorted pool].mean(axis=0)`` up to the sign of a sum whose terms
-    are all -0.0, which is +0.0 here. Empty pools give zero rows.
+    ``metapath_reach`` block of reached pairs over its sorted rows with
+    ``np.bincount``: one for the pool sizes, then one per feature column, of
+    that column taken at the block's terminals, so that no more than one
+    column of the block's pairs is held at once. bincount adds each row's
+    terms from +0.0 in ascending terminal id order, so set means are
+    bit-identical to ``feats[sorted pool].mean(axis=0)`` up to the sign of a
+    sum whose terms are all -0.0, which is +0.0 here. Empty pools give zero
+    rows.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if multiset:
@@ -463,7 +462,7 @@ def pooled_neighbor_features(graph: HeteroGraph, nodes, metapath: MetaPath, mult
     feats = graph.features[metapath.terminal_type]
     columns = np.ascontiguousarray(feats.T)
     out = np.zeros((nodes.shape[0], feats.shape[1]))
-    for lo, hi, rows, indices, _ in metapath_reach(graph, nodes, metapath.relations):
+    for lo, hi, rows, indices in metapath_reach(graph, nodes, metapath.relations):
         sizes = np.bincount(rows, minlength=hi - lo)[:, None]
         sums = np.empty((feats.shape[1], hi - lo))
         for c, column in enumerate(columns):  # one column of the block's pairs at a time
@@ -736,8 +735,9 @@ def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
     ids = {t: _byte_table(list(map(str, range(n)))) for t, n in sizes.items()}
     for t in schema.node_types:
         feats = np.ascontiguousarray(graph.features[t], dtype=np.float64)
-        bits, where = np.unique(feats.view(np.uint64).ravel(), return_inverse=True)
-        values = _byte_table(list(map(repr, bits.view(np.float64).tolist())))[where.reshape(feats.shape)]
+        bits = feats.view(np.uint64)
+        table = np.unique(bits)  # sorted, so searchsorted finds each value's row
+        values = _byte_table(list(map(repr, table.view(np.float64).tolist())))[np.searchsorted(table, bits)]
         _write_lines(os.path.join(out_dir, f"nodes-{t}.tsv"), ids[t][: feats.shape[0]], *values.transpose(1, 0, 2))
     for r in schema.relations:
         edges = np.asarray(graph.edges[r.name], dtype=np.int64).reshape(-1, 2)

@@ -165,7 +165,7 @@ def homophily_features(graph: HeteroGraph, max_len: int = 2) -> BiasFeatureTable
     for j, mp in enumerate(metapaths):
         known = np.zeros(len(nodes), dtype=np.int64)
         agree = np.zeros(len(nodes), dtype=np.int64)
-        for lo, hi, rows, indices, _ in metapath_reach(graph, nodes, mp.relations):
+        for lo, hi, rows, indices in metapath_reach(graph, nodes, mp.relations):
             query = nodes[lo + rows]
             lab = labels[indices]
             # round-trip metapaths end at the target type, so a terminal

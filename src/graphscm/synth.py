@@ -342,7 +342,7 @@ def coauthor_pairs(graph: HeteroGraph) -> list[tuple[int, int]]:
     author, each pair kept from its smaller end."""
     authors = np.arange(graph.num_nodes("author"))
     pairs = []
-    for lo, _, rows, indices, _ in metapath_reach(graph, authors, ("write", "rev_write")):
+    for lo, _, rows, indices in metapath_reach(graph, authors, ("write", "rev_write")):
         first = lo + rows
         keep = first < indices
         pairs.extend(zip(first[keep].tolist(), indices[keep].tolist()))
@@ -371,7 +371,7 @@ def venue_majority_rule(graph: HeteroGraph) -> np.ndarray:
     venue_class = graph.features["venue"].argmax(axis=1)
     n_classes = graph.schema.num_classes
     counts = np.zeros((graph.num_nodes("author"), n_classes), dtype=np.int64)
-    for lo, hi, rows, indices, _ in metapath_reach(graph, np.arange(counts.shape[0]), apv.relations):
+    for lo, hi, rows, indices in metapath_reach(graph, np.arange(counts.shape[0]), apv.relations):
         keys = rows * n_classes + venue_class[indices]
         counts[lo:hi] = np.bincount(keys, minlength=(hi - lo) * n_classes).reshape(-1, n_classes)
     return counts.argmax(axis=1)  # argmax takes the lowest index on ties

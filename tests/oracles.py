@@ -8,8 +8,8 @@ stacked ones it checks, and the two pair-map mixes, the ``bmm`` chain of
 ``stacked_mlp`` and the ``frobenius_sq`` chain of ``sq_error`` record on
 numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
 gradient checks. ``dense_pool_columns`` reads the graph's CSR and tiles by
-``hetgraph.REACH_BLOCK``; ``pooled_walk_tiles`` reduces the blocks of
-``hetgraph.metapath_reach`` and tiles by it too.
+``hetgraph.REACH_BLOCK``; ``reach_counts`` walks the CSR in row groups of
+it, and ``pooled_walk_tiles`` reduces those blocks and tiles by it too.
 """
 
 from __future__ import annotations
@@ -222,16 +222,69 @@ def dense_pool_columns(graph, metapath, frontier: np.ndarray, multiset: bool) ->
     return np.divide(sums[:, :-1], sizes, out=np.zeros((n, feats.shape[1])), where=sizes > 0)
 
 
-def pooled_walk_tiles(graph, nodes, metapath, multiset=False) -> np.ndarray:
-    """The walk route of ``hetgraph.pooled_neighbor_features`` as it was:
-    each ``metapath_reach`` block reduced by ``pool_means_padded``."""
+def reach_counts(graph, nodes, relations):
+    """``hetgraph.metapath_reach`` as it was, carrying path counts: blocks
+    ``(lo, hi, rows, indices, counts)`` in which query row ``lo + rows[k]``
+    reaches node ``indices[k]`` along ``counts[k]`` distinct paths, with the
+    same row groups and pair order as the set walk."""
     from graphscm import hetgraph
 
+    nodes = np.asarray(nodes, dtype=np.int64)
+    hops = [(graph.csr[rel], graph.num_nodes(graph.schema.relation(rel).dst)) for rel in relations]
+    n = nodes.shape[0]
+    return _walk_counts(hops, 0, n, np.arange(n, dtype=np.int64), nodes, np.ones(n, dtype=np.int64), hetgraph.REACH_BLOCK)
+
+
+def _walk_counts(hops, lo, hi, rows, cols, counts, block):
+    if not hops:
+        yield lo, hi, rows, cols, counts
+        return
+    (indptr, indices), n_dst = hops[0]
+    starts = indptr[cols]
+    deg = indptr[cols + 1] - starts
+    cum = np.cumsum(np.bincount(rows, weights=deg, minlength=hi - lo))
+    bounds = [0]
+    while bounds[-1] < hi - lo:
+        done = cum[bounds[-1] - 1] if bounds[-1] else 0.0
+        nxt = int(np.searchsorted(cum, done + block, side="right"))
+        bounds.append(max(nxt, bounds[-1] + 1))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        i, j = np.searchsorted(rows, [a, b])
+        d = deg[i:j]
+        first = np.cumsum(d) - d
+        pos = np.arange(int(d.sum()), dtype=np.int64) - np.repeat(first - starts[i:j], d)
+        key = np.repeat(rows[i:j] - a, d) * n_dst + indices[pos]
+        paths = np.repeat(counts[i:j], d)
+        if (b - a) * n_dst <= block:
+            acc = np.bincount(key, weights=paths, minlength=(b - a) * n_dst)
+            key = np.flatnonzero(acc)
+            paths = acc[key].astype(np.int64)
+        elif key.size:
+            order = np.argsort(key)
+            key, paths = key[order], paths[order]
+            head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            key, paths = key[head], np.add.reduceat(paths, head)
+        yield from _walk_counts(hops[1:], lo + a, lo + b, key // n_dst, key % n_dst, paths, block)
+
+
+def frontier_counts(graph, nodes, metapath) -> np.ndarray:
+    """``hetgraph._frontier`` as it was, for a frontier that fits: the
+    (rows, |src|) path counts over every hop of ``metapath`` but the last."""
+    src = graph.schema.relation(metapath.relations[-1]).src
+    frontier = np.zeros((len(nodes), graph.num_nodes(src)))
+    for lo, _, rows, cols, counts in reach_counts(graph, nodes, metapath.relations[:-1]):
+        frontier[lo + rows, cols] = counts
+    return frontier
+
+
+def pooled_walk_tiles(graph, nodes, metapath, multiset=False) -> np.ndarray:
+    """The walk route of ``hetgraph.pooled_neighbor_features`` as it was:
+    each ``reach_counts`` block reduced by ``pool_means_padded``."""
     feats = graph.features[metapath.terminal_type]
     padded = np.vstack([feats, np.zeros((1, feats.shape[1]))])
     nodes = np.asarray(nodes, dtype=np.int64)
     out = np.zeros((nodes.shape[0], feats.shape[1]))
-    for lo, hi, rows, indices, counts in hetgraph.metapath_reach(graph, nodes, metapath.relations):
+    for lo, hi, rows, indices, counts in reach_counts(graph, nodes, metapath.relations):
         indptr = np.searchsorted(rows, np.arange(hi - lo + 1))
         out[lo:hi] = pool_means_padded(padded, indptr, indices, counts if multiset else None)
     return out

@@ -27,7 +27,7 @@ from oracles import metapath_neighbors_dfs, write_dataset_lines
 
 def _reach_sets(graph, nodes, mp):
     sets = [set() for _ in nodes]
-    for lo, _, rows, indices, _ in metapath_reach(graph, nodes, mp.relations):
+    for lo, _, rows, indices in metapath_reach(graph, nodes, mp.relations):
         for r, v in zip(rows, indices):
             sets[lo + int(r)].add(int(v))
     return sets

@@ -30,10 +30,12 @@ from oracles import (
     adjacency_lists,
     degree_table,
     dense_pool_columns,
+    frontier_counts,
     homophily_table,
     path_counts,
     pooled_table,
     pooled_walk_tiles,
+    reach_counts,
 )
 
 
@@ -316,7 +318,7 @@ def test_reach_counts_match_path_counts(synth_graph, reach_block):
     for mp in enumerate_metapaths(synth_graph.schema, 3):
         got = [dict() for _ in nodes]
         next_lo = 0
-        for lo, hi, rows, indices, counts in metapath_reach(synth_graph, nodes, mp.relations):
+        for lo, hi, rows, indices, counts in reach_counts(synth_graph, nodes, mp.relations):
             assert lo == next_lo and hi > lo  # blocks tile the query rows in order
             next_lo = hi
             assert np.all(np.diff(rows * 10**6 + indices) > 0)  # sorted, no repeats
@@ -325,6 +327,21 @@ def test_reach_counts_match_path_counts(synth_graph, reach_block):
         assert next_lo == len(nodes)
         for i, node in enumerate(nodes):
             assert got[i] == path_counts(adj, int(node), mp), (mp.name, int(node))
+
+
+def test_reach_blocks_byte_equal_to_counting_walk(synth_graph, reach_block):
+    """The set walk yields the row groups and sorted (row, index) pairs of
+    the counting walk it replaced, byte for byte, on every metapath up to
+    length 4: over all authors, and over an unordered subset with repeats."""
+    n = synth_graph.num_nodes("author")
+    for nodes in (np.arange(n), np.array([n - 1, *range(0, n, 7), 3, n - 1])):
+        for mp in enumerate_metapaths(synth_graph.schema, 4):
+            got = list(metapath_reach(synth_graph, nodes, mp.relations))
+            want = list(reach_counts(synth_graph, nodes, mp.relations))
+            assert len(got) == len(want), mp.name
+            for block, old in zip(got, want):
+                assert block[:2] == old[:2], mp.name
+                assert _same_bytes(block[2], old[2]) and _same_bytes(block[3], old[3]), mp.name
 
 
 @pytest.mark.parametrize("which", ["toy", "synth"])
@@ -390,7 +407,7 @@ def _assert_grouped_route_matches_both_oracles(graph, nodes, mp, dense_calls, co
     oracle; returns the group count the set pool used."""
     adj = adjacency_lists(graph)
     feats = graph.features[mp.terminal_type]
-    frontier = hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp)
+    frontier = frontier_counts(graph, nodes, mp)
     groups = set()
     for multiset in (False, True):
         dense_calls.clear()
@@ -415,9 +432,9 @@ def test_grouped_dense_route_on_synth_aptp(synth_graph, dense_calls, column_grou
     assert groups < synth_graph.num_nodes("paper")
 
 
-def test_grouped_dense_route_parallel_edges_and_papers_without_terms(dblp_schema, dense_calls, column_groups):
-    # papers 0 and 4 use term 1 twice, paper 2 once: three papers, two
-    # multisets; papers 5 and 6 use no term and join no group
+def _parallel_edges_graph(dblp_schema):
+    """Papers 0 and 4 use term 1 twice, paper 2 once: three papers, two
+    multisets; papers 5 and 6 use no term and join no group."""
     rng = np.random.default_rng(5)
     sizes = {"author": 4, "paper": 7, "venue": 1, "term": 3}
     features = {t: rng.normal(size=(n, 3)) * 4.0 for t, n in sizes.items()}
@@ -430,11 +447,38 @@ def test_grouped_dense_route_parallel_edges_and_papers_without_terms(dblp_schema
     for name, pairs in forward.items():
         edges[name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         edges["rev_" + name] = edges[name][:, ::-1].copy()
-    graph = HeteroGraph(dblp_schema, features, edges, np.full(4, UNLABELED))
+    return HeteroGraph(dblp_schema, features, edges, np.full(4, UNLABELED))
+
+
+def test_grouped_dense_route_parallel_edges_and_papers_without_terms(dblp_schema, dense_calls, column_groups):
+    graph = _parallel_edges_graph(dblp_schema)
     aptp = next(mp for mp in enumerate_metapaths(dblp_schema, 3) if mp.name == "APTP")
     nodes = [3, 0, 1, 2, 1]
     groups = _assert_grouped_route_matches_both_oracles(graph, nodes, aptp, dense_calls, column_groups)
     assert groups == 4  # {1, 1} twice, {0, 2}, {0, 2, 2}, {1}
+
+
+# whether some cell of the path-count frontier exceeds 1; no author of the
+# 120-author synth graph reaches a venue along two papers
+@pytest.mark.parametrize(
+    "which, name, repeats",
+    [("synth", "APTP", True), ("synth", "APVP", False), ("parallel", "APTP", True), ("parallel", "APVP", True)],
+)
+def test_dense_pool_of_reach_frontier_byte_equal_to_counting_frontier(which, name, repeats, synth_graph, dblp_schema):
+    """The 0/1 frontier of the set walk pools, through the grouped dense
+    route, to the bytes of the path-count frontier it replaced: both have
+    the same nonzero cells, and the products are clipped to 1."""
+    graph = synth_graph if which == "synth" else _parallel_edges_graph(dblp_schema)
+    mp = next(m for m in enumerate_metapaths(graph.schema, 3) if m.name == name)
+    nodes = list(range(graph.num_nodes("author"))) if which == "synth" else [3, 0, 1, 2, 1]
+    frontier = hetgraph._frontier(graph, np.asarray(nodes, dtype=np.int64), mp)
+    counts = frontier_counts(graph, nodes, mp)
+    assert (counts.max() > 1) == repeats
+    assert _same_bytes(frontier, (counts > 0).astype(np.float64))
+    rel = graph.schema.relation(mp.relations[-1])
+    grouping = hetgraph._column_groups(graph.csr[rel.name], graph.num_nodes(rel.dst))
+    got = hetgraph._dense_pool(graph, mp, frontier, grouping)
+    assert _same_bytes(got, hetgraph._dense_pool(graph, mp, counts, grouping))
 
 
 def test_grouped_dense_route_with_every_column_distinct(toy_graph, dense_calls, column_groups):
