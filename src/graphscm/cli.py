@@ -254,7 +254,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     result = train(graph, splits, config)
-    checkpoint_path = os.path.join(args.out, "checkpoint.json")
+    checkpoint_path = os.path.join(args.out, "checkpoint.bin")
     history_path = os.path.join(args.out, "history.csv")
     metrics_path = os.path.join(args.out, "metrics.json")
     manifest_path = os.path.join(args.out, "manifest.json")

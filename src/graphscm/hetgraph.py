@@ -607,7 +607,7 @@ def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
             ids.min() >= 0 and ids.max() < n and cls.min() >= 0 and cls.max() < num_classes
         )
         # a repeated id falls through to the line loop below, which names its line
-        if in_range and np.unique(ids).size == ids.size:
+        if in_range and _sorted_distinct(ids).size == ids.size:
             labels[ids] = cls
             return labels
     for lineno, cells in _read_tsv_rows(path):
@@ -703,6 +703,29 @@ def _byte_table(strings) -> np.ndarray:
     return table.view(np.uint8).reshape(table.shape + (table.itemsize,))
 
 
+def _id_table(n: int) -> np.ndarray:
+    """The decimal ids 0..n-1 as the rows of a uint8 table, right-aligned,
+    their leading zeros NUL. The digit of place 10**k, ``i // 10**k % 10``,
+    runs through the ten digits in turn, each repeated 10**k times."""
+    width = len(str(max(n - 1, 0)))
+    digits = np.empty((n, width), dtype=np.uint8)
+    for col in range(width):
+        place = 10 ** (width - 1 - col)
+        digits[:, col] = np.resize(np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), place), n)
+        if col < width - 1:
+            digits[:place, col] = 0  # ids below 10**k have no digit there
+    return digits
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``keys``, ascending (``np.unique`` without its
+    hashing of integer keys in numpy 2)."""
+    keys = np.sort(keys, axis=None)
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return keys[head]
+
+
 def _write_lines(path: str, *columns: np.ndarray) -> None:
     """Write the uint8 tables ``columns`` side by side as tab-separated lines, NULs dropped."""
     tab, newline = (np.full((columns[0].shape[0], 1), ord(c), dtype=np.uint8) for c in "\t\n")
@@ -716,8 +739,8 @@ def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
     decimal, features as ``repr`` of the float (the shortest decimal that
     parses back to it), so ``write_dataset(load_graph(d), out)`` reproduces
     every file of a dataset ``d`` this function wrote. Each field is a row
-    of a byte table of its strings: ``str(i)`` per id of a type, ``repr``
-    once per distinct float64 bit pattern (``-0.0`` keeps its sign)."""
+    of a byte table: the decimal digits per id of a type, ``repr`` once per
+    distinct float64 bit pattern (``-0.0`` keeps its sign)."""
     os.makedirs(out_dir, exist_ok=True)
     schema = graph.schema
     payload = {
@@ -732,11 +755,11 @@ def write_dataset(graph: HeteroGraph, out_dir: str) -> None:
     write_json(payload, os.path.join(out_dir, "schema.json"))
     # the target type's table also spells the classes
     sizes = {t: max(graph.num_nodes(t), schema.num_classes) for t in schema.node_types}
-    ids = {t: _byte_table(list(map(str, range(n)))) for t, n in sizes.items()}
+    ids = {t: _id_table(n) for t, n in sizes.items()}
     for t in schema.node_types:
         feats = np.ascontiguousarray(graph.features[t], dtype=np.float64)
         bits = feats.view(np.uint64)
-        table = np.unique(bits)  # sorted, so searchsorted finds each value's row
+        table = _sorted_distinct(bits)  # sorted, so searchsorted finds each value's row
         values = _byte_table(list(map(repr, table.view(np.float64).tolist())))[np.searchsorted(table, bits)]
         _write_lines(os.path.join(out_dir, f"nodes-{t}.tsv"), ids[t][: feats.shape[0]], *values.transpose(1, 0, 2))
     for r in schema.relations:

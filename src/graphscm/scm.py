@@ -26,21 +26,29 @@ from them and maps it back to class space through a two-layer shortcut
 network approximating the inverse of the label encoder. A batch is the
 (slots, B, width) tensor of ``VariableBuilder.build``; ``reconstruct`` reads
 which of the two it runs from its slot count.
+
+A checkpoint is one line of JSON, the header, followed by the data section:
+the header holds the format, the version, the model metadata and each
+tensor's shape and dtype; the data section holds every tensor's row-major
+little-endian float64 bytes back to back in ascending name order, so a
+tensor's bytes start where the previous one's end and no offsets are
+stored. ``load_checkpoint`` checks the header field by field, the tensor
+names, dtypes and shapes against the model's, that the data section holds
+exactly the bytes the shapes call for, that every value is finite and that
+``dag.A``'s diagonal is zero, and names the file and the tensor when one
+fails.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .encoders import Encoders
-from .errors import ContractError, DimensionError, LoadError, is_json_int, read_json
+from .errors import ContractError, DimensionError, LoadError, is_json_int
 from .numcore import Linear, StackedMlp, Tensor, add, dag_mix, relu, softmax, take
 from .rng import substream
 
@@ -236,71 +244,64 @@ class ScmModel:
 
 
 CHECKPOINT_FORMAT = "graphscm-checkpoint"
-CHECKPOINT_VERSION = 8
-TENSOR_DTYPE = "<f8"  # every tensor's data: base64 of its row-major little-endian float64 bytes
-
-
-def _encode_tensor(array: np.ndarray) -> dict:
-    """The checkpoint entry of one tensor: its shape, dtype and base64 bytes."""
-    raw = np.ascontiguousarray(array, dtype=TENSOR_DTYPE).tobytes()
-    return {
-        "shape": list(array.shape),
-        "dtype": TENSOR_DTYPE,
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
+CHECKPOINT_VERSION = 9
+TENSOR_DTYPE = "<f8"  # every tensor's data: its row-major little-endian float64 bytes
 
 
 def save_checkpoint(model: ScmModel, path: str) -> None:
-    payload = {
+    """Write ``model`` as one JSON header line, then every tensor's bytes
+    back to back in ascending name order."""
+    arrays = {name: p.data for name, p in sorted(model.named_parameters().items())}
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "meta": asdict(model.meta),
-        "tensors": {
-            name: _encode_tensor(p.data) for name, p in sorted(model.named_parameters().items())
-        },
+        "tensors": {name: {"shape": list(a.shape), "dtype": TENSOR_DTYPE} for name, a in arrays.items()},
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    # one dumps call runs the C encoder; json.dump to a file handle does not
-    text = json.dumps(payload, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for array in arrays.values():
+            fh.write(np.ascontiguousarray(array, dtype=TENSOR_DTYPE).data)
 
 
-def _decode_tensor(path: str, name: str, entry, shape: tuple) -> np.ndarray:
-    """The owned, writable float64 array of checkpoint tensor ``name``; any
-    mismatch with ``shape`` or with the encoding raises LoadError."""
+def _read_header(path: str, blob: bytes) -> tuple[dict, int]:
+    """The parsed header line of checkpoint bytes ``blob`` and the offset of
+    its data section; a file without a newline is all header."""
+    end = blob.find(b"\n")
+    if end < 0:
+        end = len(blob)
+    try:
+        text = blob[:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}:1:{exc.start + 1}: not UTF-8 text (byte 0x{blob[exc.start]:02x})") from exc
+    try:
+        header = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{path}:1:{exc.colno}: malformed checkpoint header: {exc.msg}") from exc
+    return header, min(end + 1, len(blob))
+
+
+def _check_entry(path: str, name: str, entry, shape: tuple) -> None:
+    """Check the header entry of tensor ``name``: its dtype, and its shape
+    against the model tensor's ``shape``."""
     try:
         stored = tuple(entry["shape"])
-        dtype, data = entry["dtype"], entry["data"]
+        dtype = entry["dtype"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed tensor {name!r}: {exc!r}") from exc
     if stored != shape:
         raise LoadError(f"{path}: tensor {name!r} has shape {stored}, expected {shape}")
     if dtype != TENSOR_DTYPE:
         raise LoadError(f"{path}: tensor {name!r} has dtype {dtype!r}, expected {TENSOR_DTYPE!r}")
-    if not isinstance(data, str):
-        raise LoadError(f"{path}: tensor {name!r} data is not a base64 string")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except binascii.Error as exc:
-        raise LoadError(f"{path}: tensor {name!r} data is not valid base64: {exc}") from exc
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise LoadError(
-            f"{path}: tensor {name!r} holds {len(raw)} bytes, expected {expected} for shape {shape}"
-        )
-    # astype copies the read-only view of ``raw`` into an owned C-order array
-    array = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape).astype(np.float64)
-    if not np.isfinite(array).all():
-        raise LoadError(f"{path}: tensor {name!r} has non-finite values")
-    return array
 
 
 def load_checkpoint(path: str) -> ScmModel:
     if not os.path.isfile(path):
         raise LoadError(f"missing checkpoint file: {path}")
-    payload = read_json(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    payload, offset = _read_header(path, blob)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise LoadError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -319,8 +320,22 @@ def load_checkpoint(path: str) -> ScmModel:
     extra = sorted(set(tensors) - set(params))
     if missing or extra:
         raise LoadError(f"{path}: tensor names do not match (missing {missing}, extra {extra})")
-    for name, p in params.items():
-        p.data = _decode_tensor(path, name, tensors[name], p.data.shape)
+    # each tensor's bytes start where the previous one's end
+    for name, p in sorted(params.items()):
+        _check_entry(path, name, tensors[name], p.data.shape)
+        size = 8 * p.data.size
+        if offset + size > len(blob):
+            raise LoadError(
+                f"{path}: tensor {name!r} holds {len(blob) - offset} bytes, expected {size} for shape {p.data.shape}"
+            )
+        # astype copies the read-only view of ``blob`` into an owned C-order array
+        array = np.frombuffer(blob, TENSOR_DTYPE, p.data.size, offset).reshape(p.data.shape).astype(np.float64)
+        if not np.isfinite(array).all():
+            raise LoadError(f"{path}: tensor {name!r} has non-finite values")
+        p.data = array
+        offset += size
+    if offset != len(blob):
+        raise LoadError(f"{path}: trailing bytes after the last tensor {max(params)!r} ({len(blob) - offset})")
     if np.diagonal(params["dag.A"].data).any():  # training never moves it from zero; dag_mix would not read it
         raise LoadError(f"{path}: tensor 'dag.A' has a nonzero diagonal (a variable cannot cause itself)")
     return model

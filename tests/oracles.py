@@ -14,9 +14,11 @@ it, and ``pooled_walk_tiles`` reduces those blocks and tiles by it too.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -936,3 +938,68 @@ def draw_terms_choice(rng, paper_venue_class, term_class):
         for t in sorted(picked):
             use_edges.append((p, t))
     return use_edges
+
+
+# ---------------------------------------------------------------------------
+# checkpoint files: the version-8 writer, and the two parts of a version-9
+# file (the JSON header line and the data section)
+
+def _encode_tensor_v8(array: np.ndarray) -> dict:
+    """The checkpoint entry of one tensor: its shape, dtype and base64 bytes."""
+    raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return {
+        "shape": list(array.shape),
+        "dtype": "<f8",
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def save_checkpoint_v8(model, path: str) -> None:
+    """``scm.save_checkpoint`` as it was at version 8: one JSON object whose
+    tensors are base64 strings of their row-major little-endian float64
+    bytes."""
+    payload = {
+        "format": "graphscm-checkpoint",
+        "version": 8,
+        "meta": asdict(model.meta),
+        "tensors": {
+            name: _encode_tensor_v8(p.data) for name, p in sorted(model.named_parameters().items())
+        },
+    }
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # one dumps call runs the C encoder; json.dump to a file handle does not
+    text = json.dumps(payload, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
+def read_checkpoint_v9(path: str) -> tuple[dict, dict[str, bytes]]:
+    """The parsed header of the version-9 checkpoint at ``path`` and each
+    tensor's bytes, cut from the data section in name order by the header's
+    shapes."""
+    with open(path, "rb") as fh:
+        line, data = fh.read().split(b"\n", 1)
+    header = json.loads(line)
+    parts, offset = {}, 0
+    for name, entry in sorted(header["tensors"].items()):
+        size = 8 * math.prod(entry["shape"])
+        parts[name] = data[offset : offset + size]
+        offset += size
+    assert offset == len(data), (offset, len(data))
+    return header, parts
+
+
+def checkpoint_v9_bytes(header: dict, data) -> bytes:
+    """``header`` as a version-9 header line, then ``data``: the data
+    section's bytes, or a dict of each tensor's bytes, laid out in name
+    order."""
+    if isinstance(data, dict):
+        data = b"".join(data[name] for name in sorted(data))
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + data
+
+
+def write_checkpoint_v9(path: str, header: dict, data) -> None:
+    """Write the file of ``checkpoint_v9_bytes(header, data)`` at ``path``."""
+    with open(path, "wb") as fh:
+        fh.write(checkpoint_v9_bytes(header, data))

@@ -271,8 +271,8 @@ def test_criterion_8_cmd_train_determinism(tmp_path):
         assert code == 0
     assert filecmp.cmp(os.path.join(outs[0], "history.csv"),
                        os.path.join(outs[1], "history.csv"), shallow=False)
-    assert filecmp.cmp(os.path.join(outs[0], "checkpoint.json"),
-                       os.path.join(outs[1], "checkpoint.json"), shallow=False)
+    assert filecmp.cmp(os.path.join(outs[0], "checkpoint.bin"),
+                       os.path.join(outs[1], "checkpoint.bin"), shallow=False)
     _report("8 determinism", "(byte-identical history and checkpoint)")
 
 

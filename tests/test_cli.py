@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphscm
+import oracles
 from graphscm.cli import main
 
 
@@ -237,7 +238,7 @@ def test_output_path_is_checked_before_any_work(synth_dir, trained_dir, tmp_path
         "stats": ["stats", synth_dir, "--json", path],
         "split": ["split", synth_dir, "--kind", "iid", "--out", path],
         "synth": ["synth", "--out", path, "--authors", 20],
-        "eval": ["eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"), "--out", path],
+        "eval": ["eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"), "--out", path],
     }[command]
     assert run_cli(*args) == 2
     out, err = capsys.readouterr()
@@ -273,7 +274,7 @@ def test_split_command_homophily(synth_dir, tmp_path):
 
 
 def test_train_writes_artifacts_and_manifest(trained_dir, synth_dir):
-    for name in ("checkpoint.json", "history.csv", "metrics.json", "manifest.json"):
+    for name in ("checkpoint.bin", "history.csv", "metrics.json", "manifest.json"):
         assert os.path.isfile(os.path.join(trained_dir, name)), name
     manifest = json.load(open(os.path.join(trained_dir, "manifest.json")))
     assert manifest["config"]["hidden_dim"] == 8
@@ -288,7 +289,7 @@ def test_train_writes_artifacts_and_manifest(trained_dir, synth_dir):
 def test_eval_checkpoint_on_val_matches_history(trained_dir, synth_dir, tmp_path, capsys):
     out = str(tmp_path / "metrics.json")
     code = run_cli(
-        "eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+        "eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"),
         "--split-name", "val", "--out", out,
     )
     assert code == 0
@@ -319,7 +320,7 @@ def test_eval_schema_mismatch_fails(trained_dir, toy_dir, tmp_path, capsys, monk
     splits = tmp_path / "splits.json"
     splits.write_text('{"train": [0], "val": [1], "test": [2]}', encoding="utf-8")
     _forbid_pooling(monkeypatch)
-    code = run_cli("eval", toy_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"), "--splits", splits)
+    code = run_cli("eval", toy_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"), "--splits", splits)
     assert code == 2
     err = capsys.readouterr().err
     assert "do not match checkpoint variables" in err and "Traceback" not in err, err
@@ -332,7 +333,7 @@ def test_eval_feature_width_mismatch_exits_2_before_pooling(trained_dir, tmp_pat
     assert run_cli("synth", "--out", data, "--authors", 40, "--classes", 3, "--terms", 16, "--seed", 3) == 0
     capsys.readouterr()
     _forbid_pooling(monkeypatch)
-    assert run_cli("eval", data, "--checkpoint", os.path.join(trained_dir, "checkpoint.json")) == 2
+    assert run_cli("eval", data, "--checkpoint", os.path.join(trained_dir, "checkpoint.bin")) == 2
     err = capsys.readouterr().err
     assert "feature widths do not match" in err and "Traceback" not in err, err
 
@@ -365,7 +366,7 @@ def test_eval_target_or_class_mismatch_exits_2_before_pooling(trained_dir, synth
     assert run_cli("stats", data) == 0
     capsys.readouterr()
     _forbid_pooling(monkeypatch)
-    assert run_cli("eval", data, "--checkpoint", os.path.join(trained_dir, "checkpoint.json")) == 2
+    assert run_cli("eval", data, "--checkpoint", os.path.join(trained_dir, "checkpoint.bin")) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, err
 
@@ -388,14 +389,14 @@ def test_eval_target_width_mismatch_exits_2_before_pooling(synth_dir, tmp_path, 
         fh.write("".join(line + "\t0.0\n" for line in lines))
     capsys.readouterr()
     _forbid_pooling(monkeypatch)
-    assert run_cli("eval", data, "--checkpoint", os.path.join(run, "checkpoint.json")) == 2
+    assert run_cli("eval", data, "--checkpoint", os.path.join(run, "checkpoint.bin")) == 2
     err = capsys.readouterr().err
     assert "target feature width does not match the checkpoint" in err and "Traceback" not in err, err
 
 
 def test_explain_outputs_diagram(trained_dir, tmp_path, capsys):
     out = str(tmp_path / "diagram")
-    assert run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+    assert run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"),
                    "--out", out) == 0
     text = open(os.path.join(out, "diagram.dot")).read()
     assert text.startswith("digraph")
@@ -409,7 +410,7 @@ def test_explain_outputs_diagram(trained_dir, tmp_path, capsys):
     assert not has_cycle(diagram.support())
 
     out2 = str(tmp_path / "diagram2")
-    assert run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+    assert run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"),
                    "--out", out2) == 0
     assert filecmp.cmp(os.path.join(out, "diagram.dot"), os.path.join(out2, "diagram.dot"), shallow=False)
 
@@ -436,7 +437,7 @@ def test_explain_reports_residual_and_removed_weight(trained_dir, tmp_path, caps
     from graphscm.scm import load_checkpoint
     from oracles import taylor_trace_expm
 
-    checkpoint = os.path.join(trained_dir, "checkpoint.json")
+    checkpoint = os.path.join(trained_dir, "checkpoint.bin")
     out = str(tmp_path / "diagram")
     assert run_cli("explain", "--checkpoint", checkpoint, "--out", out) == 0
     last = capsys.readouterr().out.splitlines()[-1]
@@ -477,7 +478,7 @@ def test_train_pools_each_metapath_once(synth_dir, tmp_path, monkeypatch):
     # the test metrics scored with training's tables equal a fresh evaluation
     graph = load_graph(synth_dir)
     spec = SplitSpec.from_json(os.path.join(synth_dir, "splits.json"))
-    metrics = evaluate(graph, load_checkpoint(os.path.join(out, "checkpoint.json")), spec.test)
+    metrics = evaluate(graph, load_checkpoint(os.path.join(out, "checkpoint.bin")), spec.test)
     with open(os.path.join(out, "metrics.json"), encoding="utf-8") as fh:
         assert fh.read() == json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -488,7 +489,7 @@ def test_train_rerun_byte_identical(synth_dir, tmp_path):
         assert run_cli("train", synth_dir, "--out", out, "--hidden", 8, "--max-epochs", 3,
                        "--patience", 3, "--batch-size", 32, "--seed", 2) == 0
     assert filecmp.cmp(os.path.join(outs[0], "history.csv"), os.path.join(outs[1], "history.csv"), shallow=False)
-    assert filecmp.cmp(os.path.join(outs[0], "checkpoint.json"), os.path.join(outs[1], "checkpoint.json"), shallow=False)
+    assert filecmp.cmp(os.path.join(outs[0], "checkpoint.bin"), os.path.join(outs[1], "checkpoint.bin"), shallow=False)
 
 
 def test_five_seed_protocol_produces_five_manifests(synth_dir, tmp_path):
@@ -702,7 +703,7 @@ def test_empty_schema_name_exits_2(toy_dir, tmp_path, capsys, old):
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {path}: " in err and "Traceback" not in err, err
-    assert not os.path.exists(tmp_path / "run" / "checkpoint.json")
+    assert not os.path.exists(tmp_path / "run" / "checkpoint.bin")
 
 
 def test_two_metapaths_with_one_name_exit_2(synth_dir, tmp_path, capsys):
@@ -729,7 +730,7 @@ def test_two_metapaths_with_one_name_exit_2(synth_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'AP'" in err and "write" in err and "review" in err and "Traceback" not in err, err
-    assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+    assert not os.path.exists(os.path.join(out, "checkpoint.bin"))
 
 
 @pytest.mark.parametrize(
@@ -857,7 +858,7 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
     import graphscm.interpret as interpret_mod
 
     monkeypatch.setattr(interpret_mod, "_is_acyclic", lambda support: False)
-    code = run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+    code = run_cli("explain", "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"),
                    "--out", str(tmp_path / "d"))
     assert code == 2
     err = capsys.readouterr().err
@@ -865,16 +866,21 @@ def test_trim_exhausted_exits_2_without_traceback(trained_dir, tmp_path, monkeyp
 
 
 def _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version, command="eval"):
-    """Rewrite the trained checkpoint in the format of ``version`` and check
-    that ``command`` (eval or explain) exits 2 naming the file and that
-    version, with no traceback."""
-    with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
+    """Rewrite the trained model in the format of ``version``, starting from
+    the version-8 writer's file, and check that ``command`` (eval or
+    explain) exits 2 naming the file and that version, with no traceback."""
+    from graphscm.scm import load_checkpoint
+
+    old = str(tmp_path / f"v{version}.json")
+    oracles.save_checkpoint_v8(load_checkpoint(os.path.join(trained_dir, "checkpoint.bin")), old)
+    with open(old, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["version"] == 8
     payload["version"] = version
     meta = payload["meta"]
     n, width = len(meta["variable_names"]), meta["hidden_dim"]
-    for name, shape in (("scm.pair.W", (n, n - 1, width, width)), ("scm.pair.b", (n, n - 1, width))):
+    pairs = (("scm.pair.W", (n, n - 1, width, width)), ("scm.pair.b", (n, n - 1, width)))
+    for name, shape in pairs if version < 8 else ():
         payload["tensors"][name] = {
             "shape": list(shape), "dtype": "<f8",
             "data": base64.b64encode(np.zeros(shape).tobytes()).decode("ascii"),
@@ -888,9 +894,9 @@ def _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, version, 
     for entry in payload["tensors"].values() if version < 4 else []:
         del entry["dtype"]
         entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").tolist()
-    old = str(tmp_path / f"v{version}.json")
-    with open(old, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    if version < 8:  # a version-8 file is the writer's own
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
     args = {"eval": ["eval", synth_dir], "explain": ["explain", "--out", str(tmp_path / "diagram")]}[command]
     assert run_cli(*args, "--checkpoint", old) == 2
     err = capsys.readouterr().err
@@ -922,29 +928,89 @@ def test_version_7_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["eval", "explain"])
+def test_version_8_checkpoint_rejected(trained_dir, synth_dir, tmp_path, capsys, command):
+    """Version 8 checkpoints were one JSON object whose tensors were base64
+    strings; eval and explain exit 2 naming the file, with no traceback, and
+    explain writes no diagram."""
+    _rejected_old_checkpoint(trained_dir, synth_dir, tmp_path, capsys, 8, command)
+    assert not (tmp_path / "diagram").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
 def test_checkpoint_with_nonzero_dag_diagonal_rejected(trained_dir, synth_dir, tmp_path, capsys, command):
     """A ``dag.A`` with a nonzero diagonal exits 2 naming the file and the
     tensor, and explain writes no diagram: eval used to score it as if the
     diagonal were zero, and explain to fail without naming the file."""
     from graphscm.scm import load_checkpoint
 
-    original = os.path.join(trained_dir, "checkpoint.json")
-    with open(original, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entry = payload["tensors"]["dag.A"]
-    a = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"]).copy()
+    original = os.path.join(trained_dir, "checkpoint.bin")
+    header, parts = oracles.read_checkpoint_v9(original)
+    a = np.frombuffer(parts["dag.A"], dtype="<f8").reshape(header["tensors"]["dag.A"]["shape"]).copy()
     assert not np.diagonal(a).any()
     load_checkpoint(original)  # the trained file, with its zero diagonal, loads
     a[1, 1] = 0.25
-    entry["data"] = base64.b64encode(a.tobytes()).decode("ascii")
-    bad = str(tmp_path / "diag.json")
-    with open(bad, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    parts["dag.A"] = a.tobytes()
+    bad = str(tmp_path / "diag.bin")
+    oracles.write_checkpoint_v9(bad, header, parts)
     args = {"eval": ["eval", synth_dir], "explain": ["explain", "--out", tmp_path / "diagram"]}[command]
     assert run_cli(*args, "--checkpoint", bad) == 2
     err = capsys.readouterr().err
     assert f"{bad}: tensor 'dag.A' has a nonzero diagonal" in err and "Traceback" not in err, err
     assert not (tmp_path / "diagram").exists()
+
+
+def _corrupt_checkpoint(case: str, header: dict, parts: dict) -> tuple[bytes, str | None]:
+    """The bytes of the checkpoint (``header``, ``parts``) corrupted as
+    ``case`` says, and the tensor the error must name, if there is one."""
+    data = b"".join(parts.values())
+    if case == "no-header-line":
+        return data, None
+    if case == "header-not-json":
+        return b"{graphscm\n" + data, None
+    if case == "header-not-utf8":
+        return json.dumps(header).encode().replace(b'"author"', b'"auth\xffr"') + b"\n" + data, None
+    whole = oracles.checkpoint_v9_bytes(header, parts)
+    if case == "one-byte-short":
+        return whole[:-1], "scm.inv2.b"
+    if case == "one-byte-extra":
+        return whole + b"\0", "scm.inv2.b"
+    entries = header["tensors"]
+    if case in ("dtype-f4", "dtype-big-endian"):
+        entries["enc.b"]["dtype"] = "<f4" if case == "dtype-f4" else ">f8"
+        return oracles.checkpoint_v9_bytes(header, parts), "enc.b"
+    if case == "shape-against-bytes":
+        entries["scm.inv1.W"]["shape"] = [8, 7]
+        return oracles.checkpoint_v9_bytes(header, parts), "scm.inv1.W"
+    if case == "unknown-tensor":
+        entries["scm.extra"] = {"shape": [1], "dtype": "<f8"}
+        return oracles.checkpoint_v9_bytes(header, dict(parts, **{"scm.extra": bytes(8)})), "scm.extra"
+    name, value = {"nan": ("scm.effect.0.W", float("nan")), "inf": ("enc.W", float("-inf"))}[case]
+    values = np.frombuffer(parts[name], dtype="<f8").copy()
+    values[len(values) // 2] = value
+    return oracles.checkpoint_v9_bytes(header, dict(parts, **{name: values.tobytes()})), name
+
+
+@pytest.mark.parametrize("case", [
+    "no-header-line", "header-not-json", "header-not-utf8", "one-byte-short", "one-byte-extra",
+    "dtype-f4", "dtype-big-endian", "shape-against-bytes", "nan", "inf", "unknown-tensor",
+])
+def test_corrupt_checkpoint_exits_2_naming_file_and_tensor(trained_dir, synth_dir, tmp_path, capsys, case):
+    """A checkpoint with no header line, a header that is not JSON or not
+    UTF-8, a data section one byte short or long, a wrong dtype, a shape
+    that disagrees with the bytes, a non-finite value or an unknown tensor
+    makes eval and explain exit 2 with no traceback, naming the file and
+    the tensor where there is one; explain writes no diagram."""
+    header, parts = oracles.read_checkpoint_v9(os.path.join(trained_dir, "checkpoint.bin"))
+    content, tensor = _corrupt_checkpoint(case, header, parts)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(content)
+    diagram = tmp_path / "diagram"
+    for args in (["eval", synth_dir], ["explain", "--out", diagram]):
+        assert run_cli(*args, "--checkpoint", bad) == 2, args
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err and "Traceback" not in err, err
+        assert tensor is None or repr(tensor) in err, err
+    assert not diagram.exists()
 
 
 def _boolean_id(spec: dict) -> dict:
@@ -972,7 +1038,7 @@ def test_malformed_splits_file_exits_2(trained_dir, synth_dir, tmp_path, capsys,
         spec = json.load(fh)
     bad = tmp_path / "bad-splits.json"
     bad.write_text(json.dumps(corrupt(spec)), encoding="utf-8")
-    code = run_cli("eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.json"),
+    code = run_cli("eval", synth_dir, "--checkpoint", os.path.join(trained_dir, "checkpoint.bin"),
                    "--splits", str(bad))
     assert code == 2
     err = capsys.readouterr().err
@@ -992,17 +1058,15 @@ def test_malformed_checkpoint_meta_exits_2(trained_dir, synth_dir, tmp_path, cap
     """A malformed meta field, a meta field the model no longer has
     (``activation``), or a ``tensors`` field that is not an object (a number,
     or a list of the tensor names), exits 2 naming the field."""
-    with open(os.path.join(trained_dir, "checkpoint.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    part = payload if field == "tensors" else payload["meta"]
+    header, parts = oracles.read_checkpoint_v9(os.path.join(trained_dir, "checkpoint.bin"))
+    part = header if field == "tensors" else header["meta"]
     part[field] = value(part[field]) if callable(value) else value
-    bad = str(tmp_path / "bad.json")
-    with open(bad, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    bad = str(tmp_path / "bad.bin")
+    oracles.write_checkpoint_v9(bad, header, parts)
     for args in (["eval", synth_dir], ["explain", "--out", str(tmp_path / "d")]):
         assert run_cli(*args, "--checkpoint", bad) == 2, args
         err = capsys.readouterr().err
-        assert "bad.json" in err and repr(field) in err and "Traceback" not in err, err
+        assert "bad.bin" in err and repr(field) in err and "Traceback" not in err, err
 
 
 def test_stats_corruption_sweep_exits_2(toy_dir, tmp_path, capsys):

@@ -254,7 +254,7 @@ def test_initial_tensors_are_those_drawn_with_pair_maps(n, width, seed):
 
 def test_checkpoint_roundtrip(toy_graph, tmp_path):
     model, builder = _toy_model(toy_graph, seed=1)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
     again = load_checkpoint(path)
     assert again.meta == model.meta
@@ -267,56 +267,50 @@ def test_checkpoint_roundtrip(toy_graph, tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
-def _encode(values) -> dict:
-    """A checkpoint tensor entry encoded as ``save_checkpoint`` writes it:
-    base64 of the row-major little-endian float64 bytes."""
-    array = np.asarray(values, dtype=np.float64)
-    return {
-        "shape": list(array.shape),
-        "dtype": "<f8",
-        "data": base64.b64encode(array.astype("<f8").tobytes()).decode("ascii"),
-    }
+def _bytes(values) -> bytes:
+    """A tensor's bytes as ``save_checkpoint`` writes them: row-major
+    little-endian float64."""
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
-def _rewrite_tensor(path, name, **fields):
-    """Replace fields of tensor ``name`` in the checkpoint at ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload["tensors"][name].update(fields)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+def _rewrite_tensor(path, name, data=None, **fields):
+    """Replace fields of the header entry of tensor ``name`` in the
+    checkpoint at ``path`` and, given ``data``, that tensor's bytes."""
+    header, parts = oracles.read_checkpoint_v9(path)
+    header["tensors"][name].update(fields)
+    if data is not None:
+        parts[name] = data
+    oracles.write_checkpoint_v9(path, header, parts)
 
 
 def test_checkpoint_shape_mismatch_fails_loudly(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
-    _rewrite_tensor(path, "dag.A", **_encode(np.zeros((2, 2))))
+    _rewrite_tensor(path, "dag.A", _bytes(np.zeros((2, 2))), shape=[2, 2])
     with pytest.raises(LoadError):
         load_checkpoint(path)
 
 
 def test_checkpoint_missing_tensor_fails(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    del payload["tensors"]["scm.inv2.W"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    header, parts = oracles.read_checkpoint_v9(path)
+    del header["tensors"]["scm.inv2.W"], parts["scm.inv2.W"]
+    oracles.write_checkpoint_v9(path, header, parts)
     with pytest.raises(LoadError):
         load_checkpoint(path)
 
 
 def test_checkpoint_malformed_json_fails(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text[: len(text) // 2])
+    with open(path, "rb") as fh:
+        line, data = fh.read().split(b"\n", 1)
+    with open(path, "wb") as fh:
+        fh.write(line[: len(line) // 2] + b"\n" + data)
     with pytest.raises(LoadError) as exc:
         load_checkpoint(path)
     assert f"{path}:1:" in str(exc.value)
@@ -324,11 +318,11 @@ def test_checkpoint_malformed_json_fails(toy_graph, tmp_path):
 
 def test_checkpoint_non_finite_tensor_fails(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
     values = model.scm.dag.data.copy()
     values.flat[1] = float("nan")
-    _rewrite_tensor(path, "dag.A", **_encode(values))
+    _rewrite_tensor(path, "dag.A", _bytes(values))
     with pytest.raises(LoadError) as exc:
         load_checkpoint(path)
     assert "dag.A" in str(exc.value) and "non-finite" in str(exc.value)
@@ -337,33 +331,55 @@ def test_checkpoint_non_finite_tensor_fails(toy_graph, tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_checkpoint_non_finite_payload_names_tensor(toy_graph, tmp_path, bad):
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
     values = model.scm.inv2.weight.data.copy()
     values.flat[-1] = bad
-    _rewrite_tensor(path, "scm.inv2.W", **_encode(values))
+    _rewrite_tensor(path, "scm.inv2.W", _bytes(values))
     with pytest.raises(LoadError) as exc:
         load_checkpoint(path)
     assert "'scm.inv2.W'" in str(exc.value) and "non-finite" in str(exc.value)
 
 
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+
+
 def test_checkpoint_roundtrip_keeps_extreme_values_bit_for_bit(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
-    extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
     w = model.scm.inv2.weight.data
-    w.flat[: len(extremes)] = extremes
-    path = str(tmp_path / "model.json")
+    w.flat[: len(EXTREMES)] = EXTREMES
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
     again = load_checkpoint(path).scm.inv2.weight.data
     assert again.tobytes() == w.tobytes()
     assert np.signbit(again.flat[0]) and again.flat[0] == 0.0
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh)["tensors"]["scm.inv2.W"] == _encode(w)
+    header, parts = oracles.read_checkpoint_v9(path)
+    assert header["tensors"]["scm.inv2.W"] == {"shape": list(w.shape), "dtype": "<f8"}
+    assert parts["scm.inv2.W"] == _bytes(w)
+
+
+def test_version_8_and_version_9_files_hold_the_same_tensors(toy_graph, tmp_path):
+    """A model written by the version-8 writer (base64 inside JSON) and by
+    ``save_checkpoint`` decodes to the same tensors, bit for bit, extreme
+    values included."""
+    model, _ = _toy_model(toy_graph, seed=5)
+    model.scm.inv2.weight.data.flat[: len(EXTREMES)] = EXTREMES
+    old, new = str(tmp_path / "v8.json"), str(tmp_path / "v9.bin")
+    oracles.save_checkpoint_v8(model, old)
+    save_checkpoint(model, new)
+    with open(old, encoding="utf-8") as fh:
+        v8 = json.load(fh)
+    header, parts = oracles.read_checkpoint_v9(new)
+    assert v8["meta"] == header["meta"] and list(v8["tensors"]) == list(parts)
+    loaded = load_checkpoint(new).named_parameters()
+    for name, entry in v8["tensors"].items():
+        assert header["tensors"][name] == {"shape": entry["shape"], "dtype": entry["dtype"]}, name
+        assert base64.b64decode(entry["data"]) == parts[name] == loaded[name].data.tobytes(), name
 
 
 def test_checkpoint_rerun_writes_identical_bytes(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph, seed=4)
-    first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    first, second = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_checkpoint(model, first)
     save_checkpoint(load_checkpoint(first), second)
     with open(first, "rb") as fa, open(second, "rb") as fb:
@@ -376,7 +392,7 @@ def test_load_checkpoint_draws_no_initial_weights(toy_graph, tmp_path, monkeypat
     import graphscm.scm
 
     model, _ = _toy_model(toy_graph, seed=2)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
 
     def draw(*args, **kwargs):
@@ -396,33 +412,39 @@ def test_load_checkpoint_draws_no_initial_weights(toy_graph, tmp_path, monkeypat
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"data": "not base64!"}, "not valid base64"),
-        ({"data": base64.b64encode(bytes(16)).decode("ascii")}, "holds 16 bytes, expected"),
-        ({"data": [0.0] * 9}, "not a base64 string"),
-        ({"data": None}, "not a base64 string"),
+        ({"shape": [2, 2]}, "has shape (2, 2), expected"),
+        ({"data": bytes(16)}, "holds 16 bytes, expected"),
+        ({"data": b""}, "holds 0 bytes, expected"),
+        ({"shape": None}, "malformed tensor"),
         ({"dtype": "<f4"}, "has dtype '<f4'"),
         ({"dtype": ">f8"}, "has dtype '>f8'"),
     ],
 )
 def test_checkpoint_bad_encoding_names_tensor(toy_graph, tmp_path, fields, message):
+    """A header entry of ``dag.A`` with a wrong shape or dtype, or a data
+    section (``data``) that ends inside ``dag.A``, the first tensor, names
+    the tensor."""
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
-    _rewrite_tensor(path, "dag.A", **fields)
+    header, parts = oracles.read_checkpoint_v9(path)
+    entry = dict(fields)
+    data = entry.pop("data", parts)
+    header["tensors"]["dag.A"].update(entry)
+    oracles.write_checkpoint_v9(path, header, data)
     with pytest.raises(LoadError) as exc:
         load_checkpoint(path)
     assert "'dag.A'" in str(exc.value) and message in str(exc.value), str(exc.value)
 
 
 def test_checkpoint_entry_without_data_names_tensor(toy_graph, tmp_path):
+    """A data section that ends where the bytes of ``enc.b`` should start
+    names that tensor."""
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    del payload["tensors"]["enc.b"]["data"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    header, parts = oracles.read_checkpoint_v9(path)
+    oracles.write_checkpoint_v9(path, header, {name: parts[name] for name in parts if name < "enc.b"})
     with pytest.raises(LoadError) as exc:
         load_checkpoint(path)
     assert "'enc.b'" in str(exc.value)
@@ -430,7 +452,7 @@ def test_checkpoint_entry_without_data_names_tensor(toy_graph, tmp_path):
 
 def test_loaded_tensors_are_owned_writable_float64(toy_graph, tmp_path):
     model, _ = _toy_model(toy_graph)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
     for name, p in load_checkpoint(path).named_parameters().items():
         assert p.data.dtype == np.float64, name
