@@ -15,8 +15,9 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
 
 
 class Linear:
-    """y = x @ W + b with weight shape (in_dim, out_dim); with no ``rng`` the
-    weight starts at zero instead of a Kaiming draw."""
+    """y = x @ W + b with weight shape (in_dim, out_dim), as one
+    ``numcore.affine`` tape record; with no ``rng`` the weight starts at
+    zero instead of a Kaiming draw."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, name: str):
         weight = np.zeros((in_dim, out_dim)) if rng is None else kaiming_uniform(rng, in_dim, out_dim)
@@ -24,7 +25,7 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim), name=f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.affine(x, self.weight, self.bias)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]

@@ -8,17 +8,16 @@ recording, which is always a valid reverse topological order because inputs
 are recorded before the outputs that consume them. With no tape active
 nothing is recorded and no gradient is kept.
 
-Broadcasting is deliberately restricted: apart from same-shape operands,
-only a 1-D row vector against a 2-D matrix (per-row bias) and a 0-d scalar
-against anything are supported. This keeps every gradient rule small enough
-to audit by hand.
+There is no broadcasting: the operands of ``add``, ``sub`` and ``mul``
+have one shape, so no gradient needs folding back to a smaller operand.
+The one bias add of an unstacked layer lives in ``affine``, which computes
+``x @ W + b`` as one record.
 
 Stacked tensors carry independent slices along a leading axis (one per
 variable or per network). Their ops (``stacked_mlp``, ``block_affine``,
-``take``, and ``sq_error`` on 3-D input) run every slice through the
-same numpy call the unstacked 2-D op makes on it, so a stacked network
-computes the same bits as its per-slice counterpart while recording one
-tape entry per call. ``stacked_mlp`` runs a whole ReLU perceptron as
+``take`` and ``sq_error``) run every slice through the same numpy call the
+unstacked 2-D op makes on it, so a stacked network computes the same bits
+as its per-slice counterpart while recording one tape entry per call. ``stacked_mlp`` runs a whole ReLU perceptron as
 one entry, with the numpy calls of its per-layer chain. ``dag_mix``, the
 structural assignment's sum over causes, also records one entry: a
 product of the DAG matrix with every slice at once, so its sums round as
@@ -91,9 +90,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor, backward_fn: Callable) -> None:
-        self._records.append((out, backward_fn))
-
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into every tensor t the loss was computed from."""
         if loss.data.size != 1:
@@ -106,31 +102,15 @@ class Tape:
                 fn(out.grad)
 
 
-def _active_tape() -> Optional[Tape]:
-    return Tape._active
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; a first gradient is stored as given."""
     t.grad = g if t.grad is None else t.grad + g
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
-    tape = _active_tape()
-    if tape is not None:
-        tape.record(out, backward_fn)
+    if Tape._active is not None:
+        Tape._active._records.append((out, backward_fn))
     return out
-
-
-def _reduce_to(shape: tuple, g: np.ndarray) -> np.ndarray:
-    # undo the row-vector / scalar broadcast used on the forward pass
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum())
-    if len(shape) == 1 and g.ndim == 2 and g.shape[1] == shape[0]:
-        return g.sum(axis=0)
-    raise DimensionError(f"cannot reduce gradient of shape {g.shape} to {shape}")
 
 
 def _scatter(t: Tensor, index, part: np.ndarray) -> np.ndarray:
@@ -143,52 +123,44 @@ def _scatter(t: Tensor, index, part: np.ndarray) -> np.ndarray:
     return full
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    if a.shape == () or b.shape == ():
-        return
-    # 1-D row vector against a matrix with matching width, either order
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return
-    if a.ndim == 1 and b.ndim == 2 and b.shape[1] == a.shape[0]:
-        return
-    raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
+def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # ---------------------------------------------------------------------------
 # binary arithmetic
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
+    _check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(a.shape, g).copy())
-        _accumulate(b, _reduce_to(b.shape, g).copy())
+        _accumulate(a, g.copy())
+        _accumulate(b, g.copy())
 
     return _record(out, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
+    _check_same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(a.shape, g).copy())
-        _accumulate(b, _reduce_to(b.shape, -g))
+        _accumulate(a, g.copy())
+        _accumulate(b, -g)
 
     return _record(out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product (same shape, or scalar/row-vector broadcast)."""
-    _check_broadcast(a, b, "mul")
+    """Hadamard product of two tensors of one shape."""
+    _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(a.shape, g * b.data))
-        _accumulate(b, _reduce_to(b.shape, g * a.data))
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _record(out, backward)
 
@@ -204,16 +176,18 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D ``x`` (B, p), a weight ``w`` (p, q) and a bias
+    row ``b`` (q,) added to every row. The gradients are g @ w^T for ``x``,
+    x^T @ g for ``w`` and the column sums of g for ``b``."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise DimensionError(f"affine: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit")
+    out = Tensor(x.data @ w.data + b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
 
     return _record(out, backward)
 
@@ -288,23 +262,21 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
-    """c * sum((a - b)^2) as a 0-d tensor. A stacked (3-D) difference is
-    summed slice by slice and the slice sums are added in order, as a chain
-    of per-slice sums and adds would. One tape record, with the arithmetic of
-    the difference, sum-of-squares and scale records it replaces in the same
-    order, so the value and both gradients keep that chain's bits; ``a`` and
-    ``b`` get gradients that share no array."""
-    if a.shape != b.shape:
-        raise DimensionError(f"sq_error: shapes {a.shape} and {b.shape} differ")
+    """c * sum((a - b)^2) as a 0-d tensor, for stacked (3-D) operands of one
+    shape. The difference is summed slice by slice and the slice sums are
+    added in order, as a chain of per-slice sums and adds would. One tape
+    record, with the arithmetic of the difference, sum-of-squares and scale
+    records it replaces in the same order, so the value and both gradients
+    keep that chain's bits; ``a`` and ``b`` get gradients that share no
+    array."""
+    if a.ndim != 3 or a.shape != b.shape:
+        raise DimensionError(f"sq_error needs 3-D operands of one shape, got {a.shape} and {b.shape}")
     c = float(c)
     d = a.data - b.data
     squares = d * d
-    if d.ndim == 3:
-        total = squares[0].sum()
-        for part in squares[1:]:
-            total = total + part.sum()
-    else:
-        total = squares.sum()
+    total = squares[0].sum()
+    for part in squares[1:]:
+        total = total + part.sum()
     out = Tensor(total * c)
 
     def backward(g: np.ndarray) -> None:
@@ -365,8 +337,7 @@ def block_affine(xs: Sequence[np.ndarray], w: Tensor, b: Tensor) -> Tensor:
     out[j] = xs[j] @ w[o_j : o_j + d_j] + b[j], where d_j is the width of
     ``xs[j]`` and o_j the sum of the earlier widths. ``w`` (sum of d_j, q)
     holds the maps' weights one under another, so inputs of any widths need
-    no padding, and each slot computes the bits of its own ``matmul`` and
-    ``add``."""
+    no padding, and each slot computes the bits of its own ``affine``."""
     cols = [x.shape[1] if x.ndim == 2 else -1 for x in xs]
     if not xs or min(cols) < 0 or any(x.shape[0] != xs[0].shape[0] for x in xs):
         raise DimensionError(f"block_affine needs 2-D inputs of one height, got {[x.shape for x in xs]}")

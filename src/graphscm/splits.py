@@ -269,7 +269,7 @@ def kmeans2(table: BiasFeatureTable, seed: int) -> tuple[np.ndarray, float]:
     """
     x = _standardize(table.values)
     n = x.shape[0]
-    if np.unique(x, axis=0).shape[0] < 2:
+    if not (x != x[0]).any():  # two distinct rows exist iff some row differs from row 0
         raise ConfigError("k-means needs at least two distinct rows")
     rng = substream(seed, "kmeans")
 

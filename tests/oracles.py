@@ -3,13 +3,14 @@
 Everything here is deliberately naive (loops, enumeration, truncated
 series) and shares no code with the implementations under test, except
 that the per-network structural assignment is built from numcore's 2-D
-tape ops (matmul, add, mul, and ``index_scalar`` here) rather than the
-stacked ones it checks, and the two pair-map mixes, the ``bmm`` chain of
-``stacked_mlp`` and the ``frobenius_sq`` chain of ``sq_error`` record on
-numcore's tape. ``frobenius_sq`` is also the scalar reducer of the
-gradient checks. ``dense_pool_columns`` reads the graph's CSR and tiles by
-``hetgraph.REACH_BLOCK``; ``reach_counts`` walks the CSR in row groups of
-it, and ``pooled_walk_tiles`` reduces those blocks and tiles by it too.
+tape ops (affine, relu, add, and ``index_scalar`` and ``scalar_mul``
+here) rather than the stacked ones it checks, and the two pair-map mixes,
+the ``bmm`` chain of ``stacked_mlp`` and the ``frobenius_sq`` chain of
+``sq_error`` record on numcore's tape. ``frobenius_sq`` is also the
+scalar reducer of the gradient checks. ``dense_pool_columns`` reads the
+graph's CSR and tiles by ``hetgraph.REACH_BLOCK``; ``reach_counts`` walks
+the CSR in row groups of it, and ``pooled_walk_tiles`` reduces those
+blocks and tiles by it too.
 """
 
 from __future__ import annotations
@@ -440,12 +441,12 @@ class PairwiseScm:
 
 
 def _mlp_forward(layers, x):
-    from graphscm.numcore import add, matmul, relu
+    from graphscm.numcore import affine, relu
 
     w, b = layers[0]
-    out = add(matmul(x, w), b)
+    out = affine(x, w, b)
     for w, b in layers[1:]:
-        out = add(matmul(relu(out), w), b)
+        out = affine(relu(out), w, b)
     return out
 
 
@@ -464,10 +465,25 @@ def index_scalar(x, i: int, j: int):
     return _record(out, backward)
 
 
+def scalar_mul(x, s):
+    """``x`` times a 0-d tape tensor ``s``, with the arithmetic ``mul`` had
+    when it broadcast a scalar: g * s to ``x`` and the sum of g * x to ``s``."""
+    from graphscm.numcore.tensor import Tensor, _accumulate, _record
+
+    assert s.ndim == 0
+    out = Tensor(x.data * s.data)
+
+    def backward(g):
+        _accumulate(x, g * s.data)
+        _accumulate(s, np.asarray((g * x.data).sum()))
+
+    return _record(out, backward)
+
+
 def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None):
     """Reconstruct variable k from every other variable, weighted by A[:, k],
     one scalar product per cause."""
-    from graphscm.numcore import add, mul
+    from graphscm.numcore import add
 
     n = params.n_vars
     if _effects is None:
@@ -480,7 +496,7 @@ def structural_assignment(k: int, variables, params: PairwiseScm, _effects=None)
     for i in range(n):
         if i == k:
             continue
-        weighted = mul(_effects[i], index_scalar(params.dag, i, k))
+        weighted = scalar_mul(_effects[i], index_scalar(params.dag, i, k))
         acc = weighted if acc is None else add(acc, weighted)
     params.decoder_calls += 1
     return _mlp_forward(params.decoder[k], acc)
@@ -547,7 +563,8 @@ def initial_tensors_with_pair_maps(meta, seed: int) -> dict[str, np.ndarray]:
 # tape contract plus a ``targets`` argument (every variable, or any one of
 # them) where ``pair_mix`` reads every variable or the label from the
 # number of causes: every output row is a Python-ordered sum of its cells,
-# bit-identical to a chain of per-pair ``matmul``/``add``/``mul`` records.
+# bit-identical to a chain of per-pair ``affine``, ``scalar_mul`` and ``add``
+# records.
 # At identity maps and zero biases both are ``dag_mix``.
 
 def _cell_grid(n: int, causes: int, targets: tuple):
@@ -862,17 +879,16 @@ def encode_variables(ego, pooled, labels, enc: PerVariableEncoders):
     each: ego, then the metapath pools, then the label (zero when ``labels``
     is None)."""
     from graphscm.encoders import one_hot
-    from graphscm.numcore import Tensor, add, matmul
+    from graphscm.numcore import Tensor, affine
 
-    def affine(j, x):
-        w, b = enc.maps[j]
-        return add(matmul(Tensor(x), w), b)
+    def encode(j, x):
+        return affine(Tensor(x), *enc.maps[j])
 
-    out = [affine(0, ego)] + [affine(1 + j, p) for j, p in enumerate(pooled)]
+    out = [encode(0, ego)] + [encode(1 + j, p) for j, p in enumerate(pooled)]
     if labels is None:
         out.append(Tensor(np.zeros((ego.shape[0], enc.hidden_dim))))
     else:
-        out.append(affine(len(enc.maps) - 1, one_hot(labels, enc.in_dims[-1])))
+        out.append(encode(len(enc.maps) - 1, one_hot(labels, enc.in_dims[-1])))
     return out
 
 

@@ -5,13 +5,13 @@ from graphscm.errors import NumericError
 from graphscm.numcore import (
     Tensor,
     add,
+    affine,
     block_affine,
     clamp_min,
     dag_mix,
     expm_trace,
     finite_diff_check,
     log,
-    matmul,
     mul,
     relu,
     scale,
@@ -48,15 +48,18 @@ def test_non_finite_probe_raises():
 
 
 def test_all_ops_pass_at_100_random_points():
-    """Every differentiable op stays within 1e-4 of central differences."""
+    """Every differentiable op stays within 1e-4 of central differences.
+    Every case draws its points from one stream, so the cases keep their
+    count and order: a case removed or added moves the inputs of every later
+    one."""
     rng = np.random.default_rng(17)
     const_b = Tensor(rng.normal(size=(4, 3)))
     const_m = Tensor(rng.normal(size=(5, 4)))
     row = Tensor(rng.normal(size=4))
 
     cases = [
-        ("matmul", (5, 4), lambda x: frobenius_sq(matmul(x, const_b))),
-        ("add_row", (5, 4), lambda x: frobenius_sq(add(x, row))),
+        ("affine", (5, 4), lambda x: frobenius_sq(affine(x, const_b, Tensor(row.data[:3])))),
+        ("add", (5, 4), lambda x: frobenius_sq(add(x, Tensor(np.tile(row.data, (5, 1)))))),
         ("sub", (5, 4), lambda x: frobenius_sq(sub(x, const_m))),
         ("mul", (5, 4), lambda x: frobenius_sq(mul(x, const_m))),
         ("scale", (5, 4), lambda x: frobenius_sq(scale(x, -2.5))),
@@ -82,9 +85,9 @@ def test_stacked_ops_match_finite_differences():
     """stacked_mlp (one layer, with a zero and a drawn bias; two layers, and
     three on a slice of the networks), block_affine, take (a column run, a
     leading run, and a basic index of ints and slices), frobenius_sq of a
-    stacked tensor and the pair-map mix of the oracles, each with respect to
-    every differentiable input; pair_mix also at n = 2 and with a nonzero
-    DAG diagonal."""
+    stacked tensor, the pair-map mix of the oracles, sq_error and affine,
+    each with respect to every differentiable input; pair_mix also at n = 2
+    and with a nonzero DAG diagonal."""
     rng = np.random.default_rng(29)
 
     def const(*shape):
@@ -173,20 +176,33 @@ def test_stacked_ops_match_finite_differences():
             err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-5)
             assert err <= 1e-6, f"stacked_mlp {depth} layers input {slot} gradient error {err}"
 
-    # sq_error with respect to either operand, stacked and 2-D, from a
-    # generator of its own so that the cases above keep their inputs. The
-    # function is quadratic, so the wider step only shrinks the rounding of
-    # the central differences.
+    # sq_error with respect to either operand, from a generator of its own
+    # so that the cases above keep their inputs. The function is quadratic,
+    # so the wider step only shrinks the rounding of the central differences.
     own = np.random.default_rng(41)
-    for shape, c in (((3, 4, 5), 1.0 / 12.0), ((4, 5), 0.37)):
-        other = Tensor(own.normal(size=shape))
-        cases = [
-            ("a", lambda t: sq_error(t, other, c)),
-            ("b", lambda t: sq_error(other, t, c)),
-        ]
-        for name, f in cases:
-            err = fdc(f, Tensor(own.normal(size=shape)), eps=1e-3)
-            assert err <= 1e-6, f"sq_error {shape} {name} gradient error {err}"
+    shape, c = (3, 4, 5), 1.0 / 12.0
+    other = Tensor(own.normal(size=shape))
+    cases = [
+        ("a", lambda t: sq_error(t, other, c)),
+        ("b", lambda t: sq_error(other, t, c)),
+    ]
+    for name, f in cases:
+        err = fdc(f, Tensor(own.normal(size=shape)), eps=1e-3)
+        assert err <= 1e-6, f"sq_error {name} gradient error {err}"
+
+    # affine with respect to the input, the weight and the bias row, from a
+    # generator of its own so that the cases above keep their inputs; the
+    # input also feeds the residual add after the ReLU, as the label head's
+    # does, so its gradient sums two records
+    own = np.random.default_rng(47)
+    args = [own.normal(size=s) for s in ((6, 4), (4, 4), (4,))]
+    for slot, name in enumerate(("x", "W", "b")):
+        def f(t, slot=slot):
+            x, w, b = [t if i == slot else Tensor(a) for i, a in enumerate(args)]
+            return frobenius_sq(add(x, relu(affine(x, w, b))))
+
+        err = fdc(f, Tensor(own.normal(size=args[slot].shape)), eps=1e-5)
+        assert err <= 1e-6, f"affine {name} gradient error {err}"
 
 
 def test_dag_mix_matches_finite_differences():

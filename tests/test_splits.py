@@ -242,6 +242,17 @@ def test_kmeans_duplicates_get_same_cluster():
     assert np.array_equal(assign[:15], assign[15:])
 
 
+def test_kmeans_two_distinct_rows_each_repeated():
+    """The fewest distinct rows k-means accepts: each of the two rows, however
+    often it repeats, is a cluster of its own."""
+    values = np.array([[0.0, 1.0]] * 5 + [[2.0, 1.0]] * 3)
+    table = BiasFeatureTable(nodes=list(range(8)), columns=["a", "b"], values=values)
+    for seed in range(5):
+        assign, inertia = kmeans2(table, seed=seed)
+        assert len(set(assign[:5])) == len(set(assign[5:])) == 1 and assign[0] != assign[5]
+        assert inertia == 0.0
+
+
 def test_kmeans_degenerate_identical_rows():
     values = np.ones((12, 2))
     table = BiasFeatureTable(nodes=list(range(12)), columns=["a", "b"], values=values)

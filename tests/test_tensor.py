@@ -6,8 +6,8 @@ from graphscm.numcore import (
     Tape,
     Tensor,
     add,
+    affine,
     dag_mix,
-    matmul,
     mul,
     relu,
     scale,
@@ -30,30 +30,68 @@ from oracles import (
 )
 
 
-def test_matmul_identity():
+def test_affine_identity():
     a = Tensor(np.eye(2))
     b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(a, b).data, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(affine(a, b, Tensor(np.zeros(2))).data, [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_matmul_projector():
+def test_affine_projector():
     p = Tensor([[1.0, 0.0], [0.0, 0.0]])
     v = Tensor([[5.0], [7.0]])
-    assert np.array_equal(matmul(p, v).data, [[5.0], [0.0]])
+    assert np.array_equal(affine(p, v, Tensor([0.5])).data, [[5.5], [0.5]])
 
 
-def test_matmul_against_triple_loop():
+def test_affine_against_triple_loop():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    got = matmul(Tensor(a), Tensor(b)).data
-    assert np.max(np.abs(got - matmul_loops(a, b))) < 1e-12
+    bias = rng.normal(size=2)
+    got = affine(Tensor(a), Tensor(b), Tensor(bias)).data
+    assert np.max(np.abs(got - (matmul_loops(a, b) + bias))) < 1e-12
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError) as exc:
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(exc.value)
+def test_affine_shape_error_names_every_shape():
+    def zeros(*shape):
+        return Tensor(np.zeros(shape))
+
+    with pytest.raises(DimensionError, match=r"affine: input \(2, 3\), weight \(2, 3\) and bias \(3,\)"):
+        affine(zeros(2, 3), zeros(2, 3), zeros(3))
+    for bias in (zeros(3), zeros(1, 4), zeros()):  # the bias is one row as wide as the output
+        with pytest.raises(DimensionError, match="affine"):
+            affine(zeros(2, 3), zeros(3, 4), bias)
+    with pytest.raises(DimensionError, match="affine"):
+        affine(zeros(2, 2, 3), zeros(3, 4), zeros(4))
+
+
+def test_affine_matches_matmul_then_bias_add_bit_for_bit():
+    """The label head's pattern: ``h`` feeds an affine map and, past its
+    ReLU, a second record (the residual add) before another affine map.
+    The output and the gradients of ``h``, both weights and both biases
+    equal, bit for bit, plain numpy ``x @ W`` followed by ``+ b`` with the
+    backward of a matmul record and a bias-add record in reverse order."""
+    rng = np.random.default_rng(53)
+    x, w1, b1, w2, b2 = (rng.normal(size=s) for s in ((7, 5), (5, 5), (5,), (5, 3), (3,)))
+    upstream = rng.normal(size=(7, 3))
+    leaves = [Tensor(a.copy()) for a in (x, w1, b1, w2, b2)]
+    h, l1w, l1b, l2w, l2b = leaves
+    with Tape() as tape:
+        shortcut = relu(affine(h, l1w, l1b))
+        out = affine(add(h, shortcut), l2w, l2b)
+        loss = sum_all(mul(out, Tensor(upstream)))
+    assert len(tape) == 6
+    tape.backward(loss)
+
+    pre = x @ w1 + b1
+    u = x + np.maximum(pre, 0.0)
+    want_out = u @ w2 + b2
+    g = upstream
+    gb2, gw2, gu = g.sum(axis=0), u.T @ g, g @ w2.T
+    gpre = gu * (pre > 0.0)
+    gb1, gw1 = gpre.sum(axis=0), x.T @ gpre
+    gx = gu + gpre @ w1.T  # the residual add's gradient arrives first
+    for got, want in zip([out.data] + [t.grad for t in leaves], [want_out, gx, gw1, gb1, gw2, gb2]):
+        assert np.array_equal(got, want)
 
 
 def test_relu_sign_cases():
@@ -79,23 +117,25 @@ def test_frobenius_sq_identical_inputs():
     assert frobenius_sq(sub(x, y)).item() == 0.0
 
 
-def test_broadcast_restricted_to_row_vector():
+def test_binary_ops_need_equal_shapes():
     m = Tensor(np.zeros((3, 4)))
-    assert add(m, Tensor(np.ones(4))).shape == (3, 4)
-    with pytest.raises(DimensionError):
-        add(m, Tensor(np.ones(3)))
-    with pytest.raises(DimensionError):
-        add(m, Tensor(np.zeros((3, 1))))
+    for op in (add, sub, mul):
+        assert op(m, Tensor(np.ones((3, 4)))).shape == (3, 4)
+        for shape in ((4,), (3,), (3, 1), (), (4, 3)):
+            for a, b in ((m, Tensor(np.ones(shape))), (Tensor(np.ones(shape)), m)):
+                with pytest.raises(DimensionError) as exc:
+                    op(a, b)
+                assert str(exc.value) == f"{op.__name__}: shapes {a.shape} and {b.shape} differ"
 
 
 def test_bias_gradient_sums_over_rows():
     x = Tensor(np.ones((3, 2)))
     b = Tensor(np.zeros(2))
     with Tape() as tape:
-        y = frobenius_sq(add(x, b))
+        y = frobenius_sq(affine(x, Tensor(np.eye(2)), b))
     tape.backward(y)
     # d/db sum (1+b)^2 = 2*3*(1+b) = 6 per column
-    assert np.allclose(b.grad, [6.0, 6.0])
+    assert np.array_equal(b.grad, [6.0, 6.0])
 
 
 def test_backward_visits_reverse_order_and_accumulates():
@@ -164,7 +204,7 @@ def test_fixed_seed_bit_identical():
         a = Tensor(rng.normal(size=(4, 4)))
         b = Tensor(rng.normal(size=(4, 4)))
         with Tape() as tape:
-            y = frobenius_sq(matmul(relu(a), b))
+            y = frobenius_sq(affine(relu(a), b, Tensor(np.zeros(4))))
         tape.backward(y)
         return y.item(), a.grad.copy()
 
@@ -301,7 +341,7 @@ def test_stacked_mlp_matches_bmm_chain_bit_for_bit(n, batch, rows, x_leaf):
             assert np.array_equal(a, b), (layers, i)
 
 
-@pytest.mark.parametrize("shape", [(3, 7, 5), (1, 1, 4), (4, 5)])
+@pytest.mark.parametrize("shape", [(3, 7, 5), (1, 1, 4), (4, 1, 5)])
 @pytest.mark.parametrize("leaves", ["both", "a", "b"])
 def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, leaves):
     """Value and both gradients equal to the ``sub``/``frobenius_sq``/``scale``
@@ -311,7 +351,7 @@ def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, leaves):
     of a recorded ``relu`` whose own input then gets the gradient passed on."""
     rng = np.random.default_rng(sum(shape))
     inputs = [rng.normal(size=shape), rng.normal(size=shape)]
-    c = 1.0 / (shape[0] * shape[-2]) if len(shape) == 3 else 0.37
+    c = 1.0 / (shape[0] * shape[1])
 
     def run(op):
         a0 = Tensor(inputs[0].copy())
@@ -336,6 +376,8 @@ def test_sq_error_matches_sub_square_scale_chain_bit_for_bit(shape, leaves):
 def test_sq_error_shape_mismatch_raises():
     with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(2, 4, 3\)"):
         sq_error(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 3))), 1.0)
+    with pytest.raises(DimensionError, match=r"3-D.*\(4, 5\) and \(4, 5\)"):
+        sq_error(Tensor(np.zeros((4, 5))), Tensor(np.zeros((4, 5))), 1.0)
 
 
 def test_numcore_exports_resolve():

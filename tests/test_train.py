@@ -354,4 +354,4 @@ def test_training_step_tape_and_tensors_do_not_grow_with_variables(monkeypatch):
         result = train(graph, splits, config)
         n = len(result.model.meta.variable_names)
         counts[n] = (sorted(set(records)), len(result.model.parameters()))
-    assert counts == {3: ([29], 17), 6: ([29], 17), 9: ([29], 17)}, counts
+    assert counts == {3: ([27], 17), 6: ([27], 17), 9: ([27], 17)}, counts
